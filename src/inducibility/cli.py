@@ -354,9 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="inducibility",
         description="exact computation, search and certification of maximisers "
                     "of symmetrisable graph parameters")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="worker pool size (evaluation is sequential and "
-                         "deterministic; accepted for compatibility)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     def common(p):

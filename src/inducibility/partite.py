@@ -1,6 +1,7 @@
 """The partite limit space: finite-support vectors x_1 >= x_2 >= ... > 0 with
 sum <= 1 and clique mass x_0 = 1 - sum, their n-vertex realisations,
-elementary symmetric polynomials, the exact sampling value lambda(x), the
+elementary symmetric polynomials, the draw-multiset sampling kernel
+(draw_sum) and the exact sampling value lambda(x) as its expectation, the
 closed-form complete partite densities, exact counts of complete partite
 patterns inside complete partite hosts, and the limit edit distance.
 
@@ -17,7 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .graphs import CompletePartiteShape, Graph, PartiteStructure
 from .objectives import ObjectiveSpec
@@ -67,6 +68,10 @@ class PartiteVector:
         if i == 0:
             return self.x0
         return self.parts[i - 1]
+
+    def draw_weights(self) -> dict[int, Fraction]:
+        """The draw probabilities {i: x_i} over supp*."""
+        return {i: self.entry(i) for i in self.supp_star}
 
     def min_entry(self) -> Fraction:
         """min over supp*: the beta of a beta-separated vector."""
@@ -204,45 +209,55 @@ def realise(n: int, x: PartiteVector) -> RealisedPartite:
 
 
 # ---------------------------------------------------------------------------
-# lambda(x) by exact sampling expectation
+# The sampling kernel and lambda(x) as its expectation
 # ---------------------------------------------------------------------------
 
-def _multinomial(k: int, counts: Sequence[int]) -> int:
+def _multinomial(k: int, counts: Iterable[int]) -> int:
     num = factorial(k)
     for c in counts:
         num //= factorial(c)
     return num
 
 
-def lambda_of_vector(spec: ObjectiveSpec, x: PartiteVector) -> Fraction:
-    """Exact E[gamma(pattern of k independent draws from x)].
+def draw_sum(k: int, weights: Mapping[int, object], term: Callable[[dict], object]):
+    """Expectation of term(counts) over k independent draws from weights.
 
-    Enumerates multisets of draw indices; the pattern of a draw multiset is
-    the complete partite graph whose parts are the repeat counts of the
-    nonzero indices plus one singleton per zero draw.
+    Enumerates the multisets of k draws over the keys of weights; counts maps
+    each drawn key, in ascending order, to its repeat count. A nonzero term
+    contributes multinomial(k; counts) * prod weights[i]**c * term, so free
+    (unnormalised) weights give the homogeneous degree-k free form. Generic
+    in the weight ring (Fraction, float, MPoly) and in the term ring
+    (scalars, or UPoly in alpha); an empty sum is Fraction(0).
     """
-    k = spec.k
-    idxs = x.supp_star
-    if len(idxs) ** k > 10**7:
+    keys = sorted(weights)
+    if len(keys) ** k > 10**7:
         raise ValueError("support too large for exact enumeration")
-    values = spec.partition_values()
-    total = Fraction(0)
-    for multi in itertools.combinations_with_replacement(idxs, k):
+    total = None
+    for multi in itertools.combinations_with_replacement(keys, k):
         counts: dict[int, int] = {}
         for i in multi:
             counts[i] = counts.get(i, 0) + 1
-        zeros = counts.pop(0, 0)
-        pattern = tuple(sorted(list(counts.values()) + [1] * zeros, reverse=True))
-        gamma = values[pattern]
-        if gamma == 0:
+        value = term(counts)
+        if not value:
             continue
-        weight = Fraction(_multinomial(k, list(counts.values()) + [zeros]))
+        weight = _multinomial(k, counts.values())
         for i, c in counts.items():
-            weight *= x.entry(i) ** c
-        if zeros:
-            weight *= x.x0**zeros
-        total += gamma * weight
-    return total
+            weight = weight * weights[i] ** c
+        value = weight * value
+        total = value if total is None else total + value
+    return Fraction(0) if total is None else total
+
+
+def _draw_pattern(counts: Mapping[int, int]) -> tuple[int, ...]:
+    """The partition of the complete partite pattern of a draw multiset: the
+    repeat counts of the nonzero indices plus one singleton per zero draw."""
+    parts = [c for i, c in counts.items() if i] + [1] * counts.get(0, 0)
+    return tuple(sorted(parts, reverse=True))
+
+
+def lambda_of_vector(spec: ObjectiveSpec, x: PartiteVector) -> Fraction:
+    """Exact E[gamma(pattern of k independent draws from x)]."""
+    return lambda_free(spec, x.x0, x.parts)
 
 
 def lambda_free(spec: ObjectiveSpec, clique_weight, part_weights: Sequence) -> object:
@@ -252,27 +267,11 @@ def lambda_free(spec: ObjectiveSpec, clique_weight, part_weights: Sequence) -> o
     the numeric free form used for finite-difference cross-checks, and MPoly
     weights give lambda as a polynomial. The result is the homogeneous
     degree-k free form of lambda; on the simplex it equals lambda_of_vector.
+    Zero weights are never drawn, so they are left out of the enumeration.
     """
-    k = spec.k
+    weights = {i: w for i, w in enumerate([clique_weight, *part_weights]) if w != 0}
     values = spec.partition_values()
-    weights = [clique_weight] + list(part_weights)
-    total = None
-    for multi in itertools.combinations_with_replacement(range(len(weights)), k):
-        counts: dict[int, int] = {}
-        for i in multi:
-            counts[i] = counts.get(i, 0) + 1
-        zeros = counts.pop(0, 0)
-        pattern = tuple(sorted(list(counts.values()) + [1] * zeros, reverse=True))
-        gamma = values[pattern]
-        if gamma == 0:
-            continue
-        term = gamma * _multinomial(k, list(counts.values()) + [zeros])
-        for i, c in counts.items():
-            term = term * weights[i] ** c
-        if zeros:
-            term = term * weights[0] ** zeros
-        total = term if total is None else total + term
-    return Fraction(0) if total is None else total
+    return draw_sum(spec.k, weights, lambda counts: values[_draw_pattern(counts)])
 
 
 # ---------------------------------------------------------------------------
@@ -286,30 +285,27 @@ def sampling_density(a: Sequence[int], x: PartiteVector) -> Fraction:
     the pattern partition equals a.
     """
     a = tuple(sorted((int(v) for v in a), reverse=True))
-    k = sum(a)
-    idxs = x.supp_star
-    if len(idxs) ** k > 10**7:
-        raise ValueError("support too large for exact enumeration")
-    total = Fraction(0)
-    for multi in itertools.combinations_with_replacement(idxs, k):
-        counts: dict[int, int] = {}
-        for i in multi:
-            counts[i] = counts.get(i, 0) + 1
-        zeros = counts.pop(0, 0)
-        pattern = tuple(sorted(list(counts.values()) + [1] * zeros, reverse=True))
-        if pattern != a:
-            continue
-        weight = Fraction(_multinomial(k, list(counts.values()) + [zeros]))
-        for i, c in counts.items():
-            weight *= x.entry(i) ** c
-        if zeros:
-            weight *= x.x0**zeros
-        total += weight
-    return total
+    return draw_sum(sum(a), x.draw_weights(),
+                    lambda counts: 1 if _draw_pattern(counts) == a else 0)
 
 
 def density_formula(a: Sequence[int], x: PartiteVector) -> Fraction:
-    """p(K_{a_1,...,a_l}, x) via the elementary-symmetric closed form.
+    """p(K_{a_1,...,a_l}, x) via the elementary-symmetric closed form."""
+    return _closed_form(a, x.x0, x.parts)
+
+
+def density_polynomial(a: Sequence[int], m: int) -> MPoly:
+    """The free form of p(K_a, .) as a polynomial in x0, x1, ..., xm.
+
+    Homogeneous of degree sum(a); substituting a point of the simplex gives
+    density_formula. Used for the independent symbolic-derivative oracle.
+    """
+    xs = [MPoly.var(f"x{i}") for i in range(m + 1)]
+    return MPoly.const(0) + _closed_form(a, xs[0], xs[1:])
+
+
+def _closed_form(a: Sequence[int], x0, parts: Sequence):
+    """Ring-generic body of the closed form (Fraction parts or MPoly variables).
 
     Each term chooses s of the l - t singleton parts to be clique draws, so
     it carries a C(l-t, s) factor alongside x0^s; without it the formula
@@ -319,56 +315,15 @@ def density_formula(a: Sequence[int], x: PartiteVector) -> Fraction:
     a = tuple(sorted((int(v) for v in a), reverse=True))
     if not a or any(v <= 0 for v in a):
         raise ValueError("malformed partition")
-    k = sum(a)
     ell = len(a)
     t = sum(1 for v in a if v >= 2)
-    coeff = Fraction(_multinomial(k, a)) * sym_coefficient(a)
     total = Fraction(0)
     for s in range(ell - t + 1):
-        prefix = a[: ell - s]
-        term = comb(ell - t, s) * elementary_symmetric(x, SymmetricIndex(tuple(prefix)))
+        term = comb(ell - t, s) * _sym_sum(parts, a[: ell - s])
         if s:
-            term *= x.x0**s
-        total += term
-    return coeff * total
-
-
-def density_polynomial(a: Sequence[int], m: int) -> MPoly:
-    """The free form of p(K_a, .) as a polynomial in x0, x1, ..., xm.
-
-    Homogeneous of degree sum(a); substituting a point of the simplex gives
-    density_formula. Used for the independent symbolic-derivative oracle.
-    """
-    a = tuple(sorted((int(v) for v in a), reverse=True))
-    k = sum(a)
-    ell = len(a)
-    t = sum(1 for v in a if v >= 2)
-    xs = [MPoly.var(f"x{i}") for i in range(m + 1)]
-    coeff = Fraction(_multinomial(k, a)) * sym_coefficient(a)
-    total = MPoly.const(0)
-    for s in range(ell - t + 1):
-        prefix = a[: ell - s]
-        term = _sym_sum(xs[1:], prefix)
-        if isinstance(term, Fraction):
-            term = MPoly.const(term)
-        term = comb(ell - t, s) * term
-        if s:
-            term = term * xs[0] ** s
+            term = term * x0**s
         total = total + term
-    return coeff * total
-
-
-def objective_free_polynomial(spec: ObjectiveSpec, m: int) -> MPoly:
-    """Free form of lambda restricted to partite vectors with m parts.
-
-    Valid for any gamma table: induced subgraphs of complete partite graphs
-    are complete partite, so only gamma's values on partitions of k matter.
-    """
-    total = MPoly.const(0)
-    for part, val in spec.partition_values().items():
-        if val != 0:
-            total = total + val * density_polynomial(part, m)
-    return total
+    return Fraction(_multinomial(sum(a), a)) * sym_coefficient(a) * total
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ attachment values (expected gamma seen by a new vertex joined by a 0/1 part
 pattern b and a clique fraction alpha), vertex gradients, exact partial
 derivatives via the clone identity, Lagrange residuals, and exact finite-n
 counterparts on realisations computed by part-profile enumeration (no subset
-enumeration, so they stay cheap at n in the hundreds).
+enumeration, so they stay cheap at n in the hundreds). The limit flip
+gradients, through-pair densities and attachment values are integrands over
+the draw kernel partite.draw_sum.
 
 The free form of lambda is the homogeneous degree-k polynomial in
 (x0, x1, ...) given by the sampling formula; partial derivatives are plain
@@ -15,15 +17,15 @@ holds exactly for every i in supp* (clique index included).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional, Sequence
 
 from .graphs import Graph, PartiteStructure
 from .objectives import ObjectiveSpec, lambda_graph
-from .partite import PartiteVector, RealisedPartite, _multinomial, lambda_of_vector
+from .partite import PartiteVector, RealisedPartite, draw_sum, lambda_of_vector
 from .polynomials import Rat, UPoly, _frac
 
 
@@ -113,13 +115,21 @@ def _attach_code(types: Sequence[int], u_adj: Sequence[bool]) -> int:
 # Limit gradients
 # ---------------------------------------------------------------------------
 
+def _draw_types(counts: Mapping[int, int]) -> list[int]:
+    """The draw indices of a multiset in ascending order (clique draws first)."""
+    types: list[int] = []
+    for i, c in counts.items():
+        types += [i] * c
+    return types
+
+
 def flip_gradient(spec: ObjectiveSpec, x: PartiteVector, i1: int, i2: int) -> Fraction:
     """Expected gamma loss from toggling the pair of two conditioned draws.
 
     Conditions the k-sample on the first two draws having types i1, i2 and
     averages gamma(pattern) - gamma(pattern with pair {1,2} flipped).
     """
-    return flip_gradient_generic(spec, {i: x.entry(i) for i in x.supp_star}, i1, i2)
+    return flip_gradient_generic(spec, x.draw_weights(), i1, i2)
 
 
 def flip_gradient_generic(spec: ObjectiveSpec, entries: Mapping[int, object],
@@ -127,25 +137,13 @@ def flip_gradient_generic(spec: ObjectiveSpec, entries: Mapping[int, object],
     """Generic-ring flip gradient; entries maps supp* indices to weights."""
     if i1 not in entries or i2 not in entries:
         raise ValueError("flip indices must lie in supp*")
-    k = spec.k
-    idxs = sorted(entries)
-    if len(idxs) ** (k - 2) > 10**7:
-        raise ValueError("support too large for exact enumeration")
     table = spec.code_table()
-    total = None
-    for multi in itertools.combinations_with_replacement(idxs, k - 2):
-        counts: dict[int, int] = {}
-        for i in multi:
-            counts[i] = counts.get(i, 0) + 1
-        code, fcode = _pair_codes((i1, i2) + multi)
-        dg = table[code] - table[fcode]
-        if dg == 0:
-            continue
-        term = dg * _multinomial(k - 2, list(counts.values()))
-        for i, c in counts.items():
-            term = term * entries[i] ** c
-        total = term if total is None else total + term
-    return Fraction(0) if total is None else total
+
+    def loss(counts):
+        code, fcode = _pair_codes([i1, i2] + _draw_types(counts))
+        return table[code] - table[fcode]
+
+    return draw_sum(spec.k - 2, entries, loss)
 
 
 def pair_density(spec: ObjectiveSpec, x: PartiteVector, i1: int, i2: int) -> Fraction:
@@ -155,23 +153,9 @@ def pair_density(spec: ObjectiveSpec, x: PartiteVector, i1: int, i2: int) -> Fra
     """
     if i1 not in x.supp_star or i2 not in x.supp_star:
         raise ValueError("indices must lie in supp*")
-    k = spec.k
-    idxs = x.supp_star
     table = spec.code_table()
-    total = Fraction(0)
-    for multi in itertools.combinations_with_replacement(idxs, k - 2):
-        counts: dict[int, int] = {}
-        for i in multi:
-            counts[i] = counts.get(i, 0) + 1
-        code, _ = _pair_codes((i1, i2) + multi)
-        gamma = table[code]
-        if gamma == 0:
-            continue
-        term = gamma * _multinomial(k - 2, list(counts.values()))
-        for i, c in counts.items():
-            term *= x.entry(i) ** c
-        total += term
-    return total
+    return draw_sum(spec.k - 2, x.draw_weights(),
+                    lambda counts: table[_pair_codes([i1, i2] + _draw_types(counts))[0]])
 
 
 @dataclass(frozen=True)
@@ -183,6 +167,34 @@ class AttachValue:
         return self.poly(_frac(alpha))
 
 
+@lru_cache(maxsize=None)
+def _clique_split(zeros: int, j: int) -> UPoly:
+    """C(zeros, j) alpha^j (1 - alpha)^(zeros - j): exactly j of the clique
+    draws are joined to the attached vertex."""
+    return comb(zeros, j) * UPoly.x() ** j * UPoly([1, -1]) ** (zeros - j)
+
+
+def _attach_term(table, b: Mapping[int, int], counts: Mapping[int, int]):
+    """gamma seen by a vertex attached to a (k-1)-draw with these counts.
+
+    The vertex joins nonzero draws i with b(i) = 1 and each clique draw
+    independently with probability alpha, so the value is a polynomial in
+    alpha; it is a scalar when no clique draw occurs.
+    """
+    types = _draw_types(counts)
+    zeros = counts.get(0, 0)
+    adj = [bool(b.get(i, 0)) for i in types]
+    if not zeros:
+        return table[_attach_code(types, adj)]
+    total = 0
+    for j in range(zeros + 1):
+        adj[:zeros] = [True] * j + [False] * (zeros - j)
+        gamma = table[_attach_code(types, adj)]
+        if gamma:
+            total = total + gamma * _clique_split(zeros, j)
+    return total
+
+
 def attach_value(spec: ObjectiveSpec, x: PartiteVector, p: AttachmentPattern) -> AttachValue:
     """lambda(x, (b, alpha)): expected gamma seen by the attached vertex.
 
@@ -191,44 +203,10 @@ def attach_value(spec: ObjectiveSpec, x: PartiteVector, p: AttachmentPattern) ->
     alpha dependence is returned exactly as a degree <= k-1 polynomial.
     """
     _check_pattern(x, p)
-    k = spec.k
-    idxs = x.supp_star
-    if len(idxs) ** (k - 1) > 10**7:
-        raise ValueError("support too large for exact enumeration")
     table = spec.code_table()
-    poly = UPoly()
-    alpha = UPoly.x()
-    one_minus = UPoly([1, -1])
-    basis: dict[tuple[int, int], UPoly] = {}
-    for multi in itertools.combinations_with_replacement(idxs, k - 1):
-        counts: dict[int, int] = {}
-        for i in multi:
-            counts[i] = counts.get(i, 0) + 1
-        zeros = counts.pop(0, 0)
-        weight = Fraction(_multinomial(k - 1, list(counts.values()) + [zeros]))
-        for i, c in counts.items():
-            weight *= x.entry(i) ** c
-        if zeros:
-            weight *= x.x0**zeros
-        if weight == 0:
-            continue
-        types: list[int] = [0] * zeros
-        adj: list[bool] = [False] * zeros
-        for i, c in sorted(counts.items()):
-            types.extend([i] * c)
-            adj.extend([bool(p.bit(i))] * c)
-        for j in range(zeros + 1):
-            for t in range(j):
-                adj[t] = True
-            for t in range(j, zeros):
-                adj[t] = False
-            gamma = table[_attach_code(types, adj)]
-            if gamma == 0:
-                continue
-            key = (j, zeros)
-            if key not in basis:
-                basis[key] = comb(zeros, j) * (alpha**j) * (one_minus ** (zeros - j))
-            poly = poly + (weight * gamma) * basis[key]
+    # terms without clique draws are scalars, so the sum may be one too
+    poly = UPoly() + draw_sum(spec.k - 1, x.draw_weights(),
+                              lambda counts: _attach_term(table, p.b, counts))
     return AttachValue(poly(p.alpha), poly)
 
 
@@ -237,27 +215,8 @@ def attach_value_generic(spec: ObjectiveSpec, entries: Mapping[int, object],
     """Generic-ring attachment value at alpha = 1 (no clique mass case)."""
     if 0 in entries:
         raise ValueError("generic attachment assumes no clique mass")
-    k = spec.k
-    idxs = sorted(entries)
     table = spec.code_table()
-    total = None
-    for multi in itertools.combinations_with_replacement(idxs, k - 1):
-        counts: dict[int, int] = {}
-        for i in multi:
-            counts[i] = counts.get(i, 0) + 1
-        types: list[int] = []
-        adj: list[bool] = []
-        for i, c in sorted(counts.items()):
-            types.extend([i] * c)
-            adj.extend([bool(b.get(i, 0))] * c)
-        gamma = table[_attach_code(types, adj)]
-        if gamma == 0:
-            continue
-        term = gamma * _multinomial(k - 1, list(counts.values()))
-        for i, c in counts.items():
-            term = term * entries[i] ** c
-        total = term if total is None else total + term
-    return Fraction(0) if total is None else total
+    return draw_sum(spec.k - 1, entries, lambda counts: _attach_term(table, b, counts))
 
 
 def vertex_gradient(spec: ObjectiveSpec, x: PartiteVector, p: AttachmentPattern) -> AttachValue:
@@ -396,11 +355,6 @@ def finite_attach_lambda_vertex(spec: ObjectiveSpec, realised: RealisedPartite,
         if gamma:
             total += ways * gamma
     return total / comb(n, k - 1)
-
-
-def finite_lambda_shape(spec: ObjectiveSpec, realised: RealisedPartite) -> Fraction:
-    from .partite import lambda_of_shape
-    return lambda_of_shape(spec, realised.structure.shape())
 
 
 # ---------------------------------------------------------------------------

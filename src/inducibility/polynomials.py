@@ -68,7 +68,9 @@ class UPoly:
         terms = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c != 0]
         return "UPoly(" + " + ".join(terms) + ")"
 
-    def __add__(self, other: "UPoly") -> "UPoly":
+    def __add__(self, other: Union["UPoly", Rat]) -> "UPoly":
+        if isinstance(other, (int, Fraction)):
+            other = UPoly([other])
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -76,6 +78,8 @@ class UPoly:
         for i, c in enumerate(b):
             out[i] += c
         return UPoly(out)
+
+    __radd__ = __add__
 
     def __neg__(self) -> "UPoly":
         return UPoly([-c for c in self.coeffs])
@@ -317,13 +321,6 @@ class UPoly:
 def sturm_root_count(p: UPoly, lo: Rat, hi: Rat) -> int:
     """Distinct real roots of p in (lo, hi] by Sturm's theorem."""
     return p.count_roots(lo, hi)
-
-
-def upoly_resultant(p: UPoly, q: UPoly) -> Fraction:
-    m = sylvester_matrix([UPoly.const(c) for c in p.coeffs],
-                         [UPoly.const(c) for c in q.coeffs])
-    det = _bareiss_det_upoly(m)
-    return det(Fraction(0)) if det.degree <= 0 else det.coeffs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -629,11 +626,6 @@ def _bareiss_det(rows: list[list[MPoly]]) -> MPoly:
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return det if sign == 1 else -det
-
-
-def _bareiss_det_upoly(rows: list[list]) -> UPoly:
-    det = _bareiss_det(rows)
-    return det.to_upoly() if isinstance(det, MPoly) else det
 
 
 def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:

@@ -100,6 +100,8 @@ def test_usage_errors(capsys):
     assert run_cli(["density", "--objective", "BAD", "--vector",
                     '{"x0":"1","parts":[]}', "--quiet"], capsys)[0] == 3
     assert main(["nonsense"]) == 3
+    assert main(["--threads", "1", "density", "--objective", "KP 2,1", "--vector",
+                 '{"x0":"1","parts":[]}']) == 3
 
 
 def test_gamma_table_file(capsys, tmp_path):

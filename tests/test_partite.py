@@ -8,9 +8,11 @@ from inducibility.graphs import Graph, complete_partite_shape_of
 from inducibility.objectives import ObjectiveSpec, partitions_of
 from inducibility.graphs import edit_distance_exact
 from inducibility.partite import (PartiteVector, SymmetricIndex, count_partite,
-                                  density_formula, edit_distance_vectors,
-                                  elementary_symmetric, lambda_of_shape,
-                                  lambda_of_vector, realisation_shape, realise)
+                                  density_formula, draw_sum, edit_distance_vectors,
+                                  elementary_symmetric, lambda_free, lambda_of_shape,
+                                  lambda_of_vector, realisation_shape, realise,
+                                  sampling_density)
+from inducibility.polynomials import MPoly
 
 
 def rand_vector(rng, max_support=4, max_denom=12, allow_clique=True):
@@ -102,7 +104,38 @@ def test_density_equals_enumeration():
     for _ in range(25):
         x = rand_vector(rng)
         for a, spec in specs.items():
-            assert lambda_of_vector(spec, x) == density_formula(a, x), (a, x)
+            assert lambda_of_vector(spec, x) == density_formula(a, x) \
+                == sampling_density(a, x), (a, x)
+
+
+def test_lambda_free_rings_match_lambda_of_vector(spec_c4):
+    """Fraction and MPoly weights give the same value as lambda_of_vector."""
+    from inducibility.graphs import iso_classes
+    rng = random.Random(22)
+    table = ObjectiveSpec.from_table(4, {g: F(rng.randint(-3, 5), rng.randint(1, 4))
+                                         for g in iso_classes(4)})
+    names = ["x%d" % i for i in range(5)]
+    for _ in range(12):
+        x = rand_vector(rng, allow_clique=rng.random() < 0.5)
+        point = dict(zip(names, (x.x0,) + x.parts))
+        xs = [MPoly.var(v) for v in names[:len(x.parts) + 1]]
+        for spec in (spec_c4, table):
+            lam = lambda_of_vector(spec, x)
+            assert lam == sum(v * density_formula(a, x)
+                              for a, v in spec.partition_values().items())
+            assert lambda_free(spec, x.x0, x.parts) == lam
+            poly = MPoly.const(0) + lambda_free(spec, xs[0], xs[1:])
+            assert poly.evaluate(point) == lam, (spec, x)
+
+
+def test_draw_sum_multinomial_theorem_and_size_guard(spec_c4):
+    xs = {i: MPoly.var("x%d" % i) for i in range(3)}
+    assert draw_sum(4, xs, lambda counts: 1) == (xs[0] + xs[1] + xs[2]) ** 4
+    assert draw_sum(3, {0: F(1, 2)}, lambda counts: 0) == 0
+    with pytest.raises(ValueError, match="support too large"):
+        draw_sum(8, {i: F(1, 8) for i in range(8)}, lambda counts: 1)
+    with pytest.raises(ValueError, match="support too large"):
+        lambda_of_vector(spec_c4, PartiteVector.uniform(57))
 
 
 def test_count_partite_examples():

@@ -5,9 +5,12 @@ import pytest
 
 from inducibility.objectives import ObjectiveSpec, partitions_of
 from inducibility.partite import PartiteVector, density_polynomial, realise
-from inducibility.perturbation import (AttachmentPattern, attach_value, compare_bounds,
+from inducibility.polynomials import MPoly
+from inducibility.perturbation import (AttachmentPattern, attach_value,
+                                       attach_value_generic, compare_bounds,
                                        finite_attach_lambda_vertex, finite_flip_delta,
-                                       flip_gradient, lagrange_residual, pair_density,
+                                       flip_gradient, flip_gradient_generic,
+                                       lagrange_residual, pair_density,
                                        partial_derivative, partial_derivative_fd,
                                        pattern_e, vertex_gradient)
 
@@ -104,6 +107,56 @@ def test_lagrange_residual(spec_k2111, spec_k311, spec_c4):
 
 def test_partial_at_maximiser(spec_k2111):
     assert partial_derivative(spec_k2111, A8, 1) == 5 * F(525, 1024)
+
+
+def _ordered_flip(spec, x, i1, i2):
+    """Flip gradient by enumerating ordered (k-2)-tuples of further draws."""
+    import itertools
+    from inducibility.perturbation import _pair_codes
+    table = spec.code_table()
+    total = F(0)
+    for tup in itertools.product(x.supp_star, repeat=spec.k - 2):
+        weight = F(1)
+        for i in tup:
+            weight *= x.entry(i)
+        code, fcode = _pair_codes((i1, i2) + tup)
+        total += weight * (table[code] - table[fcode])
+    return total
+
+
+def test_generic_flip_and_attach_match_exact(spec_c4):
+    """MPoly entries evaluated at x reproduce flip_gradient (and the ordered
+    enumeration), and without clique mass attach_value_generic reproduces
+    attach_value at alpha = 1."""
+    import itertools
+    from inducibility.graphs import iso_classes
+    rng = random.Random(33)
+    table = ObjectiveSpec.from_table(4, {g: F(rng.randint(-3, 5), rng.randint(1, 4))
+                                         for g in iso_classes(4)})
+    for trial in range(8):
+        parts = sorted([F(rng.randint(1, 6), 12) for _ in range(rng.randint(1, 3))],
+                       reverse=True)
+        while sum(parts) > 1:
+            parts = [p / 2 for p in parts]
+        if trial % 2:
+            parts = [p / sum(parts) for p in parts]
+        x = PartiteVector(parts)
+        point = {"x%d" % i: x.entry(i) for i in range(len(x.parts) + 1)}
+        entries = {i: MPoly.var("x%d" % i) for i in x.supp_star}
+        for spec in (spec_c4, table):
+            for i1, i2 in itertools.combinations_with_replacement(x.supp_star, 2):
+                want = flip_gradient(spec, x, i1, i2)
+                assert want == _ordered_flip(spec, x, i1, i2)
+                poly = MPoly.const(0) + flip_gradient_generic(spec, entries, i1, i2)
+                assert poly.evaluate(point) == want, (x, i1, i2)
+            if x.x0:
+                continue
+            for bits in itertools.product((0, 1), repeat=len(x.parts)):
+                b = dict(zip(x.support, bits))
+                want = attach_value(spec, x, AttachmentPattern(b, F(1))).value
+                assert attach_value_generic(spec, x.draw_weights(), b) == want
+                poly = MPoly.const(0) + attach_value_generic(spec, entries, b)
+                assert poly.evaluate(point) == want, (x, b)
 
 
 def test_pair_density_vs_flip(spec_k311):
