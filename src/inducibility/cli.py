@@ -20,7 +20,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .graphs import Graph, parse_graph_text, write_graph_text
+from .graphs import CANON_MAX, Graph, parse_graph_text, write_graph_text
 from .objectives import ObjectiveSpec, lambda_graph, brute_lambda_max
 from .partite import PartiteVector, edit_distance_vectors, lambda_of_vector
 from .perturbation import (AttachmentPattern, attach_value, flip_gradient,
@@ -84,13 +84,38 @@ def _parse_partition(text: str) -> list[int]:
 
 
 def _objective_from_table_file(path: Path) -> ObjectiveSpec:
+    """{"k": int, "values": [{"n": int (default k), "edges": [[u, v], ...],
+    "value": rational string or integer}, ...]}, one entry per class."""
     obj = json.loads(path.read_text())
-    k = int(obj["k"])
+    if not (isinstance(obj, dict) and _is_int(obj.get("k")) and 3 <= obj["k"] <= CANON_MAX
+            and isinstance(obj.get("values"), list)):
+        raise UsageError(f"gamma table {path.name}: expected an object with an integer 'k' "
+                         f"from 3 to {CANON_MAX} and a 'values' list")
+    k = obj["k"]
     table = {}
-    for entry in obj["values"]:
-        g = Graph.from_edges(int(entry.get("n", k)), [tuple(e) for e in entry["edges"]])
-        table[g] = Fraction(entry["value"])
+    for i, entry in enumerate(obj["values"]):
+        where = f"gamma table {path.name}, values[{i}]"
+        if not (isinstance(entry, dict) and entry.get("n", k) == k
+                and isinstance(entry.get("edges"), list)
+                and all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
+                        for e in entry["edges"])):
+            raise UsageError(f"{where}: expected 'n' = k = {k} and 'edges' as [u, v] pairs")
+        value = entry.get("value")
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise UsageError(f"{where}: 'value' must be a rational string or an integer")
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError) as e:
+            raise UsageError(f"{where}: bad value {entry['value']!r}") from e
+        g = Graph.from_edges(k, [tuple(e) for e in entry["edges"]])
+        if g in table:
+            raise UsageError(f"{where}: repeats the graph of an earlier entry")
+        table[g] = value
     return ObjectiveSpec.from_table(k, table, label=f"@{path.name}")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def parse_vector(text: str) -> PartiteVector:

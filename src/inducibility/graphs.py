@@ -1,7 +1,8 @@
 """Finite graphs on up to 64 vertices as immutable bitset adjacency rows.
 
-Provides canonical forms for n <= 8 (keying gamma tables by isomorphism
-class), exhaustive isomorphism-class generation, induced-subgraph counting,
+Provides canonical forms for n <= 8 and one class lookup, ``class_key``
+(keying gamma tables by isomorphism class), exhaustive isomorphism-class
+generation with a per-arity code-to-class index, induced-subgraph counting,
 pair flips, exact edit distance by bijection search, complete-partite
 detection, realised partite structures and the plain-text graph format.
 """
@@ -17,6 +18,11 @@ from typing import Iterable, Optional, Sequence
 
 MAX_VERTICES = 64
 CANON_MAX = 8
+# class_index covers up to INDEX_MAX vertices (2^21 codes); class_key reads it
+# only up to LOOKUP_MAX, because building the 7-vertex index costs far more
+# than the canonical searches a 7-vertex spec build needs.
+INDEX_MAX = 7
+LOOKUP_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -248,27 +254,58 @@ def canonical_key(g: Graph) -> bytes:
 
 
 @lru_cache(maxsize=None)
-def _code_canonical_cache(k: int, code: int) -> bytes:
-    return canonical_key(graph_from_code(k, code))
-
-
-def canonical_key_of_code(k: int, code: int) -> bytes:
-    return _code_canonical_cache(k, code)
-
-
-@lru_cache(maxsize=None)
-def iso_classes(n: int) -> tuple[Graph, ...]:
-    """All isomorphism classes on n <= 8 vertices, by incremental extension."""
-    if n > CANON_MAX:
-        raise ValueError("iso_classes limited to n <= 8")
+def _classes(n: int) -> tuple[tuple[bytes, ...], tuple[Graph, ...]]:
+    """Canonical keys and representatives of the classes on n <= 8 vertices,
+    in key order, by extending every class on n - 1 vertices."""
+    if not 0 <= n <= CANON_MAX:
+        raise ValueError("iso_classes limited to 0 <= n <= 8")
     if n == 0:
-        return (Graph.empty(0),)
+        return (canonical_key(Graph.empty(0)),), (Graph.empty(0),)
     out: dict[bytes, Graph] = {}
     for g in iso_classes(n - 1):
         for mask in range(1 << (n - 1)):
             h = g.add_vertex(mask)
             out.setdefault(canonical_key(h), h)
-    return tuple(out[k] for k in sorted(out))
+    keys = tuple(sorted(out))
+    return keys, tuple(out[key] for key in keys)
+
+
+def iso_classes(n: int) -> tuple[Graph, ...]:
+    """All isomorphism classes on n <= 8 vertices, in canonical-key order."""
+    return _classes(n)[1]
+
+
+def class_keys(n: int) -> tuple[bytes, ...]:
+    """The canonical key of each graph in iso_classes(n), in the same order."""
+    return _classes(n)[0]
+
+
+@lru_cache(maxsize=None)
+def class_index(k: int) -> tuple[tuple[bytes, ...], tuple[int, ...]]:
+    """``(keys, class_of_code)`` for k <= INDEX_MAX vertices.
+
+    ``keys[c]`` is the canonical key of ``iso_classes(k)[c]`` and
+    ``class_of_code[code]`` the class of the k-vertex graph with that
+    upper-triangle code (``Graph.subset_code`` order). Filled by reading every
+    class in all k! vertex orders, far cheaper than canonicalising each code.
+    """
+    if not 0 <= k <= INDEX_MAX:
+        raise ValueError(f"class_index limited to k <= {INDEX_MAX}")
+    class_of_code = [-1] * (1 << (k * (k - 1) // 2))
+    for c, g in enumerate(iso_classes(k)):
+        for order in itertools.permutations(range(k)):
+            class_of_code[g.subset_code(order)] = c
+    assert -1 not in class_of_code
+    return class_keys(k), tuple(class_of_code)
+
+
+def class_key(g: Graph) -> bytes:
+    """The canonical key of g's class: read from class_index up to
+    LOOKUP_MAX vertices, searched by canonical_key above that."""
+    if g.n > LOOKUP_MAX:
+        return canonical_key(g)
+    keys, class_of_code = class_index(g.n)
+    return keys[class_of_code[g.subset_code(range(g.n))]]
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +321,9 @@ def induced_count(f: Graph, g: Graph) -> int:
         raise ValueError("pattern too large for canonical matching")
     if comb(n, k) > 10**8:
         raise ValueError("subset enumeration bound exceeded")
-    target = canonical_key(f)
-    count = 0
-    for verts in itertools.combinations(range(n), k):
-        if canonical_key_of_code(k, g.subset_code(verts)) == target:
-            count += 1
-    return count
+    target = class_key(f)
+    return sum(class_key(g.induced(verts)) == target
+               for verts in itertools.combinations(range(n), k))
 
 
 def edit_distance_exact(g: Graph, h: Graph) -> Fraction:
@@ -392,25 +426,30 @@ class CompletePartiteShape:
         return Graph.complete_partite(self.part_sizes)
 
 
-def complete_partite_shape_of(g: Graph) -> Optional[CompletePartiteShape]:
-    """The shape of g iff g is complete partite (non-adjacency is transitive)."""
-    seen = 0
-    sizes = []
-    full = (1 << g.n) - 1
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        part = (full & ~g.rows[v])  # v plus its non-neighbours
+def complete_partite_parts(g: Graph, within: int) -> Optional[list[int]]:
+    """Part masks of the subgraph induced on the vertex mask ``within`` iff it
+    is complete partite (non-adjacency is transitive), in order of lowest vertex."""
+    parts: list[int] = []
+    rest = within
+    while rest:
+        v = (rest & -rest).bit_length() - 1
+        part = within & ~g.rows[v]  # v plus its non-neighbours
         # every member must have exactly this non-neighbourhood
         m = part
         while m:
             w = (m & -m).bit_length() - 1
-            if (full & ~g.rows[w]) != part:
+            if (within & ~g.rows[w]) != part:
                 return None
             m &= m - 1
-        sizes.append(part.bit_count())
-        seen |= part
-    return CompletePartiteShape(sizes)
+        parts.append(part)
+        rest &= ~part
+    return parts
+
+
+def complete_partite_shape_of(g: Graph) -> Optional[CompletePartiteShape]:
+    """The shape of g iff g is complete partite."""
+    parts = complete_partite_parts(g, (1 << g.n) - 1)
+    return None if parts is None else CompletePartiteShape(p.bit_count() for p in parts)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graphs import Graph, canonical_key, induced_count, iso_classes
+from .graphs import Graph, class_index, class_key, class_keys, induced_count, iso_classes
 from .polynomials import Rat, _frac
 
 
@@ -44,8 +44,7 @@ class ObjectiveSpec:
             raise ValueError("objective arity k must be >= 3")
         self.k = k
         self.gamma = dict(gamma)
-        expected = {canonical_key(g) for g in iso_classes(k)}
-        if set(self.gamma) != expected:
+        if set(self.gamma) != set(class_keys(k)):
             raise ValueError("gamma must cover every isomorphism class on k vertices")
         self.gamma_max = max(abs(v) for v in self.gamma.values())
         self.provenance = provenance
@@ -60,7 +59,11 @@ class ObjectiveSpec:
 
     @classmethod
     def from_table(cls, k: int, table: Mapping[Graph, Rat], label: str = "table") -> "ObjectiveSpec":
-        gamma = {canonical_key(g): _frac(v) for g, v in table.items()}
+        if any(g.n != k for g in table):
+            raise ValueError(f"gamma table graphs must have k = {k} vertices")
+        gamma = {class_key(g): _frac(v) for g, v in table.items()}
+        if len(gamma) != len(table):
+            raise ValueError("gamma table lists an isomorphism class twice")
         return cls(k, gamma, ("table",), eligible=False, label=label)
 
     @classmethod
@@ -75,12 +78,9 @@ class ObjectiveSpec:
             raise ValueError("combination term larger than k")
         pats = [(c, Graph.complete_partite(a)) for c, a in tl]
         gamma = {}
-        for f in iso_classes(kk):
-            val = Fraction(0)
-            for c, pat in pats:
-                cnt = induced_count(pat, f)
-                val += c * Fraction(cnt, comb(kk, pat.n))
-            gamma[canonical_key(f)] = val
+        for key, f in zip(class_keys(kk), iso_classes(kk)):
+            gamma[key] = sum((c * Fraction(induced_count(pat, f), comb(kk, pat.n))
+                              for c, pat in pats), Fraction(0))
         eligible = all(c >= 0 or partition_is_clique(a) for c, a in tl)
         if label is None:
             label = " + ".join(f"{c}*KP {','.join(map(str, a))}" for c, a in tl)
@@ -97,33 +97,15 @@ class ObjectiveSpec:
     def gamma_of(self, g: Graph) -> Fraction:
         if g.n != self.k:
             raise ValueError("gamma defined on k-vertex graphs only")
-        return self.gamma[canonical_key(g)]
+        return self.gamma[class_key(g)]
 
     def code_table(self) -> list[Fraction]:
-        """gamma indexed by raw upper-triangle code of a k-vertex graph.
-
-        Filled by relabelling every isomorphism class through all k!
-        permutations, which is much cheaper than canonicalising each code.
-        """
+        """gamma indexed by raw upper-triangle code of a k-vertex graph (k <= 7)."""
         if self._code_table is None:
-            k = self.k
-            table: list[Optional[Fraction]] = [None] * (1 << (k * (k - 1) // 2))
-            for g in iso_classes(k):
-                val = self.gamma[canonical_key(g)]
-                for perm in itertools.permutations(range(k)):
-                    rows = g.relabel(perm).rows
-                    code = 0
-                    bit = 0
-                    for a in range(k):
-                        ra = rows[a]
-                        for b in range(a + 1, k):
-                            if ra >> b & 1:
-                                code |= 1 << bit
-                            bit += 1
-                    table[code] = val
-            assert all(v is not None for v in table)
-            self._code_table = table  # type: ignore[assignment]
-        return self._code_table  # type: ignore[return-value]
+            keys, class_of_code = class_index(self.k)
+            values = [self.gamma[key] for key in keys]
+            self._code_table = [values[c] for c in class_of_code]
+        return self._code_table
 
     def on_complete_partite(self, a: Sequence[int]) -> Fraction:
         """gamma(K_{a_1,...,a_l}) for a partition of k."""

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graphs import CompletePartiteShape, Graph, complete_partite_shape_of
+from .graphs import (CompletePartiteShape, Graph, complete_partite_parts,
+                     complete_partite_shape_of)
 from .objectives import ObjectiveSpec, lambda_graph
 
 
@@ -142,33 +143,10 @@ def _find_violating_pair(g: Graph, classes: list[list[int]]):
 
 def partite_parts_without(g: Graph, z: int) -> Optional[list[list[int]]]:
     """Parts of g - z (by g's labels) iff g - z is complete partite."""
-    verts = [v for v in range(g.n) if v != z]
-    mask_all = 0
-    for v in verts:
-        mask_all |= 1 << v
-    seen = 0
-    parts: list[list[int]] = []
-    for v in verts:
-        if seen >> v & 1:
-            continue
-        part = mask_all & ~g.rows[v]
-        part |= 1 << v
-        part &= ~(1 << z)
-        m = part
-        while m:
-            w = (m & -m).bit_length() - 1
-            if ((mask_all & ~g.rows[w]) | 1 << w) & ~(1 << z) != part:
-                return None
-            m &= m - 1
-        members = []
-        mm = part
-        while mm:
-            w = (mm & -mm).bit_length() - 1
-            members.append(w)
-            mm &= mm - 1
-        parts.append(members)
-        seen |= part
-    return parts
+    parts = complete_partite_parts(g, ((1 << g.n) - 1) & ~(1 << z))
+    if parts is None:
+        return None
+    return [[v for v in range(g.n) if p >> v & 1] for p in parts]
 
 
 def symmetrise_vertex(spec: ObjectiveSpec, g: Graph, z: int) -> SymmetrisationTrace:

@@ -117,6 +117,44 @@ def test_gamma_table_file(capsys, tmp_path):
     assert code == 0 and out.strip() == "1"   # clique mass only: every triple is a triangle
 
 
+def _k3_table(first=None, extra=None):
+    """A valid k = 3 gamma table (value 1 on the triangle), with its first
+    entry replaced by ``first`` and ``extra`` appended."""
+    entries = [{"n": 3, "edges": e, "value": "0"} for e in ([], [[0, 1]], [[0, 1], [1, 2]])]
+    entries.append({"n": 3, "edges": [[0, 1], [1, 2], [0, 2]], "value": "1"})
+    if first is not None:
+        entries[0] = first
+    return {"k": 3, "values": entries + ([extra] if extra else [])}
+
+
+@pytest.mark.parametrize("table", [
+    {"k": 3, "values": {"a": 1}},
+    [1, 2, 3],
+    {"k": None, "values": []},
+    {"k": 10**12, "values": [{"edges": [], "value": "0"}]},
+    _k3_table({"n": 3, "edges": [5], "value": "0"}),
+    _k3_table({"n": None, "edges": [], "value": "0"}),
+    _k3_table({"n": 3, "edges": [], "value": None}),
+    _k3_table({"n": 3, "edges": [], "value": 0.5}),
+    _k3_table({"n": 3, "edges": [], "value": "1/0"}),
+    _k3_table({"n": 3, "edges": [], "value": "one"}),
+    _k3_table("[]"),
+    _k3_table({"n": 4, "edges": [], "value": "0"}),
+    # the single-edge class listed again: relabelled, and verbatim
+    _k3_table(extra={"n": 3, "edges": [[1, 2]], "value": "7"}),
+    _k3_table(extra={"n": 3, "edges": [[0, 1]], "value": "7"}),
+], ids=["values-object", "top-level-list", "k-null", "k-huge", "edge-not-pair", "n-null", "value-null",
+        "value-float", "value-div-zero", "value-text", "entry-not-object", "wrong-order",
+        "class-twice", "graph-twice"])
+def test_bad_gamma_table_is_usage_error(capsys, tmp_path, table):
+    p = tmp_path / "gamma.json"
+    p.write_text(json.dumps(table))
+    code = main(["density", "--objective", f"@{p}", "--vector", '{"x0":"1","parts":[]}', "--quiet"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "Traceback" not in err and err.startswith("error: ")
+
+
 def test_report_determinism(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for f in (a, b):

@@ -5,9 +5,10 @@ from fractions import Fraction as F
 import pytest
 
 from inducibility.graphs import (CompletePartiteShape, Graph, PartiteStructure,
-                                 attach, canonical_key, complete_partite_shape_of,
-                                 edit_distance_exact, graph_from_code, induced_count,
-                                 iso_classes, parse_graph_text, write_graph_text)
+                                 attach, canonical_key, class_index, class_key, class_keys,
+                                 complete_partite_shape_of, edit_distance_exact,
+                                 graph_from_code, induced_count, iso_classes,
+                                 parse_graph_text, write_graph_text)
 
 
 def naive_isomorphic(g: Graph, h: Graph) -> bool:
@@ -55,6 +56,27 @@ def test_canonical_key_rejects_large():
 
 def test_iso_class_counts():
     assert [len(iso_classes(n)) for n in range(1, 8)] == [1, 2, 4, 11, 34, 156, 1044]
+    with pytest.raises(ValueError):
+        iso_classes(-1)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_class_key_matches_canonical_key(k):
+    """Every code for k <= 5, a seeded sample for k = 6."""
+    pairs = k * (k - 1) // 2
+    codes = range(1 << pairs) if k <= 5 else random.Random(k).sample(range(1 << pairs), 300)
+    for code in codes:
+        g = graph_from_code(k, code)
+        assert class_key(g) == canonical_key(g)
+    keys, class_of_code = class_index(k)
+    assert keys == class_keys(k) == tuple(canonical_key(g) for g in iso_classes(k))
+    assert len(class_of_code) == 1 << pairs
+
+
+@pytest.mark.parametrize("k", [-1, 8])
+def test_class_index_rejects_out_of_range(k):
+    with pytest.raises(ValueError):
+        class_index(k)
 
 
 def test_flip():
@@ -74,6 +96,11 @@ def test_induced_count_examples():
     k33 = Graph.complete_partite([3, 3])
     assert induced_count(c4, k33) == 9
     assert naive_induced_count(c4, k33) == 9
+    # 7 and 8 vertices take the canonical search instead of the class index
+    p7, p8 = (Graph.from_edges(n, [(i, i + 1) for i in range(n - 1)]) for n in (7, 8))
+    assert induced_count(p7, p8) == 2
+    assert induced_count(p8, p8) == 1
+    assert induced_count(p7, Graph.complete(8)) == 0
 
 
 def test_complement_count_symmetry():

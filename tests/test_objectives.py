@@ -5,7 +5,8 @@ from math import comb
 
 import pytest
 
-from inducibility.graphs import Graph, complete_partite_shape_of, graph_from_code, iso_classes
+from inducibility.graphs import (Graph, canonical_key, complete_partite_shape_of, graph_from_code,
+                                 iso_classes)
 from inducibility.objectives import (ObjectiveSpec, big_lambda, big_lambda_vertex,
                                      brute_lambda_max, lambda_graph, lambda_vertex,
                                      partitions_of)
@@ -32,6 +33,16 @@ def test_gamma_expansion_matches_definition():
                 - F(1, 3) * F(induced_count(Graph.complete(3), f), comb(4, 3)))
         assert spec.gamma_of(f) == want
     assert spec.eligible  # the negative weight sits on the clique K_3
+
+
+@pytest.mark.parametrize("name", ["spec_k12", "spec_c4", "spec_k2111", "spec_k33"])
+def test_code_table_matches_gamma(name, request):
+    spec = request.getfixturevalue(name)
+    k = spec.k
+    table = spec.code_table()
+    assert len(table) == 1 << (k * (k - 1) // 2)
+    for code in random.Random(k).sample(range(len(table)), min(len(table), 200)):
+        assert table[code] == spec.gamma[canonical_key(graph_from_code(k, code))]
 
 
 def test_eligibility_flag():
@@ -122,3 +133,9 @@ def test_from_table_round_trip(spec_c4):
     assert spec2.gamma == spec_c4.gamma
     with pytest.raises(ValueError):
         ObjectiveSpec.from_table(4, {Graph.empty(4): F(1)})
+    relabelled = Graph.from_edges(4, [(2, 3)])  # the one-edge class again
+    assert relabelled not in table
+    with pytest.raises(ValueError, match="twice"):
+        ObjectiveSpec.from_table(4, {**table, relabelled: F(7)})
+    with pytest.raises(ValueError, match="vertices"):
+        ObjectiveSpec.from_table(4, {**table, Graph.empty(3): F(0)})
