@@ -181,23 +181,22 @@ def graph_from_code(k: int, code: int) -> Graph:
 # Canonical form (n <= 8)
 # ---------------------------------------------------------------------------
 
-def _refine_colours(g: Graph, colours: list[int]) -> list[int]:
-    n = g.n
+def _refine_colours(nbrs: Sequence[Sequence[int]], colours: list[int]) -> list[int]:
+    """Iterated colour refinement: recolour each vertex by the rank of
+    (its colour, its sorted neighbour colours) until nothing changes.
+
+    A round that splits no colour class only renumbers the colours by rank,
+    and every later round repeats it, so that round's ranks are the result.
+    """
+    count = len(set(colours))
     while True:
-        sigs = []
-        for v in range(n):
-            nb = []
-            r = g.rows[v]
-            while r:
-                w = (r & -r).bit_length() - 1
-                nb.append(colours[w])
-                r &= r - 1
-            sigs.append((colours[v], tuple(sorted(nb))))
-        order = sorted(set(sigs))
-        new = [order.index(s) for s in sigs]
-        if new == colours:
+        sigs = [(colours[v], tuple(sorted([colours[w] for w in nb])))
+                for v, nb in enumerate(nbrs)]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colours = [rank[s] for s in sigs]
+        if len(rank) == count:
             return colours
-        colours = new
+        count = len(rank)
 
 
 def canonical_key(g: Graph) -> bytes:
@@ -207,49 +206,64 @@ def canonical_key(g: Graph) -> bytes:
     lexicographically minimal upper-triangle code over all vertex orderings
     consistent with iterated colour refinement (with individualisation), which
     ranges over all orderings whenever refinement fails to split.
+
+    Two prunings skip only subtrees whose codes another branch already yields,
+    so the minimum, and hence the key, is unchanged:
+
+    * twins: in the target cell a candidate v is skipped when an already tried
+      w has the same neighbours apart from v and w. Swapping v and w is an
+      automorphism that fixes every placed vertex and the colouring, so it
+      maps the subtree under w onto the subtree under v code for code;
+    * discrete leaf: once every colour is distinct, individualising the
+      lowest-coloured unplaced vertex only moves it to the top of the order,
+      so the search would place the rest in ascending colour; that leaf is
+      scored directly.
     """
     n = g.n
     if n > CANON_MAX:
         raise ValueError(f"canonical_key limited to n <= {CANON_MAX}")
     if n == 0:
         return bytes([0])
-    base = _refine_colours(g, [0] * n)
+    rows = g.rows
+    nbrs = [[w for w in range(n) if r >> w & 1] for r in rows]
+    total = n * (n - 1) // 2
     best: Optional[int] = None
 
-    def rec(prefix: list[int], colours: list[int], partial_code: int, bit: int) -> None:
+    def extend(prefix: list[int], code: int, v: int) -> int:
+        for u in prefix:
+            code = code << 1 | (rows[u] >> v & 1)
+        return code
+
+    def rec(prefix: list[int], colours: list[int], code: int, bit: int) -> None:
         nonlocal best
-        if best is not None and partial_code > _mask_to(best, bit):
-            return
-        if len(prefix) == n:
-            if best is None or partial_code < best:
-                best = partial_code
+        if best is not None and code > best >> (total - bit):
             return
         placed = set(prefix)
         remaining = [v for v in range(n) if v not in placed]
-        cand_colour = min(colours[v] for v in remaining)
+        if len(set(colours)) == n:
+            for v in sorted(remaining, key=colours.__getitem__):
+                code = extend(prefix, code, v)
+                prefix = prefix + [v]
+            if best is None or code < best:
+                best = code
+            return
+        cell_colour = min(colours[v] for v in remaining)
+        b = bit + len(prefix)
+        tried: list[int] = []
         for v in remaining:
-            if colours[v] != cand_colour:
+            if colours[v] != cell_colour or any(
+                    rows[v] & ~(1 << w) == rows[w] & ~(1 << v) for w in tried):
                 continue
-            new_prefix = prefix + [v]
-            code = partial_code
-            b = bit
-            ok = True
-            for u in new_prefix[:-1]:
-                code = code << 1 | (g.rows[u] >> v & 1)
-                b += 1
-            if best is not None and code > _mask_to(best, b):
-                ok = False
-            if ok:
-                forced = [n + len(new_prefix) if w == v else colours[w] for w in range(n)]
-                rec(new_prefix, _refine_colours(g, forced), code, b)
+            tried.append(v)
+            c = extend(prefix, code, v)
+            if best is not None and c > best >> (total - b):
+                continue
+            forced = list(colours)
+            forced[v] = n + len(prefix) + 1
+            rec(prefix + [v], _refine_colours(nbrs, forced), c, b)
 
-    def _mask_to(full: int, bits: int) -> int:
-        total = n * (n - 1) // 2
-        return full >> (total - bits)
-
-    rec([], base, 0, 0)
+    rec([], _refine_colours(nbrs, [0] * n), 0, 0)
     assert best is not None
-    total = n * (n - 1) // 2
     return bytes([n]) + best.to_bytes((total + 7) // 8 or 1, "big")
 
 

@@ -16,7 +16,8 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .graphs import Graph, class_index, class_key, class_keys, induced_count, iso_classes
+from .graphs import (CANON_MAX, Graph, class_index, class_key, class_keys, induced_count,
+                     iso_classes)
 from .polynomials import Rat, _frac
 
 
@@ -76,6 +77,9 @@ class ObjectiveSpec:
         kk = k if k is not None else max(sum(a) for _, a in tl)
         if any(sum(a) > kk for _, a in tl):
             raise ValueError("combination term larger than k")
+        if kk > CANON_MAX:
+            raise ValueError(f"objective arity k = {kk} exceeds the {CANON_MAX}-vertex limit "
+                             "of the isomorphism-class tables")
         pats = [(c, Graph.complete_partite(a)) for c, a in tl]
         gamma = {}
         for key, f in zip(class_keys(kk), iso_classes(kk)):

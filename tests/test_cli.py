@@ -102,6 +102,11 @@ def test_usage_errors(capsys):
     assert main(["nonsense"]) == 3
     assert main(["--threads", "1", "density", "--objective", "KP 2,1", "--vector",
                  '{"x0":"1","parts":[]}']) == 3
+    capsys.readouterr()
+    for cmd in (["density", "--vector", '{"x0":"1","parts":[]}'], ["opt"]):
+        assert main(cmd + ["--objective", "KP 5,4", "--quiet"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: objective arity k = 9 exceeds the 8-vertex limit")
 
 
 def test_gamma_table_file(capsys, tmp_path):
