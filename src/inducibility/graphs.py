@@ -388,8 +388,11 @@ def edit_distance_exact(g: Graph, h: Graph) -> Fraction:
 class CompletePartiteShape:
     """A complete partite graph up to isomorphism: multiset of part sizes.
 
-    Stored run-length encoded so realisations with millions of singleton
-    (clique) parts stay cheap; size-1 parts collectively form the clique set.
+    Stored run-length encoded as counts = ((size, multiplicity), ...), sizes
+    descending; size-1 parts collectively form the clique set. Pattern counts
+    (partite.count_partite) multiply one generating-function factor
+    (1 + sum_j C(size, d_j) z_j)^multiplicity per group, so realisations with
+    millions of singleton (clique) parts stay cheap.
     """
 
     __slots__ = ("counts",)

@@ -15,6 +15,7 @@ optimality lives in the certificate pipelines.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,8 +23,8 @@ from math import comb
 from typing import Optional, Sequence
 
 from .graphs import CompletePartiteShape
-from .objectives import ObjectiveSpec, partitions_of
-from .partite import (PartiteVector, count_partite, lambda_of_vector,
+from .objectives import ObjectiveSpec
+from .partite import (PartiteVector, lambda_of_vector, partition_counts,
                       sym_coefficient, _multinomial)
 from .perturbation import lagrange_residual
 from .polynomials import AlgebraicNumber, UPoly
@@ -34,27 +35,33 @@ from .polynomials import AlgebraicNumber, UPoly
 # ---------------------------------------------------------------------------
 
 def finite_opt(spec: ObjectiveSpec, n: int) -> tuple[Fraction, list[CompletePartiteShape]]:
-    """Max of lambda over all n-vertex complete partite graphs, with argmax set."""
+    """Max of lambda over all n-vertex complete partite graphs, with argmax set.
+
+    Scans every partition of n with partite.partition_counts, which carries
+    the generating-function product of each pattern with nonzero gamma along
+    a depth-first walk. Partitions are compared by the integer
+    sum of (gamma * D) * count over a common denominator D of the gamma
+    values; only the maximum becomes a Fraction. The argmax shapes are listed
+    in partitions_of order.
+    """
     if n > 40:
         raise ValueError("partition scan limited to n <= 40")
     if n < spec.k:
         raise ValueError("need n >= k")
     gamma = {a: v for a, v in spec.partition_values().items() if v != 0}
-    denom = comb(n, spec.k)
-    best: Optional[Fraction] = None
-    arg: list[CompletePartiteShape] = []
-    for part in partitions_of(n):
-        shape = CompletePartiteShape(part)
-        total = Fraction(0)
-        for a, v in gamma.items():
-            total += v * count_partite(a, shape)
-        val = total / denom
-        if best is None or val > best:
-            best, arg = val, [shape]
-        elif val == best:
-            arg.append(shape)
+    scale = math.lcm(*(v.denominator for v in gamma.values()))
+    weights = [v.numerator * (scale // v.denominator) for v in gamma.values()]
+    best: Optional[int] = None
+    arg: list[tuple[tuple[int, int], ...]] = []
+    for groups, counts in partition_counts(list(gamma), n):
+        total = sum(map(operator.mul, weights, counts))
+        if best is None or total > best:
+            best, arg = total, [groups]
+        elif total == best:
+            arg.append(groups)
     assert best is not None
-    return best, arg
+    return (Fraction(best, scale * comb(n, spec.k)),
+            [CompletePartiteShape(counts=groups) for groups in arg])
 
 
 # ---------------------------------------------------------------------------

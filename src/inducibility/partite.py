@@ -17,7 +17,9 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, perm
+from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .graphs import CompletePartiteShape, Graph, PartiteStructure
@@ -142,6 +144,13 @@ def sym_coefficient(a: Sequence[int]) -> Fraction:
     for v in set(a):
         denom *= factorial(list(a).count(v))
     return Fraction(1, denom)
+
+
+def _partition(a: Sequence[int]) -> tuple[int, ...]:
+    a = tuple(sorted((int(v) for v in a), reverse=True))
+    if not a or any(v <= 0 for v in a):
+        raise ValueError("malformed partition")
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -312,9 +321,7 @@ def _closed_form(a: Sequence[int], x0, parts: Sequence):
     disagrees with the sampling expectation as soon as several singleton
     parts meet positive clique mass.
     """
-    a = tuple(sorted((int(v) for v in a), reverse=True))
-    if not a or any(v <= 0 for v in a):
-        raise ValueError("malformed partition")
+    a = _partition(a)
     ell = len(a)
     t = sum(1 for v in a if v >= 2)
     total = Fraction(0)
@@ -330,55 +337,120 @@ def _closed_form(a: Sequence[int], x0, parts: Sequence):
 # Exact complete-partite pattern counts in complete partite hosts
 # ---------------------------------------------------------------------------
 
+class CompiledPattern:
+    """The generating function of induced copies of K_a in complete partite hosts.
+
+    Write d_1 > ... > d_r for the distinct part sizes of the pattern and c_j
+    for their counts. A k-subset of a complete partite host induces K_a iff
+    its nonzero intersections with the host parts realise a, each pattern part
+    inside a distinct host part. A host group of m parts of size s therefore
+    contributes the factor (1 + sum_j C(s, d_j) z_j)^m, and the number of
+    induced copies is the coefficient of prod_j z_j^{c_j} in the product of
+    the factors of all host groups.
+
+    Polynomials are kept truncated to the exponent vectors e <= c, stored as
+    integer lists indexed by the mixed-radix rank of e (e = 0 first, e = c
+    last). The rank is additive, so the product of z^e and z^f sits at the
+    sum of their ranks.
+    """
+
+    __slots__ = ("sizes", "states", "_pairs")
+
+    def __init__(self, a: tuple[int, ...]):
+        self.sizes = sorted(set(a), reverse=True)
+        caps = [a.count(d) for d in self.sizes]
+        self.states = list(itertools.product(*(range(c + 1) for c in caps)))
+        self._pairs = [(i, j, i + j)
+                       for i, e in enumerate(self.states)
+                       for j, f in enumerate(self.states)
+                       if all(x + y <= c for x, y, c in zip(e, f, caps))]
+
+    def one(self) -> list[int]:
+        """The empty product."""
+        return [1] + [0] * (len(self.states) - 1)
+
+    def factor(self, size: int, mult: int) -> list[int]:
+        """(1 + sum_j C(size, d_j) z_j)^mult, truncated: the coefficient of z^e
+        counts the ways to place e_j pattern parts of size d_j in distinct
+        host parts of this group, mult!/((mult - |e|)! prod e_j!) ways to pick
+        the host parts times prod C(size, d_j)^{e_j} to pick the vertices."""
+        binoms = [comb(size, d) for d in self.sizes]
+        out = []
+        for e in self.states:
+            used = sum(e)
+            if used > mult:
+                out.append(0)
+                continue
+            ways = perm(mult, used)
+            for cnt, b in zip(e, binoms):
+                ways = ways // factorial(cnt) * b**cnt
+            out.append(ways)
+        return out
+
+    def times(self, poly: list[int], factor: list[int]) -> list[int]:
+        """The truncated product poly * factor."""
+        out = [0] * len(poly)
+        for i, j, t in self._pairs:
+            out[t] += poly[i] * factor[j]
+        return out
+
+    def top(self, poly: list[int], factor: list[int]) -> int:
+        """The coefficient of z^c in poly * factor: the count once factor's
+        group completes the host."""
+        return sum(map(mul, poly, reversed(factor)))
+
+
+@lru_cache(maxsize=256)
+def _compiled(a: tuple[int, ...]) -> CompiledPattern:
+    """The CompiledPattern of a sorted partition, built once per process."""
+    return CompiledPattern(a)
+
+
 def count_partite(a: Sequence[int], shape: CompletePartiteShape) -> int:
     """P(K_{a_1,...,a_l}, G) for complete partite G, exactly.
 
-    A k-subset induces K_a iff its nonzero intersections with the host parts
-    realise the multiset a, each pattern part inside a distinct host part.
+    The coefficient of prod z_j^{c_j} in the product of the group factors of
+    shape.counts (see CompiledPattern). Each group costs one truncated
+    product, so millions of singleton parts are as cheap as one.
     """
-    a = tuple(sorted((int(v) for v in a), reverse=True))
-    if not a or any(v <= 0 for v in a):
-        raise ValueError("malformed partition")
-    distinct = sorted(set(a), reverse=True)
-    start = tuple(a.count(s) for s in distinct)
+    pattern = _compiled(_partition(a))
+    if not shape.counts:
+        return 0
+    *groups, last = shape.counts
+    poly = pattern.one()
+    for size, mult in groups:
+        poly = pattern.times(poly, pattern.factor(size, mult))
+    return pattern.top(poly, pattern.factor(*last))
 
-    groups = shape.counts  # ((size, multiplicity), ...)
 
-    from functools import lru_cache
+def partition_counts(patterns: Sequence[Sequence[int]], n: int):
+    """Yield (groups, counts) for every partition of n, in partitions_of order.
 
-    @lru_cache(maxsize=None)
-    def rec(gi: int, remaining: tuple[int, ...]) -> int:
-        if all(c == 0 for c in remaining):
-            return 1
-        if gi == len(groups):
-            return 0
-        size, mult = groups[gi]
-        total = 0
-        # choose how many pattern parts of each distinct size go to this group
-        ranges = [range(0, min(c, mult) + 1) for c in remaining]
-        for pick in itertools.product(*ranges):
-            used = sum(pick)
-            if used > mult:
-                continue
-            ways = factorial(mult) // factorial(mult - used)
-            val = 1
-            ok = True
-            for cnt, s in zip(pick, distinct):
-                if cnt == 0:
-                    continue
-                ways //= factorial(cnt)
-                c = comb(size, s)
-                if c == 0:
-                    ok = False
-                    break
-                val *= c**cnt
-            if not ok:
-                continue
-            rest = tuple(c - p for c, p in zip(remaining, pick))
-            total += ways * val * rec(gi + 1, rest)
-        return total
+    groups is the run-length form ((size, mult), ..., (1, singletons)) with
+    sizes >= 2 descending and a (1, 0) group when there are no singletons;
+    counts[i] is count_partite(patterns[i], CompletePartiteShape(counts=groups)).
+    The walk is depth first, sizes and then multiplicities descending, with
+    the singletons last, and it carries each pattern's truncated product of
+    the groups placed so far: a partition costs one product for its last
+    group of size >= 2 and one top coefficient for its singletons.
+    """
+    compiled = [_compiled(_partition(a)) for a in patterns]
+    tables = [{(s, m): p.factor(s, m) for s in range(1, n + 1) for m in range(n // s + 1)}
+              for p in compiled]
+    groups: list[tuple[int, int]] = []
 
-    return rec(0, start)
+    def walk(rest: int, cap: int, polys: list[list[int]]):
+        for s in range(min(cap, rest), 1, -1):
+            for m in range(rest // s, 0, -1):
+                groups.append((s, m))
+                yield from walk(rest - s * m, s - 1,
+                                [p.times(poly, f[s, m])
+                                 for p, f, poly in zip(compiled, tables, polys)])
+                groups.pop()
+        yield (*groups, (1, rest)), [p.top(poly, f[1, rest])
+                                     for p, f, poly in zip(compiled, tables, polys)]
+
+    yield from walk(n, n, [p.one() for p in compiled])
 
 
 def lambda_of_shape(spec: ObjectiveSpec, shape: CompletePartiteShape) -> Fraction:

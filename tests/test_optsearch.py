@@ -4,8 +4,9 @@ from math import comb, sqrt
 
 import pytest
 
-from inducibility.graphs import CompletePartiteShape
-from inducibility.objectives import ObjectiveSpec
+from inducibility.cli import parse_objective
+from inducibility.graphs import CompletePartiteShape, Graph, iso_classes
+from inducibility.objectives import ObjectiveSpec, big_lambda, partitions_of
 from inducibility.optsearch import continuous_opt, finite_opt, kst_maximiser
 from inducibility.partite import PartiteVector, count_partite
 from inducibility.polynomials import UPoly
@@ -23,6 +24,46 @@ def test_finite_opt_matches_brute(spec_k12):
     from inducibility.objectives import brute_lambda_max
     for n in (5, 6, 7):
         assert finite_opt(spec_k12, n)[0] == brute_lambda_max(spec_k12, n)[0]
+
+
+def _finite_reference(spec, n):
+    """finite_opt by brute force: Lambda of every complete partite graph."""
+    best, arg = None, []
+    for sizes in partitions_of(n):
+        val = big_lambda(spec, Graph.complete_partite(sizes)) / comb(n, spec.k)
+        if best is None or val > best:
+            best, arg = val, [list(sizes)]
+        elif val == best:
+            arg.append(list(sizes))
+    return best, arg
+
+
+def test_finite_opt_matches_big_lambda():
+    """Value and the full argmax list, in order, against subset enumeration."""
+    rng = random.Random(40)
+    table = {g: F(rng.randint(-6, 6), rng.randint(1, 5)) for g in iso_classes(4)}
+    specs = [ObjectiveSpec.partite_density([2, 2]),
+             ObjectiveSpec.partite_density([3, 1]),
+             ObjectiveSpec.combination([(1, (2, 2)), (F(-3, 2), (2, 1, 1)), (F(1, 3), (4,))]),
+             ObjectiveSpec.from_table(4, table)]
+    for spec in specs:
+        for n in range(spec.k, 11):
+            val, shapes = finite_opt(spec, n)
+            assert (val, [s.part_sizes for s in shapes]) == _finite_reference(spec, n), (spec, n)
+
+
+@pytest.mark.parametrize("objective, value, sizes", [
+    ("KP 3,1", F(9175, 18278), [[25, 15]]),
+    ("KP 3,2", F(950, 1443), [[20, 20]]),
+    ("KP 4,1", F(12080, 27417), [[32, 8]]),
+    ("SUM 1*KP 2,2 + 1*KP 4", F(1), [[40]]),
+])
+def test_finite_opt_n40_pinned(objective, value, sizes):
+    """The n = 40 scans of the benchmark's finite objectives, as first computed
+    by the per-call recursive count."""
+    val, shapes = finite_opt(parse_objective(objective), 40)
+    assert val == value
+    assert [s.part_sizes for s in shapes] == sizes
 
 
 def test_merge_move_never_decreases_kst(spec_c4, spec_k33):

@@ -4,14 +4,14 @@ from math import comb
 
 import pytest
 
-from inducibility.graphs import Graph, complete_partite_shape_of
+from inducibility.graphs import CompletePartiteShape, Graph, complete_partite_shape_of
 from inducibility.objectives import ObjectiveSpec, partitions_of
 from inducibility.graphs import edit_distance_exact
 from inducibility.partite import (PartiteVector, SymmetricIndex, count_partite,
                                   density_formula, draw_sum, edit_distance_vectors,
                                   elementary_symmetric, lambda_free, lambda_of_shape,
-                                  lambda_of_vector, realisation_shape, realise,
-                                  sampling_density)
+                                  lambda_of_vector, partition_counts, realisation_shape,
+                                  realise, sampling_density)
 from inducibility.polynomials import MPoly
 
 
@@ -155,6 +155,25 @@ def test_count_partite_matches_induced_count():
         shape = complete_partite_shape_of(g)
         for a in partitions_of(4):
             assert count_partite(a, shape) == induced_count(Graph.complete_partite(a), g)
+
+
+def test_count_partite_many_singletons():
+    """A million singleton parts cost one group factor, not a million-term loop."""
+    m = 10**6
+    shape = CompletePartiteShape(sizes=[50] * 5, counts=[(1, m)])
+    closed = 5 * comb(50, 2) * (comb(4, 2) * 50**2 + 4 * 50 * m + comb(m, 2))
+    assert count_partite([2, 1, 1], shape) == closed
+
+
+def test_partition_counts_order_and_counts():
+    """The scan lists partitions_of(n) in order, with count_partite's counts."""
+    patterns = [(2, 1), (3,), (2, 2, 1), (1, 1, 1)]
+    seen = []
+    for groups, counts in partition_counts(patterns, 11):
+        shape = CompletePartiteShape(counts=groups)
+        seen.append(tuple(shape.part_sizes))
+        assert counts == [count_partite(a, shape) for a in patterns]
+    assert seen == partitions_of(11)
 
 
 def test_finite_density_converges():
