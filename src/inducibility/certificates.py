@@ -619,7 +619,7 @@ def certify_k2111() -> CertificateReport:
         bb = bb_max_bound(h_ell, {"y": (Fraction(0), Fraction(1))}, Fraction(1, 10**6))
         rep.inconclusive |= not bb.conclusive
         rep.add(f"interval_bound_l{ell}", bb.conclusive and bb.upper < lam0,
-                f"certified upper bound {float(bb.upper):.9f}")
+                f"certified max < {lam0}")
 
     # (5) the near-balanced two-part split scores strictly less
     near = PartiteVector([Fraction(1, 8)] * 7 + [Fraction(1, 16), Fraction(1, 16)])
@@ -726,7 +726,7 @@ def certify_k311() -> CertificateReport:
                        tol, constraints=[y - (1 - s_var)])
     rep.inconclusive |= not bb1.conclusive
     rep.add("tail_term_interval_bound", bb1.conclusive and bb1.upper <= Fraction(151, 375000) + tol,
-            f"upper {float(bb1.upper):.3e}")
+            f"certified max <= 151/375000 + {tol}")
 
     r_poly = Fraction(1, 12) * s_var**2 * ((Fraction(3, 5) - s_var) ** 3 + MPoly.const(Fraction(8, 125)))
     t_poly = UPoly([14, -81, 180, -125])
@@ -817,7 +817,7 @@ def certify_k311() -> CertificateReport:
                        tol, constraints=[z - y, y + z - 1])
     rep.inconclusive |= not bb4.conclusive
     rep.add("h_negative_interval_bound", bb4.conclusive and bb4.upper < 0,
-            f"certified upper bound {float(bb4.upper):.3e} on the y <= 3/5 - 1e-3 region")
+            "certified max < 0 on the y <= 3/5 - 1e-3 region")
 
     # (3) replacing the second part by clique vertices only helps
     zz = UPoly([0, 1])

@@ -1,9 +1,15 @@
-"""Rational interval arithmetic and interval branch-and-bound upper bounds
+"""Rational interval arithmetic and a certified branch-and-bound upper bound
 for polynomial maxima over boxes.
 
-Endpoints are exact rationals, so no rounding step is needed: every interval
-produced genuinely contains the true range, and the bound returned by
-``bb_max_bound`` is a certified upper bound.
+``bb_max_bound`` bounds a polynomial on a box by its Bernstein coefficients
+(Garloff 1986): written in the tensor Bernstein basis of the box, the
+polynomial is a convex combination of basis functions, so its range lies
+between the smallest and the largest coefficient, and the coefficients at the
+box's corners are its values there. The root box is expanded once; a child box
+gets its coefficients from its parent's by de Casteljau subdivision at the
+midpoint of the split variable. Coefficients are integers over one common
+power-of-two multiple of the root denominator, so every bound is an exact
+rational and a certified upper bound.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import comb, lcm, prod
+from typing import Iterator, Mapping, Sequence
 
 from .polynomials import MPoly, Rat, _frac
 
@@ -30,14 +37,6 @@ class RInterval:
 
     def __repr__(self) -> str:
         return f"[{self.lo}, {self.hi}]"
-
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    @property
-    def mid(self) -> Fraction:
-        return (self.lo + self.hi) / 2
 
     def __add__(self, other) -> "RInterval":
         if isinstance(other, RInterval):
@@ -76,66 +75,65 @@ class RInterval:
             return RInterval(self.hi**n, self.lo**n)
         return RInterval(0, max(self.lo**n, self.hi**n))
 
-    def abs_hi(self) -> Fraction:
-        return max(abs(self.lo), abs(self.hi))
 
-    def contains(self, x: Rat) -> bool:
-        return self.lo <= _frac(x) <= self.hi
-
-
-def eval_interval(poly: MPoly, box: Mapping[str, RInterval]) -> RInterval:
-    """Term-wise interval evaluation; naive but sound."""
-    acc = RInterval(0)
-    for e, c in poly.terms.items():
-        t = RInterval(c)
-        for v, p in zip(poly.vars, e):
-            if p:
-                t = t * (box[v] ** p)
-        acc = acc + t
-    return acc
+def _fibres(dims: tuple[int, ...], axis: int) -> Iterator[slice]:
+    """Slices of a row-major array with shape ``dims``, one per line along ``axis``."""
+    stride = prod(dims[axis + 1:])
+    block = dims[axis] * stride
+    for outer in range(0, prod(dims), block):
+        for r in range(outer, outer + stride):
+            yield slice(r, r + block, stride)
 
 
-def upper_bound_on_box(poly: MPoly, grads: Mapping[str, MPoly],
-                       hessians: Mapping[tuple[str, str], MPoly],
-                       box: Mapping[str, RInterval]) -> Fraction:
-    """Upper bound for poly over the box: min of naive, mean-value and
-    second-order Taylor forms.
+@dataclass(slots=True)
+class BernsteinForm:
+    """Bernstein coefficients of a polynomial on a box.
 
-    The Taylor form p(c) + sum |dp_i(c)| w_i/2 + (1/8) sum |d2p_ij over box|
-    w_i w_j converges quadratically in the box width even when interval
-    evaluation of the derivatives is loose, which is what makes subdivision
-    cheap near flat maxima.
+    ``coeffs`` is a row-major array of integers with shape ``dims`` (one more
+    than the polynomial's degree in each box variable, in box order); the
+    coefficients are ``coeffs[i] / den``.
     """
-    naive = eval_interval(poly, box).hi
-    center = {v: iv.mid for v, iv in box.items()}
-    pc = poly.evaluate(center)
-    mv = pc
-    t2 = pc
-    for v, g in grads.items():
-        w = box[v].width
-        if w:
-            mv += eval_interval(g, box).abs_hi() * w / 2
-            t2 += abs(g.evaluate(center)) * w / 2
-    for (v1, v2), hsn in hessians.items():
-        w1, w2 = box[v1].width, box[v2].width
-        if w1 and w2:
-            bound = eval_interval(hsn, box).abs_hi() * w1 * w2 / 8
-            t2 += bound if v1 == v2 else 2 * bound
-    return min(naive, mv, t2)
 
+    coeffs: list[int]
+    dims: tuple[int, ...]
+    den: int
 
-def _round_split(lo: Fraction, hi: Fraction) -> Fraction:
-    """A split point near the midpoint with a denominator-bounded value.
+    @classmethod
+    def expand(cls, poly: MPoly, box: Mapping[str, tuple[Rat, Rat]]) -> "BernsteinForm":
+        """Coefficients of ``poly`` on ``box``, whose keys name every variable
+        ``poly`` uses."""
+        for v, (lo, hi) in box.items():  # x = lo + (hi - lo) x' maps [0, 1] onto [lo, hi]
+            poly = poly.substitute(v, lo + (hi - lo) * MPoly.var(v))
+        poly = poly._pruned()._embed(tuple(box))
+        dims = tuple(max((e[i] for e in poly.terms), default=0) + 1 for i in range(len(box)))
+        a = [Fraction(0)] * prod(dims)
+        for e, c in poly.terms.items():
+            a[sum(p * prod(dims[i + 1:]) for i, p in enumerate(e))] = c
+        for axis, n in enumerate(dims):  # power to Bernstein: b_k = sum_j C(k,j)/C(n-1,j) a_j
+            for sl in _fibres(dims, axis):
+                row = a[sl]
+                a[sl] = [sum(Fraction(comb(k, j), comb(n - 1, j)) * row[j] for j in range(k + 1))
+                         for k in range(n)]
+        den = lcm(*(c.denominator for c in a))
+        return cls([c.numerator * (den // c.denominator) for c in a], dims, den)
 
-    Keeps interval endpoints on a coarse rational grid so big-integer growth
-    stays bounded during deep subdivisions; both halves still cover the box,
-    so soundness is unaffected.
-    """
-    mid = (lo + hi) / 2
-    rounded = Fraction(round(mid * 2**28), 2**28)
-    if lo < rounded < hi:
-        return rounded
-    return mid
+    def halves(self, axis: int) -> tuple["BernsteinForm", "BernsteinForm"]:
+        """Coefficients on the two halves of the box split at the midpoint of
+        variable ``axis`` (de Casteljau at 1/2 along that axis)."""
+        d = self.dims[axis] - 1
+        left, right = list(self.coeffs), list(self.coeffs)
+        for sl in _fibres(self.dims, axis):
+            row = self.coeffs[sl]
+            lo_part, hi_part = [], []
+            for k in range(d + 1):
+                # row holds level-k pair sums, 2^k times the de Casteljau points
+                lo_part.append(row[0] << (d - k))
+                hi_part.append(row[-1] << (d - k))
+                row = [x + y for x, y in zip(row, row[1:])]
+            left[sl] = lo_part
+            right[sl] = hi_part[::-1]
+        den = self.den << d
+        return BernsteinForm(left, self.dims, den), BernsteinForm(right, self.dims, den)
 
 
 @dataclass
@@ -155,75 +153,61 @@ def bb_max_bound(poly: MPoly, box: Mapping[str, tuple[Rat, Rat]], tol: Rat,
     """Certified upper bound on max of ``poly`` over box ∩ {g <= 0 for g in constraints}.
 
     Returns U with U >= true max always; when ``conclusive`` also
-    U - true max <= tol. Constraints are polynomials required to be <= 0;
-    boxes entirely violating some constraint are discarded, boxes straddling
-    the boundary are bounded over their whole extent (sound).
+    U - true max <= tol. Constraints are polynomials required to be <= 0.
+
+    Each box is bounded by the largest Bernstein coefficient of ``poly`` on
+    it. A constraint whose smallest coefficient is > 0 discards the box; one
+    whose largest coefficient is <= 0 holds on the whole box and is not looked
+    at again inside it; boxes straddling the boundary are bounded over their
+    whole extent (sound). The box with the largest bound is split at the
+    midpoint of its widest variable, and the children's coefficients come
+    from de Casteljau subdivision of the parent's. The midpoint and corners of
+    each box are sampled for the lower bound ``sample_max``.
     """
     tol = _frac(tol)
     vars_ = list(box)
-    grads = {v: poly.partial(v) for v in vars_}
-    hessians = {(v1, v2): grads[v1].partial(v2)
-                for i, v1 in enumerate(vars_) for v2 in vars_[i:]}
-    cons = list(constraints)
-
-    def feasible(pt: Mapping[str, Fraction]) -> bool:
-        return all(g.evaluate(pt) <= 0 for g in cons)
-
-    def classify(b: dict[str, RInterval]) -> int:
-        # 1 feasible box, 0 straddles, -1 infeasible
-        state = 1
-        for g in cons:
-            r = eval_interval(g, b)
-            if r.lo > 0:
-                return -1
-            if r.hi > 0:
-                state = 0
-        return state
-
-    def sample_points(b: dict[str, RInterval]):
-        yield {v: iv.mid for v, iv in b.items()}
-        for corner in itertools.product(*[(iv.lo, iv.hi) for iv in b.values()]):
-            yield dict(zip(vars_, corner))
-
-    root = {v: RInterval(lo, hi) for v, (lo, hi) in box.items()}
     sample_max: Fraction | None = None
-    heap: list[tuple[float, int, Fraction, dict]] = []
+    heap: list[tuple[float, int, Fraction, tuple]] = []
     counter = itertools.count()
 
-    def push(b: dict[str, RInterval]) -> None:
+    def push(b: list[tuple[Fraction, Fraction]], form: BernsteinForm, active) -> None:
+        # active: (constraint, its form) for the constraints not known to hold on b
         nonlocal sample_max
-        side = classify(b)
-        if side < 0:
-            return
-        ub = upper_bound_on_box(poly, grads, hessians, b)
-        for pt in sample_points(b):
-            if side == 1 or feasible(pt):
+        straddling = []
+        for g, g_form in active:
+            if min(g_form.coeffs) > 0:
+                return
+            if max(g_form.coeffs) > 0:
+                straddling.append((g, g_form))
+        ub = Fraction(max(form.coeffs), form.den)
+        mid = tuple((lo + hi) / 2 for lo, hi in b)
+        for pt in itertools.chain([mid], itertools.product(*b)):
+            pt = dict(zip(vars_, pt))
+            if all(g.evaluate(pt) <= 0 for g, _ in straddling):
                 val = poly.evaluate(pt)
                 if sample_max is None or val > sample_max:
                     sample_max = val
                 break
-        heapq.heappush(heap, (-float(ub), next(counter), ub, b))
+        heapq.heappush(heap, (-float(ub), next(counter), ub, (b, form, straddling)))
 
-    push(root)
+    push([(_frac(lo), _frac(hi)) for lo, hi in box.values()], BernsteinForm.expand(poly, box),
+         [(g, BernsteinForm.expand(g, box)) for g in constraints])
     boxes = 1
     while heap:
-        _, _, ub, b = heap[0]
+        _, _, ub, (b, form, active) = heap[0]
         if sample_max is not None and ub - sample_max <= tol:
             return BBResult(ub, sample_max, True, boxes)
         if boxes >= max_boxes:
             return BBResult(ub, sample_max if sample_max is not None else ub, False, boxes)
         heapq.heappop(heap)
-        wide = max(b, key=lambda v: b[v].width)
-        if b[wide].width == 0:
-            # degenerate box: its bound is final; treat as certified point value
-            if sample_max is None or ub > sample_max:
-                sample_max = ub if sample_max is None else sample_max
-            continue
-        m = _round_split(b[wide].lo, b[wide].hi)
-        for half in (RInterval(b[wide].lo, m), RInterval(m, b[wide].hi)):
-            bb = dict(b)
-            bb[wide] = half
-            push(bb)
+        axis = max(range(len(b)), key=lambda i: b[i][1] - b[i][0])
+        lo, hi = b[axis]
+        mid = (lo + hi) / 2
+        halves = [f.halves(axis) for f in (form, *(g_form for _, g_form in active))]
+        for side, part in enumerate(((lo, mid), (mid, hi))):
+            child = list(b)
+            child[axis] = part
+            push(child, halves[0][side], [(g, h[side]) for (g, _), h in zip(active, halves[1:])])
             boxes += 1
     # heap empty: the whole region was infeasible
     return BBResult(Fraction(0), Fraction(0), False, boxes)

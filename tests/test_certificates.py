@@ -5,6 +5,7 @@ import pytest
 
 from inducibility.certificates import (certify_krt, certify_kst, krt_value,
                                        positive_multiplier_lp, product_positivity_ok)
+from inducibility.intervals import bb_max_bound
 from inducibility.partite import PartiteVector, density_formula
 from inducibility.polynomials import UPoly
 
@@ -91,6 +92,31 @@ def test_certify_k311(report_k311):
                  "h_negative_interval_bound", "str2_constant"):
         assert _check(report_k311, name).passed, name
     assert report_k311.maximiser == {"x0": "2/5", "parts": ["3/5"]}
+
+
+def test_k311_bounds_stay_cheap(monkeypatch):
+    """The four k311 branch-and-bound calls stay conclusive within 300 boxes
+    together (they need 204)."""
+    from inducibility import certificates
+    results = []
+
+    def counted(*args, **kwargs):
+        results.append(bb_max_bound(*args, **kwargs))
+        return results[-1]
+
+    monkeypatch.setattr(certificates, "bb_max_bound", counted)
+    assert certificates.certify_k311().passed
+    assert len(results) == 4 and all(r.conclusive for r in results)
+    assert sum(r.boxes for r in results) <= 300
+
+
+def test_interval_details_state_thresholds(report_k311, report_k2111):
+    for ell in range(1, 8):
+        assert _check(report_k2111, f"interval_bound_l{ell}").detail == "certified max < 525/1024"
+    assert _check(report_k311, "tail_term_interval_bound").detail == \
+        "certified max <= 151/375000 + 1/1000000"
+    assert _check(report_k311, "h_negative_interval_bound").detail == \
+        "certified max < 0 on the y <= 3/5 - 1e-3 region"
 
 
 def test_reports_deterministic(report_k2111):

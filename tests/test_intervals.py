@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction as F
 
-from inducibility.intervals import RInterval, bb_max_bound, eval_interval
+import pytest
+
+from inducibility.intervals import BernsteinForm, RInterval, bb_max_bound
 from inducibility.polynomials import MPoly
 
 
@@ -15,16 +18,35 @@ def test_interval_arithmetic():
     assert (a * F(-2)).lo == -4
 
 
-def test_eval_interval_contains_samples():
+def test_bernstein_enclosure_contains_samples():
     rng = random.Random(3)
     y, z = MPoly.var("y"), MPoly.var("z")
     p = 3 * y**2 * z - 2 * y * z**2 + z - F(1, 3)
-    box = {"y": RInterval(F(-1), F(1)), "z": RInterval(F(0), F(2))}
-    enc = eval_interval(p, box)
+    form = BernsteinForm.expand(p, {"y": (F(-1), F(1)), "z": (F(0), F(2))})
+    lo, hi = F(min(form.coeffs), form.den), F(max(form.coeffs), form.den)
     for _ in range(200):
         pt = {"y": F(rng.randint(-100, 100), 100), "z": F(rng.randint(0, 200), 100)}
         v = p.evaluate(pt)
-        assert enc.lo <= v <= enc.hi
+        assert lo <= v <= hi
+
+
+def test_bernstein_subdivision_matches_expansion():
+    """De Casteljau halves equal the re-expansion on each half, and the
+    corner coefficients are the polynomial's corner values."""
+    y, z = MPoly.var("y"), MPoly.var("z")
+    p = 3 * y**3 * z - 2 * y * z**2 + z - F(1, 3)
+    box = {"y": (F(-1), F(1, 2)), "z": (F(0), F(2))}
+    form = BernsteinForm.expand(p, box)
+    corners = [p.evaluate({"y": a, "z": b}) for a, b in itertools.product(*box.values())]
+    # dims (4, 3): the corners sit at row-major indices 0, 2, 9 and 11
+    assert [F(form.coeffs[i], form.den) for i in (0, 2, 9, 11)] == corners
+    for axis, v in enumerate(box):
+        lo, hi = box[v]
+        mid = (lo + hi) / 2
+        for half, part in zip(form.halves(axis), ((lo, mid), (mid, hi))):
+            direct = BernsteinForm.expand(p, {**box, v: part})
+            assert [F(c, half.den) for c in half.coeffs] == \
+                [F(c, direct.den) for c in direct.coeffs]
 
 
 def test_bb_simple_parabola():
@@ -71,8 +93,38 @@ def test_bb_constraint_region():
 
 
 def test_bb_budget_inconclusive():
+    """The maximum 2/sqrt(27) of y - y^3 is irrational, so no rational sample
+    from four boxes comes within 1e-12 of it."""
     y = MPoly.var("y")
-    p = y - y**2
+    p = y - y**3
     res = bb_max_bound(p, {"y": (F(0), F(1))}, F(1, 10**12), max_boxes=4)
     assert not res.conclusive
-    assert res.upper >= F(1, 4)
+    assert res.upper > 0 and 27 * res.upper**2 >= 4
+
+
+def test_bb_upper_dominates_feasible_samples():
+    """upper >= every feasible sampled value, on random polynomials, boxes
+    and constraints, whether or not the bound is conclusive."""
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    y, z = MPoly.var("y"), MPoly.var("z")
+    small = st.integers(-4, 4)
+    monomials = [(i, j) for i in range(4) for j in range(4) if i + j <= 4]
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(coeffs=st.lists(small, min_size=len(monomials), max_size=len(monomials)),
+               box=st.lists(st.fractions(-2, 2, max_denominator=8), min_size=4, max_size=4),
+               cons=st.lists(st.lists(small, min_size=4, max_size=4), max_size=2))
+    def check(coeffs, box, cons):
+        p = sum((c * y**i * z**j for c, (i, j) in zip(coeffs, monomials)), MPoly.const(0))
+        (y_lo, y_hi), (z_lo, z_hi) = sorted(box[:2]), sorted(box[2:])
+        # constraints a + b y + c z + d y z <= 0
+        gs = [a + b * y + c * z + d * y * z for a, b, c, d in cons]
+        res = bb_max_bound(p, {"y": (y_lo, y_hi), "z": (z_lo, z_hi)}, F(1, 1000),
+                           constraints=gs, max_boxes=64)
+        for i, j in itertools.product(range(9), repeat=2):
+            pt = {"y": y_lo + (y_hi - y_lo) * F(i, 8), "z": z_lo + (z_hi - z_lo) * F(j, 8)}
+            if all(g.evaluate(pt) <= 0 for g in gs):
+                assert res.upper >= p.evaluate(pt)
+
+    check()
