@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from .graphs import CANON_MAX, Graph, parse_graph_text, write_graph_text
 from .objectives import ObjectiveSpec, lambda_graph, brute_lambda_max
 from .partite import PartiteVector, edit_distance_vectors, lambda_of_vector
+from .polynomials import parse_rational
 from .perturbation import (AttachmentPattern, attach_value, flip_gradient,
                            lagrange_residual, pattern_e, vertex_gradient)
 from .symmetrise import SymmetrisationError, symmetrise_full, symmetrise_vertex
@@ -66,7 +67,11 @@ def parse_objective(text: str) -> ObjectiveSpec:
             kp = kp.strip()
             if not kp.upper().startswith("KP"):
                 raise UsageError(f"bad SUM term {chunk!r}: expected c*KP a,b,...")
-            terms.append((Fraction(coeff_txt.strip()), _parse_partition(kp[2:])))
+            try:
+                coeff = parse_rational(coeff_txt.strip())
+            except ValueError as e:
+                raise UsageError(f"bad SUM coefficient: {e}") from e
+            terms.append((coeff, _parse_partition(kp[2:])))
         if not terms:
             raise UsageError("empty SUM objective")
         return ObjectiveSpec.combination(terms)
@@ -100,13 +105,10 @@ def _objective_from_table_file(path: Path) -> ObjectiveSpec:
                 and all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
                         for e in entry["edges"])):
             raise UsageError(f"{where}: expected 'n' = k = {k} and 'edges' as [u, v] pairs")
-        value = entry.get("value")
-        if isinstance(value, bool) or not isinstance(value, (int, str)):
-            raise UsageError(f"{where}: 'value' must be a rational string or an integer")
         try:
-            value = Fraction(value)
-        except (ValueError, ZeroDivisionError) as e:
-            raise UsageError(f"{where}: bad value {entry['value']!r}") from e
+            value = parse_rational(entry.get("value"))
+        except ValueError as e:
+            raise UsageError(f"{where}: 'value' {e}") from e
         g = Graph.from_edges(k, [tuple(e) for e in entry["edges"]])
         if g in table:
             raise UsageError(f"{where}: repeats the graph of an earlier entry")
@@ -292,6 +294,10 @@ def cmd_opt(args) -> int:
         emit(make_report("opt", "value", result, spec.label), args,
              f"lambda({args.n}) = {val} at {[s.part_sizes for s in shapes]}")
         return EXIT_PASS
+    if not 1 <= args.max_support <= 10:
+        raise UsageError("--max-support must be from 1 to 10")
+    if args.starts < 0:
+        raise UsageError("--starts must be non-negative")
     extra = [parse_vector(v) for v in (args.seeds or [])]
     cs = continuous_opt(spec, args.max_support, starts=args.starts, seed=args.seed,
                         extra_seeds=extra)

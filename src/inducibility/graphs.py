@@ -1,10 +1,11 @@
 """Finite graphs on up to 64 vertices as immutable bitset adjacency rows.
 
-Provides canonical forms for n <= 8 and one class lookup, ``class_key``
-(keying gamma tables by isomorphism class), exhaustive isomorphism-class
-generation with a per-arity code-to-class index, induced-subgraph counting,
-pair flips, exact edit distance by bijection search, complete-partite
-detection, realised partite structures and the plain-text graph format.
+Provides canonical forms for n <= 8, one class lookup (``key_of_code``, a
+code-to-class map filled on demand, and ``class_key`` over it; it keys gamma
+tables by isomorphism class), exhaustive isomorphism-class generation,
+induced-subgraph counting, pair flips, exact edit distance by bijection
+search, complete-partite detection, realised partite structures and the
+plain-text graph format.
 """
 
 from __future__ import annotations
@@ -18,11 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 MAX_VERTICES = 64
 CANON_MAX = 8
-# class_index covers up to INDEX_MAX vertices (2^21 codes); class_key reads it
-# only up to LOOKUP_MAX, because building the 7-vertex index costs far more
-# than the canonical searches a 7-vertex spec build needs.
-INDEX_MAX = 7
-LOOKUP_MAX = 6
+LOOKUP_MAX = 6  # key_of_code files a class under all k! codes up to this k
 
 
 @dataclass(frozen=True)
@@ -294,32 +291,28 @@ def class_keys(n: int) -> tuple[bytes, ...]:
     return _classes(n)[0]
 
 
-@lru_cache(maxsize=None)
-def class_index(k: int) -> tuple[tuple[bytes, ...], tuple[int, ...]]:
-    """``(keys, class_of_code)`` for k <= INDEX_MAX vertices.
+_KEY_OF_CODE: dict[int, dict[int, bytes]] = {}
 
-    ``keys[c]`` is the canonical key of ``iso_classes(k)[c]`` and
-    ``class_of_code[code]`` the class of the k-vertex graph with that
-    upper-triangle code (``Graph.subset_code`` order). Filled by reading every
-    class in all k! vertex orders, far cheaper than canonicalising each code.
-    """
-    if not 0 <= k <= INDEX_MAX:
-        raise ValueError(f"class_index limited to k <= {INDEX_MAX}")
-    class_of_code = [-1] * (1 << (k * (k - 1) // 2))
-    for c, g in enumerate(iso_classes(k)):
-        for order in itertools.permutations(range(k)):
-            class_of_code[g.subset_code(order)] = c
-    assert -1 not in class_of_code
-    return class_keys(k), tuple(class_of_code)
+
+def key_of_code(k: int, code: int) -> bytes:
+    """The canonical key of the k-vertex graph with upper-triangle code
+    ``code`` (``Graph.subset_code`` order), memoised. A miss runs one canonical
+    search and files its key under all k! codes of the class up to LOOKUP_MAX
+    vertices, under ``code`` alone above that: a 7-vertex class has up to 5040
+    codes, and filing them all costs more than the searches it saves."""
+    codes = _KEY_OF_CODE.setdefault(k, {})
+    key = codes.get(code)
+    if key is None:
+        g = graph_from_code(k, code)
+        key = canonical_key(g)
+        for order in itertools.permutations(range(k)) if k <= LOOKUP_MAX else [range(k)]:
+            codes[g.subset_code(order)] = key
+    return key
 
 
 def class_key(g: Graph) -> bytes:
-    """The canonical key of g's class: read from class_index up to
-    LOOKUP_MAX vertices, searched by canonical_key above that."""
-    if g.n > LOOKUP_MAX:
-        return canonical_key(g)
-    keys, class_of_code = class_index(g.n)
-    return keys[class_of_code[g.subset_code(range(g.n))]]
+    """The canonical key of g's class."""
+    return key_of_code(g.n, g.subset_code(range(g.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +324,6 @@ def induced_count(f: Graph, g: Graph) -> int:
     k, n = f.n, g.n
     if k > n:
         raise ValueError("pattern larger than host")
-    if k > CANON_MAX:
-        raise ValueError("pattern too large for canonical matching")
     if comb(n, k) > 10**8:
         raise ValueError("subset enumeration bound exceeded")
     target = class_key(f)

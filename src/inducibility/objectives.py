@@ -12,12 +12,13 @@ must be >= 0 for the monotone-symmetrisation guarantee, tracked as
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .graphs import (CANON_MAX, Graph, class_index, class_key, class_keys, induced_count,
-                     iso_classes)
+from .graphs import (CANON_MAX, CompletePartiteShape, Graph, class_key, class_keys,
+                     complete_partite_shape_of, iso_classes, key_of_code)
 from .polynomials import Rat, _frac
 
 
@@ -36,8 +37,7 @@ def partition_is_clique(a: Sequence[int]) -> bool:
 class ObjectiveSpec:
     """gamma: canonical key of a k-vertex graph -> exact rational."""
 
-    __slots__ = ("k", "gamma", "gamma_max", "provenance", "eligible", "label",
-                 "_code_table")
+    __slots__ = ("k", "gamma", "gamma_max", "provenance", "eligible", "label", "_code_table")
 
     def __init__(self, k: int, gamma: Mapping[bytes, Fraction],
                  provenance: tuple, eligible: bool, label: str):
@@ -51,7 +51,7 @@ class ObjectiveSpec:
         self.provenance = provenance
         self.eligible = eligible
         self.label = label
-        self._code_table: Optional[list[Fraction]] = None
+        self._code_table = _CodeTable(k, self.gamma)
 
     def __repr__(self) -> str:
         return f"ObjectiveSpec({self.label!r}, k={self.k})"
@@ -80,11 +80,13 @@ class ObjectiveSpec:
         if kk > CANON_MAX:
             raise ValueError(f"objective arity k = {kk} exceeds the {CANON_MAX}-vertex limit "
                              "of the isomorphism-class tables")
-        pats = [(c, Graph.complete_partite(a)) for c, a in tl]
+        shapes = [(c, CompletePartiteShape(a)) for c, a in tl]
         gamma = {}
         for key, f in zip(class_keys(kk), iso_classes(kk)):
-            gamma[key] = sum((c * Fraction(induced_count(pat, f), comb(kk, pat.n))
-                              for c, pat in pats), Fraction(0))
+            found = Counter(complete_partite_shape_of(f.induced(verts))
+                            for m in {s.n for _, s in shapes}
+                            for verts in itertools.combinations(range(kk), m))
+            gamma[key] = sum(c * Fraction(found[s], comb(kk, s.n)) for c, s in shapes)
         eligible = all(c >= 0 or partition_is_clique(a) for c, a in tl)
         if label is None:
             label = " + ".join(f"{c}*KP {','.join(map(str, a))}" for c, a in tl)
@@ -103,12 +105,8 @@ class ObjectiveSpec:
             raise ValueError("gamma defined on k-vertex graphs only")
         return self.gamma[class_key(g)]
 
-    def code_table(self) -> list[Fraction]:
-        """gamma indexed by raw upper-triangle code of a k-vertex graph (k <= 7)."""
-        if self._code_table is None:
-            keys, class_of_code = class_index(self.k)
-            values = [self.gamma[key] for key in keys]
-            self._code_table = [values[c] for c in class_of_code]
+    def code_table(self) -> dict[int, Fraction]:
+        """gamma by raw upper-triangle code of a k-vertex graph, filled on first read."""
         return self._code_table
 
     def on_complete_partite(self, a: Sequence[int]) -> Fraction:
@@ -121,6 +119,17 @@ class ObjectiveSpec:
     def partition_values(self) -> dict[tuple[int, ...], Fraction]:
         """gamma on every complete partite class, keyed by partition of k."""
         return {a: self.on_complete_partite(a) for a in partitions_of(self.k)}
+
+
+class _CodeTable(dict):
+    """gamma by upper-triangle code, each code filled on its first read."""
+
+    def __init__(self, k: int, gamma: Mapping[bytes, Fraction]):
+        self.k, self.gamma = k, gamma
+
+    def __missing__(self, code: int) -> Fraction:
+        value = self[code] = self.gamma[key_of_code(self.k, code)]
+        return value
 
 
 def partitions_of(n: int, max_parts: int | None = None) -> list[tuple[int, ...]]:

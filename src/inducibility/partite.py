@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .graphs import CompletePartiteShape, Graph, PartiteStructure
 from .objectives import ObjectiveSpec
-from .polynomials import MPoly, Rat, _frac
+from .polynomials import MPoly, Rat, _frac, parse_rational
 
 
 class PartiteVector:
@@ -96,11 +96,17 @@ class PartiteVector:
     @classmethod
     def from_json(cls, text: str) -> "PartiteVector":
         obj = json.loads(text)
-        parts = [Fraction(p) for p in obj.get("parts", [])]
+        if not (isinstance(obj, dict) and isinstance(obj.get("parts", []), list)):
+            raise ValueError('vector JSON: expected an object with a "parts" list')
+        try:
+            parts = [parse_rational(p) for p in obj.get("parts", [])]
+            x0 = parse_rational(obj["x0"]) if "x0" in obj else None
+        except ValueError as e:
+            raise ValueError(f"vector JSON: {e}") from e
         if any(a < b for a, b in zip(parts, parts[1:])):
             raise ValueError("vector JSON: parts must be sorted non-increasing")
         v = cls(parts)
-        if "x0" in obj and Fraction(obj["x0"]) != v.x0:
+        if x0 is not None and x0 != v.x0:
             raise ValueError("vector JSON: x0 inconsistent with parts")
         return v
 

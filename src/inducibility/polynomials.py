@@ -19,6 +19,16 @@ def _frac(x: Rat) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def parse_rational(value) -> Fraction:
+    """An exact rational from outside input: a rational string or an integer."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ValueError(f"{value!r} is not a rational string or an integer")
+
+
 # ---------------------------------------------------------------------------
 # Univariate polynomials (dense)
 # ---------------------------------------------------------------------------
@@ -181,12 +191,6 @@ class UPoly:
             out.append(rem[0])
             rem = rem[1:]
         return UPoly(out)
-
-    def compose(self, inner: "UPoly") -> "UPoly":
-        acc = UPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + UPoly([c])
-        return acc
 
     # -- Sturm machinery ----------------------------------------------------
 
@@ -459,9 +463,6 @@ class MPoly:
             return 0
         i = self.vars.index(var)
         return max((e[i] for e in self.terms), default=0)
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def coeffs_in(self, var: str) -> dict[int, "MPoly"]:
         """View as a univariate polynomial in ``var``: power -> coefficient."""

@@ -29,6 +29,11 @@ def spec_k33():
 
 
 @pytest.fixture(scope="session")
+def spec_k43():
+    return ObjectiveSpec.partite_density([4, 3])
+
+
+@pytest.fixture(scope="session")
 def spec_k222():
     return ObjectiveSpec.partite_density([2, 2, 2])
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +63,30 @@ def test_certify_krt_cases():
     assert rep.passed and rep.lambda_max == F(3, 8)
     rep = certify_krt(2, 3)
     assert rep.passed and rep.lambda_max == F(5, 16)
+
+
+def test_certify_krt_reads_classes_lazily():
+    """krt(2, 3) reads a few 6-vertex classes, so it files only their vertex
+    orders: at most 30,000 subset codes, where filing all 156 classes takes 112,643."""
+    script = """
+from inducibility.certificates import certify_krt
+from inducibility.graphs import Graph
+calls = 0
+subset_code = Graph.subset_code
+def counted(self, verts):
+    global calls
+    calls += 1
+    return subset_code(self, verts)
+Graph.subset_code = counted
+assert certify_krt(2, 3).passed
+print(calls)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True)
+    assert int(proc.stdout) <= 30_000
 
 
 def test_certify_krt_hypothesis_failure():

@@ -109,6 +109,20 @@ def test_usage_errors(capsys):
         assert main(cmd + ["--objective", "KP 5,4", "--quiet"]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: objective arity k = 9 exceeds the 8-vertex limit")
+    # hostile objective and vector strings: a usage error, never a traceback or a pass
+    for objective, vector, message in [
+            ("SUM 1/0*KP 2,1", '{"x0":"1","parts":[]}', "bad SUM coefficient: '1/0' is not"),
+            ("KP 2,1", '{"x0":"0","parts":["1/0"]}', "vector JSON: '1/0' is not a rational"),
+            ("KP 2,1", '{"x0":"1/0","parts":[]}', "vector JSON: '1/0' is not a rational"),
+            ("KP 2,1", '[1]', 'expected an object with a "parts" list'),
+            ("KP 2,1", '{"x0":"0","parts":"1"}', 'expected an object with a "parts" list'),
+            ("KP 2,1", '{"x0":"0","parts":[0.5, 0.5]}', "0.5 is not a rational string"),
+            ("KP 2,1", '{"x0":"0","parts":[true]}', "True is not a rational string")]:
+        assert main(["density", "--objective", objective, "--vector", vector, "--quiet"]) == 3
+        assert message in capsys.readouterr().err
+    for option, value in [("--max-support", "0"), ("--max-support", "11"), ("--starts", "-1")]:
+        assert main(["opt", "--objective", "KP 2,1", option, value, "--quiet"]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {option} must be")
 
 
 def test_gamma_table_file(capsys, tmp_path):

@@ -35,14 +35,29 @@ def test_gamma_expansion_matches_definition():
     assert spec.eligible  # the negative weight sits on the clique K_3
 
 
-@pytest.mark.parametrize("name", ["spec_k12", "spec_c4", "spec_k2111", "spec_k33"])
+@pytest.mark.parametrize("name", ["spec_k12", "spec_c4", "spec_k2111", "spec_k33", "spec_k43"])
 def test_code_table_matches_gamma(name, request):
     spec = request.getfixturevalue(name)
     k = spec.k
     table = spec.code_table()
-    assert len(table) == 1 << (k * (k - 1) // 2)
-    for code in random.Random(k).sample(range(len(table)), min(len(table), 200)):
+    codes = 1 << (k * (k - 1) // 2)
+    for code in random.Random(k).sample(range(codes), min(codes, 200)):
         assert table[code] == spec.gamma[canonical_key(graph_from_code(k, code))]
+
+
+@pytest.mark.parametrize("a", [a for m in range(1, 7) for a in partitions_of(m)],
+                         ids=lambda a: ",".join(map(str, a)))
+def test_structural_gamma_matches_induced_count(a):
+    """The structural counts behind combination agree with class matching:
+    as p(K_a, .) itself and inside a 6-vertex objective."""
+    from inducibility.graphs import induced_count
+    pattern = Graph.complete_partite(a)
+    specs = [ObjectiveSpec.combination([(1, a)], k=6)]
+    if sum(a) >= 3:
+        specs.append(ObjectiveSpec.partite_density(a))
+    for spec in specs:
+        for f in iso_classes(spec.k):
+            assert spec.gamma_of(f) == F(induced_count(pattern, f), comb(spec.k, sum(a)))
 
 
 def test_eligibility_flag():
@@ -58,6 +73,19 @@ def test_lambda_graph_examples(spec_c4, spec_k2111):
     assert lambda_graph(empty_spec, Graph.empty(7)) == 1
     g16 = Graph.complete_partite([2] * 8)
     assert lambda_graph(spec_k2111, g16) == F(2240, 4368)
+
+
+def test_lambda_graph_beyond_six_vertices(spec_k43):
+    """A 7-vertex objective on a 9-vertex graph: every subset is classified
+    by its own canonical search."""
+    from inducibility.graphs import induced_count
+    rng = random.Random(9)
+    g = Graph.complete_partite([5, 4])
+    for _ in range(3):
+        g = g.flip(*rng.sample(range(9), 2))
+    count = induced_count(Graph.complete_partite([4, 3]), g)
+    assert count > 0
+    assert lambda_graph(spec_k43, g) == F(count, comb(9, 7))
 
 
 def test_lambda_graph_naive_oracle(spec_c4):
