@@ -127,6 +127,21 @@ def parse_vector(text: str) -> PartiteVector:
     return PartiteVector.from_json(text)
 
 
+def _parse_pattern(text: str) -> AttachmentPattern:
+    """{"b": {"<part index>": 0 or 1, ...}, "alpha": rational string (default "1")}."""
+    obj = json.loads(text)
+    b = obj.get("b") if isinstance(obj, dict) else None
+    if not (isinstance(b, dict) and all(k.isdecimal() and _is_int(v) and v in (0, 1)
+                                        for k, v in b.items())):
+        raise UsageError('pattern JSON: expected an object whose "b" maps integer '
+                         'strings to 0 or 1')
+    try:
+        alpha = parse_rational(obj.get("alpha", "1"))
+    except ValueError as e:
+        raise UsageError(f"pattern JSON: 'alpha' {e}") from e
+    return AttachmentPattern({int(k): v for k, v in b.items()}, alpha)
+
+
 def read_graph(path: str) -> Graph:
     if path == "-":
         return parse_graph_text(sys.stdin.read())
@@ -258,10 +273,7 @@ def cmd_gradients(args) -> int:
     res = lagrange_residual(spec, x)
     extras = {}
     for pat in args.pattern or []:
-        obj = json.loads(pat)
-        p = AttachmentPattern({int(k): v for k, v in obj["b"].items()},
-                              Fraction(obj.get("alpha", "1")))
-        vg = vertex_gradient(spec, x, p)
+        vg = vertex_gradient(spec, x, _parse_pattern(pat))
         extras[pat] = {"value": str(vg.value),
                        "alpha_poly": [str(c) for c in vg.poly.coeffs]}
     result = {"flip_gradients": flips, "clone_values": clones,

@@ -2,10 +2,10 @@
 
 Provides canonical forms for n <= 8, one class lookup (``key_of_code``, a
 code-to-class map filled on demand, and ``class_key`` over it; it keys gamma
-tables by isomorphism class), exhaustive isomorphism-class generation,
-induced-subgraph counting, pair flips, exact edit distance by bijection
-search, complete-partite detection, realised partite structures and the
-plain-text graph format.
+tables by isomorphism class), isomorphism-class generation by canonical
+deletion, induced-subgraph counting, pair flips, exact edit distance by
+bijection search, complete-partite detection, realised partite structures and
+the plain-text graph format.
 """
 
 from __future__ import annotations
@@ -264,25 +264,57 @@ def canonical_key(g: Graph) -> bytes:
     return bytes([n]) + best.to_bytes((total + 7) // 8 or 1, "big")
 
 
+def _invariant(g: Graph, v: int) -> tuple[int, int]:
+    """(degree, sum of neighbour degrees) of v: an isomorphism invariant."""
+    row = g.rows[v]
+    return row.bit_count(), sum(g.rows[w].bit_count() for w in range(g.n) if row >> w & 1)
+
+
 @lru_cache(maxsize=None)
 def _classes(n: int) -> tuple[tuple[bytes, ...], tuple[Graph, ...]]:
     """Canonical keys and representatives of the classes on n <= 8 vertices,
-    in key order, by extending every class on n - 1 vertices."""
+    in key order, by canonical deletion (McKay, J. Algorithms 26, 1998).
+
+    Each class g on n - 1 vertices is extended by a new vertex v joined to
+    ``mask``, and the extension h is kept only when v maximises ``_invariant``
+    among h's vertices; only the kept ones are canonically labelled. This
+    misses no class: any H has a vertex u of maximum invariant, H - u is
+    isomorphic to some g, and the isomorphism carries H onto an extension of
+    g whose new vertex has u's (maximum) value. A representative is whichever
+    member of its class is found first, so only the keys are canonical.
+    """
     if not 0 <= n <= CANON_MAX:
         raise ValueError("iso_classes limited to 0 <= n <= 8")
     if n == 0:
         return (canonical_key(Graph.empty(0)),), (Graph.empty(0),)
     out: dict[bytes, Graph] = {}
     for g in iso_classes(n - 1):
+        deg = [r.bit_count() for r in g.rows]
+        top = max(deg, default=0)
+        # v's degree is at least every other degree in h iff
+        # popcount(mask) >= deg[u] + bit u of mask for every u, that is iff
+        # popcount(mask) >= top and mask avoids every u with deg[u] = popcount
+        at_degree = [sum(1 << u for u in range(n - 1) if deg[u] == d) for d in range(n)]
         for mask in range(1 << (n - 1)):
+            d = mask.bit_count()
+            if d < top or mask & at_degree[d]:
+                continue
             h = g.add_vertex(mask)
+            mine = _invariant(h, n - 1)
+            if any(_invariant(h, u) > mine for u in range(n - 1)):
+                continue
             out.setdefault(canonical_key(h), h)
     keys = tuple(sorted(out))
     return keys, tuple(out[key] for key in keys)
 
 
 def iso_classes(n: int) -> tuple[Graph, ...]:
-    """All isomorphism classes on n <= 8 vertices, in canonical-key order."""
+    """All isomorphism classes on n <= 8 vertices, in canonical-key order.
+
+    None is missed: every class extends a class on n - 1 vertices by a vertex
+    of maximum (degree, sum of neighbour degrees), the only extensions
+    ``_classes`` labels. Each graph is any one member of its class, not a
+    canonical form; its key is ``class_keys(n)`` at the same index."""
     return _classes(n)[1]
 
 

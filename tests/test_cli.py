@@ -120,6 +120,19 @@ def test_usage_errors(capsys):
             ("KP 2,1", '{"x0":"0","parts":[true]}', "True is not a rational string")]:
         assert main(["density", "--objective", objective, "--vector", vector, "--quiet"]) == 3
         assert message in capsys.readouterr().err
+    gradients = ["gradients", "--objective", "KP 2,1", "--vector",
+                 '{"x0":"1/2","parts":["1/4","1/4"]}', "--quiet", "--pattern"]
+    assert main(gradients + ['{"b": {"1": 1, "2": 0}, "alpha": "1/2"}']) == 0
+    capsys.readouterr()
+    for pattern, message in [
+            ('[1]', 'pattern JSON: expected an object whose "b" maps'),
+            ('{"b": [1]}', 'pattern JSON: expected an object whose "b" maps'),
+            ('{"b": {"1": true}}', 'pattern JSON: expected an object whose "b" maps'),
+            ('{"b": {"x": 1}}', 'pattern JSON: expected an object whose "b" maps'),
+            ('{"b": {"1": 0}, "alpha": "1/0"}', "pattern JSON: 'alpha' '1/0' is not a rational"),
+            ('{"b": {"1": 0}, "alpha": 0.5}', "pattern JSON: 'alpha' 0.5 is not a rational")]:
+        assert main(gradients + [pattern]) == 3
+        assert message in capsys.readouterr().err
     for option, value in [("--max-support", "0"), ("--max-support", "11"), ("--starts", "-1")]:
         assert main(["opt", "--objective", "KP 2,1", option, value, "--quiet"]) == 3
         assert capsys.readouterr().err.startswith(f"error: {option} must be")
