@@ -20,7 +20,7 @@ from importlib import resources
 from math import comb, factorial, gcd
 from typing import Optional
 
-from .intervals import RInterval, bb_max_bound
+from .intervals import bb_max_bound
 from .matrices import RationalMatrix, psd_check
 from .objectives import ObjectiveSpec
 from .optsearch import kst_maximiser
@@ -29,7 +29,7 @@ from .partite import (PartiteVector, density_formula, elementary_symmetric,
                       _multinomial)
 from .perturbation import (AttachmentPattern, attach_value, attach_value_generic,
                            flip_gradient, flip_gradient_generic, pair_density)
-from .polynomials import AlgebraicNumber, MPoly, UPoly, resultant
+from .polynomials import MPoly, UPoly, resultant
 from .strictness import check_str1, check_str2, strictness_certificate
 
 LAMBDA_2111 = Fraction(525, 1024)
@@ -271,7 +271,6 @@ def certify_kst(s: int, t: int) -> CertificateReport:
         rep.add("balanced_branch_condition", s >= comb(m, 2), f"s >= C({m},2)")
         rep.add("profile_nondecreasing_left_of_half", ok,
                 "h(1+u) has nonnegative coefficients")
-        alpha_num: AlgebraicNumber | Fraction = Fraction(1, 2)
     else:
         rep.add("root_branch_condition", s < comb(m, 2), f"s < C({m},2)")
         rep.add("single_root_in_unit_interval", h.count_roots_open(0, 1) == 1)
@@ -280,7 +279,6 @@ def certify_kst(s: int, t: int) -> CertificateReport:
         lo, hi = res.alpha.interval()
         rep.add("alpha_in_open_half_one", Fraction(1, 2) < lo and hi < 1,
                 f"alpha in [{lo}, {hi}]")
-        alpha_num = res.alpha.as_fraction() if res.alpha.is_rational else res.alpha
         if s == 1:
             rep.add("one_sided_value_at_t", h(Fraction(t)) == t * t - 1 and t * t - 1 > 0,
                     "h(t) = t^2 - 1 > 0")
@@ -290,8 +288,6 @@ def certify_kst(s: int, t: int) -> CertificateReport:
         if (s, t) == (1, 4):
             rep.add("four_fifths_not_stationary", h(Fraction(1, 4)) != 0,
                     "x = 1/4 (the split (4/5,1/5)) is not a root of h")
-            sqrt3 = UPoly([-3, 0, 1])
-            alg = AlgebraicNumber(sqrt3, Fraction(1), Fraction(2))
             # (3 + sqrt3)/6 satisfies 6a^2 - 6a + 1 = 0; check it divides the defining poly
             target = UPoly([1, -6, 6])
             quot_ok = True
@@ -344,29 +340,22 @@ def certify_kst(s: int, t: int) -> CertificateReport:
                 "closed-form gradients match the sampling enumeration")
 
     beta_margin = UPoly([1, -1]) ** (k - 2)
-
-    def sign_at(gp: UPoly) -> int:
-        if isinstance(alpha_num, Fraction):
-            v = gp(alpha_num)
-            return (v > 0) - (v < 0)
-        return alpha_num.sign_of(gp)
-
     ok_flips = True
     details = []
     for pair, grad in sorted(grads.items()):
-        sgn = sign_at(grad - beta_margin)
+        sgn = res.alpha.sign_of(grad - beta_margin)
         details.append(f"{pair}: sign {sgn}")
         if sgn < 0:
             ok_flips = False
     rep.add("str1_flip_margins", ok_flips,
             "flip gradients >= (1-alpha)^(s+t-2) at the maximiser; " + "; ".join(details))
 
-    rep.add("clone_values_agree_at_maximiser", sign_at(att_e1 - att_e2) == 0,
+    rep.add("clone_values_agree_at_maximiser", res.alpha.sign_of(att_e1 - att_e2) == 0,
             "lambda(x,(e_1,1)) = lambda(x,(e_2,1)) at the maximiser")
     rep.add("empty_attachment_counts_nothing", att_00.is_zero())
     if s >= 2:
         rep.add("full_attachment_counts_nothing", att_11.is_zero())
-        rep.add("str2_nonclone_margin_positive", sign_at(att_e1 - att_00) > 0)
+        rep.add("str2_nonclone_margin_positive", res.alpha.sign_of(att_e1 - att_00) > 0)
     else:
         # displayed identity for the all-ones pattern at s = 1
         av_m = UPoly.x()
@@ -376,11 +365,11 @@ def certify_kst(s: int, t: int) -> CertificateReport:
             + bv_m ** (t - 1) * ((t + 1) * av_m - UPoly([1]))
         rep.add("full_attachment_identity", lhs == rhs,
                 "2*nabla for the all-ones pattern matches the closed form")
-        rep.add("str2_nonclone_margin_positive", sign_at(att_e1 - att_11) > 0)
-        rep.add("str2_isolated_margin_positive", sign_at(att_e1 - att_00) > 0)
+        rep.add("str2_nonclone_margin_positive", res.alpha.sign_of(att_e1 - att_11) > 0)
+        rep.add("str2_isolated_margin_positive", res.alpha.sign_of(att_e1 - att_00) > 0)
 
-    if isinstance(alpha_num, Fraction):
-        alpha_f: Fraction = alpha_num
+    if res.alpha.is_rational:
+        alpha_f = res.alpha.as_fraction()
         x = PartiteVector(sorted([alpha_f, 1 - alpha_f], reverse=True))
         lam = att_e1(alpha_f)  # clone value equals lambda at the maximiser
         if k <= 6:
@@ -607,10 +596,7 @@ def certify_k2111() -> CertificateReport:
             rep.add("eliminant_divisible_l1", div_ok,
                     "z(625z - 216) divides the l=1 eliminant")
         count = elim.count_roots(lam0, Fraction(1))
-        ok = count == 0
-        if not ok:
-            ok = _critical_values_below(p1.to_upoly("y"), h_ell, lam0)
-        rep.add(f"no_critical_value_above_l{ell}", ok,
+        rep.add(f"no_critical_value_above_l{ell}", count == 0,
                 f"eliminant root count in (525/1024, 1] is {count}")
         k_ell = h_ell.evaluate({"y": Fraction(0)})
         rep.add(f"endpoints_below_l{ell}",
@@ -654,30 +640,6 @@ def certify_k2111() -> CertificateReport:
     rep.lambda_max = lam0
     rep.maximiser = {"x0": "0", "parts": [str(p) for p in a8.parts]}
     return rep
-
-
-def _critical_values_below(p1: UPoly, h_poly: MPoly, bound: Fraction) -> bool:
-    """Fallback: isolate critical points and bound the profile value there."""
-    hp = h_poly.to_upoly("y")
-    for lo, hi in p1.isolate_roots(Fraction(0), Fraction(1)):
-        for _ in range(80):
-            enc = _upoly_interval(hp, lo, hi)
-            if enc.hi < bound:
-                break
-            if lo == hi:
-                return False
-            lo, hi = p1.refine_root(lo, hi, (hi - lo) / 4)
-        else:
-            return False
-    return True
-
-
-def _upoly_interval(p: UPoly, lo: Fraction, hi: Fraction) -> RInterval:
-    acc = RInterval(0)
-    xv = RInterval(lo, hi)
-    for c in reversed(p.coeffs):
-        acc = acc * xv + RInterval(c)
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -94,9 +94,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.rows[v].bit_count()
 
-    def neighbours(self, v: int) -> int:
-        return self.rows[v]
-
     # -- transformations -------------------------------------------------------
 
     def flip(self, x: int, y: int) -> "Graph":
@@ -506,6 +503,13 @@ class PartiteStructure:
     @property
     def n(self) -> int:
         return sum(len(p) for p in self.parts) + len(self.v0)
+
+    def group_sizes(self) -> dict[int, int]:
+        """Vertex count of each nonempty group: i >= 1 for part i, 0 for the clique."""
+        sizes = {i: len(p) for i, p in enumerate(self.parts, start=1) if p}
+        if self.v0:
+            sizes[0] = len(self.v0)
+        return sizes
 
     def part_of(self, v: int) -> int:
         """0 for clique vertices, i >= 1 for part i."""

@@ -3,10 +3,11 @@ leading-principal-minor positive-definiteness test used by the certificates."""
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import Rat, _frac
+from .polynomials import Rat, _frac, bareiss_det
 
 
 class RationalMatrix:
@@ -41,28 +42,11 @@ class RationalMatrix:
 
     def det(self) -> Fraction:
         """Determinant by Bareiss fraction-free elimination (exact)."""
-        n = self.n
         if not self.is_square():
             raise ValueError("determinant of non-square matrix")
-        if n == 0:
+        if self.n == 0:
             return Fraction(1)
-        a = [list(r) for r in self.rows]
-        sign = 1
-        prev = Fraction(1)
-        for k in range(n - 1):
-            if a[k][k] == 0:
-                for i in range(k + 1, n):
-                    if a[i][k] != 0:
-                        a[k], a[i] = a[i], a[k]
-                        sign = -sign
-                        break
-                else:
-                    return Fraction(0)
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    a[i][j] = (a[k][k] * a[i][j] - a[i][k] * a[k][j]) / prev
-            prev = a[k][k]
-        return sign * a[n - 1][n - 1]
+        return bareiss_det(self.rows, operator.truediv)
 
     def leading_minors(self) -> list[Fraction]:
         return [self.submatrix(k).det() for k in range(1, self.n + 1)]

@@ -1,7 +1,8 @@
 """The partite limit space: finite-support vectors x_1 >= x_2 >= ... > 0 with
 sum <= 1 and clique mass x_0 = 1 - sum, their n-vertex realisations,
 elementary symmetric polynomials, the draw-multiset sampling kernel
-(draw_sum) and the exact sampling value lambda(x) as its expectation, the
+(draw_sum) and its counting twin over realisations (pick_sum), the exact
+sampling value lambda(x) as the expectation of draw_sum, the
 closed-form complete partite densities, exact counts of complete partite
 patterns inside complete partite hosts, and the limit edit distance.
 
@@ -18,12 +19,12 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, perm
+from math import comb, factorial, perm, prod
 from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .graphs import CompletePartiteShape, Graph, PartiteStructure
-from .objectives import ObjectiveSpec
+from .objectives import ObjectiveSpec, _norm_partition
 from .polynomials import MPoly, Rat, _frac, parse_rational
 
 
@@ -152,13 +153,6 @@ def sym_coefficient(a: Sequence[int]) -> Fraction:
     return Fraction(1, denom)
 
 
-def _partition(a: Sequence[int]) -> tuple[int, ...]:
-    a = tuple(sorted((int(v) for v in a), reverse=True))
-    if not a or any(v <= 0 for v in a):
-        raise ValueError("malformed partition")
-    return a
-
-
 # ---------------------------------------------------------------------------
 # Realisations
 # ---------------------------------------------------------------------------
@@ -247,18 +241,45 @@ def draw_sum(k: int, weights: Mapping[int, object], term: Callable[[dict], objec
     keys = sorted(weights)
     if len(keys) ** k > 10**7:
         raise ValueError("support too large for exact enumeration")
+
+    def weight(counts):
+        w = _multinomial(k, counts.values())
+        for i, c in counts.items():
+            w = w * weights[i] ** c
+        return w
+
+    return _multiset_sum(keys, k, weight, term)
+
+
+def pick_sum(k: int, sizes: Mapping[int, int], term: Callable[[dict], object]):
+    """Sum of term(counts) over the k-subsets of items sorted into groups.
+
+    sizes maps each group to its number of items; counts maps each group the
+    subset meets, in ascending order, to the number of its items picked. A
+    nonzero term contributes prod C(sizes[g], c) * term, the number of
+    subsets with these counts, so the sum is exact in the term ring; an
+    empty sum is Fraction(0). The counting twin of draw_sum.
+    """
+    def ways(counts):
+        return prod(comb(sizes[g], c) for g, c in counts.items())
+
+    return _multiset_sum(sorted(g for g, s in sizes.items() if s > 0), k, ways, term)
+
+
+def _multiset_sum(keys: Sequence, k: int, weight: Callable[[dict], object],
+                  term: Callable[[dict], object]):
+    """Sum of weight(counts) * term(counts) over the multisets of k sorted
+    keys, each as the repeat counts of its keys in ascending order; terms
+    that are zero are skipped, and an empty sum is Fraction(0)."""
     total = None
     for multi in itertools.combinations_with_replacement(keys, k):
-        counts: dict[int, int] = {}
+        counts: dict = {}
         for i in multi:
             counts[i] = counts.get(i, 0) + 1
         value = term(counts)
         if not value:
             continue
-        weight = _multinomial(k, counts.values())
-        for i, c in counts.items():
-            weight = weight * weights[i] ** c
-        value = weight * value
+        value = weight(counts) * value
         total = value if total is None else total + value
     return Fraction(0) if total is None else total
 
@@ -299,7 +320,7 @@ def sampling_density(a: Sequence[int], x: PartiteVector) -> Fraction:
     Dual route to density_formula: enumerate draw multisets and test whether
     the pattern partition equals a.
     """
-    a = tuple(sorted((int(v) for v in a), reverse=True))
+    a = _norm_partition(a)
     return draw_sum(sum(a), x.draw_weights(),
                     lambda counts: 1 if _draw_pattern(counts) == a else 0)
 
@@ -327,7 +348,7 @@ def _closed_form(a: Sequence[int], x0, parts: Sequence):
     disagrees with the sampling expectation as soon as several singleton
     parts meet positive clique mass.
     """
-    a = _partition(a)
+    a = _norm_partition(a)
     ell = len(a)
     t = sum(1 for v in a if v >= 2)
     total = Fraction(0)
@@ -419,7 +440,7 @@ def count_partite(a: Sequence[int], shape: CompletePartiteShape) -> int:
     shape.counts (see CompiledPattern). Each group costs one truncated
     product, so millions of singleton parts are as cheap as one.
     """
-    pattern = _compiled(_partition(a))
+    pattern = _compiled(_norm_partition(a))
     if not shape.counts:
         return 0
     *groups, last = shape.counts
@@ -440,7 +461,7 @@ def partition_counts(patterns: Sequence[Sequence[int]], n: int):
     the groups placed so far: a partition costs one product for its last
     group of size >= 2 and one top coefficient for its singletons.
     """
-    compiled = [_compiled(_partition(a)) for a in patterns]
+    compiled = [_compiled(_norm_partition(a)) for a in patterns]
     tables = [{(s, m): p.factor(s, m) for s in range(1, n + 1) for m in range(n // s + 1)}
               for p in compiled]
     groups: list[tuple[int, int]] = []

@@ -4,10 +4,11 @@ Flip gradients (expected loss of gamma from toggling one pair of a sample),
 attachment values (expected gamma seen by a new vertex joined by a 0/1 part
 pattern b and a clique fraction alpha), vertex gradients, exact partial
 derivatives via the clone identity, Lagrange residuals, and exact finite-n
-counterparts on realisations computed by part-profile enumeration (no subset
-enumeration, so they stay cheap at n in the hundreds). The limit flip
-gradients, through-pair densities and attachment values are integrands over
-the draw kernel partite.draw_sum.
+counterparts on realisations (no subset enumeration, so they stay cheap at n
+in the hundreds). The limit flip gradients, through-pair densities and
+attachment values are integrands over the draw kernel partite.draw_sum; the
+finite-n flip deltas and attachment values are integrands over its counting
+twin partite.pick_sum. One encoder, _pattern_code, gives every pattern code.
 
 The free form of lambda is the homogeneous degree-k polynomial in
 (x0, x1, ...) given by the sampling formula; partial derivatives are plain
@@ -23,9 +24,9 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional, Sequence
 
-from .graphs import Graph, PartiteStructure
+from .graphs import Graph
 from .objectives import ObjectiveSpec, lambda_graph
-from .partite import PartiteVector, RealisedPartite, draw_sum, lambda_of_vector
+from .partite import PartiteVector, RealisedPartite, draw_sum, lambda_of_vector, pick_sum
 from .polynomials import Rat, UPoly, _frac
 
 
@@ -77,9 +78,14 @@ def _check_pattern(x: PartiteVector, p: AttachmentPattern) -> None:
 # Pattern codes (upper-triangle adjacency of sampled patterns)
 # ---------------------------------------------------------------------------
 
-def _pair_codes(types: Sequence[int]) -> tuple[int, int]:
-    """Adjacency code of the sample pattern and of the pattern with pair {0,1}
-    toggled; a sample i is joined to j iff types differ or both are 0."""
+def _pattern_code(types: Sequence[int]) -> int:
+    """Adjacency code of the pattern of draws with these types, in order; two
+    draws are joined iff their types differ or both are 0.
+
+    An attached vertex goes first: its row is the low len(types) bits, so a
+    pattern plus an attached vertex is joined_bits | code << len(types), and
+    the pair of the first two draws is bit 0.
+    """
     k = len(types)
     code = 0
     bit = 0
@@ -89,24 +95,6 @@ def _pair_codes(types: Sequence[int]) -> tuple[int, int]:
             tb = types[b]
             if ta != tb or ta == 0:
                 code |= 1 << bit
-            bit += 1
-    return code, code ^ 1  # pair (0,1) is the first upper-triangle bit
-
-
-def _attach_code(types: Sequence[int], u_adj: Sequence[bool]) -> int:
-    """Pattern code with an extra last vertex u adjacent per u_adj."""
-    k1 = len(types)
-    code = 0
-    bit = 0
-    n = k1 + 1
-    for a in range(n):
-        for b in range(a + 1, n):
-            if b < k1:
-                if types[a] != types[b] or types[a] == 0:
-                    code |= 1 << bit
-            elif a < k1:
-                if u_adj[a]:
-                    code |= 1 << bit
             bit += 1
     return code
 
@@ -137,13 +125,17 @@ def flip_gradient_generic(spec: ObjectiveSpec, entries: Mapping[int, object],
     """Generic-ring flip gradient; entries maps supp* indices to weights."""
     if i1 not in entries or i2 not in entries:
         raise ValueError("flip indices must lie in supp*")
-    table = spec.code_table()
+    return draw_sum(spec.k - 2, entries, _flip_loss(spec.code_table(), i1, i2))
 
+
+def _flip_loss(table, i1: int, i2: int):
+    """counts -> gamma loss from toggling the pair of two draws of types i1, i2
+    in the pattern they form with draws of these counts."""
     def loss(counts):
-        code, fcode = _pair_codes([i1, i2] + _draw_types(counts))
-        return table[code] - table[fcode]
+        code = _pattern_code([i1, i2] + _draw_types(counts))
+        return table[code] - table[code ^ 1]
 
-    return draw_sum(spec.k - 2, entries, loss)
+    return loss
 
 
 def pair_density(spec: ObjectiveSpec, x: PartiteVector, i1: int, i2: int) -> Fraction:
@@ -155,7 +147,7 @@ def pair_density(spec: ObjectiveSpec, x: PartiteVector, i1: int, i2: int) -> Fra
         raise ValueError("indices must lie in supp*")
     table = spec.code_table()
     return draw_sum(spec.k - 2, x.draw_weights(),
-                    lambda counts: table[_pair_codes([i1, i2] + _draw_types(counts))[0]])
+                    lambda counts: table[_pattern_code([i1, i2] + _draw_types(counts))])
 
 
 @dataclass(frozen=True)
@@ -179,17 +171,20 @@ def _attach_term(table, b: Mapping[int, int], counts: Mapping[int, int]):
 
     The vertex joins nonzero draws i with b(i) = 1 and each clique draw
     independently with probability alpha, so the value is a polynomial in
-    alpha; it is a scalar when no clique draw occurs.
+    alpha; it is a scalar when no clique draw occurs. Clique draws come
+    first, so joining j of them sets the j lowest bits of the code.
     """
     types = _draw_types(counts)
     zeros = counts.get(0, 0)
-    adj = [bool(b.get(i, 0)) for i in types]
+    code = _pattern_code(types) << len(types)
+    for a in range(zeros, len(types)):
+        if b.get(types[a], 0):
+            code |= 1 << a
     if not zeros:
-        return table[_attach_code(types, adj)]
+        return table[code]
     total = 0
     for j in range(zeros + 1):
-        adj[:zeros] = [True] * j + [False] * (zeros - j)
-        gamma = table[_attach_code(types, adj)]
+        gamma = table[code | (1 << j) - 1]
         if gamma:
             total = total + gamma * _clique_split(zeros, j)
     return total
@@ -263,98 +258,50 @@ def lagrange_residual(spec: ObjectiveSpec, x: PartiteVector) -> Fraction:
 # Exact finite-n counterparts on complete partite realisations
 # ---------------------------------------------------------------------------
 
-def _structure_groups(structure: PartiteStructure) -> list[tuple[int, int]]:
-    """(part index, size) per independent part plus (0, |V0|)."""
-    groups = [(i + 1, len(p)) for i, p in enumerate(structure.parts) if p]
-    if structure.v0:
-        groups.append((0, len(structure.v0)))
-    return groups
-
-
-def _profiles(caps: Sequence[int], total: int):
-    if not caps:
-        if total == 0:
-            yield ()
-        return
-    head = caps[0]
-    for c in range(min(head, total) + 1):
-        for rest in _profiles(caps[1:], total - c):
-            yield (c,) + rest
-
-
 def finite_flip_delta(spec: ObjectiveSpec, realised: RealisedPartite,
                       i1: int, i2: int) -> Fraction:
     """(Lambda(G) - Lambda(G + xy)) / C(n-2, k-2) for a pair in parts i1, i2.
 
-    Exact for any n via profile enumeration over the partite structure.
+    Exact for any n: the flip loss of flip_gradient summed over the ways to
+    pick the other k-2 vertices from the groups of the realisation.
     """
-    structure = realised.structure
-    groups = _structure_groups(structure)
-    sizes = {g: s for g, s in groups}
+    sizes = realised.structure.group_sizes()
     if i1 not in sizes or i2 not in sizes:
         raise ValueError("no such part in the realisation")
-    need = 2 if i1 == i2 else 1
-    if sizes[i1] < need or sizes[i2] < 1:
+    sizes[i1] -= 1
+    sizes[i2] -= 1
+    if sizes[i1] < 0:
         raise ValueError("part too small to host the pair")
-    k = spec.k
-    n = realised.n
-    table = spec.code_table()
-    avail = []
-    for g, s in groups:
-        s -= (g == i1) + (g == i2)
-        avail.append((g, s))
-    total = Fraction(0)
-    for prof in _profiles([s for _, s in avail], k - 2):
-        ways = 1
-        types: list[int] = [i1, i2]
-        for (g, s), c in zip(avail, prof):
-            ways *= comb(s, c)
-            types.extend([g] * c)
-        if ways == 0:
-            continue
-        code, fcode = _pair_codes(types)
-        dg = table[code] - table[fcode]
-        if dg:
-            total += ways * dg
-    return total / comb(n - 2, k - 2)
+    loss = _flip_loss(spec.code_table(), i1, i2)
+    return pick_sum(spec.k - 2, sizes, loss) / comb(realised.n - 2, spec.k - 2)
 
 
 def finite_attach_lambda_vertex(spec: ObjectiveSpec, realised: RealisedPartite,
                                 b: Mapping[int, int], v0_neighbours: int) -> Fraction:
     """lambda(G +_{b,alpha} u, u) with floor(alpha|V0|) = v0_neighbours, exact.
 
-    Profile enumeration over parts, joined clique vertices and unjoined clique
-    vertices; works for any n.
+    Sums over the ways to pick k-1 vertices from the groups (type, joined to
+    u): the parts, the joined clique vertices and the unjoined ones; works
+    for any n.
     """
-    structure = realised.structure
-    if not 0 <= v0_neighbours <= len(structure.v0):
+    sizes = realised.structure.group_sizes()
+    v0 = sizes.pop(0, 0)
+    if not 0 <= v0_neighbours <= v0:
         raise ValueError("clique neighbour count out of range")
-    k = spec.k
-    n = realised.n
+    groups = {(i, bool(b.get(i, 0))): s for i, s in sizes.items()}
+    groups[0, True] = v0_neighbours
+    groups[0, False] = v0 - v0_neighbours
     table = spec.code_table()
-    groups: list[tuple[int, int, bool]] = []  # (type, size, joined to u)
-    for i, p in enumerate(structure.parts):
-        if p:
-            groups.append((i + 1, len(p), bool(b.get(i + 1, 0))))
-    if v0_neighbours:
-        groups.append((0, v0_neighbours, True))
-    if len(structure.v0) - v0_neighbours:
-        groups.append((0, len(structure.v0) - v0_neighbours, False))
-    total = Fraction(0)
-    for prof in _profiles([s for _, s, _ in groups], k - 1):
-        ways = 1
-        types: list[int] = []
-        adj: list[bool] = []
-        for (g, s, joined), c in zip(groups, prof):
-            ways *= comb(s, c)
-            types.extend([g] * c)
-            adj.extend([joined] * c)
-        if ways == 0:
-            continue
-        gamma = table[_attach_code(types, adj)]
-        if gamma:
-            total += ways * gamma
-    return total / comb(n, k - 1)
+
+    def gamma(counts):
+        picked = [g for g, c in counts.items() for _ in range(c)]
+        code = _pattern_code([i for i, _ in picked]) << len(picked)
+        for a, (_, joined) in enumerate(picked):
+            if joined:
+                code |= 1 << a
+        return table[code]
+
+    return pick_sum(spec.k - 1, groups, gamma) / comb(realised.n, spec.k - 1)
 
 
 # ---------------------------------------------------------------------------

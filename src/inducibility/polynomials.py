@@ -10,7 +10,7 @@ point, so every count, sign and bound is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 Rat = Union[int, Fraction]
 
@@ -204,39 +204,30 @@ class UPoly:
         return chain
 
     def count_roots(self, lo: Rat, hi: Rat) -> int:
-        """Number of distinct real roots in the half-open interval (lo, hi]."""
+        """Number of distinct real roots in the half-open interval (lo, hi].
+
+        Sign variations of the Sturm chain, zeros dropped, are continuous
+        from the right at a root, so a root at lo is left out and one at hi
+        is counted.
+        """
         lo, hi = _frac(lo), _frac(hi)
         if self.is_zero():
             raise ValueError("root counting for the zero polynomial")
         if lo >= hi:
             return 0
-        f = self.squarefree_part()
-        extra = 0
-        x_hi = UPoly([-hi, 1])
-        while f(hi) == 0:
-            f = f.exact_div(x_hi)
-            extra = 1
-        x_lo = UPoly([-lo, 1])
-        while f(lo) == 0:
-            f = f.exact_div(x_lo)
-        if f.degree <= 0:
-            return extra
-        chain = [f, f.derivative()]
-        while not chain[-1].is_zero():
-            chain.append(-(chain[-2].divmod(chain[-1])[1]))
-        chain.pop()
+        chain = self.sturm_chain()
 
         def variations(x: Fraction) -> int:
             signs = [p(x) for p in chain]
             signs = [s for s in signs if s != 0]
             return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
 
-        return variations(lo) - variations(hi) + extra
+        return variations(lo) - variations(hi)
 
     def count_roots_open(self, lo: Rat, hi: Rat) -> int:
         """Distinct real roots in the open interval (lo, hi)."""
         n = self.count_roots(lo, hi)
-        if n and self.squarefree_part()(_frac(hi)) == 0:
+        if n and self(_frac(hi)) == 0:
             n -= 1
         return n
 
@@ -253,14 +244,8 @@ class UPoly:
         f = self.squarefree_part()
         out: list[tuple[Fraction, Fraction]] = []
 
-        def count_open(a: Fraction, b: Fraction) -> int:
-            n = f.count_roots(a, b)
-            if f(b) == 0:
-                n -= 1
-            return n
-
         def rec(a: Fraction, b: Fraction) -> None:
-            n = count_open(a, b)
+            n = f.count_roots_open(a, b)
             if n == 0:
                 return
             m = (a + b) / 2
@@ -555,13 +540,6 @@ class MPoly:
                     rem[ee] = nv
         return MPoly(vs, q)
 
-    def divides(self, other: "MPoly") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except (ValueError, ZeroDivisionError):
-            return False
-
     def content(self) -> Fraction:
         from math import gcd
         num = 0
@@ -603,27 +581,27 @@ def sylvester_matrix(p_coeffs: Sequence, q_coeffs: Sequence) -> list[list]:
     return rows
 
 
-def _bareiss_det(rows: list[list[MPoly]]) -> MPoly:
+def bareiss_det(rows: Sequence[Sequence], div: Callable):
+    """Determinant of a nonempty square matrix by Bareiss fraction-free
+    elimination, generic in the entry ring (Fraction, MPoly); div(a, b) is
+    the ring's exact division, and every division made here is exact."""
     n = len(rows)
-    if n == 0:
-        return MPoly.const(1)
-    a = [row[:] for row in rows]
+    a = [list(r) for r in rows]
     sign = 1
-    prev = MPoly.const(1)
+    prev = None  # the first step divides by 1
     for k in range(n - 1):
-        if a[k][k].is_zero():
+        if a[k][k] == 0:
             for i in range(k + 1, n):
-                if not a[i][k].is_zero():
+                if a[i][k] != 0:
                     a[k], a[i] = a[i], a[k]
                     sign = -sign
                     break
             else:
-                return MPoly.const(0)
+                return a[k][k]  # the ring's zero
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = MPoly.const(0)
+                a[i][j] = num if prev is None else div(num, prev)
         prev = a[k][k]
     det = a[n - 1][n - 1]
     return det if sign == 1 else -det
@@ -642,7 +620,7 @@ def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
     qc = q.coeffs_in(var)
     p_list = [pc.get(i, MPoly.const(0)) for i in range(dp + 1)]
     q_list = [qc.get(i, MPoly.const(0)) for i in range(dq + 1)]
-    det = _bareiss_det(sylvester_matrix(p_list, q_list))
+    det = bareiss_det(sylvester_matrix(p_list, q_list), MPoly.exact_div)
     return det.normalized()
 
 

@@ -236,9 +236,7 @@ def finite_strictness_check(spec: ObjectiveSpec, x: PartiteVector, n: int) -> Fi
     k = spec.k
 
     # pair condition over part-index orbits
-    sizes = {i + 1: len(p) for i, p in enumerate(structure.parts) if p}
-    if structure.v0:
-        sizes[0] = len(structure.v0)
+    sizes = structure.group_sizes()
     c1: Optional[Fraction] = None
     scale = Fraction(comb(n - 2, k - 2), comb(n, k))
     for i1 in sorted(sizes):

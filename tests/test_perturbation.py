@@ -1,9 +1,12 @@
+import itertools
 import random
 from fractions import Fraction as F
+from math import comb
 
 import pytest
 
-from inducibility.objectives import ObjectiveSpec, partitions_of
+from inducibility.graphs import Graph, attach, iso_classes
+from inducibility.objectives import ObjectiveSpec, big_lambda, big_lambda_vertex, partitions_of
 from inducibility.partite import PartiteVector, density_polynomial, realise
 from inducibility.polynomials import MPoly
 from inducibility.perturbation import (AttachmentPattern, attach_value,
@@ -109,18 +112,27 @@ def test_partial_at_maximiser(spec_k2111):
     assert partial_derivative(spec_k2111, A8, 1) == 5 * F(525, 1024)
 
 
+def _sample_graph(types, joined=None):
+    """The pattern of draws with these types (joined iff the types differ or
+    both are 0), plus a last vertex joined to draw a iff joined[a]."""
+    m = len(types)
+    edges = [(a, b) for a, b in itertools.combinations(range(m), 2)
+             if types[a] != types[b] or types[a] == 0]
+    if joined is not None:
+        edges += [(a, m) for a in range(m) if joined[a]]
+        m += 1
+    return Graph.from_edges(m, edges)
+
+
 def _ordered_flip(spec, x, i1, i2):
     """Flip gradient by enumerating ordered (k-2)-tuples of further draws."""
-    import itertools
-    from inducibility.perturbation import _pair_codes
-    table = spec.code_table()
     total = F(0)
     for tup in itertools.product(x.supp_star, repeat=spec.k - 2):
         weight = F(1)
         for i in tup:
             weight *= x.entry(i)
-        code, fcode = _pair_codes((i1, i2) + tup)
-        total += weight * (table[code] - table[fcode])
+        g = _sample_graph((i1, i2) + tup)
+        total += weight * (spec.gamma_of(g) - spec.gamma_of(g.flip(0, 1)))
     return total
 
 
@@ -218,8 +230,6 @@ def test_compare_bounds_star(spec_c4):
 def test_attach_alpha_poly_independent_oracle(spec_k311, spec_c4):
     """Ordered-tuple enumeration over a split-clique alphabet reproduces the
     attachment polynomial at rational alpha."""
-    import itertools
-    from inducibility.perturbation import _attach_code
 
     def direct(spec, x, b, alpha):
         # alphabet: part indices with weights x_i, clique split into a
@@ -230,7 +240,6 @@ def test_attach_alpha_poly_independent_oracle(spec_k311, spec_c4):
         if x.x0 > 0:
             letters.append((0, alpha * x.x0, True))
             letters.append((0, (1 - alpha) * x.x0, False))
-        table = spec.code_table()
         total = F(0)
         for tup in itertools.product(range(len(letters)), repeat=spec.k - 1):
             weight = F(1)
@@ -241,10 +250,7 @@ def test_attach_alpha_poly_independent_oracle(spec_k311, spec_c4):
                 weight *= w
                 types.append(typ)
                 adj.append(joined)
-            order = sorted(range(len(types)), key=lambda i: (types[i] != 0, types[i], not adj[i]))
-            types = [types[i] for i in order]
-            adj = [adj[i] for i in order]
-            total += weight * table[_attach_code(types, adj)]
+            total += weight * spec.gamma_of(_sample_graph(types, adj))
         return total
 
     for spec, x in ((spec_k311, A311), (spec_c4, HALF)):
@@ -255,3 +261,56 @@ def test_attach_alpha_poly_independent_oracle(spec_k311, spec_c4):
                     continue
                 got = attach_value(spec, x, AttachmentPattern(b, alpha))
                 assert got.poly(alpha) == direct(spec, x, b, alpha), (b, alpha)
+
+
+def _finite_spec(name):
+    if name == "KP 3,1,1":
+        return ObjectiveSpec.partite_density([3, 1, 1])
+    if name == "signed SUM":
+        return ObjectiveSpec.combination([(F(1), (2, 1, 1)), (F(-1, 2), (2, 2))])
+    rng = random.Random(34)
+    return ObjectiveSpec.from_table(4, {g: F(rng.randint(-3, 5), rng.randint(1, 4))
+                                        for g in iso_classes(4)})
+
+
+# one vector without clique mass, one with (at n = 9 its second part is empty)
+FINITE_VECTORS = (PartiteVector([F(1, 2), F(1, 3), F(1, 6)]),
+                  PartiteVector([F(2, 5), F(1, 5)]))
+
+
+@pytest.mark.parametrize("n", [9, 11])
+@pytest.mark.parametrize("name", ["KP 3,1,1", "signed SUM", "table"])
+def test_finite_flip_delta_exact(name, n):
+    """finite_flip_delta is the Lambda change of flipping one pair u in part
+    i1, v in part i2 of the realisation, over C(n-2, k-2)."""
+    spec = _finite_spec(name)
+    for x in FINITE_VECTORS:
+        realised = realise(n, x)
+        g = realised.graph
+        groups = [(i + 1, p) for i, p in enumerate(realised.structure.parts) if p]
+        groups += [(0, realised.structure.v0)] if realised.structure.v0 else []
+        base = big_lambda(spec, g)
+        for (i1, p1), (i2, p2) in itertools.combinations_with_replacement(groups, 2):
+            if p1 == p2 and len(p1) < 2:
+                continue
+            u, v = p1[0], p2[1] if p1 == p2 else p2[0]
+            want = (base - big_lambda(spec, g.flip(u, v))) / comb(n - 2, spec.k - 2)
+            assert finite_flip_delta(spec, realised, i1, i2) == want, (x, i1, i2)
+
+
+@pytest.mark.parametrize("n", [9, 11])
+@pytest.mark.parametrize("name", ["KP 3,1,1", "signed SUM", "table"])
+def test_finite_attach_lambda_vertex_exact(name, n):
+    """finite_attach_lambda_vertex is Lambda(G + u, u) over C(n, k-1) for the
+    vertex u attached by b and j clique neighbours."""
+    spec = _finite_spec(name)
+    for x in FINITE_VECTORS:
+        realised = realise(n, x)
+        s = realised.structure
+        v0 = len(s.v0)
+        for bits in itertools.product((0, 1), repeat=len(s.parts)):
+            b = dict(enumerate(bits, start=1))
+            for j in range(v0 + 1):
+                h = attach(realised.graph, s, b, F(j, v0) if v0 else F(0))
+                want = big_lambda_vertex(spec, h, n) / comb(n, spec.k - 1)
+                assert finite_attach_lambda_vertex(spec, realised, b, j) == want, (x, b, j)

@@ -154,3 +154,51 @@ def test_sturm_root_count_alias():
     assert sturm_root_count(q1, 0, 1) == 1
     h = UPoly([-1, 4, 0, -4, 1])
     assert h.count_roots_open(0, 1) == 1
+
+
+def _sympy_poly(sympy, p: MPoly, gens):
+    """p as a sympy expression in the symbols gens (named like p's variables)."""
+    names = [str(g) for g in gens]
+    index = [names.index(v) for v in p.vars]
+    total = sympy.Integer(0)
+    for e, c in p.terms.items():
+        term = sympy.Rational(c.numerator, c.denominator)
+        for i, d in zip(index, e):
+            term *= gens[i] ** d
+        total += term
+    return total
+
+
+def test_determinants_and_resultants_match_sympy():
+    """Both Bareiss uses, RationalMatrix.det over Fractions and the Sylvester
+    resultant over MPoly, agree with sympy on seeded random inputs."""
+    sympy = pytest.importorskip("sympy")
+    from inducibility.matrices import RationalMatrix
+    rng = random.Random(36)
+
+    def entry():  # zeros often, so pivots need row swaps
+        return F(0) if rng.random() < 0.4 else F(rng.randint(-6, 6), rng.randint(1, 4))
+
+    for _ in range(40):
+        n = rng.randint(1, 6)
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            rows[-1] = [a + 2 * b for a, b in zip(rows[0], rows[1])]
+        want = sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r]
+                             for r in rows]).det()
+        assert RationalMatrix(rows).det() == F(int(want.p), int(want.q)), rows
+
+    gens = sympy.symbols("y z")
+    for _ in range(12):
+        polys = []
+        for _ in range(2):
+            dy = rng.randint(1, 3)
+            terms = {(i, j): entry() for i in range(dy + 1) for j in range(3)}
+            terms[dy, rng.randint(0, 2)] = F(rng.randint(1, 5))
+            polys.append(MPoly(("y", "z"), {e: c for e, c in terms.items() if c}))
+        p, q = polys
+        ours = resultant(p, q, "y")
+        theirs = sympy.Poly(sympy.resultant(_sympy_poly(sympy, p, gens),
+                                            _sympy_poly(sympy, q, gens), gens[0]), *gens)
+        want = MPoly(("y", "z"), {e: F(int(c.p), int(c.q)) for e, c in theirs.terms() if c})
+        assert ours == want.normalized(), (p, q)
