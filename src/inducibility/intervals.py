@@ -1,5 +1,4 @@
-"""Rational interval arithmetic and a certified branch-and-bound upper bound
-for polynomial maxima over boxes.
+"""A certified branch-and-bound upper bound for polynomial maxima over boxes.
 
 ``bb_max_bound`` bounds a polynomial on a box by its Bernstein coefficients
 (Garloff 1986): written in the tensor Bernstein basis of the box, the
@@ -22,58 +21,6 @@ from math import comb, lcm, prod
 from typing import Iterator, Mapping, Sequence
 
 from .polynomials import MPoly, Rat, _frac
-
-
-class RInterval:
-    """Closed interval [lo, hi] with Fraction endpoints."""
-
-    __slots__ = ("lo", "hi")
-
-    def __init__(self, lo: Rat, hi: Rat | None = None):
-        self.lo = _frac(lo)
-        self.hi = self.lo if hi is None else _frac(hi)
-        if self.lo > self.hi:
-            raise ValueError(f"invalid interval [{self.lo}, {self.hi}]")
-
-    def __repr__(self) -> str:
-        return f"[{self.lo}, {self.hi}]"
-
-    def __add__(self, other) -> "RInterval":
-        if isinstance(other, RInterval):
-            return RInterval(self.lo + other.lo, self.hi + other.hi)
-        return RInterval(self.lo + _frac(other), self.hi + _frac(other))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RInterval":
-        return RInterval(-self.hi, -self.lo)
-
-    def __sub__(self, other) -> "RInterval":
-        return self + (-other if isinstance(other, RInterval) else -_frac(other))
-
-    def __rsub__(self, other) -> "RInterval":
-        return (-self) + other
-
-    def __mul__(self, other) -> "RInterval":
-        if isinstance(other, RInterval):
-            cands = (self.lo * other.lo, self.lo * other.hi,
-                     self.hi * other.lo, self.hi * other.hi)
-            return RInterval(min(cands), max(cands))
-        c = _frac(other)
-        if c >= 0:
-            return RInterval(self.lo * c, self.hi * c)
-        return RInterval(self.hi * c, self.lo * c)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> "RInterval":
-        if n == 0:
-            return RInterval(1)
-        if n % 2 == 1 or self.lo >= 0:
-            return RInterval(self.lo**n, self.hi**n)
-        if self.hi <= 0:
-            return RInterval(self.hi**n, self.lo**n)
-        return RInterval(0, max(self.lo**n, self.hi**n))
 
 
 def _fibres(dims: tuple[int, ...], axis: int) -> Iterator[slice]:

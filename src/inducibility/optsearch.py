@@ -389,12 +389,11 @@ class KstResult:
 
 
 def _fst_value(s: int, t: int, a_lo: Fraction, a_hi: Fraction) -> tuple[Fraction, Fraction]:
-    from .intervals import RInterval
-
-    a = RInterval(a_lo, a_hi)
-    one = RInterval(1) - a
-    enc = a**s * one**t + a**t * one**s
-    return enc.lo, enc.hi
+    """Enclosure of a^s(1-a)^t + a^t(1-a)^s for a in [a_lo, a_hi] inside [0, 1]:
+    a and 1 - a are nonnegative there, so each term is monotone in the ends."""
+    b_lo, b_hi = 1 - a_hi, 1 - a_lo
+    return (a_lo**s * b_lo**t + a_lo**t * b_lo**s,
+            a_hi**s * b_hi**t + a_hi**t * b_hi**s)
 
 
 def kst_maximiser(s: int, t: int, width: Fraction = Fraction(1, 2**40)) -> KstResult:

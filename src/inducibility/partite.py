@@ -1,15 +1,24 @@
 """The partite limit space: finite-support vectors x_1 >= x_2 >= ... > 0 with
-sum <= 1 and clique mass x_0 = 1 - sum, their n-vertex realisations,
-elementary symmetric polynomials, the draw-multiset sampling kernel
-(draw_sum) and its counting twin over realisations (pick_sum), the exact
-sampling value lambda(x) as the expectation of draw_sum, the
-closed-form complete partite densities, exact counts of complete partite
-patterns inside complete partite hosts, and the limit edit distance.
+sum <= 1 and clique mass x_0 = 1 - sum, their n-vertex realisations, the
+draw-multiset sampling kernel (draw_sum) and its counting twin over
+realisations (pick_sum), the exact sampling value lambda(x) as the
+expectation of draw_sum, one generating-function kernel (CompiledPattern)
+for complete partite counts, densities and elementary symmetric sums, and
+the limit edit distance.
 
 The sampling model: draw k independent indices with P(i) = x_i (0 for the
 clique), and join two draws iff their indices differ or both are 0. Every
 pattern arising this way is complete partite, which is what makes the closed
 form and the fast partition-keyed evaluation possible.
+
+The kernel: with d_j the distinct part sizes of a pattern K_a and c_j their
+counts, each pattern part goes into a distinct host part, so the placements
+are the coefficient of prod_j z_j^{c_j} in a product of one factor
+(1 + sum_j w_j z_j) per host part. With w_j = C(s, d_j) for a host part of
+size s this counts induced copies; with w_j = x_i^{d_j}/d_j! for a limit
+part and the clique factor sum_e x0^e/e! z^e (size-1 variable), k! times the
+coefficient is p(K_a, x); with w_j = x_i^{d_j} and prod_j c_j! in front it
+is the elementary symmetric sum S_d(x).
 """
 
 from __future__ import annotations
@@ -123,26 +132,17 @@ class SymmetricIndex:
 
 
 def elementary_symmetric(x: PartiteVector, idx: SymmetricIndex) -> Fraction:
-    """S^I_d(x): sum over distinct part indices outside I of prod x_{i_j}^{d_j}."""
+    """S^I_d(x): sum over distinct part indices outside I of prod x_{i_j}^{d_j}.
+
+    With d_j the distinct exponents and c_j their counts, this is prod_j c_j!
+    times the coefficient of prod_j z_j^{c_j} in prod_{i not in I} (1 + sum_j
+    x_i^{d_j} z_j) (see CompiledPattern). The empty index gives 1, and fewer
+    allowed parts than exponents give 0.
+    """
+    d = tuple(sorted(idx.exponents, reverse=True))
+    pattern = _compiled(d)
     allowed = [p for i, p in enumerate(x.parts, start=1) if i not in idx.excluded]
-    return _sym_sum(allowed, idx.exponents)
-
-
-def _sym_sum(values: Sequence, exponents: Sequence[int]):
-    """Sum over ordered tuples of distinct positions of prod v^d (generic ring)."""
-    t = len(exponents)
-    if t == 0:
-        return Fraction(1)
-    m = len(values)
-    if m < t:
-        return Fraction(0)
-    total = Fraction(0)
-    for tup in itertools.permutations(range(m), t):
-        prod = Fraction(1)
-        for pos, d in zip(tup, exponents):
-            prod = prod * values[pos] ** d
-        total = total + prod
-    return total
+    return pattern.coefficient(_part_factors(pattern, allowed, pow)) / sym_coefficient(d)
 
 
 def sym_coefficient(a: Sequence[int]) -> Fraction:
@@ -343,21 +343,29 @@ def density_polynomial(a: Sequence[int], m: int) -> MPoly:
 def _closed_form(a: Sequence[int], x0, parts: Sequence):
     """Ring-generic body of the closed form (Fraction parts or MPoly variables).
 
-    Each term chooses s of the l - t singleton parts to be clique draws, so
-    it carries a C(l-t, s) factor alongside x0^s; without it the formula
-    disagrees with the sampling expectation as soon as several singleton
-    parts meet positive clique mass.
+    With d_j the distinct part sizes of a, c_j their counts and k = sum(a),
+
+        p(K_a, x) = k! [prod_j z_j^{c_j}] E(x0) prod_{i>=1} (1 + sum_j x_i^{d_j}/d_j! z_j):
+
+    part i takes at most one pattern part, of size d_j with weight x_i^{d_j}/d_j!.
+    The clique factor E(x0) = sum_e x0^e/e! z^e, in the variable of size 1, is
+    the limit of m host parts of weight x0/m each; it places e singleton
+    pattern parts in the clique and is present only when 1 is a part size.
+    Equal parts share one factor (see CompiledPattern).
     """
     a = _norm_partition(a)
-    ell = len(a)
-    t = sum(1 for v in a if v >= 2)
-    total = Fraction(0)
-    for s in range(ell - t + 1):
-        term = comb(ell - t, s) * _sym_sum(parts, a[: ell - s])
-        if s:
-            term = term * x0**s
-        total = total + term
-    return Fraction(_multinomial(sum(a), a)) * sym_coefficient(a) * total
+    pattern = _compiled(a)
+    factors = _part_factors(pattern, parts, lambda p, d: p**d * Fraction(1, factorial(d)))
+    if pattern.sizes[-1] == 1:
+        factors.append(pattern.clique(x0))
+    return factorial(sum(a)) * pattern.coefficient(factors)
+
+
+def _part_factors(pattern: "CompiledPattern", parts: Sequence, weight: Callable) -> list:
+    """One CompiledPattern factor per run of equal limit parts, in which a
+    pattern part of size d has weight(p, d) placements in a part of value p."""
+    return [pattern.factor([weight(p, d) for d in pattern.sizes], len(list(run)))
+            for p, run in itertools.groupby(parts)]
 
 
 # ---------------------------------------------------------------------------
@@ -365,23 +373,26 @@ def _closed_form(a: Sequence[int], x0, parts: Sequence):
 # ---------------------------------------------------------------------------
 
 class CompiledPattern:
-    """The generating function of induced copies of K_a in complete partite hosts.
+    """The generating function of placements of K_a in complete partite hosts.
 
     Write d_1 > ... > d_r for the distinct part sizes of the pattern and c_j
     for their counts. A k-subset of a complete partite host induces K_a iff
     its nonzero intersections with the host parts realise a, each pattern part
-    inside a distinct host part. A host group of m parts of size s therefore
-    contributes the factor (1 + sum_j C(s, d_j) z_j)^m, and the number of
-    induced copies is the coefficient of prod_j z_j^{c_j} in the product of
-    the factors of all host groups.
+    inside a distinct host part. A group of m host parts, in each of which a
+    pattern part of size d_j has w_j placements, therefore contributes the
+    factor (1 + sum_j w_j z_j)^m, and the placements of the whole pattern are
+    the coefficient of prod_j z_j^{c_j} in the product of the factors of all
+    groups. With w_j = C(s, d_j) for host parts of size s this counts induced
+    copies (count_partite); with real weights it gives the limit densities and
+    elementary symmetric sums (_closed_form, elementary_symmetric).
 
     Polynomials are kept truncated to the exponent vectors e <= c, stored as
-    integer lists indexed by the mixed-radix rank of e (e = 0 first, e = c
-    last). The rank is additive, so the product of z^e and z^f sits at the
-    sum of their ranks.
+    lists indexed by the mixed-radix rank of e (e = 0 first, e = c last, the
+    exponent of d_r least significant). The rank is additive, so the product
+    of z^e and z^f sits at the sum of their ranks.
     """
 
-    __slots__ = ("sizes", "states", "_pairs")
+    __slots__ = ("sizes", "states", "_pairs", "_picks")
 
     def __init__(self, a: tuple[int, ...]):
         self.sizes = sorted(set(a), reverse=True)
@@ -391,46 +402,66 @@ class CompiledPattern:
                        for i, e in enumerate(self.states)
                        for j, f in enumerate(self.states)
                        if all(x + y <= c for x, y, c in zip(e, f, caps))]
+        self._picks = [(sum(e), prod(map(factorial, e))) for e in self.states]
 
     def one(self) -> list[int]:
         """The empty product."""
         return [1] + [0] * (len(self.states) - 1)
 
-    def factor(self, size: int, mult: int) -> list[int]:
-        """(1 + sum_j C(size, d_j) z_j)^mult, truncated: the coefficient of z^e
-        counts the ways to place e_j pattern parts of size d_j in distinct
-        host parts of this group, mult!/((mult - |e|)! prod e_j!) ways to pick
-        the host parts times prod C(size, d_j)^{e_j} to pick the vertices."""
-        binoms = [comb(size, d) for d in self.sizes]
+    def factor(self, weights: Sequence, mult: int) -> list:
+        """(1 + sum_j weights[j] z_j)^mult, truncated: the coefficient of z^e
+        places e_j pattern parts of size d_j in distinct parts of the group,
+        in mult!/((mult - |e|)! prod e_j!) ways to pick the parts (an integer,
+        computed first) times prod weights[j]^{e_j} ways to place them."""
         out = []
-        for e in self.states:
-            used = sum(e)
+        for e, (used, denom) in zip(self.states, self._picks):
             if used > mult:
                 out.append(0)
                 continue
-            ways = perm(mult, used)
-            for cnt, b in zip(e, binoms):
-                ways = ways // factorial(cnt) * b**cnt
+            ways = perm(mult, used) // denom
+            for cnt, w in zip(e, weights):
+                if cnt:
+                    ways = ways * w**cnt
             out.append(ways)
         return out
 
-    def times(self, poly: list[int], factor: list[int]) -> list[int]:
+    def clique(self, x0) -> list:
+        """sum_e x0^e/e! z^e in the variable of size 1, truncated: the limit
+        of (1 + x0/m z)^m, m host parts of weight x0/m each. Needs 1 as a
+        part size; its exponent is the least significant digit of the rank."""
+        c = self.states[-1][-1]
+        return ([x0**e * Fraction(1, factorial(e)) for e in range(c + 1)]
+                + [0] * (len(self.states) - c - 1))
+
+    def times(self, poly: list, factor: list) -> list:
         """The truncated product poly * factor."""
         out = [0] * len(poly)
         for i, j, t in self._pairs:
             out[t] += poly[i] * factor[j]
         return out
 
-    def top(self, poly: list[int], factor: list[int]) -> int:
+    def top(self, poly: list, factor: list):
         """The coefficient of z^c in poly * factor: the count once factor's
         group completes the host."""
         return sum(map(mul, poly, reversed(factor)))
+
+    def coefficient(self, factors: Sequence[list]):
+        """The coefficient of z^c in the product of factors."""
+        poly = self.one()
+        for f in factors[:-1]:
+            poly = self.times(poly, f)
+        return self.top(poly, factors[-1]) if factors else poly[-1]
 
 
 @lru_cache(maxsize=256)
 def _compiled(a: tuple[int, ...]) -> CompiledPattern:
     """The CompiledPattern of a sorted partition, built once per process."""
     return CompiledPattern(a)
+
+
+def _host_factor(pattern: CompiledPattern, size: int, mult: int) -> list[int]:
+    """The factor of mult host parts of the given size: C(size, d_j) placements."""
+    return pattern.factor([comb(size, d) for d in pattern.sizes], mult)
 
 
 def count_partite(a: Sequence[int], shape: CompletePartiteShape) -> int:
@@ -441,13 +472,7 @@ def count_partite(a: Sequence[int], shape: CompletePartiteShape) -> int:
     product, so millions of singleton parts are as cheap as one.
     """
     pattern = _compiled(_norm_partition(a))
-    if not shape.counts:
-        return 0
-    *groups, last = shape.counts
-    poly = pattern.one()
-    for size, mult in groups:
-        poly = pattern.times(poly, pattern.factor(size, mult))
-    return pattern.top(poly, pattern.factor(*last))
+    return pattern.coefficient([_host_factor(pattern, s, m) for s, m in shape.counts])
 
 
 def partition_counts(patterns: Sequence[Sequence[int]], n: int):
@@ -462,7 +487,7 @@ def partition_counts(patterns: Sequence[Sequence[int]], n: int):
     group of size >= 2 and one top coefficient for its singletons.
     """
     compiled = [_compiled(_norm_partition(a)) for a in patterns]
-    tables = [{(s, m): p.factor(s, m) for s in range(1, n + 1) for m in range(n // s + 1)}
+    tables = [{(s, m): _host_factor(p, s, m) for s in range(1, n + 1) for m in range(n // s + 1)}
               for p in compiled]
     groups: list[tuple[int, int]] = []
 

@@ -215,14 +215,7 @@ class UPoly:
             raise ValueError("root counting for the zero polynomial")
         if lo >= hi:
             return 0
-        chain = self.sturm_chain()
-
-        def variations(x: Fraction) -> int:
-            signs = [p(x) for p in chain]
-            signs = [s for s in signs if s != 0]
-            return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
-
-        return variations(lo) - variations(hi)
+        return _chain_count(self.sturm_chain(), lo, hi)
 
     def count_roots_open(self, lo: Rat, hi: Rat) -> int:
         """Distinct real roots in the open interval (lo, hi)."""
@@ -241,11 +234,12 @@ class UPoly:
         lo, hi = _frac(lo), _frac(hi)
         if self.is_zero():
             raise ValueError("root isolation for the zero polynomial")
-        f = self.squarefree_part()
+        chain = self.sturm_chain()
+        f = chain[0]
         out: list[tuple[Fraction, Fraction]] = []
 
         def rec(a: Fraction, b: Fraction) -> None:
-            n = f.count_roots_open(a, b)
+            n = _chain_count(chain, a, b) - (f(b) == 0)
             if n == 0:
                 return
             m = (a + b) / 2
@@ -305,6 +299,15 @@ class UPoly:
                 if self((left + right) / 2) < 0:
                     return False
         return True
+
+
+def _chain_count(chain: Sequence[UPoly], lo: Fraction, hi: Fraction) -> int:
+    """UPoly.count_roots of chain[0] on (lo, hi], lo < hi, from its Sturm chain."""
+    def variations(x: Fraction) -> int:
+        signs = [s for s in (p(x) for p in chain) if s != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+
+    return variations(lo) - variations(hi)
 
 
 def sturm_root_count(p: UPoly, lo: Rat, hi: Rat) -> int:
@@ -688,10 +691,12 @@ class AlgebraicNumber:
         if d.degree >= 1 and d.count_roots(self.lo, self.hi) == 1:
             return 0
         lo, hi = self.lo, self.hi
+        chain = g.sturm_chain()
         while True:
             vlo, vhi = g(lo), g(hi)
             # g has no root at alpha; shrink until g is sign-constant on [lo, hi]
-            if vlo != 0 and vhi != 0 and (vlo > 0) == (vhi > 0) and g.count_roots(lo, hi) == 0:
+            if (vlo != 0 and vhi != 0 and (vlo > 0) == (vhi > 0)
+                    and _chain_count(chain, lo, hi) == 0):
                 return 1 if vlo > 0 else -1
             lo, hi = self.poly.refine_root(lo, hi, (hi - lo) / 4)
             if lo == hi:

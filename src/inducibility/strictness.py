@@ -228,8 +228,6 @@ class FiniteStrictnessReport:
 
 def finite_strictness_check(spec: ObjectiveSpec, x: PartiteVector, n: int) -> FiniteStrictnessReport:
     """Evaluate both finite-n strictness conditions on the realisation of x."""
-    if n > 64:
-        raise ValueError("finite check limited to n <= 64")
     realised = realise(n, x)
     structure = realised.structure
     lam = lambda_of_shape(spec, structure.shape())

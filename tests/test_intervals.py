@@ -4,18 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from inducibility.intervals import BernsteinForm, RInterval, bb_max_bound
+from inducibility.intervals import BernsteinForm, bb_max_bound
 from inducibility.polynomials import MPoly
-
-
-def test_interval_arithmetic():
-    a = RInterval(F(-1), F(2))
-    assert (a * a).lo == -2 and (a * a).hi == 4
-    assert (a**2).lo == 0 and (a**2).hi == 4
-    assert (a**3).lo == -1 and (a**3).hi == 8
-    assert (a + 1).lo == 0
-    assert (1 - a).lo == -1 and (1 - a).hi == 2
-    assert (a * F(-2)).lo == -4
 
 
 def test_bernstein_enclosure_contains_samples():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 from math import comb, sqrt
@@ -151,6 +152,22 @@ def test_kst_14_algebraic():
     assert UPoly([1, -6, 6]).count_roots(lo, hi) == 1
     # strict bound 1 - alpha > 1/(t+1)
     assert hi < F(4, 5)
+
+
+@pytest.mark.parametrize("s, t, digest", [
+    (1, 4, "db7d0a7a6a0f3be2"),
+    (1, 9, "d48fa1a14558490e"),
+    (2, 10, "46f022a8dc9723e2"),
+])
+def test_kst_irrational_value_enclosures_pinned(s, t, digest):
+    """The exact enclosure of the value at an irrational maximiser is pinned
+    by the sha256 of its two Fractions; it is narrow and, for (1, 4), holds
+    the exact value 5/12."""
+    lo, hi = kst_maximiser(s, t).i_value
+    assert hashlib.sha256(f"{lo} {hi}".encode()).hexdigest()[:16] == digest
+    assert 0 < hi - lo < F(1, 10**11)
+    if (s, t) == (1, 4):
+        assert lo < F(5, 12) < hi
 
 
 def test_kst_25_rational_root():

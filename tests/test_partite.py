@@ -1,6 +1,7 @@
+import itertools
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, factorial, perm, prod
 
 import pytest
 
@@ -69,16 +70,36 @@ def test_realisation_error_bound():
             assert abs(len(part) - x.parts[i] * n) < 1
 
 
+def _permutation_sum(values, exponents):
+    """S_d by definition: prod v^d over ordered tuples of distinct positions."""
+    return sum((prod(values[i] ** d for i, d in zip(tup, exponents))
+                for tup in itertools.permutations(range(len(values)), len(exponents))), F(0))
+
+
 def test_elementary_symmetric():
     half = PartiteVector([F(1, 2), F(1, 2)])
     assert elementary_symmetric(half, SymmetricIndex((2,))) == F(1, 2)
     assert elementary_symmetric(half, SymmetricIndex((2, 1))) == F(1, 4)
     assert elementary_symmetric(half, SymmetricIndex((2,), frozenset({1}))) == F(1, 4)
+    assert elementary_symmetric(PartiteVector.zero(), SymmetricIndex(())) == 1
+    assert elementary_symmetric(PartiteVector.uniform(2), SymmetricIndex((1, 1, 1))) == 0
     rng = random.Random(13)
     for _ in range(30):
         x = rand_vector(rng)
         d = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
         assert elementary_symmetric(x, SymmetricIndex(d)) <= 1
+    # against the definition: exponents with repeats, exclusions (some outside
+    # the support), the empty index, equal parts and supports shorter than d
+    rng = random.Random(47)
+    for _ in range(150):
+        m = rng.randint(0, 7)
+        pool = [F(rng.randint(1, 6), 7 * 8) for _ in range(3)]
+        x = PartiteVector(sorted((rng.choice(pool) for _ in range(m)), reverse=True))
+        d = tuple(rng.choice((1, 1, 2, 3)) for _ in range(rng.randint(0, 5)))
+        excluded = frozenset(rng.sample(range(1, 10), rng.randint(0, 3)))
+        allowed = [p for i, p in enumerate(x.parts, start=1) if i not in excluded]
+        assert elementary_symmetric(x, SymmetricIndex(d, excluded)) == \
+            _permutation_sum(allowed, d), (x, d, excluded)
 
 
 def test_lambda_of_vector_headline_values(spec_k2111, spec_k311):
@@ -106,6 +127,32 @@ def test_density_equals_enumeration():
         for a, spec in specs.items():
             assert lambda_of_vector(spec, x) == density_formula(a, x) \
                 == sampling_density(a, x), (a, x)
+
+
+@pytest.mark.parametrize("r", [1, 2, 8, 40])
+def test_density_formula_on_uniform_vectors(r):
+    """p(K_a, uniform(r)) = k! perm(r, l) / (prod a_i! prod c_j! r^k)."""
+    x = PartiteVector.uniform(r)
+    for k in range(1, 7):
+        for a in partitions_of(k):
+            denom = prod(factorial(v) for v in a) * \
+                prod(factorial(a.count(v)) for v in set(a)) * r**k
+            assert density_formula(a, x) == F(factorial(k) * perm(r, len(a)), denom), a
+
+
+def test_density_formula_matches_sampling_on_many_parts():
+    """The generating function agrees with the sampling model on vectors with
+    8 to 10 parts, with and without clique mass."""
+    rng = random.Random(48)
+    for _ in range(6):
+        m = rng.randint(8, 10)
+        d = rng.randint(m, 3 * m)
+        parts = [F(rng.randint(1, 4), 4 * d) for _ in range(m)]
+        if rng.random() < 0.5:
+            parts = [p / sum(parts) for p in parts]
+        x = PartiteVector(sorted(parts, reverse=True))
+        for a in rng.sample(partitions_of(3) + partitions_of(4) + partitions_of(5), 5):
+            assert density_formula(a, x) == sampling_density(a, x), (a, x)
 
 
 def test_lambda_free_rings_match_lambda_of_vector(spec_c4):

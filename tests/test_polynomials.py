@@ -202,3 +202,67 @@ def test_determinants_and_resultants_match_sympy():
                                             _sympy_poly(sympy, q, gens), gens[0]), *gens)
         want = MPoly(("y", "z"), {e: F(int(c.p), int(c.q)) for e, c in theirs.terms() if c})
         assert ours == want.normalized(), (p, q)
+
+
+def test_isolate_roots_builds_one_sturm_chain(monkeypatch):
+    """Isolating the 9 roots in (0, 2) of prod (x - (2i-1)/10) * (x - 5)
+    builds f's Sturm chain once, not once per bisection interval."""
+    calls = []
+    chain = UPoly.sturm_chain
+    monkeypatch.setattr(UPoly, "sturm_chain", lambda self: calls.append(1) or chain(self))
+    p = UPoly([-5, 1])
+    for i in range(1, 10):
+        p = p * UPoly([-F(2 * i - 1, 10), 1])
+    boxes = p.isolate_roots(0, 2)
+    assert len(calls) == 1
+    assert boxes == [(F(0), F(1, 4)), (F(1, 4), F(3, 8)), (F(1, 2), F(1, 2)),
+                     (F(5, 8), F(3, 4)), (F(3, 4), F(1)), (F(1), F(5, 4)),
+                     (F(5, 4), F(11, 8)), (F(3, 2), F(3, 2)), (F(13, 8), F(7, 4))]
+
+
+def test_algebraic_sign_builds_one_sturm_chain(monkeypatch):
+    """sign_of builds g's chain once however often it refines alpha."""
+    sqrt2 = AlgebraicNumber(UPoly([-2, 0, 1]), F(1), F(2))
+    calls = []
+    chain = UPoly.sturm_chain
+    monkeypatch.setattr(UPoly, "sturm_chain", lambda self: calls.append(1) or chain(self))
+    # g has roots 1.414213 and 1.414214 on both sides of sqrt2: g > 0 at the ends
+    # of every interval around both, so each refinement asks for a root count
+    g = UPoly([-F(1414213, 10**6), 1]) * UPoly([-F(1414214, 10**6), 1])
+    assert sqrt2.sign_of(g) == -1
+    assert len(calls) == 1
+
+
+def test_sturm_counts_match_sympy():
+    """count_roots, count_roots_open and isolate_roots agree with sympy's
+    exact real roots on seeded polynomials whose rational roots sit at both
+    interval ends and inside, with repeated factors and irrational roots."""
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    rng = random.Random(51)
+    for _ in range(60):
+        lo = F(rng.randint(-6, 2), rng.randint(1, 3))
+        hi = lo + F(rng.randint(1, 8), rng.randint(1, 3))
+        roots = [F(rng.randint(-20, 20), rng.randint(1, 6)) for _ in range(rng.randint(0, 3))]
+        roots += rng.sample([lo, hi, (lo + hi) / 2], rng.randint(0, 3))
+        p = UPoly([rng.choice([-3, -1, 2, 5])])
+        for r in roots:
+            p = p * UPoly([-r, 1]) ** rng.choice([1, 1, 2])
+        if rng.random() < 0.6:   # a quadratic factor, often with irrational roots
+            p = p * UPoly([rng.randint(-9, 9), rng.randint(-4, 4), 1])
+        expr = sum(sympy.Rational(c.numerator, c.denominator) * x**i
+                   for i, c in enumerate(p.coeffs))
+        real = set(sympy.real_roots(sympy.Poly(expr, x)))
+        a, b = sympy.Rational(lo.numerator, lo.denominator), \
+            sympy.Rational(hi.numerator, hi.denominator)
+        assert p.count_roots(lo, hi) == sum(1 for r in real if a < r <= b), p
+        inside = [r for r in real if a < r < b]
+        assert p.count_roots_open(lo, hi) == len(inside), p
+        boxes = p.isolate_roots(lo, hi)
+        assert len(boxes) == len(inside), p
+        for r in inside:
+            hits = [(u, v) for u, v in boxes
+                    if (u == v and r == sympy.Rational(u.numerator, u.denominator))
+                    or (u < v and sympy.Rational(u.numerator, u.denominator) < r
+                        < sympy.Rational(v.numerator, v.denominator))]
+            assert len(hits) == 1, (p, r)

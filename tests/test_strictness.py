@@ -145,16 +145,16 @@ def test_finite_strictness_k22(spec_c4):
 
 
 def test_finite_strictness_converges(spec_c4):
-    """c(n) approaches its limit within a fitted C/n over n = 16, 32, 64."""
+    """c(n) approaches its limit within a fitted C/n over n = 16, ..., 256."""
     k = spec_c4.k
     c1_lim, _ = check_str1(spec_c4, HALF)
     c2_lim, _ = check_str2(spec_c4, HALF)
     lim = min(k * (k - 1) * c1_lim, c2_lim)
     errs = {}
-    for n in (16, 32, 64):
+    for n in (16, 32, 64, 128, 256):
         rep = finite_strictness_check(spec_c4, HALF, n)
         assert rep.c > 0
         errs[n] = abs(rep.c - lim)
     c_fit = 16 * errs[16]
-    assert errs[32] <= 2 * c_fit / 32 + F(1, 10**9)
-    assert errs[64] <= 2 * c_fit / 64 + F(1, 10**9)
+    for n in (32, 64, 128, 256):
+        assert errs[n] <= 2 * c_fit / n + F(1, 10**9)
