@@ -10,9 +10,10 @@ from .objectives import (ObjectiveSpec, big_lambda, big_lambda_vertex,
                          partitions_of)
 from .partite import (PartiteVector, RealisedPartite, SymmetricIndex, count_partite,
                       density_formula, edit_distance_vectors, elementary_symmetric,
-                      lambda_of_shape, lambda_of_vector, realisation_shape, realise)
+                      lambda_gradient, lambda_of_shape, lambda_of_vector, realisation_shape,
+                      realise)
 from .perturbation import (AttachmentPattern, AttachValue, CompareReport,
-                           DiagnosticBounds, attach_value, compare_bounds,
+                           DiagnosticBounds, attach_value, clone_values, compare_bounds,
                            flip_gradient, lagrange_residual, pair_density,
                            partial_derivative, pattern_e, vertex_gradient)
 from .symmetrise import (SymmetrisationError, SymmetrisationTrace, symmetrise_full,

@@ -24,8 +24,7 @@ from .graphs import CANON_MAX, Graph, parse_graph_text, write_graph_text
 from .objectives import ObjectiveSpec, lambda_graph, brute_lambda_max
 from .partite import PartiteVector, edit_distance_vectors, lambda_of_vector
 from .polynomials import parse_rational
-from .perturbation import (AttachmentPattern, attach_value, flip_gradient,
-                           lagrange_residual, pattern_e, vertex_gradient)
+from .perturbation import AttachmentPattern, clone_values, flip_gradient, vertex_gradient
 from .symmetrise import SymmetrisationError, symmetrise_full, symmetrise_vertex
 from .strictness import strictness_certificate
 from .optsearch import continuous_opt, finite_opt
@@ -267,10 +266,10 @@ def cmd_gradients(args) -> int:
         for i2 in x.supp_star:
             if i2 >= i1:
                 flips[f"{i1},{i2}"] = str(flip_gradient(spec, x, i1, i2))
-    clones = {}
-    for i in x.supp_star:
-        clones[str(i)] = str(attach_value(spec, x, pattern_e(i, x)).value)
-    res = lagrange_residual(spec, x)
+    clone = clone_values(spec, x)
+    lam = lambda_of_vector(spec, x)
+    res = max(abs(v - lam) for v in clone.values())
+    clones = {str(i): str(v) for i, v in clone.items()}
     extras = {}
     for pat in args.pattern or []:
         vg = vertex_gradient(spec, x, _parse_pattern(pat))

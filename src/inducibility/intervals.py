@@ -89,6 +89,7 @@ class BBResult:
     sample_max: Fraction     # best feasible sample value found (lower bound)
     conclusive: bool         # upper - sample_max <= tol achieved within budget
     boxes: int
+    empty: bool = False      # every box was discarded: the region is infeasible
 
     def __bool__(self) -> bool:  # truthy when the bound is tolerance-certified
         return self.conclusive
@@ -101,6 +102,9 @@ def bb_max_bound(poly: MPoly, box: Mapping[str, tuple[Rat, Rat]], tol: Rat,
 
     Returns U with U >= true max always; when ``conclusive`` also
     U - true max <= tol. Constraints are polynomials required to be <= 0.
+    When some constraint is > 0 on every box, the region is empty: the
+    result has ``empty`` set, with upper = sample_max = 0 and ``conclusive``
+    false.
 
     Each box is bounded by the largest Bernstein coefficient of ``poly`` on
     it. A constraint whose smallest coefficient is > 0 discards the box; one
@@ -157,4 +161,4 @@ def bb_max_bound(poly: MPoly, box: Mapping[str, tuple[Rat, Rat]], tol: Rat,
             push(child, halves[0][side], [(g, h[side]) for (g, _), h in zip(active, halves[1:])])
             boxes += 1
     # heap empty: the whole region was infeasible
-    return BBResult(Fraction(0), Fraction(0), False, boxes)
+    return BBResult(Fraction(0), Fraction(0), False, boxes, empty=True)

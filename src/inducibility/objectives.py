@@ -37,7 +37,8 @@ def partition_is_clique(a: Sequence[int]) -> bool:
 class ObjectiveSpec:
     """gamma: canonical key of a k-vertex graph -> exact rational."""
 
-    __slots__ = ("k", "gamma", "gamma_max", "provenance", "eligible", "label", "_code_table")
+    __slots__ = ("k", "gamma", "gamma_max", "provenance", "eligible", "label", "_code_table",
+                 "_partition_values")
 
     def __init__(self, k: int, gamma: Mapping[bytes, Fraction],
                  provenance: tuple, eligible: bool, label: str):
@@ -52,6 +53,7 @@ class ObjectiveSpec:
         self.eligible = eligible
         self.label = label
         self._code_table = _CodeTable(k, self.gamma)
+        self._partition_values: dict[tuple[int, ...], Fraction] | None = None
 
     def __repr__(self) -> str:
         return f"ObjectiveSpec({self.label!r}, k={self.k})"
@@ -117,8 +119,15 @@ class ObjectiveSpec:
         return self.gamma_of(Graph.complete_partite(a))
 
     def partition_values(self) -> dict[tuple[int, ...], Fraction]:
-        """gamma on every complete partite class, keyed by partition of k."""
-        return {a: self.on_complete_partite(a) for a in partitions_of(self.k)}
+        """gamma on every complete partite class, keyed by partition of k.
+
+        Built on the first call and shared by every later one, so callers
+        must not mutate it.
+        """
+        if self._partition_values is None:
+            self._partition_values = {a: self.on_complete_partite(a)
+                                      for a in partitions_of(self.k)}
+        return self._partition_values
 
 
 class _CodeTable(dict):

@@ -1,15 +1,16 @@
 """The partite limit space: finite-support vectors x_1 >= x_2 >= ... > 0 with
 sum <= 1 and clique mass x_0 = 1 - sum, their n-vertex realisations, the
 draw-multiset sampling kernel (draw_sum) and its counting twin over
-realisations (pick_sum), the exact sampling value lambda(x) as the
-expectation of draw_sum, one generating-function kernel (CompiledPattern)
-for complete partite counts, densities and elementary symmetric sums, and
-the limit edit distance.
+realisations (pick_sum), one generating-function kernel (CompiledPattern)
+for complete partite counts, densities and elementary symmetric sums, the
+exact sampling value lambda(x) and its gradient (lambda_gradient) from that
+kernel, and the limit edit distance.
 
 The sampling model: draw k independent indices with P(i) = x_i (0 for the
 clique), and join two draws iff their indices differ or both are 0. Every
-pattern arising this way is complete partite, which is what makes the closed
-form and the fast partition-keyed evaluation possible.
+pattern arising this way is complete partite, so lambda(x) is the sum over
+the partitions a of k of gamma(K_a) p(K_a, x), each density read from the
+kernel; draw_sum stays the independent reference (sampling_density).
 
 The kernel: with d_j the distinct part sizes of a pattern K_a and c_j their
 counts, each pattern part goes into a distinct host part, so the placements
@@ -218,7 +219,7 @@ def realise(n: int, x: PartiteVector) -> RealisedPartite:
 
 
 # ---------------------------------------------------------------------------
-# The sampling kernel and lambda(x) as its expectation
+# The sampling kernel and its counting twin
 # ---------------------------------------------------------------------------
 
 def _multinomial(k: int, counts: Iterable[int]) -> int:
@@ -284,32 +285,6 @@ def _multiset_sum(keys: Sequence, k: int, weight: Callable[[dict], object],
     return Fraction(0) if total is None else total
 
 
-def _draw_pattern(counts: Mapping[int, int]) -> tuple[int, ...]:
-    """The partition of the complete partite pattern of a draw multiset: the
-    repeat counts of the nonzero indices plus one singleton per zero draw."""
-    parts = [c for i, c in counts.items() if i] + [1] * counts.get(0, 0)
-    return tuple(sorted(parts, reverse=True))
-
-
-def lambda_of_vector(spec: ObjectiveSpec, x: PartiteVector) -> Fraction:
-    """Exact E[gamma(pattern of k independent draws from x)]."""
-    return lambda_free(spec, x.x0, x.parts)
-
-
-def lambda_free(spec: ObjectiveSpec, clique_weight, part_weights: Sequence) -> object:
-    """The same expectation with free (unnormalised) weights.
-
-    Generic in the weight ring: Fractions give the exact value, floats give
-    the numeric free form used for finite-difference cross-checks, and MPoly
-    weights give lambda as a polynomial. The result is the homogeneous
-    degree-k free form of lambda; on the simplex it equals lambda_of_vector.
-    Zero weights are never drawn, so they are left out of the enumeration.
-    """
-    weights = {i: w for i, w in enumerate([clique_weight, *part_weights]) if w != 0}
-    values = spec.partition_values()
-    return draw_sum(spec.k, weights, lambda counts: values[_draw_pattern(counts)])
-
-
 # ---------------------------------------------------------------------------
 # Closed form (complete partite density of K_{a_1,...,a_l})
 # ---------------------------------------------------------------------------
@@ -318,11 +293,16 @@ def sampling_density(a: Sequence[int], x: PartiteVector) -> Fraction:
     """p(K_a, x) straight from the sampling model, without a gamma table.
 
     Dual route to density_formula: enumerate draw multisets and test whether
-    the pattern partition equals a.
+    the pattern partition equals a. A multiset's pattern has one part per
+    nonzero index, of its repeat count, and one singleton per clique draw.
     """
     a = _norm_partition(a)
-    return draw_sum(sum(a), x.draw_weights(),
-                    lambda counts: 1 if _draw_pattern(counts) == a else 0)
+
+    def hit(counts):
+        parts = [c for i, c in counts.items() if i] + [1] * counts.get(0, 0)
+        return 1 if tuple(sorted(parts, reverse=True)) == a else 0
+
+    return draw_sum(sum(a), x.draw_weights(), hit)
 
 
 def density_formula(a: Sequence[int], x: PartiteVector) -> Fraction:
@@ -355,10 +335,15 @@ def _closed_form(a: Sequence[int], x0, parts: Sequence):
     """
     a = _norm_partition(a)
     pattern = _compiled(a)
-    factors = _part_factors(pattern, parts, lambda p, d: p**d * Fraction(1, factorial(d)))
+    factors = _part_factors(pattern, parts, _limit_weight)
     if pattern.sizes[-1] == 1:
         factors.append(pattern.clique(x0))
     return factorial(sum(a)) * pattern.coefficient(factors)
+
+
+def _limit_weight(p, d: int):
+    """p^d/d!: the weight of a pattern part of size d in a limit part of value p."""
+    return p**d * Fraction(1, factorial(d))
 
 
 def _part_factors(pattern: "CompiledPattern", parts: Sequence, weight: Callable) -> list:
@@ -366,6 +351,68 @@ def _part_factors(pattern: "CompiledPattern", parts: Sequence, weight: Callable)
     pattern part of size d has weight(p, d) placements in a part of value p."""
     return [pattern.factor([weight(p, d) for d in pattern.sizes], len(list(run)))
             for p, run in itertools.groupby(parts)]
+
+
+# ---------------------------------------------------------------------------
+# lambda(x) and its gradient from the closed form
+# ---------------------------------------------------------------------------
+
+def lambda_of_vector(spec: ObjectiveSpec, x: PartiteVector) -> Fraction:
+    """Exact E[gamma(pattern of k independent draws from x)]."""
+    return lambda_free(spec, x.x0, x.parts)
+
+
+def lambda_free(spec: ObjectiveSpec, clique_weight, part_weights: Sequence) -> object:
+    """The same expectation with free (unnormalised) weights.
+
+    The sum over the partitions a of k of gamma(K_a) times the closed form
+    of p(K_a, .) (_closed_form). Generic in the weight ring: Fractions give
+    the exact value, floats give the numeric free form used for
+    finite-difference cross-checks, and MPoly weights give lambda as a
+    polynomial. The result is the homogeneous degree-k free form of lambda;
+    on the simplex it equals lambda_of_vector.
+    """
+    total = Fraction(0)
+    for a, gamma in spec.partition_values().items():
+        if gamma:
+            total = total + _closed_form(a, clique_weight, part_weights) * gamma
+    return total
+
+
+def lambda_gradient(spec: ObjectiveSpec, x: PartiteVector) -> dict[int, Fraction]:
+    """d(lambda)/dx_i of the free form for every i in supp*, exactly.
+
+    Each pattern's closed form is a product of one factor per run of equal
+    parts, plus the clique factor, and the coefficient of z^e in the factor
+    of value p is homogeneous in p of degree placed(e) = sum_j e_j d_j. So
+    the factor's derivative in p is the factor with z^e scaled by
+    placed(e)/p (CompiledPattern.slope), times the product of the other
+    factors (CompiledPattern.leave_one_out). A run of m equal parts has the
+    factor F(p)^m, and each member's partial is 1/m of its derivative,
+    F'(p) F(p)^{m-1}. The clique factor sum_e x0^e/e! z^e differentiates to
+    the same list shifted one slot up in the size-1 variable; a pattern with
+    no part of size 1 has clique partial 0. (1/k) d(lambda)/dx_i is the
+    clone value lambda(x, (e_i, 1)).
+    """
+    groups = [(p, len(list(run))) for p, run in itertools.groupby(x.parts)]
+    if x.x0:
+        groups.append((x.x0, 1))
+    sums = [Fraction(0)] * len(groups)
+    for a, gamma in spec.partition_values().items():
+        if not gamma:
+            continue
+        pattern = _compiled(a)
+        factors = _part_factors(pattern, x.parts, _limit_weight)
+        if x.x0 and pattern.sizes[-1] == 1:
+            factors.append(pattern.clique(x.x0))
+        for r, (rest, f) in enumerate(zip(pattern.leave_one_out(factors), factors)):
+            sums[r] += gamma * pattern.top(rest, pattern.slope(f))
+    scale = factorial(spec.k)
+    partials = [scale * t / (m * p) for t, (p, m) in zip(sums, groups)]
+    grad = {0: partials.pop()} if x.x0 else {}
+    members = (v for (_, m), v in zip(groups, partials) for _ in range(m))
+    grad.update(zip(x.support, members))
+    return grad
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +439,7 @@ class CompiledPattern:
     of z^e and z^f sits at the sum of their ranks.
     """
 
-    __slots__ = ("sizes", "states", "_pairs", "_picks")
+    __slots__ = ("sizes", "states", "_pairs", "_picks", "_placed")
 
     def __init__(self, a: tuple[int, ...]):
         self.sizes = sorted(set(a), reverse=True)
@@ -403,6 +450,7 @@ class CompiledPattern:
                        for j, f in enumerate(self.states)
                        if all(x + y <= c for x, y, c in zip(e, f, caps))]
         self._picks = [(sum(e), prod(map(factorial, e))) for e in self.states]
+        self._placed = [sum(map(mul, e, self.sizes)) for e in self.states]
 
     def one(self) -> list[int]:
         """The empty product."""
@@ -433,6 +481,12 @@ class CompiledPattern:
         return ([x0**e * Fraction(1, factorial(e)) for e in range(c + 1)]
                 + [0] * (len(self.states) - c - 1))
 
+    def slope(self, factor: list) -> list:
+        """factor with z^e scaled by placed(e) = sum_j e_j d_j, the number of
+        pattern vertices the term places: p times the derivative in p of a
+        factor whose z^e coefficient is homogeneous of degree placed(e) in p."""
+        return [f * n if f else 0 for f, n in zip(factor, self._placed)]
+
     def times(self, poly: list, factor: list) -> list:
         """The truncated product poly * factor."""
         out = [0] * len(poly)
@@ -444,6 +498,20 @@ class CompiledPattern:
         """The coefficient of z^c in poly * factor: the count once factor's
         group completes the host."""
         return sum(map(mul, poly, reversed(factor)))
+
+    def leave_one_out(self, factors: Sequence[list]) -> list[list]:
+        """For each factor, the truncated product of all the others (prefix
+        products times suffix products)."""
+        prefix = [self.one()]
+        for f in factors[:-1]:
+            prefix.append(self.times(prefix[-1], f))
+        out = []
+        suffix = self.one()
+        for r in reversed(range(len(factors))):
+            out.append(self.times(prefix[r], suffix))
+            if r:
+                suffix = self.times(suffix, factors[r])
+        return out[::-1]
 
     def coefficient(self, factors: Sequence[list]):
         """The coefficient of z^c in the product of factors."""

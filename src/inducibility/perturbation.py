@@ -3,7 +3,7 @@
 Flip gradients (expected loss of gamma from toggling one pair of a sample),
 attachment values (expected gamma seen by a new vertex joined by a 0/1 part
 pattern b and a clique fraction alpha), vertex gradients, exact partial
-derivatives via the clone identity, Lagrange residuals, and exact finite-n
+derivatives and clone values, Lagrange residuals, and exact finite-n
 counterparts on realisations (no subset enumeration, so they stay cheap at n
 in the hundreds). The limit flip gradients, through-pair densities and
 attachment values are integrands over the draw kernel partite.draw_sum; the
@@ -13,7 +13,10 @@ twin partite.pick_sum. One encoder, _pattern_code, gives every pattern code.
 The free form of lambda is the homogeneous degree-k polynomial in
 (x0, x1, ...) given by the sampling formula; partial derivatives are plain
 partials of that form, under which (1/k) d(lambda)/dx_i = lambda(x, (e_i, 1))
-holds exactly for every i in supp* (clique index included).
+holds exactly for every i in supp* (clique index included). Every partial
+and clone value comes from one call of partite.lambda_gradient, which
+differentiates the closed form; attach_value at the clone pattern pattern_e
+is the independent route to the same numbers.
 """
 
 from __future__ import annotations
@@ -26,7 +29,8 @@ from typing import Mapping, Optional, Sequence
 
 from .graphs import Graph
 from .objectives import ObjectiveSpec, lambda_graph
-from .partite import PartiteVector, RealisedPartite, draw_sum, lambda_of_vector, pick_sum
+from .partite import (PartiteVector, RealisedPartite, draw_sum, lambda_gradient, lambda_of_vector,
+                      pick_sum)
 from .polynomials import Rat, UPoly, _frac
 
 
@@ -216,18 +220,22 @@ def attach_value_generic(spec: ObjectiveSpec, entries: Mapping[int, object],
 
 def vertex_gradient(spec: ObjectiveSpec, x: PartiteVector, p: AttachmentPattern) -> AttachValue:
     """nabla_(b,alpha) lambda(x) = lambda(x,(e_1,1)) - lambda(x,(b,alpha))."""
-    ref_index = 1 if x.parts else 0
-    ref = attach_value(spec, x, pattern_e(ref_index, x)).value
+    ref = clone_values(spec, x)[1 if x.parts else 0]
     att = attach_value(spec, x, p)
     poly = UPoly([ref]) - att.poly
     return AttachValue(poly(p.alpha), poly)
 
 
+def clone_values(spec: ObjectiveSpec, x: PartiteVector) -> dict[int, Fraction]:
+    """lambda(x, (e_i, 1)) for every i in supp*: (1/k) d(lambda)/dx_i."""
+    return {i: g / spec.k for i, g in lambda_gradient(spec, x).items()}
+
+
 def partial_derivative(spec: ObjectiveSpec, x: PartiteVector, i: int) -> Fraction:
-    """d(lambda)/dx_i of the free form, via k * lambda(x, (e_i, 1))."""
+    """d(lambda)/dx_i of the free form (= k * lambda(x, (e_i, 1)))."""
     if i not in x.supp_star:
         raise ValueError("index outside supp*")
-    return spec.k * attach_value(spec, x, pattern_e(i, x)).value
+    return lambda_gradient(spec, x)[i]
 
 
 def partial_derivative_fd(spec: ObjectiveSpec, x: PartiteVector, i: int,
@@ -248,10 +256,7 @@ def partial_derivative_fd(spec: ObjectiveSpec, x: PartiteVector, i: int,
 def lagrange_residual(spec: ObjectiveSpec, x: PartiteVector) -> Fraction:
     """max_i |lambda(x,(e_i,1)) - lambda(x)| over supp*; 0 at interior maximisers."""
     lam = lambda_of_vector(spec, x)
-    worst = Fraction(0)
-    for i in x.supp_star:
-        worst = max(worst, abs(attach_value(spec, x, pattern_e(i, x)).value - lam))
-    return worst
+    return max(abs(v - lam) for v in clone_values(spec, x).values())
 
 
 # ---------------------------------------------------------------------------

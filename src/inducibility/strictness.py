@@ -24,8 +24,8 @@ from typing import Optional
 
 from .objectives import ObjectiveSpec, partitions_of
 from .partite import PartiteVector, lambda_of_shape, realise
-from .perturbation import (AttachmentPattern, attach_value, finite_attach_lambda_vertex,
-                           finite_flip_delta, flip_gradient, pattern_e)
+from .perturbation import (AttachmentPattern, attach_value, clone_values,
+                           finite_attach_lambda_vertex, finite_flip_delta, flip_gradient)
 from .polynomials import UPoly, simplest_fraction_between
 
 
@@ -118,7 +118,7 @@ def check_str2(spec: ObjectiveSpec, x: PartiteVector) -> tuple[Optional[Fraction
     change the sampled value); patterns equivalent under equal-mass part
     swaps are deduplicated.
     """
-    ref = attach_value(spec, x, pattern_e(1 if x.parts else 0, x)).value
+    ref = clone_values(spec, x)[1 if x.parts else 0]
     margins: list[PatternMargin] = []
     seen: set[tuple] = set()
     m = len(x.parts)

@@ -229,3 +229,42 @@ def test_certify_k2111_cli_report(capsys, tmp_path):
     text = out_file.read_text()
     assert '"lambda_max": "525/1024"' in text
     validate_report(json.loads(text))
+
+
+def test_density_kp221_thirty_parts(capsys, tmp_path):
+    """lambda on 30 parts plus clique mass: 31^5 draw multisets would be far
+    too many to enumerate, the closed form needs none."""
+    from fractions import Fraction as F
+    from inducibility.partite import PartiteVector, density_formula
+    parts = sorted((F(1 + i % 4, 90) for i in range(30)), reverse=True)
+    x = PartiteVector(parts)
+    assert x.x0 > 0
+    out_file = tmp_path / "d.json"
+    code, _ = run_cli(["density", "--objective", "KP 2,2,1", "--vector", x.to_json(),
+                       "--quiet", "--out", str(out_file)], capsys)
+    assert code == 0
+    rep = json.loads(out_file.read_text())
+    validate_report(rep)
+    assert rep["result"]["lambda"] == str(density_formula([2, 2, 1], x))
+
+
+def test_gradients_kp221_clone_values_match_attach(capsys, tmp_path):
+    """Clone values and the Lagrange residual of the report equal the
+    attachment route, k - 1 draws per clone pattern."""
+    from fractions import Fraction as F
+    from inducibility.partite import PartiteVector, lambda_of_vector
+    from inducibility.perturbation import attach_value, pattern_e
+    x = PartiteVector([F(1, 8), F(1, 8), F(1, 10), F(1, 10), F(1, 10), F(1, 12), F(1, 12),
+                       F(1, 20)])
+    assert x.x0 > 0
+    out_file = tmp_path / "g.json"
+    code, _ = run_cli(["gradients", "--objective", "KP 2,2,1", "--vector", x.to_json(),
+                       "--quiet", "--out", str(out_file)], capsys)
+    assert code == 0
+    rep = json.loads(out_file.read_text())
+    validate_report(rep)
+    spec = parse_objective("KP 2,2,1")
+    clones = {i: attach_value(spec, x, pattern_e(i, x)).value for i in x.supp_star}
+    assert rep["result"]["clone_values"] == {str(i): str(v) for i, v in clones.items()}
+    lam = lambda_of_vector(spec, x)
+    assert rep["result"]["lagrange_residual"] == str(max(abs(v - lam) for v in clones.values()))

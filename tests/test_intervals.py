@@ -82,6 +82,19 @@ def test_bb_constraint_region():
     assert 1 <= res.upper <= 1 + F(1, 1000)
 
 
+def test_bb_empty_region():
+    """A constraint > 0 on the whole box discards every box: the result says
+    the region is empty, with upper = 0 and conclusive false as before. The
+    second constraint is negative at some root Bernstein coefficient, so
+    only subdivision proves it positive."""
+    y, z = MPoly.var("y"), MPoly.var("z")
+    box = {"y": (F(0), F(1)), "z": (F(0), F(1))}
+    for g in (y**2 + z + F(1, 10), (y - F(1, 2)) ** 2 + F(1, 100)):
+        res = bb_max_bound(y + z, box, F(1, 1000), constraints=[g])
+        assert res.empty and not res.conclusive and res.upper == 0
+    assert not bb_max_bound(y + z, box, F(1, 1000), constraints=[z - y]).empty
+
+
 def test_bb_budget_inconclusive():
     """The maximum 2/sqrt(27) of y - y^3 is irrational, so no rational sample
     from four boxes comes within 1e-12 of it."""

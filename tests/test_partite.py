@@ -10,9 +10,10 @@ from inducibility.objectives import ObjectiveSpec, partitions_of
 from inducibility.graphs import edit_distance_exact
 from inducibility.partite import (PartiteVector, SymmetricIndex, count_partite,
                                   density_formula, draw_sum, edit_distance_vectors,
-                                  elementary_symmetric, lambda_free, lambda_of_shape,
-                                  lambda_of_vector, partition_counts, realisation_shape,
-                                  realise, sampling_density)
+                                  elementary_symmetric, lambda_free, lambda_gradient,
+                                  lambda_of_shape, lambda_of_vector, partition_counts,
+                                  realisation_shape, realise, sampling_density)
+from inducibility.perturbation import attach_value, lagrange_residual, pattern_e
 from inducibility.polynomials import MPoly
 
 
@@ -181,8 +182,102 @@ def test_draw_sum_multinomial_theorem_and_size_guard(spec_c4):
     assert draw_sum(3, {0: F(1, 2)}, lambda counts: 0) == 0
     with pytest.raises(ValueError, match="support too large"):
         draw_sum(8, {i: F(1, 8) for i in range(8)}, lambda counts: 1)
-    with pytest.raises(ValueError, match="support too large"):
-        lambda_of_vector(spec_c4, PartiteVector.uniform(57))
+    # lambda has no support limit: C(57, 2) pairs of parts, 4!/(2! 2!)
+    # orders of the draws, (1/57)^4 each
+    assert lambda_of_vector(spec_c4, PartiteVector.uniform(57)) == F(56, 61731)
+
+
+def _lambda_by_draws(spec, x0, parts):
+    """lambda's free form by enumerating draw multisets: each multiset's
+    pattern is complete partite, one part per nonzero index of its repeat
+    count and one singleton per clique draw."""
+    weights = {i: w for i, w in enumerate([x0, *parts]) if w != 0}
+    values = spec.partition_values()
+
+    def gamma(counts):
+        a = [c for i, c in counts.items() if i] + [1] * counts.get(0, 0)
+        return values[tuple(sorted(a, reverse=True))]
+
+    return draw_sum(spec.k, weights, gamma)
+
+
+def _kernel_cases(seed, count):
+    """Seeded (spec, vector) pairs: KP, signed SUM and table specs at k = 4
+    to 6, vectors with up to 6 parts drawn from a small pool (so equal parts
+    are common), half of them with clique mass."""
+    from inducibility.graphs import iso_classes
+    rng = random.Random(seed)
+    specs = [ObjectiveSpec.partite_density(a) for a in ([2, 2], [3, 1, 1], [2, 2, 1],
+                                                         [2, 1, 1, 1], [2, 1, 1, 1, 1, 1])]
+    specs.append(ObjectiveSpec.combination([(1, [2, 2, 1]), (F(-1, 2), [1, 1, 1, 1, 1]),
+                                            (F(3), [3, 1])]))
+    specs.append(ObjectiveSpec.combination([(F(2, 3), [3, 3]), (F(-1), [2, 1, 1, 1, 1])]))
+    for k in (4, 5):
+        specs.append(ObjectiveSpec.from_table(
+            k, {g: F(rng.randint(-3, 5), rng.randint(1, 4)) for g in iso_classes(k)}))
+    for _ in range(count):
+        spec = rng.choice(specs)
+        pool = [F(rng.randint(1, 6), 40) for _ in range(3)]
+        parts = sorted((rng.choice(pool) for _ in range(rng.randint(0, 6))), reverse=True)
+        if parts and rng.random() < 0.5:
+            parts = [p / sum(parts) for p in parts]
+        yield spec, PartiteVector(parts)
+
+
+def _check_kernel_against_draws(spec, x):
+    """lambda, every partial and the Lagrange residual against draw_sum and
+    the attachment route; lambda in the Fraction and MPoly rings."""
+    lam = _lambda_by_draws(spec, x.x0, x.parts)
+    assert lambda_of_vector(spec, x) == lam, (spec, x)
+    clones = {i: attach_value(spec, x, pattern_e(i, x)).value for i in x.supp_star}
+    assert lambda_gradient(spec, x) == {i: spec.k * v for i, v in clones.items()}, (spec, x)
+    assert lagrange_residual(spec, x) == max(abs(v - lam) for v in clones.values())
+    if len(x.parts) <= 3:
+        xs = [MPoly.var("x%d" % i) for i in range(len(x.parts) + 1)]
+        assert lambda_free(spec, xs[0], xs[1:]) == _lambda_by_draws(spec, xs[0], xs[1:])
+
+
+def test_lambda_and_gradient_match_draw_references():
+    """The closed-form lambda and lambda_gradient agree exactly with the
+    draw-multiset sum and with k * lambda(x, (e_i, 1)) from attach_value."""
+    cases = list(_kernel_cases(61, 60))
+    assert any(x.x0 and len(set(x.parts)) < len(x.parts) for _, x in cases)
+    assert any(x.x0 == 0 and len(set(x.parts)) < len(x.parts) for _, x in cases)
+    for spec, x in cases:
+        _check_kernel_against_draws(spec, x)
+
+
+def test_lambda_gradient_clique_and_run_cases(spec_c4, spec_k311):
+    """No part of size 1 gives clique partial 0; the zero vector has only the
+    clique index; members of a run of equal parts share one partial."""
+    x = PartiteVector([F(1, 4), F(1, 4)])
+    assert lambda_gradient(spec_c4, x)[0] == 0
+    assert lambda_gradient(spec_k311, PartiteVector.zero()) == {0: 0}
+    grad = lambda_gradient(spec_k311, PartiteVector([F(1, 5)] * 3 + [F(1, 10)]))
+    assert set(grad) == {0, 1, 2, 3, 4}
+    assert grad[1] == grad[2] == grad[3] != grad[4]
+
+
+def test_lambda_and_gradient_hypothesis():
+    hyp = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    from inducibility.graphs import iso_classes
+    specs = [ObjectiveSpec.partite_density([2, 1, 1]), ObjectiveSpec.partite_density([2, 2, 1]),
+             ObjectiveSpec.combination([(F(1, 2), [2, 2]), (F(-2), [1, 1, 1, 1])]),
+             ObjectiveSpec.from_table(4, {g: F(i % 5 - 2, 1 + i % 3)
+                                          for i, g in enumerate(iso_classes(4))})]
+
+    @hyp.settings(max_examples=40, deadline=None, derandomize=True)
+    @hyp.given(spec=st.sampled_from(specs),
+               raw=st.lists(st.integers(1, 4), max_size=5),
+               scale=st.integers(0, 6))
+    def check(spec, raw, scale):
+        # entries j/(4 * len + scale): equal parts whenever raw repeats, and
+        # clique mass 1 - sum unless scale is 0 and raw is all 4s
+        parts = sorted((F(j, 4 * len(raw) + scale) for j in raw), reverse=True)
+        _check_kernel_against_draws(spec, PartiteVector(parts))
+
+    check()
 
 
 def test_count_partite_examples():
