@@ -243,14 +243,16 @@ def cmd_symmetrise(args) -> int:
         return EXIT_FAIL
     if args.trace_out:
         Path(args.trace_out).write_text(trace.to_json() + "\n")
+    if trace.steps:
+        lam_initial, lam_final = trace.steps[0].lam_before, trace.steps[-1].lam_after
+    else:
+        lam_initial = lam_final = lambda_graph(spec, g)
     result = {
         "steps": len(trace.steps),
         "monotone": trace.monotone,
         "final_part_sizes": trace.final_shape.part_sizes if trace.final_shape else None,
-        "lambda_initial": str(trace.steps[0].lam_before) if trace.steps
-                          else str(lambda_graph(spec, g)),
-        "lambda_final": str(trace.steps[-1].lam_after) if trace.steps
-                        else str(lambda_graph(spec, g)),
+        "lambda_initial": str(lam_initial),
+        "lambda_final": str(lam_final),
         "final_graph": write_graph_text(trace.final_graph),
     }
     emit(make_report("symmetrise", "pass", result, spec.label), args,

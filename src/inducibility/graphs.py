@@ -521,7 +521,7 @@ class PartiteStructure:
         raise ValueError(f"vertex {v} not in structure")
 
     def shape(self) -> CompletePartiteShape:
-        return CompletePartiteShape(sizes=[len(p) for p in self.parts],
+        return CompletePartiteShape(sizes=[len(p) for p in self.parts if p],
                                     counts=[(1, len(self.v0))])
 
     def graph(self) -> Graph:

@@ -204,11 +204,12 @@ class CandidateSet:
         }
 
 
-def _ascend(plan: _FloatPlan, z: list[float], iters: int = 400) -> tuple[list[float], float]:
-    """Projected gradient ascent on [x0, x1..xM] over the simplex."""
+def _ascend(plan: _FloatPlan, z: list[float]) -> tuple[list[float], float]:
+    """Projected gradient ascent on [x0, x1..xM] over the simplex (at most
+    400 gradient steps)."""
     val = plan.value(z[0], z[1:])
     step = 0.1
-    for _ in range(iters):
+    for _ in range(400):
         g0, gi = plan.gradient(z[0], z[1:])
         grad = [g0] + gi
         improved = False
@@ -242,10 +243,13 @@ def _residual_float(plan: _FloatPlan, z: list[float]) -> float:
 
 
 def continuous_opt(spec: ObjectiveSpec, max_support: int, starts: int = 200,
-                   seed: int = 0, residual_tol: float = 1e-8,
-                   snap_tol: float = 1e-7,
+                   seed: int = 0,
                    extra_seeds: Sequence[PartiteVector] = ()) -> CandidateSet:
-    """Multistart search for maximisers with support at most max_support."""
+    """Multistart search for maximisers with support at most max_support.
+
+    A candidate is kept when its float Lagrange residual is at most 1e-8; it
+    snaps only when every coordinate is within 1e-7 of a fraction with
+    denominator at most 64."""
     if max_support > 10:
         raise ValueError("max_support limited to 10")
     plan = _FloatPlan(spec)
@@ -299,10 +303,10 @@ def continuous_opt(spec: ObjectiveSpec, max_support: int, starts: int = 200,
     candidates: list[Candidate] = []
     for val, z in ranked:
         res = _residual_float(plan, z)
-        if res > residual_tol:
+        if res > 1e-8:
             continue
         cand = Candidate(tuple(z[1:]), z[0], val, res)
-        snap = _try_snap(spec, z, val, snap_tol)
+        snap = _try_snap(spec, z, val)
         if snap is not None:
             cand.vector = snap
             cand.lam_exact = lambda_of_vector(spec, snap)
@@ -346,17 +350,16 @@ def _local_moves(plan: _FloatPlan, z: list[float], val: float) -> tuple[list[flo
     return z, val
 
 
-def _try_snap(spec: ObjectiveSpec, z: list[float], val: float,
-              snap_tol: float) -> Optional[PartiteVector]:
+def _try_snap(spec: ObjectiveSpec, z: list[float], val: float) -> Optional[PartiteVector]:
     parts = []
     for p in z[1:]:
         f = Fraction(p).limit_denominator(64)
-        if abs(float(f) - p) > snap_tol:
+        if abs(float(f) - p) > 1e-7:
             return None
         if f > 0:
             parts.append(f)
     x0 = Fraction(z[0]).limit_denominator(64)
-    if abs(float(x0) - z[0]) > snap_tol:
+    if abs(float(x0) - z[0]) > 1e-7:
         return None
     if sum(parts, Fraction(0)) + x0 != 1:
         return None
@@ -396,7 +399,7 @@ def _fst_value(s: int, t: int, a_lo: Fraction, a_hi: Fraction) -> tuple[Fraction
             a_hi**s * b_hi**t + a_hi**t * b_hi**s)
 
 
-def kst_maximiser(s: int, t: int, width: Fraction = Fraction(1, 2**40)) -> KstResult:
+def kst_maximiser(s: int, t: int) -> KstResult:
     """Optimal split ratio for the two-part profile a^s(1-a)^t + a^t(1-a)^s.
 
     Returns 1/2 exactly when s >= C(t-s, 2); otherwise isolates the unique
@@ -428,7 +431,7 @@ def kst_maximiser(s: int, t: int, width: Fraction = Fraction(1, 2**40)) -> KstRe
     boxes = h.isolate_roots(Fraction(0), Fraction(1))
     if len(boxes) != 1:
         raise RuntimeError("expected a unique root in (0, 1)")
-    lo, hi = h.refine_root(*boxes[0], width)
+    lo, hi = h.refine_root(*boxes[0], Fraction(1, 2**40))
     # alpha = 1/(1+x) is decreasing and 1-Lipschitz on x >= 0
     a_lo, a_hi = 1 / (1 + hi), 1 / (1 + lo)
     # defining polynomial for alpha: alpha^{m+1} h((1-alpha)/alpha)

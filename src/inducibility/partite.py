@@ -28,7 +28,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 from math import comb, factorial, perm, prod
 from operator import mul
 from typing import Callable, Iterable, Mapping, Optional, Sequence
@@ -167,8 +167,7 @@ def realisation_shape(n: int, x: PartiteVector) -> CompletePartiteShape:
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    return CompletePartiteShape(sizes=[s for s in _part_sizes(n, x) if s > 0],
-                                counts=[(1, n - sum(_part_sizes(n, x)))])
+    return realise(n, x).structure.shape()
 
 
 def _part_sizes(n: int, x: PartiteVector) -> list[int]:
@@ -595,98 +594,51 @@ def edit_distance_vectors(x: PartiteVector, y: PartiteVector) -> Fraction:
     Overlay model: couple the two mass distributions; a coupling X costs
     sum x_i^2 + sum y_j^2 - 2 sum_{i,j >= 1} X_ij^2 (mass placed with or into
     a clique earns no square term). The cost is concave in X, so the minimum
-    over the transportation polytope is attained at a vertex; vertices are
-    enumerated exactly by leaf peeling with memoisation.
+    over the transportation polytope is attained at a vertex. The support of
+    a vertex is a forest, so some line (a part or the clique, of either side)
+    goes wholly into one line of the other side, and what is left is a vertex
+    of the smaller polytope: one peel rule (_peel), applied from both sides
+    with memoisation, reaches every vertex.
     """
     if len(x.parts) + (x.x0 > 0) > 8 or len(y.parts) + (y.x0 > 0) > 8:
         raise ValueError("support too large for overlay enumeration")
-    base = sum((p * p for p in x.parts), Fraction(0)) + \
-        sum((q * q for q in y.parts), Fraction(0))
-    return base - 2 * _max_overlay_square_mass(x, y)
 
-
-def _max_overlay_square_mass(x: PartiteVector, y: PartiteVector) -> Fraction:
-    memo: dict[tuple, Fraction] = {}
-
-    def reduce_line(lines: tuple[Fraction, ...], idx: int, delta: Fraction) -> tuple[Fraction, ...]:
-        v = lines[idx] - delta
-        rest = lines[:idx] + lines[idx + 1:]
-        if v == 0:
-            return rest
-        return tuple(sorted(rest + (v,), reverse=True))
-
-    def rec(rows: tuple[Fraction, ...], x0r: Fraction,
-            cols: tuple[Fraction, ...], y0r: Fraction) -> Fraction:
+    @cache
+    def best(rows: tuple[Fraction, ...], x0: Fraction,
+             cols: tuple[Fraction, ...], y0: Fraction) -> Fraction:
+        """Largest sum of X_ij^2 over pairs of parts among the lines left."""
         if not rows or not cols:
             return Fraction(0)
-        key = (rows, x0r, cols, y0r)
-        if key in memo:
-            return memo[key]
-        best = Fraction(0)
-        seen_moves = set()
-        # a part row fully into one line
-        for ri in range(len(rows)):
-            r = rows[ri]
-            if (("r", r) in seen_moves):
-                continue
-            seen_moves.add(("r", r))
-            rrest = rows[:ri] + rows[ri + 1:]
-            tried_cols = set()
-            for ci in range(len(cols)):
-                c = cols[ci]
-                if c < r or c in tried_cols:
-                    continue
-                tried_cols.add(c)
-                cand = r * r + rec(rrest, x0r, reduce_line(cols, ci, r), y0r)
-                if cand > best:
-                    best = cand
-            if y0r >= r:
-                cand = rec(rrest, x0r, cols, y0r - r)
-                if cand > best:
-                    best = cand
-        # a part column fully into one line
-        for ci in range(len(cols)):
-            c = cols[ci]
-            if (("c", c) in seen_moves):
-                continue
-            seen_moves.add(("c", c))
-            crest = cols[:ci] + cols[ci + 1:]
-            tried_rows = set()
-            for ri in range(len(rows)):
-                r = rows[ri]
-                if r < c or r in tried_rows:
-                    continue
-                tried_rows.add(r)
-                cand = c * c + rec(reduce_line(rows, ri, c), x0r, crest, y0r)
-                if cand > best:
-                    best = cand
-            if x0r >= c:
-                cand = rec(rows, x0r - c, crest, y0r)
-                if cand > best:
-                    best = cand
-        # the clique row/column fully into one opposite line (no reward)
-        if x0r > 0:
-            for ci in range(len(cols)):
-                if cols[ci] >= x0r:
-                    cand = rec(rows, Fraction(0), reduce_line(cols, ci, x0r), y0r)
-                    if cand > best:
-                        best = cand
-            if y0r >= x0r:
-                cand = rec(rows, Fraction(0), cols, y0r - x0r)
-                if cand > best:
-                    best = cand
-        if y0r > 0:
-            for ri in range(len(rows)):
-                if rows[ri] >= y0r:
-                    cand = rec(reduce_line(rows, ri, y0r), x0r, cols, Fraction(0))
-                    if cand > best:
-                        best = cand
-            if x0r >= y0r:
-                cand = rec(rows, x0r - y0r, cols, Fraction(0))
-                if cand > best:
-                    best = cand
-        memo[key] = best
-        return best
+        moves = itertools.chain(
+            _peel(rows, x0, cols, y0),
+            ((g, r, r0, c, c0) for g, c, c0, r, r0 in _peel(cols, y0, rows, x0)))
+        return max(g + best(r, r0, c, c0) for g, r, r0, c, c0 in moves)
 
-    return rec(tuple(sorted(x.parts, reverse=True)), x.x0,
-               tuple(sorted(y.parts, reverse=True)), y.x0)
+    base = sum((p * p for p in x.parts), Fraction(0)) + \
+        sum((q * q for q in y.parts), Fraction(0))
+    return base - 2 * best(x.parts, x.x0, y.parts, y.x0)
+
+
+def _peel(rows: tuple[Fraction, ...], x0: Fraction,
+          cols: tuple[Fraction, ...], y0: Fraction):
+    """Every way one line of the first side goes wholly into a line of the
+    other side that can hold it, as (gain, rows, x0, cols, y0) after the move.
+
+    A line is a part, or the clique when its mass is positive. Parts are kept
+    non-increasing and equal parts are tried once. The move earns the squared
+    mass when both lines are parts.
+    """
+    lines = [(r, True, rows[:i] + rows[i + 1:], x0)
+             for i, r in enumerate(rows) if i == 0 or rows[i - 1] != r]
+    if x0 > 0:
+        lines.append((x0, False, rows, Fraction(0)))
+    for m, part, rest, rest0 in lines:
+        gain = m * m if part else Fraction(0)
+        for j, c in enumerate(cols):
+            if c >= m and (j == 0 or cols[j - 1] != c):
+                left = cols[:j] + cols[j + 1:]
+                if c > m:
+                    left = tuple(sorted(left + (c - m,), reverse=True))
+                yield gain, rest, rest0, left, y0
+        if y0 >= m:
+            yield Fraction(0), rest, rest0, cols, y0 - m

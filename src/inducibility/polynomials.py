@@ -678,9 +678,8 @@ class AlgebraicNumber:
         lo, hi = self.poly.refine_root(self.lo, self.hi, _frac(width))
         return AlgebraicNumber(self.poly, lo, hi)
 
-    def interval(self, width: Rat | None = None) -> tuple[Fraction, Fraction]:
-        a = self if width is None else self.refine(width)
-        return a.lo, a.hi
+    def interval(self) -> tuple[Fraction, Fraction]:
+        return self.lo, self.hi
 
     def sign_of(self, g: UPoly) -> int:
         """Exact sign of g evaluated at this number."""

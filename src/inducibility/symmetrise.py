@@ -72,6 +72,24 @@ def _clone(g: Graph, src: int, dst: int) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
+def _clone_step(spec: ObjectiveSpec, g: Graph, lam: Fraction, x: int, y: int,
+                prefer_xy: bool) -> tuple[SymStep, Graph]:
+    """Clone x over y or y over x, whichever gives the larger lambda
+    (prefer_xy breaks a tie); a decrease from lam is refused."""
+    g_xy, g_yx = _clone(g, x, y), _clone(g, y, x)
+    lam_xy, lam_yx = lambda_graph(spec, g_xy), lambda_graph(spec, g_yx)
+    if lam_xy > lam_yx or (lam_xy == lam_yx and prefer_xy):
+        new_g, new_lam, src, dst = g_xy, lam_xy, x, y
+    else:
+        new_g, new_lam, src, dst = g_yx, lam_yx, y, x
+    if new_lam < lam:
+        if spec.eligible:
+            raise AssertionError("monotone clone missing for an eligible objective")
+        raise SymmetrisationError("no monotone clone available")
+    edited = (g.rows[dst] ^ new_g.rows[dst]).bit_count()
+    return SymStep(src, dst, lam, new_lam, edited), new_g
+
+
 def symmetrise_full(spec: ObjectiveSpec, g: Graph) -> SymmetrisationTrace:
     """Drive g to a complete partite graph by repeated cloning."""
     if g.n < spec.k:
@@ -97,32 +115,14 @@ def symmetrise_full(spec: ObjectiveSpec, g: Graph) -> SymmetrisationTrace:
             if spec.eligible:
                 raise RuntimeError("symmetrisation exceeded the C(n,2) step bound")
             raise SymmetrisationError("no terminating monotone clone sequence found")
-        g_xy = _clone(g, x, y)   # y becomes a clone of x, joins class ai
-        g_yx = _clone(g, y, x)
-        lam_xy = lambda_graph(spec, g_xy)
-        lam_yx = lambda_graph(spec, g_yx)
-        if lam_xy > lam_yx:
-            choose_xy = True
-        elif lam_yx > lam_xy:
-            choose_xy = False
-        elif len(classes[ai]) != len(classes[bi]):
-            choose_xy = len(classes[ai]) > len(classes[bi])
-        else:
-            choose_xy = ai < bi
-        if choose_xy:
-            new_g, new_lam, src, dst, from_i, to_i = g_xy, lam_xy, x, y, bi, ai
-        else:
-            new_g, new_lam, src, dst, from_i, to_i = g_yx, lam_yx, y, x, ai, bi
-        if new_lam < lam:
-            if spec.eligible:
-                raise AssertionError("monotone clone missing for an eligible objective")
-            raise SymmetrisationError("no monotone clone available")
-        edited = (g.rows[dst] ^ new_g.rows[dst]).bit_count()
-        steps.append(SymStep(src, dst, lam, new_lam, edited))
-        classes[from_i].remove(dst)
-        classes[to_i].append(dst)
+        sa, sb = len(classes[ai]), len(classes[bi])
+        step, g = _clone_step(spec, g, lam, x, y, sa > sb or (sa == sb and ai < bi))
+        steps.append(step)
+        lam = step.lam_after
+        from_i, to_i = (bi, ai) if step.target == y else (ai, bi)
+        classes[from_i].remove(step.target)
+        classes[to_i].append(step.target)
         classes = [c for c in classes if c]
-        g, lam = new_g, new_lam
 
     shape = complete_partite_shape_of(g)
     assert shape is not None, "symmetrisation ended on a non complete partite graph"
@@ -174,26 +174,10 @@ def symmetrise_vertex(spec: ObjectiveSpec, g: Graph, z: int) -> SymmetrisationTr
             if not prime or not dprime:
                 break
             x, y = min(prime), min(dprime)
-            g_xy = g.flip(y, z)   # y becomes a clone of x: gains the edge to z
-            g_yx = g.flip(x, z)   # x becomes a clone of y: loses it
-            lam_xy = lambda_graph(spec, g_xy)
-            lam_yx = lambda_graph(spec, g_yx)
-            if lam_xy > lam_yx:
-                choose_xy = True
-            elif lam_yx > lam_xy:
-                choose_xy = False
-            else:
-                choose_xy = len(prime) >= len(dprime)
-            if choose_xy:
-                new_g, new_lam, src, dst = g_xy, lam_xy, x, y
-            else:
-                new_g, new_lam, src, dst = g_yx, lam_yx, y, x
-            if new_lam < lam:
-                if spec.eligible:
-                    raise AssertionError("monotone clone missing for an eligible objective")
-                raise SymmetrisationError("no monotone clone available")
-            steps.append(SymStep(src, dst, lam, new_lam, 1))
-            g, lam = new_g, new_lam
+            # x and y are twins in g - z, so a clone toggles only the pair with z
+            step, g = _clone_step(spec, g, lam, x, y, len(prime) >= len(dprime))
+            steps.append(step)
+            lam = step.lam_after
 
     for part in parts:
         nbhd = [g.has_edge(v, z) for v in part]

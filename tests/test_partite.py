@@ -59,6 +59,22 @@ def test_realisation_examples():
     assert realisation_shape(10, PartiteVector([F(3, 5)])).part_sizes == [6, 1, 1, 1, 1]
 
 
+def test_realised_shape_skips_empty_parts():
+    """With clique mass a part with x_i n < 2 is realised empty; shape() skips
+    it and agrees with the realised graph and with realisation_shape."""
+    x = PartiteVector([F(3, 5), F(1, 20)])
+    assert realise(10, x).structure.parts[1] == ()
+    assert realise(10, x).structure.shape().part_sizes == [6, 1, 1, 1, 1]
+    rng = random.Random(22)
+    vectors = [x] + [rand_vector(rng, max_support=5, max_denom=40) for _ in range(40)]
+    for v in vectors:
+        for n in (3, 10, 20, 40):
+            r = realise(n, v)
+            shape = r.structure.shape()
+            assert shape == realisation_shape(n, v)
+            assert shape == complete_partite_shape_of(r.graph)
+
+
 def test_realisation_error_bound():
     rng = random.Random(21)
     for _ in range(30):
@@ -387,6 +403,99 @@ def test_edit_vectors_metric_axioms():
         d12 = edit_distance_vectors(xs[1], xs[2])
         d02 = edit_distance_vectors(xs[0], xs[2])
         assert d02 <= d01 + d12
+
+
+def _four_block_overlay(x, y):
+    """The earlier edit_distance_vectors search, kept as the reference: the
+    same leaf-peeling rule written out as four mirrored blocks (part row,
+    part column, clique row, clique column)."""
+    memo = {}
+
+    def reduce_line(lines, idx, delta):
+        v = lines[idx] - delta
+        rest = lines[:idx] + lines[idx + 1:]
+        if v == 0:
+            return rest
+        return tuple(sorted(rest + (v,), reverse=True))
+
+    def rec(rows, x0r, cols, y0r):
+        if not rows or not cols:
+            return F(0)
+        key = (rows, x0r, cols, y0r)
+        if key in memo:
+            return memo[key]
+        best = F(0)
+        seen_moves = set()
+        for ri in range(len(rows)):
+            r = rows[ri]
+            if ("r", r) in seen_moves:
+                continue
+            seen_moves.add(("r", r))
+            rrest = rows[:ri] + rows[ri + 1:]
+            tried_cols = set()
+            for ci in range(len(cols)):
+                c = cols[ci]
+                if c < r or c in tried_cols:
+                    continue
+                tried_cols.add(c)
+                best = max(best, r * r + rec(rrest, x0r, reduce_line(cols, ci, r), y0r))
+            if y0r >= r:
+                best = max(best, rec(rrest, x0r, cols, y0r - r))
+        for ci in range(len(cols)):
+            c = cols[ci]
+            if ("c", c) in seen_moves:
+                continue
+            seen_moves.add(("c", c))
+            crest = cols[:ci] + cols[ci + 1:]
+            tried_rows = set()
+            for ri in range(len(rows)):
+                r = rows[ri]
+                if r < c or r in tried_rows:
+                    continue
+                tried_rows.add(r)
+                best = max(best, c * c + rec(reduce_line(rows, ri, c), x0r, crest, y0r))
+            if x0r >= c:
+                best = max(best, rec(rows, x0r - c, crest, y0r))
+        if x0r > 0:
+            for ci in range(len(cols)):
+                if cols[ci] >= x0r:
+                    best = max(best, rec(rows, F(0), reduce_line(cols, ci, x0r), y0r))
+            if y0r >= x0r:
+                best = max(best, rec(rows, F(0), cols, y0r - x0r))
+        if y0r > 0:
+            for ri in range(len(rows)):
+                if rows[ri] >= y0r:
+                    best = max(best, rec(reduce_line(rows, ri, y0r), x0r, cols, F(0)))
+            if x0r >= y0r:
+                best = max(best, rec(rows, x0r - y0r, cols, F(0)))
+        memo[key] = best
+        return best
+
+    base = sum((p * p for p in x.parts), F(0)) + sum((q * q for q in y.parts), F(0))
+    return base - 2 * rec(x.parts, x.x0, y.parts, y.x0)
+
+
+def test_edit_vectors_match_four_block_reference():
+    """One peel rule from both sides gives the four-block search's values
+    exactly: seeded pairs with at most 3 parts, with and without clique
+    mass, with equal parts, and every equal-part pair up to 3 parts."""
+    rng = random.Random(21)
+    pairs = []
+    for _ in range(180):
+        xy = []
+        for _ in range(2):
+            if rng.random() < 0.25:
+                m, d = rng.randint(1, 3), rng.randint(1, 4)
+                xy.append(PartiteVector([F(1, m + rng.choice((0, d)))] * m))
+            else:
+                xy.append(rand_vector(rng, max_support=3, allow_clique=rng.random() < 0.6))
+        pairs.append(tuple(xy))
+    equal = [PartiteVector([F(1, m + c)] * m) for m in (1, 2, 3) for c in (0, 1)]
+    pairs += list(itertools.product(equal, repeat=2))
+    assert any(x.x0 > 0 and y.x0 > 0 for x, y in pairs)
+    assert any(x.x0 == 0 and y.x0 == 0 for x, y in pairs)
+    for x, y in pairs:
+        assert edit_distance_vectors(x, y) == _four_block_overlay(x, y), (x, y)
 
 
 def test_edit_vectors_vs_finite_realisations():

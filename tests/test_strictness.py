@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+from inducibility.objectives import ObjectiveSpec, lambda_graph
 from inducibility.partite import PartiteVector, lambda_of_vector, realise
 from inducibility.perturbation import AttachmentPattern, pattern_e
 from inducibility.polynomials import UPoly
@@ -158,3 +159,18 @@ def test_finite_strictness_converges(spec_c4):
     c_fit = 16 * errs[16]
     for n in (32, 64, 128, 256):
         assert errs[n] <= 2 * c_fit / n + F(1, 10**9)
+
+
+def test_finite_strictness_with_empty_realised_part():
+    """x_2 n < 2 leaves part 2 empty in the realisation at n = 10 and 20."""
+    spec = ObjectiveSpec.partite_density([3, 1, 1])
+    x = PartiteVector([F(3, 5), F(1, 20)])
+    for n in (10, 20, 40):
+        rep = finite_strictness_check(spec, x, n)
+        assert rep.n == n and rep.c2 is not None
+    # c1 is the least n^2 (lambda(G) - lambda(G + uv)) over all pairs uv
+    g = realise(10, x).graph
+    lam = lambda_graph(spec, g)
+    want = min(100 * (lam - lambda_graph(spec, g.flip(u, v)))
+               for u in range(10) for v in range(u + 1, 10))
+    assert finite_strictness_check(spec, x, 10).c1 == want
