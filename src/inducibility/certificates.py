@@ -378,7 +378,7 @@ def certify_kst(s: int, t: int) -> CertificateReport:
         rep.add("value_matches_profile", ilo == ihi == lam,
                 f"i(K_{{{s},{t}}}) = {lam}")
         rep.lambda_max = lam
-        rep.maximiser = {"x0": "0", "parts": [str(p) for p in x.parts]}
+        rep.maximiser = x.to_jsonable()
     else:
         ilo, ihi = res.i_value
         rep.notes.append(f"irrational maximiser: alpha in [{res.alpha.lo}, {res.alpha.hi}], "
@@ -495,7 +495,7 @@ def certify_krt(r: int, t: int) -> CertificateReport:
         rep.add("strictness_certificate", strict.passed, f"c = {strict.c}")
 
     rep.lambda_max = val
-    rep.maximiser = {"x0": "0", "parts": [str(p) for p in x.parts]}
+    rep.maximiser = x.to_jsonable()
     return rep
 
 
@@ -630,7 +630,7 @@ def certify_k2111() -> CertificateReport:
     lam = lambda_of_vector(spec, a8)
     rep.add("maximiser_value", lam == lam0 == density_formula([2, 1, 1, 1], a8))
     rep.lambda_max = lam0
-    rep.maximiser = {"x0": "0", "parts": [str(p) for p in a8.parts]}
+    rep.maximiser = a8.to_jsonable()
     return rep
 
 
@@ -827,5 +827,5 @@ def certify_k311() -> CertificateReport:
     lam = lambda_of_vector(spec, a)
     rep.add("maximiser_value", lam == lam0 == density_formula([3, 1, 1], a))
     rep.lambda_max = lam0
-    rep.maximiser = {"x0": str(a.x0), "parts": [str(p) for p in a.parts]}
+    rep.maximiser = a.to_jsonable()
     return rep

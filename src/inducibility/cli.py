@@ -24,9 +24,9 @@ from .graphs import CANON_MAX, Graph, parse_graph_text, write_graph_text
 from .objectives import ObjectiveSpec, lambda_graph, brute_lambda_max
 from .partite import PartiteVector, edit_distance_vectors, lambda_of_vector
 from .polynomials import parse_rational
-from .perturbation import AttachmentPattern, clone_values, flip_gradient, vertex_gradient
+from .perturbation import AttachmentPattern, clone_values, vertex_gradient
 from .symmetrise import SymmetrisationError, symmetrise_full, symmetrise_vertex
-from .strictness import strictness_certificate
+from .strictness import check_str1, strictness_certificate
 from .optsearch import continuous_opt, finite_opt
 from .certificates import certify_k2111, certify_k311, certify_krt, certify_kst
 from .graphs import edit_distance_exact
@@ -147,10 +147,6 @@ def read_graph(path: str) -> Graph:
     return parse_graph_text(Path(path).read_text())
 
 
-def _vector_json(x: PartiteVector) -> dict:
-    return {"x0": str(x.x0), "parts": [str(p) for p in x.parts]}
-
-
 # ---------------------------------------------------------------------------
 # Report plumbing
 # ---------------------------------------------------------------------------
@@ -218,7 +214,7 @@ def cmd_density(args) -> int:
     if args.vector:
         x = parse_vector(args.vector)
         lam = lambda_of_vector(spec, x)
-        result = {"lambda": str(lam), "vector": _vector_json(x)}
+        result = {"lambda": str(lam), "vector": x.to_jsonable()}
     elif args.graph:
         g = read_graph(args.graph)
         lam = lambda_graph(spec, g)
@@ -263,11 +259,7 @@ def cmd_symmetrise(args) -> int:
 def cmd_gradients(args) -> int:
     spec = parse_objective(args.objective)
     x = parse_vector(args.vector)
-    flips = {}
-    for i1 in x.supp_star:
-        for i2 in x.supp_star:
-            if i2 >= i1:
-                flips[f"{i1},{i2}"] = str(flip_gradient(spec, x, i1, i2))
+    flips = {f"{i1},{i2}": str(v) for (i1, i2), v in check_str1(spec, x)[1].items()}
     clone = clone_values(spec, x)
     lam = lambda_of_vector(spec, x)
     res = max(abs(v - lam) for v in clone.values())
@@ -279,7 +271,7 @@ def cmd_gradients(args) -> int:
                        "alpha_poly": [str(c) for c in vg.poly.coeffs]}
     result = {"flip_gradients": flips, "clone_values": clones,
               "lagrange_residual": str(res), "vertex_gradients": extras,
-              "vector": _vector_json(x)}
+              "vector": x.to_jsonable()}
     emit(make_report("gradients", "value", result, spec.label), args,
          f"lagrange residual {res}")
     return EXIT_PASS
@@ -377,7 +369,7 @@ def cmd_edit_distance(args) -> int:
     if args.vector and len(args.vector) == 2:
         x, y_ = parse_vector(args.vector[0]), parse_vector(args.vector[1])
         d = edit_distance_vectors(x, y_)
-        result = {"distance": str(d), "x": _vector_json(x), "y": _vector_json(y_)}
+        result = {"distance": str(d), "x": x.to_jsonable(), "y": y_.to_jsonable()}
     elif args.graph and len(args.graph) == 2:
         g, h = read_graph(args.graph[0]), read_graph(args.graph[1])
         d = edit_distance_exact(g, h)

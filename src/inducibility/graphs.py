@@ -19,7 +19,7 @@ from typing import Iterable, Optional, Sequence
 
 MAX_VERTICES = 64
 CANON_MAX = 8
-LOOKUP_MAX = 6  # key_of_code files a class under all k! codes up to this k
+LOOKUP_MAX = 5  # key_of_code files a class under all k! codes up to this k
 
 
 @dataclass(frozen=True)
@@ -327,7 +327,7 @@ def key_of_code(k: int, code: int) -> bytes:
     """The canonical key of the k-vertex graph with upper-triangle code
     ``code`` (``Graph.subset_code`` order), memoised. A miss runs one canonical
     search and files its key under all k! codes of the class up to LOOKUP_MAX
-    vertices, under ``code`` alone above that: a 7-vertex class has up to 5040
+    vertices, under ``code`` alone above that: a 6-vertex class has up to 720
     codes, and filing them all costs more than the searches it saves."""
     codes = _KEY_OF_CODE.setdefault(k, {})
     key = codes.get(code)

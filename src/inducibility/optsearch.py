@@ -196,8 +196,7 @@ class CandidateSet:
                 "lambda_float": c.lam_float,
                 "residual_float": c.residual_float,
                 "snapped": c.snapped,
-                "vector": None if c.vector is None else
-                    {"x0": str(c.vector.x0), "parts": [str(p) for p in c.vector.parts]},
+                "vector": None if c.vector is None else c.vector.to_jsonable(),
                 "lambda_exact": None if c.lam_exact is None else str(c.lam_exact),
                 "residual_exact": None if c.residual_exact is None else str(c.residual_exact),
             } for c in self.candidates],

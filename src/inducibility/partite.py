@@ -101,8 +101,11 @@ class PartiteVector:
 
     # -- JSON format: {"x0": "2/5", "parts": ["3/5"]} --------------------------
 
+    def to_jsonable(self) -> dict:
+        return {"x0": str(self.x0), "parts": [str(p) for p in self.parts]}
+
     def to_json(self) -> str:
-        return json.dumps({"x0": str(self.x0), "parts": [str(p) for p in self.parts]})
+        return json.dumps(self.to_jsonable())
 
     @classmethod
     def from_json(cls, text: str) -> "PartiteVector":

@@ -170,13 +170,14 @@ def _clique_split(zeros: int, j: int) -> UPoly:
     return comb(zeros, j) * UPoly.x() ** j * UPoly([1, -1]) ** (zeros - j)
 
 
-def _attach_term(table, b: Mapping[int, int], counts: Mapping[int, int]):
+def _attach_term(table, b: Mapping[int, int], counts: Mapping[int, int], split):
     """gamma seen by a vertex attached to a (k-1)-draw with these counts.
 
-    The vertex joins nonzero draws i with b(i) = 1 and each clique draw
-    independently with probability alpha, so the value is a polynomial in
-    alpha; it is a scalar when no clique draw occurs. Clique draws come
-    first, so joining j of them sets the j lowest bits of the code.
+    The vertex joins nonzero draws i with b(i) = 1, and exactly j of the
+    `zeros` clique draws with weight split(zeros, j): a polynomial in alpha
+    in the limit (_clique_split), a hypergeometric fraction at finite n. The
+    value is a scalar when no clique draw occurs. Clique draws come first, so
+    joining j of them sets the j lowest bits of the code.
     """
     types = _draw_types(counts)
     zeros = counts.get(0, 0)
@@ -190,7 +191,7 @@ def _attach_term(table, b: Mapping[int, int], counts: Mapping[int, int]):
     for j in range(zeros + 1):
         gamma = table[code | (1 << j) - 1]
         if gamma:
-            total = total + gamma * _clique_split(zeros, j)
+            total = total + gamma * split(zeros, j)
     return total
 
 
@@ -205,7 +206,7 @@ def attach_value(spec: ObjectiveSpec, x: PartiteVector, p: AttachmentPattern) ->
     table = spec.code_table()
     # terms without clique draws are scalars, so the sum may be one too
     poly = UPoly() + draw_sum(spec.k - 1, x.draw_weights(),
-                              lambda counts: _attach_term(table, p.b, counts))
+                              lambda counts: _attach_term(table, p.b, counts, _clique_split))
     return AttachValue(poly(p.alpha), poly)
 
 
@@ -215,7 +216,8 @@ def attach_value_generic(spec: ObjectiveSpec, entries: Mapping[int, object],
     if 0 in entries:
         raise ValueError("generic attachment assumes no clique mass")
     table = spec.code_table()
-    return draw_sum(spec.k - 1, entries, lambda counts: _attach_term(table, b, counts))
+    return draw_sum(spec.k - 1, entries,
+                    lambda counts: _attach_term(table, b, counts, _clique_split))
 
 
 def vertex_gradient(spec: ObjectiveSpec, x: PartiteVector, p: AttachmentPattern) -> AttachValue:
@@ -285,28 +287,25 @@ def finite_attach_lambda_vertex(spec: ObjectiveSpec, realised: RealisedPartite,
                                 b: Mapping[int, int], v0_neighbours: int) -> Fraction:
     """lambda(G +_{b,alpha} u, u) with floor(alpha|V0|) = v0_neighbours, exact.
 
-    Sums over the ways to pick k-1 vertices from the groups (type, joined to
-    u): the parts, the joined clique vertices and the unjoined ones; works
-    for any n.
+    The attachment integrand of attach_value summed over the ways to pick
+    k-1 vertices from the groups of the realisation; exactly j of the zeros
+    clique vertices picked are joined to u in C(nb, j) C(v0 - nb, zeros - j)
+    of the C(v0, zeros) ways, nb = v0_neighbours. Works for any n.
     """
     sizes = realised.structure.group_sizes()
-    v0 = sizes.pop(0, 0)
+    v0 = sizes.get(0, 0)
     if not 0 <= v0_neighbours <= v0:
         raise ValueError("clique neighbour count out of range")
-    groups = {(i, bool(b.get(i, 0))): s for i, s in sizes.items()}
-    groups[0, True] = v0_neighbours
-    groups[0, False] = v0 - v0_neighbours
+
+    def split(zeros: int, j: int):
+        # pick_sum reads the term before its weight, also for zeros > v0 (weight 0)
+        ways = comb(v0, zeros)
+        return Fraction(comb(v0_neighbours, j) * comb(v0 - v0_neighbours, zeros - j),
+                        ways) if ways else 0
+
     table = spec.code_table()
-
-    def gamma(counts):
-        picked = [g for g, c in counts.items() for _ in range(c)]
-        code = _pattern_code([i for i, _ in picked]) << len(picked)
-        for a, (_, joined) in enumerate(picked):
-            if joined:
-                code |= 1 << a
-        return table[code]
-
-    return pick_sum(spec.k - 1, groups, gamma) / comb(realised.n, spec.k - 1)
+    total = pick_sum(spec.k - 1, sizes, lambda counts: _attach_term(table, b, counts, split))
+    return total / comb(realised.n, spec.k - 1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 from .objectives import ObjectiveSpec, partitions_of
 from .partite import PartiteVector, lambda_of_shape, realise
@@ -29,31 +29,54 @@ from .perturbation import (AttachmentPattern, attach_value, clone_values,
 from .polynomials import UPoly, simplest_fraction_between
 
 
+def _pair_orbits(masses: Mapping[int, object], value: Callable[[int, int], object]) -> dict:
+    """value(i1, i2) for every pair i1 <= i2 of the keys of masses, computed
+    once per orbit of swaps of equal-mass parts; the clique (key 0) is never
+    swapped with a part."""
+    keys = sorted(masses)
+    known: dict[tuple, object] = {}
+    out: dict[tuple[int, int], object] = {}
+    for a, i1 in enumerate(keys):
+        for i2 in keys[a:]:
+            orbit = (i1 == 0, masses[i1], masses[i2], i1 == i2)
+            if orbit not in known:
+                known[orbit] = value(i1, i2)
+            out[i1, i2] = known[orbit]
+    return out
+
+
+def _pattern_orbits(masses: Mapping[int, object]) -> Iterator[dict[int, int]]:
+    """One 0/1 pattern b over the keys of masses (the parts) per orbit of
+    swaps of equal-mass parts, the first of each in product order."""
+    ids = sorted(masses)
+    seen: set[tuple] = set()
+    for bits in itertools.product((0, 1), repeat=len(ids)):
+        key = tuple(sorted((masses[i], bit) for i, bit in zip(ids, bits)))
+        if key not in seen:
+            seen.add(key)
+            yield dict(zip(ids, bits))
+
+
 def check_str1(spec: ObjectiveSpec, x: PartiteVector) -> tuple[Fraction, dict[tuple[int, int], Fraction]]:
     """Minimum flip gradient over ordered supp* pairs (repeats allowed)."""
-    pairs: dict[tuple[int, int], Fraction] = {}
-    for i1 in x.supp_star:
-        for i2 in x.supp_star:
-            if i2 < i1:
-                continue
-            pairs[(i1, i2)] = flip_gradient(spec, x, i1, i2)
+    pairs = _pair_orbits(x.draw_weights(), lambda i1, i2: flip_gradient(spec, x, i1, i2))
     return min(pairs.values()), pairs
+
+
+def _clone_edit_mass(masses: Mapping[int, object], b: Mapping[int, int]) -> dict:
+    """w_i = [i>0] b_i m_i + sum_{j >= 1, j != i} (1 - b_j) m_j for each key i
+    of masses: the part mass to edit so that a vertex joined to the parts in
+    b and to the whole clique becomes a clone of group i. masses holds the
+    limit masses over supp*, or the realised group sizes (clique key 0
+    present iff it is nonempty)."""
+    unjoined = sum((m for j, m in masses.items() if j and not b.get(j, 0)), Fraction(0))
+    return {i: (unjoined + (m if b.get(i, 0) else -m)) if i else unjoined
+            for i, m in masses.items()}
 
 
 def compute_w(x: PartiteVector, p: AttachmentPattern) -> dict[int, Fraction]:
     """w_i = [i>0] b_i x_i + sum_{j in supp* minus {0,i}} (1-b_j) x_j."""
-    out: dict[int, Fraction] = {}
-    for i in x.supp_star:
-        w = Fraction(0)
-        if i > 0 and p.bit(i):
-            w += x.entry(i)
-        for j in x.supp_star:
-            if j in (0, i):
-                continue
-            if not p.bit(j):
-                w += x.entry(j)
-        out[i] = w
-    return out
+    return _clone_edit_mass(x.draw_weights(), p.b)
 
 
 @dataclass(frozen=True)
@@ -70,8 +93,7 @@ def _margin_for_pattern(spec: ObjectiveSpec, x: PartiteVector,
     p = AttachmentPattern(b, Fraction(1))
     att = attach_value(spec, x, p)
     grad = UPoly([ref_value]) - att.poly
-    w = compute_w(x, p)
-    minw = min(w.values()) if w else Fraction(0)
+    minw = min(compute_w(x, p).values())
     supp_b = p.support()
     coeffs = tuple(str(c) for c in grad.coeffs)
 
@@ -119,16 +141,8 @@ def check_str2(spec: ObjectiveSpec, x: PartiteVector) -> tuple[Optional[Fraction
     swaps are deduplicated.
     """
     ref = clone_values(spec, x)[1 if x.parts else 0]
-    margins: list[PatternMargin] = []
-    seen: set[tuple] = set()
-    m = len(x.parts)
-    for bits in itertools.product((0, 1), repeat=m):
-        key = tuple(sorted(zip(x.parts, bits)))
-        if key in seen:
-            continue
-        seen.add(key)
-        b = {i + 1: bits[i] for i in range(m)}
-        margins.append(_margin_for_pattern(spec, x, b, ref))
+    masses = {i: x.entry(i) for i in x.support}
+    margins = [_margin_for_pattern(spec, x, b, ref) for b in _pattern_orbits(masses)]
     finite = [mg.c_bound for mg in margins if mg.c_bound is not None]
     if any(not mg.feasible for mg in margins):
         return Fraction(0), margins
@@ -161,7 +175,7 @@ class StrictnessReport:
             "c1": str(self.c1),
             "c2": None if self.c2 is None else str(self.c2),
             "candidates": [{
-                "vector": json.loads(cand.vector.to_json()),
+                "vector": cand.vector.to_jsonable(),
                 "c1": str(cand.c1),
                 "c2": None if cand.c2 is None else str(cand.c2),
                 "pairs": {f"{i},{j}": str(v) for (i, j), v in cand.pairs.items()},
@@ -235,35 +249,24 @@ def finite_strictness_check(spec: ObjectiveSpec, x: PartiteVector, n: int) -> Fi
 
     # pair condition over part-index orbits
     sizes = structure.group_sizes()
-    c1: Optional[Fraction] = None
-    scale = Fraction(comb(n - 2, k - 2), comb(n, k))
-    for i1 in sorted(sizes):
-        for i2 in sorted(sizes):
-            if i2 < i1:
-                continue
-            if i1 == i2 and sizes[i1] < 2:
-                continue
-            delta = finite_flip_delta(spec, realised, i1, i2) * scale
-            val = n * n * delta
-            if c1 is None or val < c1:
-                c1 = val
-    assert c1 is not None
+    scale = Fraction(n * n * comb(n - 2, k - 2), comb(n, k))
+
+    def flip(i1: int, i2: int) -> Optional[Fraction]:
+        if i1 == i2 and sizes[i1] < 2:
+            return None
+        return finite_flip_delta(spec, realised, i1, i2) * scale
+
+    c1 = min(v for v in _pair_orbits(sizes, flip).values() if v is not None)
 
     # attachment condition over all complete-or-empty patterns and clique cuts
-    part_ids = sorted(i for i in sizes if i > 0)
     v0_size = sizes.get(0, 0)
     c2: Optional[Fraction] = None
     clone_deficits: list[Fraction] = []
-    seen: set[tuple] = set()
-    for bits in itertools.product((0, 1), repeat=len(part_ids)):
-        key = tuple(sorted((sizes[i], bit) for i, bit in zip(part_ids, bits)))
+    for b in _pattern_orbits({i: s for i, s in sizes.items() if i}):
+        min_w = min(_clone_edit_mass(sizes, b).values())
         for j in range(v0_size + 1):
-            if (key, j) in seen:
-                continue
-            seen.add((key, j))
-            b = dict(zip(part_ids, bits))
             deficit = lam - finite_attach_lambda_vertex(spec, realised, b, j)
-            edits = _min_clone_edits(sizes, part_ids, b, j, v0_size)
+            edits = v0_size - j + min_w
             if edits == 0:
                 clone_deficits.append(deficit)
                 continue
@@ -271,19 +274,3 @@ def finite_strictness_check(spec: ObjectiveSpec, x: PartiteVector, n: int) -> Fi
             if c2 is None or val < c2:
                 c2 = val
     return FiniteStrictnessReport(n, c1, c2, tuple(clone_deficits))
-
-
-def _min_clone_edits(sizes: dict[int, int], part_ids: list[int],
-                     b: dict[int, int], v0_joined: int, v0_size: int) -> int:
-    best: Optional[int] = None
-    targets = list(part_ids) + ([0] if v0_size else [])
-    for tgt in targets:
-        cost = v0_size - v0_joined
-        for i in part_ids:
-            if i == tgt:
-                cost += b[i] * sizes[i]
-            else:
-                cost += (1 - b[i]) * sizes[i]
-        if best is None or cost < best:
-            best = cost
-    return best if best is not None else 0

@@ -90,6 +90,15 @@ def _clone_step(spec: ObjectiveSpec, g: Graph, lam: Fraction, x: int, y: int,
     return SymStep(src, dst, lam, new_lam, edited), new_g
 
 
+def _check_step_bound(spec: ObjectiveSpec, g: Graph, steps: list[SymStep]) -> None:
+    """Refuse a step beyond C(n,2): a monotone sequence that long is cycling
+    through tied clones."""
+    if len(steps) >= g.n * (g.n - 1) // 2:
+        if spec.eligible:
+            raise RuntimeError("symmetrisation exceeded the C(n,2) step bound")
+        raise SymmetrisationError("no terminating monotone clone sequence found")
+
+
 def symmetrise_full(spec: ObjectiveSpec, g: Graph) -> SymmetrisationTrace:
     """Drive g to a complete partite graph by repeated cloning."""
     if g.n < spec.k:
@@ -99,7 +108,6 @@ def symmetrise_full(spec: ObjectiveSpec, g: Graph) -> SymmetrisationTrace:
     classes: list[list[int]] = [[v] for v in range(g.n)]
     lam = lambda_graph(spec, g)
     steps: list[SymStep] = []
-    max_steps = g.n * (g.n - 1) // 2
 
     while True:
         pair = _find_violating_pair(g, classes)
@@ -111,10 +119,7 @@ def symmetrise_full(spec: ObjectiveSpec, g: Graph) -> SymmetrisationTrace:
             classes[ai].extend(classes[bi])
             classes.pop(bi)
             continue
-        if len(steps) >= max_steps:
-            if spec.eligible:
-                raise RuntimeError("symmetrisation exceeded the C(n,2) step bound")
-            raise SymmetrisationError("no terminating monotone clone sequence found")
+        _check_step_bound(spec, g, steps)
         sa, sb = len(classes[ai]), len(classes[bi])
         step, g = _clone_step(spec, g, lam, x, y, sa > sb or (sa == sb and ai < bi))
         steps.append(step)
@@ -173,6 +178,7 @@ def symmetrise_vertex(spec: ObjectiveSpec, g: Graph, z: int) -> SymmetrisationTr
             dprime = [v for v in part if not g.has_edge(v, z)]
             if not prime or not dprime:
                 break
+            _check_step_bound(spec, g, steps)
             x, y = min(prime), min(dprime)
             # x and y are twins in g - z, so a clone toggles only the pair with z
             step, g = _clone_step(spec, g, lam, x, y, len(prime) >= len(dprime))

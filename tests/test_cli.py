@@ -210,6 +210,27 @@ def test_module_entry_point(tmp_path):
     assert proc.stdout.strip() == "3/8"
 
 
+def test_vertex_symmetrise_tied_clones_fail_within_step_bound(tmp_path):
+    """Tied clones alternate forever under this non-eligible objective (g - 6
+    has parts {0}, {1,2,3}, {4,5}); the C(n,2) step bound ends the run with
+    exit 1 and a fail verdict."""
+    edges = [(0, v) for v in range(1, 7)] + [(1, 4), (1, 5), (1, 6), (2, 4), (2, 5),
+                                             (2, 6), (3, 4), (3, 5), (5, 6)]
+    path = tmp_path / "g.txt"
+    path.write_text(write_graph_text(Graph.from_edges(7, edges)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "inducibility", "symmetrise", "--objective",
+         "SUM -1*KP 2,2 + 1*KP 1,1,1,1", "--graph", str(path), "--vertex", "6"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("fail: ")
+    report = json.loads(proc.stdout.split("\n", 1)[1])
+    assert report["verdict"] == "fail"
+
+
 def test_gradients_report(capsys, tmp_path):
     out_file = tmp_path / "g.json"
     code, _ = run_cli(["gradients", "--objective", "KP 2,1,1,1",

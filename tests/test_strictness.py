@@ -1,10 +1,16 @@
+import itertools
 from fractions import Fraction as F
+from math import comb
+
+import pytest
 
 from inducibility.objectives import ObjectiveSpec, lambda_graph
 from inducibility.partite import PartiteVector, lambda_of_vector, realise
-from inducibility.perturbation import AttachmentPattern, pattern_e
+from inducibility.perturbation import (AttachmentPattern, clone_values,
+                                       finite_attach_lambda_vertex, finite_flip_delta,
+                                       flip_gradient, pattern_e)
 from inducibility.polynomials import UPoly
-from inducibility.strictness import (check_str1, check_str2, compute_w,
+from inducibility.strictness import (_margin_for_pattern, check_str1, check_str2, compute_w,
                                      counterexample_candidates, counterexample_spec,
                                      finite_strictness_check, strictness_certificate)
 
@@ -174,3 +180,80 @@ def test_finite_strictness_with_empty_realised_part():
     want = min(100 * (lam - lambda_graph(spec, g.flip(u, v)))
                for u in range(10) for v in range(u + 1, 10))
     assert finite_strictness_check(spec, x, 10).c1 == want
+
+
+# -- orbit walks against a reference that evaluates every pair and pattern ---
+
+ORBIT_SPECS = [ObjectiveSpec.partite_density([2, 1, 1]),
+               ObjectiveSpec.combination([(1, (2, 2)), (-1, (1, 1, 1, 1)), (2, (3, 1))])]
+ORBIT_VECTORS = [PartiteVector([F(1, 4)] * 4),                      # no clique mass
+                 PartiteVector([F(1, 3), F(1, 3), F(1, 6), F(1, 6)]),
+                 PartiteVector([F(1, 5), F(1, 5)]),                 # x0 = 3/5
+                 PartiteVector([F(1, 4)] * 3),                      # parts equal x0 = 1/4
+                 PartiteVector([F(3, 10), F(3, 10), F(1, 5)])]      # part 3 equals x0 = 1/5
+
+
+def _every_pair(spec, x):
+    pairs = {(i1, i2): flip_gradient(spec, x, i1, i2)
+             for i1 in x.supp_star for i2 in x.supp_star if i1 <= i2}
+    return min(pairs.values()), pairs
+
+
+def _every_pattern(spec, x):
+    ref = clone_values(spec, x)[1 if x.parts else 0]
+    margins = {}
+    for bits in itertools.product((0, 1), repeat=len(x.parts)):
+        m = _margin_for_pattern(spec, x, dict(enumerate(bits, start=1)), ref)
+        margins[m.b_support] = m
+    if any(not m.feasible for m in margins.values()):
+        return F(0), margins
+    finite = [m.c_bound for m in margins.values() if m.c_bound is not None]
+    return (min(finite) if finite else None), margins
+
+
+def _every_finite_pattern(spec, x, n):
+    """c1, c2 and the clone deficits of the finite check with every pair,
+    every pattern b and every clique cut j."""
+    realised = realise(n, x)
+    sizes = realised.structure.group_sizes()
+    k = spec.k
+    lam = lambda_graph(spec, realised.graph)
+    scale = F(n * n * comb(n - 2, k - 2), comb(n, k))
+    c1 = min(finite_flip_delta(spec, realised, i1, i2) * scale
+             for i1 in sizes for i2 in sizes if i1 < i2 or (i1 == i2 and sizes[i1] > 1))
+    parts = sorted(i for i in sizes if i)
+    v0 = sizes.get(0, 0)
+    vals, deficits = [], set()
+    for bits in itertools.product((0, 1), repeat=len(parts)):
+        b = dict(zip(parts, bits))
+        for j in range(v0 + 1):
+            # edits to make the attached vertex a clone of part t, or of the clique
+            edits = min(v0 - j + sum(sizes[i] * (b[i] if i == t else 1 - b[i]) for i in parts)
+                        for t in parts + ([0] if v0 else []))
+            deficit = lam - finite_attach_lambda_vertex(spec, realised, b, j)
+            if edits == 0:
+                deficits.add(deficit)
+            else:
+                vals.append(n * deficit / edits)
+    return c1, min(vals, default=None), deficits
+
+
+@pytest.mark.parametrize("spec", ORBIT_SPECS, ids=["KP 2,1,1", "signed SUM"])
+def test_orbit_walks_match_every_pair_and_pattern(spec):
+    for x in ORBIT_VECTORS:
+        assert check_str1(spec, x) == _every_pair(spec, x), x
+        c2, margins = check_str2(spec, x)
+        want_c2, every = _every_pattern(spec, x)
+        assert c2 == want_c2, x
+        assert all(every[m.b_support] == m for m in margins), x
+        # one margin per orbit of equal-mass swaps, and no value left out
+        orbits = {tuple(sorted(zip(x.parts, bits)))
+                  for bits in itertools.product((0, 1), repeat=len(x.parts))}
+        assert len(margins) == len(orbits), x
+        key = lambda m: (m.min_w, m.gradient_poly, m.c_bound, m.feasible)  # noqa: E731
+        assert {key(m) for m in margins} == {key(m) for m in every.values()}, x
+        for n in (9, 12):
+            rep = finite_strictness_check(spec, x, n)
+            c1, c2, deficits = _every_finite_pattern(spec, x, n)
+            assert (rep.c1, rep.c2) == (c1, c2), (x, n)
+            assert set(rep.clone_deficits) == deficits, (x, n)
