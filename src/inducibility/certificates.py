@@ -28,9 +28,9 @@ from .partite import (PartiteVector, density_formula, elementary_symmetric,
                       lambda_of_vector, sampling_density, SymmetricIndex,
                       _multinomial)
 from .perturbation import (AttachmentPattern, attach_value, attach_value_generic,
-                           flip_gradient, flip_gradient_generic, pair_density)
+                           flip_gradient_generic, pair_density)
 from .polynomials import MPoly, UPoly, resultant
-from .strictness import check_str1, check_str2, strictness_certificate
+from .strictness import strictness_certificate
 
 LAMBDA_2111 = Fraction(525, 1024)
 LAMBDA_311 = Fraction(216, 625)
@@ -319,10 +319,10 @@ def certify_kst(s: int, t: int) -> CertificateReport:
     att_e2 = _kst_attach(s, t, (1, 0))
     att_00 = _kst_attach(s, t, (0, 0))
     att_11 = _kst_attach(s, t, (1, 1))
-    if k <= 6:
+    cross_spec = ObjectiveSpec.partite_density([t, s]) if k <= 6 else None
+    if cross_spec is not None:
         a_var = MPoly.var("a")
         entries = {1: a_var, 2: 1 - a_var}
-        cross_spec = ObjectiveSpec.partite_density(sorted([s, t], reverse=True))
         agree = True
         for pair, closed in grads.items():
             sampled = flip_gradient_generic(cross_spec, entries, *pair)
@@ -369,11 +369,10 @@ def certify_kst(s: int, t: int) -> CertificateReport:
         alpha_f = res.alpha.as_fraction()
         x = PartiteVector(sorted([alpha_f, 1 - alpha_f], reverse=True))
         lam = att_e1(alpha_f)  # clone value equals lambda at the maximiser
-        if k <= 6:
-            spec = ObjectiveSpec.partite_density(sorted([s, t], reverse=True))
-            strict = strictness_certificate(spec, [x])
+        if cross_spec is not None:
+            strict = strictness_certificate(cross_spec, [x])
             rep.add("strictness_certificate", strict.passed, f"c = {strict.c}")
-            lam = lambda_of_vector(spec, x)
+            lam = lambda_of_vector(cross_spec, x)
         ilo, ihi = res.i_value
         rep.add("value_matches_profile", ilo == ihi == lam,
                 f"i(K_{{{s},{t}}}) = {lam}")
@@ -468,15 +467,13 @@ def certify_krt(r: int, t: int) -> CertificateReport:
 
     if k <= 6:
         spec = ObjectiveSpec.partite_density(a)
+        strict = strictness_certificate(spec, [x])
         lam = lambda_of_vector(spec, x)
         ok_flips = lam == val
-        for i1 in range(1, r + 1):
-            for i2 in range(i1, r + 1):
-                g = flip_gradient(spec, x, i1, i2)
-                d = pair_density(spec, x, i1, i2)
-                want = within if i1 == i2 else cross
-                if g != d or g != want:
-                    ok_flips = False
+        for (i1, i2), g in strict.candidates[0].pairs.items():
+            want = within if i1 == i2 else cross
+            if g != pair_density(spec, x, i1, i2) or g != want:
+                ok_flips = False
         rep.add("flips_zero_the_pattern", ok_flips,
                 "flip gradient equals the through-pair density closed form")
         ok_attach = True
@@ -491,7 +488,6 @@ def certify_krt(r: int, t: int) -> CertificateReport:
                 ok_attach = False
         rep.add("attachments_zero_or_clone", ok_attach,
                 "non-clone patterns see no pattern copies; clones see lambda")
-        strict = strictness_certificate(spec, [x])
         rep.add("strictness_certificate", strict.passed, f"c = {strict.c}")
 
     rep.lambda_max = val
@@ -606,24 +602,23 @@ def certify_k2111() -> CertificateReport:
     rep.add("near_split_below", lv == dv and lv < lam0,
             f"lambda(1/8^7, 1/16, 1/16) = {lv} < 525/1024")
 
-    # (6) strictness data at the uniform split
-    rep.add("flip_cross", flip_gradient(spec, a8, 1, 2) == Fraction(150, 512))
-    rep.add("flip_within", flip_gradient(spec, a8, 1, 1) == Fraction(84, 512))
-    table_ok = True
+    # (6) strictness data at the uniform split; the parts have equal masses,
+    # so the patterns b with kk ones form one orbit for each kk
+    strict = strictness_certificate(spec, [a8])
+    cand = strict.candidates[0]
+    rep.add("flip_cross", cand.pairs[1, 2] == Fraction(150, 512))
+    rep.add("flip_within", cand.pairs[1, 1] == Fraction(84, 512))
+    table = {len(m.b_support): m.attach(1) for m in cand.patterns}
+    table_ok = sorted(table) == list(range(9))
     argmax = None
     best = None
-    for kk in range(9):
-        b = {i + 1: 1 if i < kk else 0 for i in range(8)}
-        got = attach_value(spec, a8, AttachmentPattern(b, Fraction(1))).value
-        want = Fraction(24, 8**4) * comb(kk, 3) * (Fraction(19, 2) - kk)
-        if got != want:
+    for kk, got in sorted(table.items()):
+        if got != Fraction(24, 8**4) * comb(kk, 3) * (Fraction(19, 2) - kk):
             table_ok = False
         if best is None or got > best:
             best, argmax = got, kk
     rep.add("attachment_table", table_ok and argmax == 7 and best == lam0,
             "lambda(a,(b,1)) = (4!/8^4) C(k,3)(19/2 - k), unique max 525/1024 at k = 7")
-
-    strict = strictness_certificate(spec, [a8])
     rep.add("strictness_certificate", strict.passed, f"c = {strict.c}")
 
     # (7) verdict
@@ -795,32 +790,26 @@ def certify_k311() -> CertificateReport:
 
     # (5) strictness with c = 108/125
     a = PartiteVector([Fraction(3, 5)])
-    ok_flips = True
-    flips = {}
-    for pair in ((0, 0), (0, 1), (1, 1)):
-        gval = flip_gradient(spec, a, *pair)
-        dens = pair_density(spec, a, *pair)
-        flips[pair] = gval
-        if gval != dens or gval <= 0:
-            ok_flips = False
+    strict = strictness_certificate(spec, [a])
+    cand = strict.candidates[0]
+    ok_flips = all(g == pair_density(spec, a, *pair) and g > 0
+                   for pair, g in cand.pairs.items())
     rep.add("str1_flips_kill_copies", ok_flips,
-            "; ".join(f"{p}: {v}" for p, v in sorted(flips.items())))
-    c1, _ = check_str1(spec, a)
-    rep.add("str1_constant", c1 == Fraction(27, 125), f"min flip gradient {c1}")
+            "; ".join(f"{p}: {v}" for p, v in sorted(cand.pairs.items())))
+    rep.add("str1_constant", cand.c1 == Fraction(27, 125), f"min flip gradient {cand.c1}")
 
-    att1 = attach_value(spec, a, AttachmentPattern({1: 1}, Fraction(1, 2)))
-    att0 = attach_value(spec, a, AttachmentPattern({1: 0}, Fraction(1, 2)))
-    rep.add("attach_poly_joined", att1.poly == UPoly([0, lam0]),
+    # attachment polynomials in alpha (independent of the pattern's alpha) for b = 1, 0
+    att = {m.b_support: m.attach for m in cand.patterns}
+    att1, att0 = att[(1,)], att[()]
+    rep.add("attach_poly_joined", att1 == UPoly([0, lam0]),
             "lambda(a, (b=1, alpha)) = (216/625) alpha")
-    rep.add("attach_poly_unjoined", att0.poly == UPoly([0, 0, lam0]),
+    rep.add("attach_poly_unjoined", att0 == UPoly([0, 0, lam0]),
             "lambda(a, (b=0, alpha)) = (216/625) alpha^2")
     bound_poly = UPoly([0, lam0])
-    rep.add("attach_dominated", (bound_poly - att1.poly).nonneg_on(0, 1)
-            and (bound_poly - att0.poly).nonneg_on(0, 1),
+    rep.add("attach_dominated", (bound_poly - att1).nonneg_on(0, 1)
+            and (bound_poly - att0).nonneg_on(0, 1),
             "both attachment values lie below (216/625) alpha on [0,1]")
-    c2, _ = check_str2(spec, a)
-    rep.add("str2_constant", c2 == Fraction(108, 125), f"certified c2 = {c2}")
-    strict = strictness_certificate(spec, [a])
+    rep.add("str2_constant", cand.c2 == Fraction(108, 125), f"certified c2 = {cand.c2}")
     rep.add("strictness_certificate", strict.passed, f"c = {strict.c}")
 
     # (6) verdict

@@ -197,12 +197,9 @@ def emit(report: dict, args, verdict_line: str) -> None:
     text = json.dumps(report, indent=1, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text + "\n")
-    if args.quiet:
-        print(verdict_line)
-    else:
-        print(verdict_line)
-        if not args.out:
-            print(text)
+    print(verdict_line)
+    if not args.quiet and not args.out:
+        print(text)
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +278,8 @@ def cmd_strictness(args) -> int:
     spec = parse_objective(args.objective)
     candidates = [parse_vector(v) for v in args.vector]
     report = strictness_certificate(spec, candidates)
-    result = json.loads(report.to_json())
     verdict = "pass" if report.passed else "fail"
-    emit(make_report("strictness", verdict, result, spec.label), args,
+    emit(make_report("strictness", verdict, report.to_jsonable(), spec.label), args,
          f"{verdict}: c = {report.c}")
     return EXIT_PASS if report.passed else EXIT_FAIL
 

@@ -283,7 +283,7 @@ def continuous_opt(spec: ObjectiveSpec, max_support: int, starts: int = 200,
         seeds.append([x0] + [(1 - x0) * w / tot for w in raw] + [0.0] * (M - r))
 
     found: list[tuple[float, list[float]]] = []
-    for z in seeds[:max(starts, len(seeds))]:
+    for z in seeds:
         z = _project_simplex(z)
         z, val = _ascend(plan, z)
         z, val = _local_moves(plan, z, val)

@@ -43,10 +43,8 @@ class PartiteVector:
 
     __slots__ = ("parts", "x0")
 
-    def __init__(self, parts: Iterable[Rat] = (), *, sort: bool = False):
+    def __init__(self, parts: Iterable[Rat] = ()):
         ps = [_frac(p) for p in parts]
-        if sort:
-            ps.sort(reverse=True)
         if any(p <= 0 for p in ps):
             raise ValueError("parts must be strictly positive")
         if any(a < b for a, b in zip(ps, ps[1:])):
@@ -261,12 +259,16 @@ def pick_sum(k: int, sizes: Mapping[int, int], term: Callable[[dict], object]):
     subset meets, in ascending order, to the number of its items picked. A
     nonzero term contributes prod C(sizes[g], c) * term, the number of
     subsets with these counts, so the sum is exact in the term ring; an
-    empty sum is Fraction(0). The counting twin of draw_sum.
+    empty sum is Fraction(0). term is called only for counts that can be
+    picked (none above its group's size). The counting twin of draw_sum.
     """
     def ways(counts):
         return prod(comb(sizes[g], c) for g, c in counts.items())
 
-    return _multiset_sum(sorted(g for g, s in sizes.items() if s > 0), k, ways, term)
+    def possible_term(counts):
+        return term(counts) if all(c <= sizes[g] for g, c in counts.items()) else 0
+
+    return _multiset_sum(sorted(g for g, s in sizes.items() if s > 0), k, ways, possible_term)
 
 
 def _multiset_sum(keys: Sequence, k: int, weight: Callable[[dict], object],

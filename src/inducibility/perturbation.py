@@ -298,10 +298,8 @@ def finite_attach_lambda_vertex(spec: ObjectiveSpec, realised: RealisedPartite,
         raise ValueError("clique neighbour count out of range")
 
     def split(zeros: int, j: int):
-        # pick_sum reads the term before its weight, also for zeros > v0 (weight 0)
-        ways = comb(v0, zeros)
         return Fraction(comb(v0_neighbours, j) * comb(v0 - v0_neighbours, zeros - j),
-                        ways) if ways else 0
+                        comb(v0, zeros))
 
     table = spec.code_table()
     total = pick_sum(spec.k - 1, sizes, lambda counts: _attach_term(table, b, counts, split))

@@ -86,6 +86,7 @@ class PatternMargin:
     gradient_poly: tuple[str, ...]      # nabla as polynomial in alpha, "p/q" coefficients
     c_bound: Optional[Fraction]         # None encodes unbounded
     feasible: bool                      # nabla >= 0 requirement where the bound vanishes
+    attach: UPoly                       # lambda(x, (b, alpha)) in alpha; not written to JSON
 
 
 def _margin_for_pattern(spec: ObjectiveSpec, x: PartiteVector,
@@ -94,32 +95,34 @@ def _margin_for_pattern(spec: ObjectiveSpec, x: PartiteVector,
     att = attach_value(spec, x, p)
     grad = UPoly([ref_value]) - att.poly
     minw = min(compute_w(x, p).values())
-    supp_b = p.support()
     coeffs = tuple(str(c) for c in grad.coeffs)
+
+    def margin(c_bound: Optional[Fraction], feasible: bool) -> PatternMargin:
+        return PatternMargin(p.support(), minw, coeffs, c_bound, feasible, att.poly)
 
     if x.x0 == 0:
         val = grad(Fraction(1))
         if minw == 0:
-            return PatternMargin(supp_b, minw, coeffs, None, val >= 0)
+            return margin(None, val >= 0)
         if val < 0:
-            return PatternMargin(supp_b, minw, coeffs, Fraction(0), False)
-        return PatternMargin(supp_b, minw, coeffs, val / minw, True)
+            return margin(Fraction(0), False)
+        return margin(val / minw, True)
 
     # B(alpha) = (1 - alpha) x0 + min_w
     bpoly = UPoly([x.x0 + minw, -x.x0])
     if not grad.nonneg_on(0, 1):
-        return PatternMargin(supp_b, minw, coeffs, Fraction(0), False)
+        return margin(Fraction(0), False)
     samples = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     ratios = [grad(a) / bpoly(a) for a in samples if bpoly(a) > 0]
     if not ratios:
-        return PatternMargin(supp_b, minw, coeffs, None, True)
+        return margin(None, True)
     hi = min(ratios)
 
     def ok(c: Fraction) -> bool:
         return (grad - c * bpoly).nonneg_on(0, 1)
 
     if ok(hi):
-        return PatternMargin(supp_b, minw, coeffs, hi, True)
+        return margin(hi, True)
     lo = Fraction(0)
     for _ in range(40):
         mid = (lo + hi) / 2
@@ -130,7 +133,7 @@ def _margin_for_pattern(spec: ObjectiveSpec, x: PartiteVector,
     snap = simplest_fraction_between(lo, hi)
     if snap > lo and ok(snap):
         lo = snap
-    return PatternMargin(supp_b, minw, coeffs, lo, True)
+    return margin(lo, True)
 
 
 def check_str2(spec: ObjectiveSpec, x: PartiteVector) -> tuple[Optional[Fraction], list[PatternMargin]]:
@@ -168,8 +171,8 @@ class StrictnessReport:
     c: Fraction
     passed: bool
 
-    def to_json(self) -> str:
-        return json.dumps({
+    def to_jsonable(self) -> dict:
+        return {
             "passed": self.passed,
             "c": str(self.c),
             "c1": str(self.c1),
@@ -187,7 +190,10 @@ class StrictnessReport:
                     "gradient_poly": list(p.gradient_poly),
                 } for p in cand.patterns],
             } for cand in self.candidates],
-        })
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_jsonable())
 
 
 def strictness_certificate(spec: ObjectiveSpec,

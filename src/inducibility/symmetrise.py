@@ -159,7 +159,8 @@ def symmetrise_vertex(spec: ObjectiveSpec, g: Graph, z: int) -> SymmetrisationTr
 
     Within each part, vertices split by z-adjacency; each step clones across
     the split in the objective-larger direction and so toggles exactly the one
-    pair {target, z}.
+    pair {target, z}. The final shape is None unless the final graph is
+    complete partite (z ends up a clone of one part, or joined to all).
     """
     if not 0 <= z < g.n:
         raise ValueError("vertex out of range")
@@ -188,7 +189,4 @@ def symmetrise_vertex(spec: ObjectiveSpec, g: Graph, z: int) -> SymmetrisationTr
     for part in parts:
         nbhd = [g.has_edge(v, z) for v in part]
         assert all(nbhd) or not any(nbhd)
-    shape = complete_partite_shape_of(g)
-    if shape is None:
-        shape = CompletePartiteShape(sizes=[len(p) for p in parts])
-    return SymmetrisationTrace(tuple(steps), g, shape)
+    return SymmetrisationTrace(tuple(steps), g, complete_partite_shape_of(g))

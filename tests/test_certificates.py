@@ -1,14 +1,18 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
-from inducibility.certificates import (certify_krt, certify_kst, krt_value,
-                                       positive_multiplier_lp, product_positivity_ok)
+from inducibility import perturbation, strictness
+from inducibility.certificates import (certify_k2111, certify_k311, certify_krt, certify_kst,
+                                       krt_value, positive_multiplier_lp,
+                                       product_positivity_ok)
 from inducibility.intervals import bb_max_bound
 from inducibility.partite import PartiteVector, density_formula
 from inducibility.polynomials import UPoly
@@ -189,3 +193,71 @@ def test_kst_one_sided_interval_bounds():
         res = kst_maximiser(1, t)
         hi = res.alpha.refine(F(1, 2**48)).hi
         assert hi < F(t, t + 1)
+
+
+# sha256 of to_json() for each certificate report; pinned when the pipelines
+# started reading flips, attachment values and margins from their one
+# strictness pass, so any change to a report's bytes shows here
+REPORT_SHA256 = [
+    ("k311", "2e446f3baf5a3574c267c81f4cae3349d615f9a0f438c4f9c4dfd1474ecab8c4"),
+    ("k2111", "c845c3d9db694d687b7c3dab4669bfb9186adad179c2344d707e0f29f28100e9"),
+    ("krt(2,3)", "8c748a1534186984209f64b33488246bc177bc82226bec6e002840d257296b93"),
+    ("krt(3,2)", "47fb348d13b347d176971b2e9c5a4cf23ee92b05ae0bd1d44327fbe4c60b2e24"),
+    ("kst(2,3)", "1c101827c5862322ae4e9e2b670451aed8efe2b8dc3efcc9f78bf7103352a880"),
+    ("kst(3,2)", "1c101827c5862322ae4e9e2b670451aed8efe2b8dc3efcc9f78bf7103352a880"),
+    ("kst(1,4)", "31840d52d0f40d4f8801a3af83f2769a7e141a71d72548ca100e9e4b3ff6a6e0"),
+    ("kst(2,2)", "8c7d66ceeefc682d394ab6055fdcfd9cc9ce8904e482618f90c70b9dc3fc1823"),
+    ("kst(2,5)", "23a10713e79061538323bf3097fbc23ac5a576770634edcb1e93063bb97d903b"),
+    ("kst(3,4)", "5bf407fd74efc1b49e1171ad45836ff6279391fd96301f305450d74baf63538e"),
+    ("kst(5,6)", "62e5b48903ac7fad7816bcd1e0c48d10e3c219ccdfef2edd562ffcd6823e5565"),
+    ("kst(1,9)", "b7399f7e8d1de42797263695bf8f31290db88adb506e3ebce6f9f05456952b75"),
+    ("kst(4,6)", "f581d45af0e358aa59bc8114dfa81bf5f52e01f0be45bf57affdaf59514928ca"),
+    ("kst(5,5)", "25ee21d06e4b204d24d85a30d102403fd6c3f82af216ff1151de68806ce6aa19"),
+]
+
+
+def _certify(name):
+    if name == "k311":
+        return certify_k311()
+    if name == "k2111":
+        return certify_k2111()
+    kind, args = name[:3], name[4:-1].split(",")
+    return {"krt": certify_krt, "kst": certify_kst}[kind](*map(int, args))
+
+
+@pytest.mark.parametrize("name,digest", REPORT_SHA256, ids=[n for n, _ in REPORT_SHA256])
+def test_certificate_report_bytes_are_pinned(name, digest):
+    assert hashlib.sha256(_certify(name).to_json().encode()).hexdigest() == digest
+
+
+def test_certificates_read_their_one_strictness_pass(monkeypatch):
+    counts = Counter()
+    originals = {"attach_value": perturbation.attach_value,
+                 "flip_gradient": perturbation.flip_gradient,
+                 "check_str1": strictness.check_str1,
+                 "check_str2": strictness.check_str2}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    wrappers = {name: counted(name, fn) for name, fn in originals.items()}
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] != "inducibility":
+            continue
+        for name, fn in originals.items():
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, wrappers[name])
+
+    def calls(name):
+        counts.clear()
+        assert _certify(name).passed == (name != "krt(3,2)")
+        return dict(counts)
+
+    assert calls("k311") == {"check_str1": 1, "check_str2": 1,
+                             "flip_gradient": 3, "attach_value": 2}
+    assert calls("k2111") == {"check_str1": 1, "check_str2": 1,
+                              "flip_gradient": 2, "attach_value": 9}
+    assert calls("krt(3,2)")["flip_gradient"] == 2

@@ -289,3 +289,19 @@ def test_gradients_kp221_clone_values_match_attach(capsys, tmp_path):
     assert rep["result"]["clone_values"] == {str(i): str(v) for i, v in clones.items()}
     lam = lambda_of_vector(spec, x)
     assert rep["result"]["lagrange_residual"] == str(max(abs(v - lam) for v in clones.values()))
+
+
+def test_vertex_symmetrise_non_partite_end_reports_null_shape(capsys, tmp_path):
+    # g - 6 is complete partite with parts {0}, {1, 2}, {3, 4, 5}; vertex 6 ends
+    # joined to {1, 2} and not to the other two parts, so g is not complete partite
+    p = tmp_path / "g.txt"
+    p.write_text("n 7\n0 1\n0 2\n0 3\n0 4\n0 5\n1 3\n1 4\n1 5\n"
+                 "2 3\n2 4\n2 5\n2 6\n3 6\n")
+    out_file = tmp_path / "r.json"
+    code, out = run_cli(["symmetrise", "--objective", "SUM 1*KP 3 + 1*KP 2,1",
+                         "--graph", str(p), "--vertex", "6", "--out", str(out_file)], capsys)
+    assert code == 0
+    assert out.strip() == "pass: 2 steps, final parts None"
+    result = json.loads(out_file.read_text())["result"]
+    assert result["final_part_sizes"] is None
+    assert result["lambda_final"] == "26/35"

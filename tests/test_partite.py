@@ -12,7 +12,7 @@ from inducibility.partite import (PartiteVector, SymmetricIndex, count_partite,
                                   density_formula, draw_sum, edit_distance_vectors,
                                   elementary_symmetric, lambda_free, lambda_gradient,
                                   lambda_of_shape, lambda_of_vector, partition_counts,
-                                  realisation_shape, realise, sampling_density)
+                                  pick_sum, realisation_shape, realise, sampling_density)
 from inducibility.perturbation import attach_value, lagrange_residual, pattern_e
 from inducibility.polynomials import MPoly
 
@@ -201,6 +201,20 @@ def test_draw_sum_multinomial_theorem_and_size_guard(spec_c4):
     # lambda has no support limit: C(57, 2) pairs of parts, 4!/(2! 2!)
     # orders of the draws, (1/57)^4 each
     assert lambda_of_vector(spec_c4, PartiteVector.uniform(57)) == F(56, 61731)
+
+
+def test_pick_sum_calls_term_only_on_possible_picks():
+    sizes = {0: 2, 1: 1, 2: 3}
+
+    def picked_from_2(counts):
+        if any(c > sizes[g] for g, c in counts.items()):
+            raise AssertionError(f"impossible pick {counts}")
+        return counts.get(2, 0)
+
+    # over the C(6, 3) = 20 subsets, the 3 items of group 2 are each picked
+    # in C(5, 2) = 10 of them
+    assert pick_sum(3, sizes, picked_from_2) == 30
+    assert pick_sum(3, sizes, lambda counts: 1) == comb(6, 3)
 
 
 def _lambda_by_draws(spec, x0, parts):

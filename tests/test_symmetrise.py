@@ -166,3 +166,26 @@ def test_trace_json(spec_c4):
     assert len(obj["steps"]) == len(trace.steps)
     for step in obj["steps"]:
         F(step["lambda_before"]), F(step["lambda_after"])
+
+
+def test_vertex_mode_final_shape_is_the_final_graph(spec_c4):
+    # the final shape is None unless the final graph itself is complete partite
+    from inducibility.partite import lambda_of_shape
+
+    specs = [spec_c4, ObjectiveSpec.combination([(1, [3]), (1, [2, 1])])]
+    rng = random.Random(44)
+    nones = 0
+    for i in range(40):
+        spec = specs[i % 2]
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(3, 4))]
+        base = Graph.complete_partite(sizes)
+        n = base.n
+        trace = symmetrise_vertex(spec, base.add_vertex(rng.randrange(1 << n)), n)
+        shape = trace.final_shape
+        if shape is None:
+            nones += 1
+            assert complete_partite_shape_of(trace.final_graph) is None
+        else:
+            assert shape.n == n + 1
+            assert lambda_of_shape(spec, shape) == lambda_graph(spec, trace.final_graph)
+    assert 0 < nones < 40
