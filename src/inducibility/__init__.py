@@ -8,19 +8,17 @@ from .graphs import (CompletePartiteShape, Graph, PartiteStructure, attach,
 from .objectives import (ObjectiveSpec, big_lambda, big_lambda_vertex,
                          brute_lambda_max, lambda_graph, lambda_vertex,
                          partitions_of)
-from .partite import (PartiteVector, RealisedPartite, SymmetricIndex, count_partite,
-                      density_formula, edit_distance_vectors, elementary_symmetric,
-                      lambda_gradient, lambda_of_shape, lambda_of_vector, realisation_shape,
-                      realise)
+from .partite import (PartiteVector, SymmetricIndex, count_partite, density_formula,
+                      edit_distance_vectors, elementary_symmetric, lambda_gradient,
+                      lambda_of_shape, lambda_of_vector, realise)
 from .perturbation import (AttachmentPattern, AttachValue, CompareReport,
                            DiagnosticBounds, attach_value, clone_values, compare_bounds,
-                           flip_gradient, lagrange_residual, pair_density,
-                           partial_derivative, pattern_e, vertex_gradient)
+                           flip_gradient, lagrange_residual, pair_density, pattern_e,
+                           vertex_gradient)
 from .symmetrise import (SymmetrisationError, SymmetrisationTrace, symmetrise_full,
                          symmetrise_vertex)
 from .strictness import (FiniteStrictnessReport, StrictnessReport, check_str1,
-                         check_str2, compute_w, counterexample_candidates,
-                         counterexample_spec, finite_strictness_check,
+                         check_str2, compute_w, finite_strictness_check,
                          strictness_certificate)
 from .optsearch import (CandidateSet, KstResult, continuous_opt, finite_opt,
                         kst_maximiser)

@@ -12,7 +12,6 @@ multiplier from a checked-in data file and re-verifies all of them.
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -27,8 +26,7 @@ from .optsearch import kst_maximiser
 from .partite import (PartiteVector, density_formula, elementary_symmetric,
                       lambda_of_vector, sampling_density, SymmetricIndex,
                       _multinomial)
-from .perturbation import (AttachmentPattern, attach_value, attach_value_generic,
-                           flip_gradient_generic, pair_density)
+from .perturbation import attach_value_generic, flip_gradient_generic, pair_density
 from .polynomials import MPoly, UPoly, resultant
 from .strictness import strictness_certificate
 
@@ -156,21 +154,13 @@ def _lp_feasible(A: list[list[Fraction]], b: list[Fraction],
     return x
 
 
-def product_positivity_ok(prod: UPoly) -> bool:
-    """Acceptance rule: all coefficients >= 0 with positive constant and
-    leading coefficient (certifies positivity on (0, infinity))."""
-    if prod.is_zero():
-        return False
-    return (all(c >= 0 for c in prod.coeffs)
-            and prod.coeffs[0] > 0 and prod.leading > 0)
-
-
 def positive_multiplier_lp(p: UPoly, d: int) -> Optional[UPoly]:
-    """Search for r1 of degree <= d with positive coefficients such that
-    p * r1 passes the positivity acceptance rule; exact verification.
+    """Search for r1 of degree <= d such that r1 and p * r1 have only positive
+    coefficients, the rule certify_k311 checks (it shows p > 0 on (0, inf)).
 
-    Returns the integer-coefficient multiplier or None (failure does not
-    disprove positivity of p).
+    The LP asks for every coefficient of r1 and of p * r1 to be >= 1; the
+    scaled integer result is checked exactly. Returns the integer-coefficient
+    multiplier or None (failure does not disprove positivity of p).
     """
     if p(Fraction(0)) <= 0:
         raise ValueError("need p(0) > 0")
@@ -184,14 +174,14 @@ def positive_multiplier_lp(p: UPoly, d: int) -> Optional[UPoly]:
         row[k] = Fraction(1)
         A.append(row)
         b.append(Fraction(1))
-    for i in range(deg + d + 1):  # product coefficients
+    for i in range(deg + d + 1):  # product coefficients >= 1
         row = [Fraction(0)] * nv
         for k in range(nv):
             j = i - k
             if 0 <= j <= deg:
                 row[k] = a[j]
         A.append(row)
-        b.append(Fraction(1) if i in (0, deg + d) else Fraction(0))
+        b.append(Fraction(1))
     sol = _lp_feasible(A, b, nv)
     if sol is None:
         return None
@@ -199,9 +189,7 @@ def positive_multiplier_lp(p: UPoly, d: int) -> Optional[UPoly]:
     for v in sol:
         denom = denom * v.denominator // gcd(denom, v.denominator)
     r1 = UPoly([v * denom for v in sol])
-    if not all(c >= 0 for c in r1.coeffs) or r1(Fraction(0)) <= 0:
-        return None
-    if not product_positivity_ok(p * r1):
+    if not all(c > 0 for c in r1.coeffs + (p * r1).coeffs):
         return None
     return r1
 
@@ -258,6 +246,8 @@ def certify_kst(s: int, t: int) -> CertificateReport:
         s, t = t, s
     if s * t < 2 or s + t > 12:
         raise ValueError("need s*t >= 2 and s+t <= 12")
+    if s < 1:  # two negative sizes have a positive product
+        raise ValueError("need s, t >= 1")
     rep = CertificateReport(f"kst({s},{t})")
     k = s + t
     m = t - s
@@ -391,9 +381,9 @@ def certify_kst(s: int, t: int) -> CertificateReport:
 # K_r(t)
 # ---------------------------------------------------------------------------
 
-def _exp_lower_bound(x: Fraction, terms: int = 20) -> Fraction:
+def _exp_lower_bound(x: Fraction) -> Fraction:
     total = Fraction(0)
-    for i in range(terms):
+    for i in range(20):
         total += x**i / factorial(i)
     return total
 
@@ -459,8 +449,7 @@ def certify_krt(r: int, t: int) -> CertificateReport:
 
     # strictness: wrong flips and non-clone attachments count nothing, so the
     # gradients equal through-pair densities / lambda itself
-    within = Fraction(_multinomial(k - 2, [t - 2] + [t] * (r - 1)), r ** (k - 2)) \
-        if t >= 2 else Fraction(0)
+    within = Fraction(_multinomial(k - 2, [t - 2] + [t] * (r - 1)), r ** (k - 2))
     cross = Fraction(_multinomial(k - 2, [t - 1, t - 1] + [t] * (r - 2)), r ** (k - 2))
     rep.add("flip_margins_positive", within > 0 and cross > 0,
             f"within-part {within}, cross-part {cross}")
@@ -476,16 +465,10 @@ def certify_krt(r: int, t: int) -> CertificateReport:
                 ok_flips = False
         rep.add("flips_zero_the_pattern", ok_flips,
                 "flip gradient equals the through-pair density closed form")
-        ok_attach = True
-        for bits in itertools.product((0, 1), repeat=r):
-            b = {i + 1: bits[i] for i in range(r)}
-            zeros = [i for i, v in b.items() if v == 0]
-            av = attach_value(spec, x, AttachmentPattern(b, Fraction(1))).value
-            if len(zeros) == 1:
-                if av != clone:
-                    ok_attach = False
-            elif av != 0:
-                ok_attach = False
+        # the parts have equal masses, so there is one margin per count of ones
+        ones = {len(m.b_support): m.attach(1) for m in strict.candidates[0].patterns}
+        ok_attach = sorted(ones) == list(range(r + 1)) and all(
+            v == (clone if kk == r - 1 else 0) for kk, v in ones.items())
         rep.add("attachments_zero_or_clone", ok_attach,
                 "non-clone patterns see no pattern copies; clones see lambda")
         rep.add("strictness_certificate", strict.passed, f"c = {strict.c}")

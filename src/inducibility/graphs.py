@@ -50,11 +50,6 @@ class Graph:
         return cls(n, tuple(0 for _ in range(n)))
 
     @classmethod
-    def complete(cls, n: int) -> "Graph":
-        mask = (1 << n) - 1
-        return cls(n, tuple(mask ^ (1 << i) for i in range(n)))
-
-    @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
         for u, v in edges:
@@ -85,9 +80,6 @@ class Graph:
         return [(i, j) for i in range(self.n) for j in range(i + 1, self.n)
                 if self.rows[i] >> j & 1]
 
-    def edge_count(self) -> int:
-        return sum(r.bit_count() for r in self.rows) // 2
-
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
@@ -105,10 +97,6 @@ class Graph:
         rows[y] ^= 1 << x
         return Graph(self.n, tuple(rows))
 
-    def delete_vertex(self, v: int) -> "Graph":
-        keep = [i for i in range(self.n) if i != v]
-        return self.induced(keep)
-
     def induced(self, verts: Sequence[int]) -> "Graph":
         pos = {u: i for i, u in enumerate(verts)}
         rows = []
@@ -120,23 +108,6 @@ class Graph:
                     r |= 1 << i
             rows.append(r)
         return Graph(len(verts), tuple(rows))
-
-    def complement(self) -> "Graph":
-        mask = (1 << self.n) - 1
-        return Graph(self.n, tuple((mask ^ r) & ~(1 << i) for i, r in enumerate(self.rows)))
-
-    def relabel(self, perm: Sequence[int]) -> "Graph":
-        """perm[i] is the new label of old vertex i."""
-        rows = [0] * self.n
-        for i, r in enumerate(self.rows):
-            ri = 0
-            rr = r
-            while rr:
-                j = (rr & -rr).bit_length() - 1
-                ri |= 1 << perm[j]
-                rr &= rr - 1
-            rows[perm[i]] = ri
-        return Graph(self.n, tuple(rows))
 
     def add_vertex(self, neighbours_mask: int) -> "Graph":
         n = self.n
@@ -440,13 +411,6 @@ class CompletePartiteShape:
         for s, c in self.counts:
             out.extend([s] * c)
         return out
-
-    def clique_size(self) -> int:
-        """Number of size-1 parts (the universal clique V0)."""
-        for s, c in self.counts:
-            if s == 1:
-                return c
-        return 0
 
     def __eq__(self, other) -> bool:
         return isinstance(other, CompletePartiteShape) and self.counts == other.counts

@@ -91,9 +91,6 @@ class BBResult:
     boxes: int
     empty: bool = False      # every box was discarded: the region is infeasible
 
-    def __bool__(self) -> bool:  # truthy when the bound is tolerance-certified
-        return self.conclusive
-
 
 def bb_max_bound(poly: MPoly, box: Mapping[str, tuple[Rat, Rat]], tol: Rat,
                  constraints: Sequence[MPoly] = (),

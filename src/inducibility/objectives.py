@@ -37,7 +37,7 @@ def partition_is_clique(a: Sequence[int]) -> bool:
 class ObjectiveSpec:
     """gamma: canonical key of a k-vertex graph -> exact rational."""
 
-    __slots__ = ("k", "gamma", "gamma_max", "provenance", "eligible", "label", "_code_table",
+    __slots__ = ("k", "gamma", "provenance", "eligible", "label", "_code_table",
                  "_partition_values")
 
     def __init__(self, k: int, gamma: Mapping[bytes, Fraction],
@@ -48,7 +48,6 @@ class ObjectiveSpec:
         self.gamma = dict(gamma)
         if set(self.gamma) != set(class_keys(k)):
             raise ValueError("gamma must cover every isomorphism class on k vertices")
-        self.gamma_max = max(abs(v) for v in self.gamma.values())
         self.provenance = provenance
         self.eligible = eligible
         self.label = label

@@ -383,11 +383,7 @@ class KstResult:
     root_poly: UPoly                 # s x^{m+1} - t x^m + t x - s, m = t - s
     x_interval: tuple[Fraction, Fraction]
     at_half: bool                    # True when the balanced split is optimal
-    m_value: tuple[Fraction, Fraction]   # enclosure of the maximum of the profile
     i_value: tuple[Fraction, Fraction]   # enclosure of the inducibility constant
-
-    def alpha_fraction(self) -> Fraction:
-        return self.alpha.as_fraction()
 
 
 def _fst_value(s: int, t: int, a_lo: Fraction, a_hi: Fraction) -> tuple[Fraction, Fraction]:
@@ -409,6 +405,8 @@ def kst_maximiser(s: int, t: int) -> KstResult:
         s, t = t, s
     if s * t < 2:
         raise ValueError("need s*t >= 2")
+    if s < 1:  # two negative sizes have a positive product
+        raise ValueError("need s, t >= 1")
     m = t - s
     # h(x) = s x^{m+1} - t x^m + t x - s (terms merge when m <= 1)
     coeffs = [Fraction(0)] * (m + 2)
@@ -425,7 +423,7 @@ def kst_maximiser(s: int, t: int) -> KstResult:
             mlo = mhi = mlo / 2
         factor = comb(s + t, s)
         return KstResult(s, t, alpha, h, (Fraction(1, 2), Fraction(1, 2)), True,
-                         (mlo, mhi), (factor * mlo, factor * mhi))
+                         (factor * mlo, factor * mhi))
 
     boxes = h.isolate_roots(Fraction(0), Fraction(1))
     if len(boxes) != 1:
@@ -447,5 +445,4 @@ def kst_maximiser(s: int, t: int) -> KstResult:
     if s == t:
         mlo, mhi = mlo / 2, mhi / 2
     factor = comb(s + t, s)
-    return KstResult(s, t, alpha, h, (lo, hi), False,
-                     (mlo, mhi), (factor * mlo, factor * mhi))
+    return KstResult(s, t, alpha, h, (lo, hi), False, (factor * mlo, factor * mhi))

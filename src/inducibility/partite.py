@@ -31,9 +31,9 @@ from fractions import Fraction
 from functools import cache, lru_cache
 from math import comb, factorial, perm, prod
 from operator import mul
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .graphs import CompletePartiteShape, Graph, PartiteStructure
+from .graphs import CompletePartiteShape, PartiteStructure
 from .objectives import ObjectiveSpec, _norm_partition
 from .polynomials import MPoly, Rat, _frac, parse_rational
 
@@ -54,10 +54,6 @@ class PartiteVector:
             raise ValueError("parts sum exceeds 1")
         self.parts: tuple[Fraction, ...] = tuple(ps)
         self.x0: Fraction = 1 - s
-
-    @classmethod
-    def zero(cls) -> "PartiteVector":
-        return cls(())
 
     @classmethod
     def uniform(cls, r: int) -> "PartiteVector":
@@ -83,10 +79,6 @@ class PartiteVector:
     def draw_weights(self) -> dict[int, Fraction]:
         """The draw probabilities {i: x_i} over supp*."""
         return {i: self.entry(i) for i in self.supp_star}
-
-    def min_entry(self) -> Fraction:
-        """min over supp*: the beta of a beta-separated vector."""
-        return min(self.entry(i) for i in self.supp_star)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PartiteVector) and self.parts == other.parts
@@ -159,18 +151,6 @@ def sym_coefficient(a: Sequence[int]) -> Fraction:
 # Realisations
 # ---------------------------------------------------------------------------
 
-def realisation_shape(n: int, x: PartiteVector) -> CompletePartiteShape:
-    """Part sizes of the n-vertex realisation of x.
-
-    With no clique mass, largest-remainder rounding keeps every size within 1
-    of x_i*n; with clique mass, parts with x_i*n >= 2 get floor(x_i*n) and all
-    remaining vertices become universal singletons.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return realise(n, x).structure.shape()
-
-
 def _part_sizes(n: int, x: PartiteVector) -> list[int]:
     if x.x0 == 0:
         base = [int(p * n) for p in x.parts]
@@ -183,39 +163,23 @@ def _part_sizes(n: int, x: PartiteVector) -> list[int]:
     return [int(p * n) if p * n >= 2 else 0 for p in x.parts]
 
 
-class RealisedPartite:
-    """A concrete realisation; the Graph is materialised on first use only,
-    so profile-enumeration consumers work at any n."""
+def realise(n: int, x: PartiteVector) -> PartiteStructure:
+    """The n-vertex realisation of x, parts laid out in index order, clique last.
 
-    __slots__ = ("structure", "vector", "_graph")
-
-    def __init__(self, structure: PartiteStructure, vector: PartiteVector):
-        self.structure = structure
-        self.vector = vector
-        self._graph: Optional[Graph] = None
-
-    @property
-    def n(self) -> int:
-        return self.structure.n
-
-    @property
-    def graph(self) -> Graph:
-        if self._graph is None:
-            self._graph = self.structure.graph()
-        return self._graph
-
-
-def realise(n: int, x: PartiteVector) -> RealisedPartite:
-    """Concrete realisation with parts laid out in index order, clique last."""
+    With no clique mass, largest-remainder rounding keeps every size within 1
+    of x_i*n; with clique mass, parts with x_i*n >= 2 get floor(x_i*n) and all
+    remaining vertices become universal singletons. Part i keeps index i when
+    it rounds to no vertices. No graph is built (structure.graph() does that).
+    """
+    if n < 1:
+        raise ValueError("need n >= 1")
     sizes = _part_sizes(n, x)
     parts = []
     pos = 0
     for s in sizes:
         parts.append(tuple(range(pos, pos + s)))
         pos += s
-    v0 = tuple(range(pos, n))
-    structure = PartiteStructure(tuple(parts), v0)
-    return RealisedPartite(structure, x)
+    return PartiteStructure(tuple(parts), tuple(range(pos, n)))
 
 
 # ---------------------------------------------------------------------------

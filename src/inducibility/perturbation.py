@@ -2,21 +2,21 @@
 
 Flip gradients (expected loss of gamma from toggling one pair of a sample),
 attachment values (expected gamma seen by a new vertex joined by a 0/1 part
-pattern b and a clique fraction alpha), vertex gradients, exact partial
-derivatives and clone values, Lagrange residuals, and exact finite-n
-counterparts on realisations (no subset enumeration, so they stay cheap at n
-in the hundreds). The limit flip gradients, through-pair densities and
-attachment values are integrands over the draw kernel partite.draw_sum; the
-finite-n flip deltas and attachment values are integrands over its counting
-twin partite.pick_sum. One encoder, _pattern_code, gives every pattern code.
+pattern b and a clique fraction alpha), vertex gradients, clone values,
+Lagrange residuals, and exact finite-n counterparts on realisations (no
+subset enumeration, so they stay cheap at n in the hundreds). The limit
+flip gradients, through-pair densities and attachment values are integrands
+over the draw kernel partite.draw_sum; the finite-n flip deltas and
+attachment values are integrands over its counting twin partite.pick_sum.
+One encoder, _pattern_code, gives every pattern code.
 
 The free form of lambda is the homogeneous degree-k polynomial in
 (x0, x1, ...) given by the sampling formula; partial derivatives are plain
 partials of that form, under which (1/k) d(lambda)/dx_i = lambda(x, (e_i, 1))
-holds exactly for every i in supp* (clique index included). Every partial
-and clone value comes from one call of partite.lambda_gradient, which
-differentiates the closed form; attach_value at the clone pattern pattern_e
-is the independent route to the same numbers.
+holds exactly for every i in supp* (clique index included). Every clone
+value comes from one call of partite.lambda_gradient, which differentiates
+the closed form; attach_value at the clone pattern pattern_e is the
+independent route to the same numbers.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional, Sequence
 
-from .graphs import Graph
+from .graphs import Graph, PartiteStructure
 from .objectives import ObjectiveSpec, lambda_graph
-from .partite import (PartiteVector, RealisedPartite, draw_sum, lambda_gradient, lambda_of_vector,
-                      pick_sum)
+from .partite import PartiteVector, draw_sum, lambda_gradient, lambda_of_vector, pick_sum, realise
 from .polynomials import Rat, UPoly, _frac
 
 
@@ -159,9 +158,6 @@ class AttachValue:
     value: Fraction        # at the pattern's alpha
     poly: UPoly            # the value as a polynomial in alpha
 
-    def at(self, alpha: Rat) -> Fraction:
-        return self.poly(_frac(alpha))
-
 
 @lru_cache(maxsize=None)
 def _clique_split(zeros: int, j: int) -> UPoly:
@@ -203,18 +199,20 @@ def attach_value(spec: ObjectiveSpec, x: PartiteVector, p: AttachmentPattern) ->
     alpha dependence is returned exactly as a degree <= k-1 polynomial.
     """
     _check_pattern(x, p)
-    table = spec.code_table()
     # terms without clique draws are scalars, so the sum may be one too
-    poly = UPoly() + draw_sum(spec.k - 1, x.draw_weights(),
-                              lambda counts: _attach_term(table, p.b, counts, _clique_split))
+    poly = UPoly() + attach_value_generic(spec, x.draw_weights(), p.b)
     return AttachValue(poly(p.alpha), poly)
 
 
 def attach_value_generic(spec: ObjectiveSpec, entries: Mapping[int, object],
                          b: Mapping[int, int]):
-    """Generic-ring attachment value at alpha = 1 (no clique mass case)."""
-    if 0 in entries:
-        raise ValueError("generic attachment assumes no clique mass")
+    """Generic-ring attachment value; entries maps supp* indices to weights.
+
+    Without a clique weight (key 0) this is the value in the weight ring.
+    With one, each clique draw is joined with probability alpha, so over
+    Fraction weights the result is a UPoly in alpha (a scalar when no term
+    has a clique draw).
+    """
     table = spec.code_table()
     return draw_sum(spec.k - 1, entries,
                     lambda counts: _attach_term(table, b, counts, _clique_split))
@@ -233,28 +231,6 @@ def clone_values(spec: ObjectiveSpec, x: PartiteVector) -> dict[int, Fraction]:
     return {i: g / spec.k for i, g in lambda_gradient(spec, x).items()}
 
 
-def partial_derivative(spec: ObjectiveSpec, x: PartiteVector, i: int) -> Fraction:
-    """d(lambda)/dx_i of the free form (= k * lambda(x, (e_i, 1)))."""
-    if i not in x.supp_star:
-        raise ValueError("index outside supp*")
-    return lambda_gradient(spec, x)[i]
-
-
-def partial_derivative_fd(spec: ObjectiveSpec, x: PartiteVector, i: int,
-                          step: float = 1e-6) -> float:
-    """Central finite difference of the free form in float; sanity layer only."""
-    from .partite import lambda_free
-
-    weights = [float(x.x0)] + [float(p) for p in x.parts]
-
-    def at(delta: float) -> float:
-        w = list(weights)
-        w[i] += delta
-        return lambda_free(spec, w[0], w[1:])
-
-    return (at(step) - at(-step)) / (2 * step)
-
-
 def lagrange_residual(spec: ObjectiveSpec, x: PartiteVector) -> Fraction:
     """max_i |lambda(x,(e_i,1)) - lambda(x)| over supp*; 0 at interior maximisers."""
     lam = lambda_of_vector(spec, x)
@@ -265,14 +241,14 @@ def lagrange_residual(spec: ObjectiveSpec, x: PartiteVector) -> Fraction:
 # Exact finite-n counterparts on complete partite realisations
 # ---------------------------------------------------------------------------
 
-def finite_flip_delta(spec: ObjectiveSpec, realised: RealisedPartite,
+def finite_flip_delta(spec: ObjectiveSpec, structure: PartiteStructure,
                       i1: int, i2: int) -> Fraction:
     """(Lambda(G) - Lambda(G + xy)) / C(n-2, k-2) for a pair in parts i1, i2.
 
     Exact for any n: the flip loss of flip_gradient summed over the ways to
     pick the other k-2 vertices from the groups of the realisation.
     """
-    sizes = realised.structure.group_sizes()
+    sizes = structure.group_sizes()
     if i1 not in sizes or i2 not in sizes:
         raise ValueError("no such part in the realisation")
     sizes[i1] -= 1
@@ -280,10 +256,10 @@ def finite_flip_delta(spec: ObjectiveSpec, realised: RealisedPartite,
     if sizes[i1] < 0:
         raise ValueError("part too small to host the pair")
     loss = _flip_loss(spec.code_table(), i1, i2)
-    return pick_sum(spec.k - 2, sizes, loss) / comb(realised.n - 2, spec.k - 2)
+    return pick_sum(spec.k - 2, sizes, loss) / comb(structure.n - 2, spec.k - 2)
 
 
-def finite_attach_lambda_vertex(spec: ObjectiveSpec, realised: RealisedPartite,
+def finite_attach_lambda_vertex(spec: ObjectiveSpec, structure: PartiteStructure,
                                 b: Mapping[int, int], v0_neighbours: int) -> Fraction:
     """lambda(G +_{b,alpha} u, u) with floor(alpha|V0|) = v0_neighbours, exact.
 
@@ -292,7 +268,7 @@ def finite_attach_lambda_vertex(spec: ObjectiveSpec, realised: RealisedPartite,
     clique vertices picked are joined to u in C(nb, j) C(v0 - nb, zeros - j)
     of the C(v0, zeros) ways, nb = v0_neighbours. Works for any n.
     """
-    sizes = realised.structure.group_sizes()
+    sizes = structure.group_sizes()
     v0 = sizes.get(0, 0)
     if not 0 <= v0_neighbours <= v0:
         raise ValueError("clique neighbour count out of range")
@@ -303,7 +279,7 @@ def finite_attach_lambda_vertex(spec: ObjectiveSpec, realised: RealisedPartite,
 
     table = spec.code_table()
     total = pick_sum(spec.k - 1, sizes, lambda counts: _attach_term(table, b, counts, split))
-    return total / comb(realised.n, spec.k - 1)
+    return total / comb(structure.n, spec.k - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -330,26 +306,20 @@ class CompareReport:
     concl_star: Optional[bool]         # diff >= xi0/2 - xi2 (when hyp ge and star)
     concl_upper: Optional[bool]        # diff <= xi0 + xi1 + xi2 (when hyp le)
 
-    @property
-    def all_applicable_hold(self) -> bool:
-        return all(v for v in (self.concl_general, self.concl_star, self.concl_upper)
-                   if v is not None)
 
-
-def compare_bounds(spec: ObjectiveSpec, h: Graph, h_prime: RealisedPartite,
-                   c: Rat) -> CompareReport:
+def compare_bounds(spec: ObjectiveSpec, h: Graph, x: PartiteVector, c: Rat) -> CompareReport:
     """Evaluate the imperfection-comparison bounds on a concrete instance.
 
-    T is the edge symmetric difference between H and the complete partite H';
-    the xi quantities are the stated functions of |T|, its max degree, c and
-    gamma_max, and the report records which hypotheses and conclusions hold.
+    H' is the complete partite realisation of x on h.n vertices, and T the
+    edge symmetric difference between H and H'; the xi quantities are the
+    stated functions of |T|, its max degree, c and gamma_max = max |gamma|,
+    and the report records which hypotheses and conclusions hold.
     Diagnostic only; never feeds certification.
     """
     c = _frac(c)
-    hp = h_prime.graph
-    if h.n != hp.n:
-        raise ValueError("orders differ")
     n = h.n
+    structure = realise(n, x)
+    hp = structure.graph()
     k = spec.k
     wrong = [(u, v) for u, v in
              ((u, v) for u in range(n) for v in range(u + 1, n))
@@ -360,7 +330,7 @@ def compare_bounds(spec: ObjectiveSpec, h: Graph, h_prime: RealisedPartite,
         deg[u] = deg.get(u, 0) + 1
         deg[v] = deg.get(v, 0) + 1
     max_deg = max(deg.values(), default=0)
-    gm = spec.gamma_max
+    gm = max(abs(v) for v in spec.gamma.values())
     bounds = DiagnosticBounds(
         xi0=Fraction(k**2 * t) * c / n**2,
         xi1=2 * gm * Fraction(k**4 * t**2) / n**4,
@@ -369,7 +339,6 @@ def compare_bounds(spec: ObjectiveSpec, h: Graph, h_prime: RealisedPartite,
         max_degree=max_deg,
     )
     lam_diff = lambda_graph(spec, hp) - lambda_graph(spec, h)
-    structure = h_prime.structure
     grads = {}
     hyp_ge = True
     hyp_le = True
@@ -377,7 +346,7 @@ def compare_bounds(spec: ObjectiveSpec, h: Graph, h_prime: RealisedPartite,
         pu, pv = structure.part_of(u), structure.part_of(v)
         key = (min(pu, pv), max(pu, pv))
         if key not in grads:
-            grads[key] = flip_gradient(spec, h_prime.vector, *key)
+            grads[key] = flip_gradient(spec, x, *key)
         if grads[key] < c:
             hyp_ge = False
         if grads[key] > c:

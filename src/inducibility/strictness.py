@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator, Mapping, Optional
 
-from .objectives import ObjectiveSpec, partitions_of
+from .objectives import ObjectiveSpec
 from .partite import PartiteVector, lambda_of_shape, realise
 from .perturbation import (AttachmentPattern, attach_value, clone_values,
                            finite_attach_lambda_vertex, finite_flip_delta, flip_gradient)
@@ -213,21 +213,6 @@ def strictness_certificate(spec: ObjectiveSpec,
     return StrictnessReport(tuple(out), c1, c2, c, c > 0)
 
 
-def counterexample_spec() -> ObjectiveSpec:
-    """Sum of all complete partite densities at k=3: maximised by everything.
-
-    Ships as the built-in negative fixture; strictness fails with c = 0 on
-    candidates that include clique mass.
-    """
-    return ObjectiveSpec.combination([(1, a) for a in partitions_of(3)],
-                                     label="SUM all complete partite, k=3")
-
-
-def counterexample_candidates() -> list[PartiteVector]:
-    return [PartiteVector.zero(), PartiteVector([Fraction(1)]),
-            PartiteVector([Fraction(1, 2), Fraction(1, 2)])]
-
-
 # ---------------------------------------------------------------------------
 # Finite-n conditions of the stability theorem
 # ---------------------------------------------------------------------------
@@ -248,8 +233,7 @@ class FiniteStrictnessReport:
 
 def finite_strictness_check(spec: ObjectiveSpec, x: PartiteVector, n: int) -> FiniteStrictnessReport:
     """Evaluate both finite-n strictness conditions on the realisation of x."""
-    realised = realise(n, x)
-    structure = realised.structure
+    structure = realise(n, x)
     lam = lambda_of_shape(spec, structure.shape())
     k = spec.k
 
@@ -260,7 +244,7 @@ def finite_strictness_check(spec: ObjectiveSpec, x: PartiteVector, n: int) -> Fi
     def flip(i1: int, i2: int) -> Optional[Fraction]:
         if i1 == i2 and sizes[i1] < 2:
             return None
-        return finite_flip_delta(spec, realised, i1, i2) * scale
+        return finite_flip_delta(spec, structure, i1, i2) * scale
 
     c1 = min(v for v in _pair_orbits(sizes, flip).values() if v is not None)
 
@@ -271,7 +255,7 @@ def finite_strictness_check(spec: ObjectiveSpec, x: PartiteVector, n: int) -> Fi
     for b in _pattern_orbits({i: s for i, s in sizes.items() if i}):
         min_w = min(_clone_edit_mass(sizes, b).values())
         for j in range(v0_size + 1):
-            deficit = lam - finite_attach_lambda_vertex(spec, realised, b, j)
+            deficit = lam - finite_attach_lambda_vertex(spec, structure, b, j)
             edits = v0_size - j + min_w
             if edits == 0:
                 clone_deficits.append(deficit)

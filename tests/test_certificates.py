@@ -9,10 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from inducibility import perturbation, strictness
+from inducibility import certificates, perturbation, strictness
 from inducibility.certificates import (certify_k2111, certify_k311, certify_krt, certify_kst,
-                                       krt_value, positive_multiplier_lp,
-                                       product_positivity_ok)
+                                       krt_value, positive_multiplier_lp)
 from inducibility.intervals import bb_max_bound
 from inducibility.partite import PartiteVector, density_formula
 from inducibility.polynomials import UPoly
@@ -27,9 +26,9 @@ def _check(report, name):
 
 def test_positive_multiplier_lp_examples():
     assert positive_multiplier_lp(UPoly([1, 1]), 0) == UPoly([1])
-    r1 = positive_multiplier_lp(UPoly([1, -1, 1]), 1)
-    assert r1 is not None
-    assert product_positivity_ok(UPoly([1, -1, 1]) * r1)
+    r1 = positive_multiplier_lp(UPoly([1, -1, 1]), 2)
+    assert r1 is not None and r1.degree == 2
+    assert all(c > 0 for c in r1.coeffs + (UPoly([1, -1, 1]) * r1).coeffs)
     with pytest.raises(ValueError):
         positive_multiplier_lp(UPoly([-1, 1]), 2)
 
@@ -40,9 +39,29 @@ def test_positive_multiplier_lp_failure_is_none():
 
 
 def test_positivity_rule():
-    assert product_positivity_ok(UPoly([1, 0, 0, 1]))
-    assert not product_positivity_ok(UPoly([0, 1]))
-    assert not product_positivity_ok(UPoly([1, -1, 1]))
+    """The LP accepts only products whose every coefficient is positive:
+    (1 + y)(1 - y + y^2) = 1 + y^3 has zero coefficients, and no degree-1
+    multiplier does better, since it would need b1 - b0 > 0 and b0 - b1 > 0."""
+    assert positive_multiplier_lp(UPoly([1, -1, 1]), 1) is None
+
+
+def test_positive_multiplier_lp_regenerates_k311_multiplier(monkeypatch):
+    """The LP at degree 16 on the shifted eliminant gives a multiplier that
+    certify k311 accepts in place of the shipped one."""
+    data = certificates._load_k311_data()
+    q = UPoly([F(c) for c in data["q_coefficients_ascending"]])
+    p = q.shift(F(data["shift"]))
+    assert F(data["shift"]) == F(272, 1000)
+    r1 = positive_multiplier_lp(p, 16)
+    assert r1 is not None
+    prod = p * r1
+    assert prod.degree == 28 and all(c > 0 for c in prod.coeffs)
+    assert all(c > 0 for c in r1.coeffs)
+    data["r1_coefficients_ascending"] = [str(c) for c in r1.coeffs]
+    monkeypatch.setattr(certificates, "_load_k311_data", lambda: data)
+    rep = certify_k311()
+    assert rep.passed, [c.name for c in rep.checks if not c.passed]
+    assert _check(rep, "product_coefficients_positive").passed
 
 
 def test_certify_kst_cases():
@@ -261,3 +280,6 @@ def test_certificates_read_their_one_strictness_pass(monkeypatch):
     assert calls("k2111") == {"check_str1": 1, "check_str2": 1,
                               "flip_gradient": 2, "attach_value": 9}
     assert calls("krt(3,2)")["flip_gradient"] == 2
+    # one attachment walk per count of ones, read from the strictness margins
+    assert calls("krt(3,2)")["attach_value"] == 4
+    assert calls("krt(2,3)")["attach_value"] == 3

@@ -68,6 +68,16 @@ def test_certify_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+def test_certify_kst_rejects_negative_sizes(capsys):
+    """Two negative sizes have a product >= 2, so only s, t >= 1 keeps them
+    from reaching the root isolation."""
+    for s, t in (("-1", "-3"), ("-2", "-2"), ("-1", "3"), ("0", "3")):
+        assert main(["certify", "kst", "--s", s, "--t", t, "--quiet"]) == 3, (s, t)
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: need s") and "Traceback" not in captured.err
+        assert captured.out == ""
+
+
 def test_strictness_exit_codes(capsys):
     code, _ = run_cli(["strictness", "--objective", "KP 2,2",
                        "--vector", '{"x0":"0","parts":["1/2","1/2"]}',
@@ -143,7 +153,7 @@ def test_gamma_table_file(capsys, tmp_path):
     table = {"k": 3, "values": []}
     for g in iso_classes(3):
         table["values"].append({"n": 3, "edges": [list(e) for e in g.edges()],
-                                "value": "1" if g.edge_count() == 3 else "0"})
+                                "value": "1" if len(g.edges()) == 3 else "0"})
     p = tmp_path / "gamma.json"
     p.write_text(json.dumps(table))
     code, out = run_cli(["density", "--objective", f"@{p}",

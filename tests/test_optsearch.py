@@ -117,7 +117,7 @@ def test_continuous_opt_deterministic(spec_c4):
 def test_kst_balanced_cases():
     for s, t in ((2, 2), (2, 3), (1, 2), (1, 3), (3, 3), (3, 4)):
         res = kst_maximiser(s, t)
-        assert res.at_half and res.alpha_fraction() == F(1, 2), (s, t)
+        assert res.at_half and res.alpha.as_fraction() == F(1, 2), (s, t)
 
 
 def test_kst_balanced_rule_boundary():
@@ -129,7 +129,7 @@ def test_kst_balanced_rule_boundary():
             res = kst_maximiser(s, t)
             assert res.at_half == (s >= comb(t - s, 2))
             if res.at_half:
-                assert res.alpha_fraction() == F(1, 2)
+                assert res.alpha.as_fraction() == F(1, 2)
 
 
 def test_kst_values():
@@ -177,8 +177,9 @@ def test_kst_25_rational_root():
 
 
 def test_kst_rejects_trivial():
-    with pytest.raises(ValueError):
-        kst_maximiser(1, 1)
+    for s, t in ((1, 1), (-1, -3), (-2, -2)):
+        with pytest.raises(ValueError):
+            kst_maximiser(s, t)
 
 
 def test_continuous_opt_k2111(spec_k2111):

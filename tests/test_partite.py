@@ -12,7 +12,7 @@ from inducibility.partite import (PartiteVector, SymmetricIndex, count_partite,
                                   density_formula, draw_sum, edit_distance_vectors,
                                   elementary_symmetric, lambda_free, lambda_gradient,
                                   lambda_of_shape, lambda_of_vector, partition_counts,
-                                  pick_sum, realisation_shape, realise, sampling_density)
+                                  pick_sum, realise, sampling_density)
 from inducibility.perturbation import attach_value, lagrange_residual, pattern_e
 from inducibility.polynomials import MPoly
 
@@ -35,8 +35,8 @@ def test_vector_invariants():
     x = PartiteVector([F(3, 5)])
     assert x.x0 == F(2, 5)
     assert x.supp_star == (0, 1)
-    assert x.min_entry() == F(2, 5)
-    assert PartiteVector.zero().supp_star == (0,)
+    assert min(x.draw_weights().values()) == F(2, 5)
+    assert PartiteVector().supp_star == (0,)
     with pytest.raises(ValueError):
         PartiteVector([F(1, 3), F(1, 2)])    # not sorted
     with pytest.raises(ValueError):
@@ -54,25 +54,23 @@ def test_vector_json():
 
 
 def test_realisation_examples():
-    assert realisation_shape(5, PartiteVector.zero()).part_sizes == [1] * 5
-    assert realisation_shape(7, PartiteVector([F(1, 2), F(1, 2)])).part_sizes == [4, 3]
-    assert realisation_shape(10, PartiteVector([F(3, 5)])).part_sizes == [6, 1, 1, 1, 1]
+    assert realise(5, PartiteVector()).shape().part_sizes == [1] * 5
+    assert realise(7, PartiteVector([F(1, 2), F(1, 2)])).shape().part_sizes == [4, 3]
+    assert realise(10, PartiteVector([F(3, 5)])).shape().part_sizes == [6, 1, 1, 1, 1]
 
 
 def test_realised_shape_skips_empty_parts():
     """With clique mass a part with x_i n < 2 is realised empty; shape() skips
-    it and agrees with the realised graph and with realisation_shape."""
+    it and agrees with the realised graph."""
     x = PartiteVector([F(3, 5), F(1, 20)])
-    assert realise(10, x).structure.parts[1] == ()
-    assert realise(10, x).structure.shape().part_sizes == [6, 1, 1, 1, 1]
+    assert realise(10, x).parts[1] == ()
+    assert realise(10, x).shape().part_sizes == [6, 1, 1, 1, 1]
     rng = random.Random(22)
     vectors = [x] + [rand_vector(rng, max_support=5, max_denom=40) for _ in range(40)]
     for v in vectors:
         for n in (3, 10, 20, 40):
             r = realise(n, v)
-            shape = r.structure.shape()
-            assert shape == realisation_shape(n, v)
-            assert shape == complete_partite_shape_of(r.graph)
+            assert r.shape() == complete_partite_shape_of(r.graph())
 
 
 def test_realisation_error_bound():
@@ -82,7 +80,7 @@ def test_realisation_error_bound():
         if x.x0 != 0:
             continue
         n = rng.randint(5, 40)
-        sizes = realise(n, x).structure.parts
+        sizes = realise(n, x).parts
         for i, part in enumerate(sizes):
             assert abs(len(part) - x.parts[i] * n) < 1
 
@@ -98,7 +96,7 @@ def test_elementary_symmetric():
     assert elementary_symmetric(half, SymmetricIndex((2,))) == F(1, 2)
     assert elementary_symmetric(half, SymmetricIndex((2, 1))) == F(1, 4)
     assert elementary_symmetric(half, SymmetricIndex((2,), frozenset({1}))) == F(1, 4)
-    assert elementary_symmetric(PartiteVector.zero(), SymmetricIndex(())) == 1
+    assert elementary_symmetric(PartiteVector(), SymmetricIndex(())) == 1
     assert elementary_symmetric(PartiteVector.uniform(2), SymmetricIndex((1, 1, 1))) == 0
     rng = random.Random(13)
     for _ in range(30):
@@ -282,7 +280,7 @@ def test_lambda_gradient_clique_and_run_cases(spec_c4, spec_k311):
     clique index; members of a run of equal parts share one partial."""
     x = PartiteVector([F(1, 4), F(1, 4)])
     assert lambda_gradient(spec_c4, x)[0] == 0
-    assert lambda_gradient(spec_k311, PartiteVector.zero()) == {0: 0}
+    assert lambda_gradient(spec_k311, PartiteVector()) == {0: 0}
     grad = lambda_gradient(spec_k311, PartiteVector([F(1, 5)] * 3 + [F(1, 10)]))
     assert set(grad) == {0, 1, 2, 3, 4}
     assert grad[1] == grad[2] == grad[3] != grad[4]
@@ -311,8 +309,8 @@ def test_lambda_and_gradient_hypothesis():
 
 
 def test_count_partite_examples():
-    assert count_partite([2, 1, 1, 1], realisation_shape(16, PartiteVector.uniform(8))) == 2240
-    assert count_partite([4], realisation_shape(9, PartiteVector([F(1)]))) == comb(9, 4)
+    assert count_partite([2, 1, 1, 1], realise(16, PartiteVector.uniform(8)).shape()) == 2240
+    assert count_partite([4], realise(9, PartiteVector([F(1)])).shape()) == comb(9, 4)
     assert count_partite([1, 1, 1], complete_partite_shape_of(Graph.complete_partite([2, 2, 2]))) == 8
 
 
@@ -355,7 +353,7 @@ def test_finite_density_converges():
         dv = density_formula(a, x)
         errs = []
         for n in (60, 120, 240):
-            fin = F(count_partite(a, realisation_shape(n, x)), comb(n, sum(a)))
+            fin = F(count_partite(a, realise(n, x).shape()), comb(n, sum(a)))
             errs.append(abs(fin - dv))
         c_fit = 60 * errs[0]
         assert errs[1] <= 2 * c_fit / 120 + F(1, 10**9)
@@ -372,7 +370,7 @@ def test_lambda_of_shape_matches_graph(spec_c4):
 
 def test_edit_vectors_examples():
     half = PartiteVector([F(1, 2), F(1, 2)])
-    assert edit_distance_vectors(half, PartiteVector.zero()) == F(1, 2)
+    assert edit_distance_vectors(half, PartiteVector()) == F(1, 2)
     assert edit_distance_vectors(half, half) == 0
     assert edit_distance_vectors(PartiteVector([F(1)]), half) == F(1, 2)
 
@@ -382,7 +380,7 @@ def test_edit_vectors_norm_identity():
     for _ in range(25):
         x = rand_vector(rng)
         want = sum((p * p for p in x.parts), F(0))
-        assert edit_distance_vectors(x, PartiteVector.zero()) == want
+        assert edit_distance_vectors(x, PartiteVector()) == want
 
 
 def test_edit_vectors_tail_bound():
@@ -519,8 +517,8 @@ def test_edit_vectors_vs_finite_realisations():
     for _ in range(10):
         x = rand_vector(rng, max_support=3)
         y = rand_vector(rng, max_support=3)
-        gx = realise(8, x).graph
-        gy = realise(8, y).graph
+        gx = realise(8, x).graph()
+        gy = realise(8, y).graph()
         d_exact = edit_distance_exact(gx, gy)
         d_lim = edit_distance_vectors(x, y)
         assert abs(d_exact - d_lim) <= slack, (x, y, d_exact, d_lim)

@@ -7,15 +7,16 @@ import pytest
 
 from inducibility.graphs import Graph, attach, iso_classes
 from inducibility.objectives import ObjectiveSpec, big_lambda, big_lambda_vertex, partitions_of
-from inducibility.partite import PartiteVector, density_polynomial, realise
+from inducibility.partite import PartiteVector, density_polynomial, lambda_gradient, realise
 from inducibility.polynomials import MPoly
 from inducibility.perturbation import (AttachmentPattern, attach_value,
                                        attach_value_generic, compare_bounds,
                                        finite_attach_lambda_vertex, finite_flip_delta,
                                        flip_gradient, flip_gradient_generic,
                                        lagrange_residual, pair_density,
-                                       partial_derivative, partial_derivative_fd,
                                        pattern_e, vertex_gradient)
+
+from helpers import partial_derivative_fd
 
 A8 = PartiteVector.uniform(8)
 A311 = PartiteVector([F(3, 5)])
@@ -89,12 +90,12 @@ def test_partial_derivative_identity_random():
         point.update({f"x{i}": p for i, p in enumerate(x.parts, start=1)})
         for i in x.supp_star:
             sym = poly.partial(f"x{i}").evaluate(point)
-            assert partial_derivative(spec, x, i) == sym, (a, x, i)
+            assert lambda_gradient(spec, x)[i] == sym, (a, x, i)
 
 
 def test_partial_derivative_fd_crosscheck(spec_k311):
     for i in (0, 1):
-        exact = float(partial_derivative(spec_k311, A311, i))
+        exact = float(lambda_gradient(spec_k311, A311)[i])
         fd = partial_derivative_fd(spec_k311, A311, i, step=1e-6)
         assert abs(exact - fd) < 1e-9
 
@@ -109,7 +110,7 @@ def test_lagrange_residual(spec_k2111, spec_k311, spec_c4):
 
 
 def test_partial_at_maximiser(spec_k2111):
-    assert partial_derivative(spec_k2111, A8, 1) == 5 * F(525, 1024)
+    assert lambda_gradient(spec_k2111, A8)[1] == 5 * F(525, 1024)
 
 
 def _sample_graph(types, joined=None):
@@ -191,37 +192,34 @@ def test_finite_limit_consistency_flip(spec_k2111, spec_c4):
 def test_finite_limit_consistency_attach(spec_k311):
     lim = attach_value(spec_k311, A311, AttachmentPattern({1: 1}, F(1, 2))).value
     realised = realise(160, A311)
-    v0 = len(realised.structure.v0)
+    v0 = len(realised.v0)
     fin = finite_attach_lambda_vertex(spec_k311, realised, {1: 1}, int(F(1, 2) * v0))
     assert abs(fin - lim) <= F(4, 160)
 
 
 def test_compare_bounds_identity(spec_c4):
-    realised = realise(12, PartiteVector([F(1, 2), F(1, 2)]))
-    rep = compare_bounds(spec_c4, realised.graph, realised, F(1, 10))
+    rep = compare_bounds(spec_c4, realise(12, HALF).graph(), HALF, F(1, 10))
     assert rep.bounds.wrong_pairs == 0
     assert rep.lam_diff == 0
-    assert rep.all_applicable_hold
+    assert all(v for v in (rep.concl_general, rep.concl_star, rep.concl_upper)
+               if v is not None)
 
 
 def test_compare_bounds_single_edge(spec_c4):
-    realised = realise(12, PartiteVector([F(1, 2), F(1, 2)]))
-    h = realised.graph.flip(0, 6)     # delete one cross edge
-    c = flip_gradient(spec_c4, realised.vector, 1, 2)
-    rep = compare_bounds(spec_c4, h, realised, c)
+    h = realise(12, HALF).graph().flip(0, 6)     # delete one cross edge
+    c = flip_gradient(spec_c4, HALF, 1, 2)
+    rep = compare_bounds(spec_c4, h, HALF, c)
     assert rep.bounds.wrong_pairs == 1 and rep.is_star
     assert rep.hyp_all_ge_c and rep.hyp_all_le_c
     assert rep.concl_star is True and rep.concl_general is True and rep.concl_upper is True
 
 
 def test_compare_bounds_star(spec_c4):
-    realised = realise(12, PartiteVector([F(1, 2), F(1, 2)]))
-    h = realised.graph
+    h = realise(12, HALF).graph()
     for v in (6, 7, 8):               # 3-edge star of wrong pairs at vertex 0
         h = h.flip(0, v)
-    cmin = min(flip_gradient(spec_c4, realised.vector, 1, 2),
-               flip_gradient(spec_c4, realised.vector, 1, 1))
-    rep = compare_bounds(spec_c4, h, realised, cmin)
+    cmin = min(flip_gradient(spec_c4, HALF, 1, 2), flip_gradient(spec_c4, HALF, 1, 1))
+    rep = compare_bounds(spec_c4, h, HALF, cmin)
     assert rep.is_star and rep.bounds.max_degree == 3
     assert rep.hyp_all_ge_c
     assert rep.concl_star is True
@@ -286,9 +284,9 @@ def test_finite_flip_delta_exact(name, n):
     spec = _finite_spec(name)
     for x in FINITE_VECTORS:
         realised = realise(n, x)
-        g = realised.graph
-        groups = [(i + 1, p) for i, p in enumerate(realised.structure.parts) if p]
-        groups += [(0, realised.structure.v0)] if realised.structure.v0 else []
+        g = realised.graph()
+        groups = [(i + 1, p) for i, p in enumerate(realised.parts) if p]
+        groups += [(0, realised.v0)] if realised.v0 else []
         base = big_lambda(spec, g)
         for (i1, p1), (i2, p2) in itertools.combinations_with_replacement(groups, 2):
             if p1 == p2 and len(p1) < 2:
@@ -305,12 +303,11 @@ def test_finite_attach_lambda_vertex_exact(name, n):
     vertex u attached by b and j clique neighbours."""
     spec = _finite_spec(name)
     for x in FINITE_VECTORS:
-        realised = realise(n, x)
-        s = realised.structure
+        s = realise(n, x)
         v0 = len(s.v0)
         for bits in itertools.product((0, 1), repeat=len(s.parts)):
             b = dict(enumerate(bits, start=1))
             for j in range(v0 + 1):
-                h = attach(realised.graph, s, b, F(j, v0) if v0 else F(0))
+                h = attach(s.graph(), s, b, F(j, v0) if v0 else F(0))
                 want = big_lambda_vertex(spec, h, n) / comb(n, spec.k - 1)
-                assert finite_attach_lambda_vertex(spec, realised, b, j) == want, (x, b, j)
+                assert finite_attach_lambda_vertex(spec, s, b, j) == want, (x, b, j)

@@ -11,8 +11,9 @@ from inducibility.perturbation import (AttachmentPattern, clone_values,
                                        flip_gradient, pattern_e)
 from inducibility.polynomials import UPoly
 from inducibility.strictness import (_margin_for_pattern, check_str1, check_str2, compute_w,
-                                     counterexample_candidates, counterexample_spec,
                                      finite_strictness_check, strictness_certificate)
+
+from helpers import counterexample_candidates, counterexample_spec
 
 A8 = PartiteVector.uniform(8)
 A311 = PartiteVector([F(3, 5)])
@@ -49,8 +50,8 @@ def test_w_limit_consistency(spec_k311):
     w = compute_w(a, p)
     for n in (40, 80):
         realised = realise(n, a)
-        sizes = {i + 1: len(q) for i, q in enumerate(realised.structure.parts)}
-        v0 = len(realised.structure.v0)
+        sizes = {i + 1: len(q) for i, q in enumerate(realised.parts)}
+        v0 = len(realised.v0)
         joined = int(F(1, 2) * v0)
         for i in (0, 1):
             if i == 0:
@@ -119,7 +120,7 @@ def test_counterexample_fails_with_zero():
 
 def test_counterexample_clique_candidate_zero_margin():
     spec = counterexample_spec()
-    zero = PartiteVector.zero()
+    zero = PartiteVector()
     c1, pairs = check_str1(spec, zero)
     assert c1 == 0 and pairs[(0, 0)] == 0
     c2, _ = check_str2(spec, zero)
@@ -175,7 +176,7 @@ def test_finite_strictness_with_empty_realised_part():
         rep = finite_strictness_check(spec, x, n)
         assert rep.n == n and rep.c2 is not None
     # c1 is the least n^2 (lambda(G) - lambda(G + uv)) over all pairs uv
-    g = realise(10, x).graph
+    g = realise(10, x).graph()
     lam = lambda_graph(spec, g)
     want = min(100 * (lam - lambda_graph(spec, g.flip(u, v)))
                for u in range(10) for v in range(u + 1, 10))
@@ -215,9 +216,9 @@ def _every_finite_pattern(spec, x, n):
     """c1, c2 and the clone deficits of the finite check with every pair,
     every pattern b and every clique cut j."""
     realised = realise(n, x)
-    sizes = realised.structure.group_sizes()
+    sizes = realised.group_sizes()
     k = spec.k
-    lam = lambda_graph(spec, realised.graph)
+    lam = lambda_graph(spec, realised.graph())
     scale = F(n * n * comb(n - 2, k - 2), comb(n, k))
     c1 = min(finite_flip_delta(spec, realised, i1, i2) * scale
              for i1 in sizes for i2 in sizes if i1 < i2 or (i1 == i2 and sizes[i1] > 1))
