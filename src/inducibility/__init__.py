@@ -2,9 +2,9 @@
 symmetrisable graph parameters, built around the inducibility problem for
 complete partite graphs."""
 
-from .graphs import (CompletePartiteShape, Graph, PartiteStructure, attach,
-                     canonical_key, complete_partite_shape_of, edit_distance_exact,
-                     induced_count, iso_classes, parse_graph_text, write_graph_text)
+from .graphs import (CompletePartiteShape, Graph, PartiteStructure, canonical_key,
+                     complete_partite_shape_of, edit_distance_exact, induced_count,
+                     iso_classes, parse_graph_text, write_graph_text)
 from .objectives import (ObjectiveSpec, big_lambda, big_lambda_vertex,
                          brute_lambda_max, lambda_graph, lambda_vertex,
                          partitions_of)

@@ -23,9 +23,9 @@ from .intervals import bb_max_bound
 from .matrices import RationalMatrix, psd_check
 from .objectives import ObjectiveSpec
 from .optsearch import kst_maximiser
-from .partite import (PartiteVector, density_formula, elementary_symmetric,
-                      lambda_of_vector, sampling_density, SymmetricIndex,
-                      _multinomial)
+from .partite import (PartiteVector, density_formula, density_polynomial,
+                      elementary_symmetric, lambda_of_vector, sampling_density,
+                      SymmetricIndex, _multinomial)
 from .perturbation import attach_value_generic, flip_gradient_generic, pair_density
 from .polynomials import MPoly, UPoly, resultant
 from .strictness import strictness_certificate
@@ -198,48 +198,6 @@ def positive_multiplier_lp(p: UPoly, d: int) -> Optional[UPoly]:
 # K_{s,t}
 # ---------------------------------------------------------------------------
 
-def _kst_pair_density(s: int, t: int, pair: tuple[int, int]) -> UPoly:
-    """Flip gradient of p(K_{s,t}, .) at a two-part vector, as a polynomial in
-    the first ratio alpha.
-
-    Toggling a pair of a two-part sample never yields a complete partite
-    pattern when s + t >= 3, so the gradient is the through-pair density.
-    """
-    k = s + t
-    alpha = UPoly.x()
-    beta = UPoly([1, -1])
-    out = UPoly()
-    if pair == (1, 2):
-        out = out + comb(k - 2, s - 1) * alpha ** (s - 1) * beta ** (t - 1)
-        if s != t:
-            out = out + comb(k - 2, t - 1) * alpha ** (t - 1) * beta ** (s - 1)
-        return out
-    first, second = (alpha, beta) if pair == (1, 1) else (beta, alpha)
-    if s >= 2:
-        out = out + comb(k - 2, s - 2) * first ** (s - 2) * second**t
-    if t >= 2 and t != s:
-        out = out + comb(k - 2, t - 2) * first ** (t - 2) * second**s
-    return out
-
-
-def _kst_attach(s: int, t: int, b: tuple[int, int]) -> UPoly:
-    """lambda(x, (b, 1)) for p(K_{s,t}, .) at a two-part vector, in alpha."""
-    k = s + t
-    alpha = UPoly.x()
-    beta = UPoly([1, -1])
-    if b == (0, 0):
-        return UPoly()
-    if b == (1, 1):
-        if s == 1:
-            return alpha**t + beta**t
-        return UPoly()
-    first, second = (alpha, beta) if b == (0, 1) else (beta, alpha)
-    out = comb(k - 1, s - 1) * first ** (s - 1) * second**t
-    if s != t:
-        out = out + comb(k - 1, t - 1) * first ** (t - 1) * second**s
-    return out
-
-
 def certify_kst(s: int, t: int) -> CertificateReport:
     """Certify the two-part maximiser, value and strictness of p(K_{s,t}, .)."""
     if s > t:
@@ -300,42 +258,47 @@ def certify_kst(s: int, t: int) -> CertificateReport:
             and prof(peak) == peak_val,
             f"max of a^{t}(1-a) on [0,1] is ({t}/{t+1})^{t}/({t+1}) at {peak}")
 
-    # strictness, symbolically in the split ratio. The flipped pattern of a
-    # two-part sample is never complete partite for k >= 3, so flip gradients
-    # equal through-pair densities and all values have closed forms in alpha;
-    # this keeps the pipeline exact for every s + t <= 12.
-    grads = {pair: _kst_pair_density(s, t, pair) for pair in ((1, 1), (1, 2), (2, 2))}
-    att_e1 = _kst_attach(s, t, (0, 1))
-    att_e2 = _kst_attach(s, t, (1, 0))
-    att_00 = _kst_attach(s, t, (0, 0))
-    att_11 = _kst_attach(s, t, (1, 1))
+    # strictness, symbolically in the split ratio, from the free form F of
+    # p(K_{s,t}, .) in x0, x1, x2 at x0 = 0, x1 = a, x2 = 1 - a. Toggling a
+    # pair of a two-part sample never yields a copy of K_{s,t}, so the flip
+    # gradient at parts (i, j) is the through-pair density
+    # d^2F/dx_i dx_j / (k(k-1)); a vertex joined to every part but i is a
+    # clone of part i and counts dF/dx_i / k, one joined to both parts counts
+    # dF/dx0 / k (0 unless s = 1), and one joined to neither counts nothing.
+    free = density_polynomial([s, t], 2)
+
+    def on_split(p: MPoly) -> UPoly:
+        out = UPoly()
+        for e, c in p.terms.items():
+            powers = dict(zip(p.vars, e))
+            if not powers.get("x0"):
+                out = out + c * av ** powers.get("x1", 0) * one_minus ** powers.get("x2", 0)
+        return out
+
+    first = {i: free.partial(f"x{i}") for i in range(3)}
+    grads = {(i, j): on_split(first[i].partial(f"x{j}")) * Fraction(1, k * (k - 1))
+             for i, j in ((1, 1), (1, 2), (2, 2))}
+    att_e1, att_e2, att_11 = (on_split(first[i]) * Fraction(1, k) for i in (1, 2, 0))
+    att_00 = UPoly()
     cross_spec = ObjectiveSpec.partite_density([t, s]) if k <= 6 else None
     if cross_spec is not None:
         a_var = MPoly.var("a")
         entries = {1: a_var, 2: 1 - a_var}
-        agree = True
-        for pair, closed in grads.items():
-            sampled = flip_gradient_generic(cross_spec, entries, *pair)
-            sampled = sampled if isinstance(sampled, MPoly) else MPoly.const(sampled)
-            agree = agree and (sampled - MPoly.from_upoly(closed, "a")).is_zero()
-        for b, closed in (((0, 1), att_e1), ((1, 0), att_e2),
-                          ((0, 0), att_00), ((1, 1), att_11)):
-            sampled = attach_value_generic(cross_spec, entries, {1: b[0], 2: b[1]})
-            sampled = sampled if isinstance(sampled, MPoly) else MPoly.const(sampled)
-            agree = agree and (sampled - MPoly.from_upoly(closed, "a")).is_zero()
+        sampled = [(flip_gradient_generic(cross_spec, entries, *pair), grad)
+                   for pair, grad in grads.items()]
+        sampled += [(attach_value_generic(cross_spec, entries, {1: b1, 2: b2}), att)
+                    for (b1, b2), att in (((0, 1), att_e1), ((1, 0), att_e2),
+                                          ((0, 0), att_00), ((1, 1), att_11))]
+        agree = all((value - MPoly.from_upoly(kernel, "a")).is_zero()
+                    for value, kernel in sampled)
         rep.add("closed_form_crosscheck", agree,
                 "closed-form gradients match the sampling enumeration")
 
-    beta_margin = UPoly([1, -1]) ** (k - 2)
-    ok_flips = True
-    details = []
-    for pair, grad in sorted(grads.items()):
-        sgn = res.alpha.sign_of(grad - beta_margin)
-        details.append(f"{pair}: sign {sgn}")
-        if sgn < 0:
-            ok_flips = False
-    rep.add("str1_flip_margins", ok_flips,
-            "flip gradients >= (1-alpha)^(s+t-2) at the maximiser; " + "; ".join(details))
+    beta_margin = one_minus ** (k - 2)
+    signs = {pair: res.alpha.sign_of(grad - beta_margin) for pair, grad in sorted(grads.items())}
+    rep.add("str1_flip_margins", min(signs.values()) >= 0,
+            "flip gradients >= (1-alpha)^(s+t-2) at the maximiser; "
+            + "; ".join(f"{pair}: sign {sgn}" for pair, sgn in signs.items()))
 
     rep.add("clone_values_agree_at_maximiser", res.alpha.sign_of(att_e1 - att_e2) == 0,
             "lambda(x,(e_1,1)) = lambda(x,(e_2,1)) at the maximiser")
@@ -345,11 +308,9 @@ def certify_kst(s: int, t: int) -> CertificateReport:
         rep.add("str2_nonclone_margin_positive", res.alpha.sign_of(att_e1 - att_00) > 0)
     else:
         # displayed identity for the all-ones pattern at s = 1
-        av_m = UPoly.x()
-        bv_m = UPoly([1, -1])
         lhs = att_e1 + att_e2 - 2 * att_11
-        rhs = av_m ** (t - 1) * ((t + 1) * bv_m - UPoly([1])) \
-            + bv_m ** (t - 1) * ((t + 1) * av_m - UPoly([1]))
+        rhs = av ** (t - 1) * ((t + 1) * one_minus - UPoly([1])) \
+            + one_minus ** (t - 1) * ((t + 1) * av - UPoly([1]))
         rep.add("full_attachment_identity", lhs == rhs,
                 "2*nabla for the all-ones pattern matches the closed form")
         rep.add("str2_nonclone_margin_positive", res.alpha.sign_of(att_e1 - att_11) > 0)
@@ -358,11 +319,10 @@ def certify_kst(s: int, t: int) -> CertificateReport:
     if res.alpha.is_rational:
         alpha_f = res.alpha.as_fraction()
         x = PartiteVector(sorted([alpha_f, 1 - alpha_f], reverse=True))
-        lam = att_e1(alpha_f)  # clone value equals lambda at the maximiser
+        lam = on_split(free)(alpha_f)
         if cross_spec is not None:
             strict = strictness_certificate(cross_spec, [x])
             rep.add("strictness_certificate", strict.passed, f"c = {strict.c}")
-            lam = lambda_of_vector(cross_spec, x)
         ilo, ihi = res.i_value
         rep.add("value_matches_profile", ilo == ihi == lam,
                 f"i(K_{{{s},{t}}}) = {lam}")

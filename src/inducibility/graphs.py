@@ -83,19 +83,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
 
-    def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
-
     # -- transformations -------------------------------------------------------
-
-    def flip(self, x: int, y: int) -> "Graph":
-        """Toggle the adjacency of the pair {x, y}; an involution."""
-        if x == y:
-            raise ValueError("flip needs two distinct vertices")
-        rows = list(self.rows)
-        rows[x] ^= 1 << y
-        rows[y] ^= 1 << x
-        return Graph(self.n, tuple(rows))
 
     def induced(self, verts: Sequence[int]) -> "Graph":
         pos = {u: i for i, u in enumerate(verts)}
@@ -421,11 +409,6 @@ class CompletePartiteShape:
     def __repr__(self) -> str:
         return f"CompletePartiteShape({self.part_sizes})"
 
-    def graph(self) -> Graph:
-        if self.n > MAX_VERTICES:
-            raise ValueError("shape too large to realise as a Graph")
-        return Graph.complete_partite(self.part_sizes)
-
 
 def complete_partite_parts(g: Graph, within: int) -> Optional[list[int]]:
     """Part masks of the subgraph induced on the vertex mask ``within`` iff it
@@ -501,31 +484,6 @@ class PartiteStructure:
         for v in self.v0:
             rows[v] = full & ~(1 << v)
         return Graph(n, tuple(rows))
-
-    def validate_against(self, g: Graph) -> None:
-        if g != self.graph():
-            raise ValueError("partition inconsistent with graph")
-
-
-def attach(g: Graph, structure: PartiteStructure, b: dict[int, int],
-           alpha: Fraction) -> Graph:
-    """G +_{b,alpha} u: a new last vertex joined to part i when b(i)=1 and to
-    the floor(alpha*|V0|) lowest-indexed clique vertices."""
-    structure.validate_against(g)
-    if not 0 <= alpha <= 1:
-        raise ValueError("alpha outside [0,1]")
-    mask = 0
-    for i, bit in b.items():
-        if not 1 <= i <= len(structure.parts):
-            raise ValueError(f"pattern index {i} outside structure")
-        if bit:
-            for v in structure.parts[i - 1]:
-                mask |= 1 << v
-    v0_sorted = sorted(structure.v0)
-    take = int(alpha * len(v0_sorted))  # floor
-    for v in v0_sorted[:take]:
-        mask |= 1 << v
-    return g.add_vertex(mask)
 
 
 # ---------------------------------------------------------------------------

@@ -204,7 +204,7 @@ def draw_sum(k: int, weights: Mapping[int, object], term: Callable[[dict], objec
     (scalars, or UPoly in alpha); an empty sum is Fraction(0).
     """
     keys = sorted(weights)
-    if len(keys) ** k > 10**7:
+    if comb(len(keys) + k - 1, k) > 10**7:
         raise ValueError("support too large for exact enumeration")
 
     def weight(counts):
@@ -282,7 +282,9 @@ def density_polynomial(a: Sequence[int], m: int) -> MPoly:
     """The free form of p(K_a, .) as a polynomial in x0, x1, ..., xm.
 
     Homogeneous of degree sum(a); substituting a point of the simplex gives
-    density_formula. Used for the independent symbolic-derivative oracle.
+    density_formula. certify_kst reads its flip gradients and attachment
+    values from the partials of this form, and the tests use it as the
+    symbolic-derivative oracle for lambda_gradient.
     """
     xs = [MPoly.var(f"x{i}") for i in range(m + 1)]
     return MPoly.const(0) + _closed_form(a, xs[0], xs[1:])

@@ -55,9 +55,6 @@ class AttachmentPattern:
         if not 0 <= self.alpha <= 1:
             raise ValueError("alpha outside [0,1]")
 
-    def bit(self, i: int) -> int:
-        return self.b.get(i, 0)
-
     def support(self) -> tuple[int, ...]:
         return tuple(sorted(i for i, v in self.b.items() if v))
 

@@ -45,10 +45,6 @@ class UPoly:
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
     @classmethod
-    def const(cls, c: Rat) -> "UPoly":
-        return cls([c])
-
-    @classmethod
     def x(cls) -> "UPoly":
         return cls([0, 1])
 

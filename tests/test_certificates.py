@@ -216,7 +216,8 @@ def test_kst_one_sided_interval_bounds():
 
 # sha256 of to_json() for each certificate report; pinned when the pipelines
 # started reading flips, attachment values and margins from their one
-# strictness pass, so any change to a report's bytes shows here
+# strictness pass, so any change to a report's bytes shows here; every
+# accepted kst pair (s <= t, s*t >= 2, s + t <= 12) is pinned
 REPORT_SHA256 = [
     ("k311", "2e446f3baf5a3574c267c81f4cae3349d615f9a0f438c4f9c4dfd1474ecab8c4"),
     ("k2111", "c845c3d9db694d687b7c3dab4669bfb9186adad179c2344d707e0f29f28100e9"),
@@ -232,6 +233,32 @@ REPORT_SHA256 = [
     ("kst(1,9)", "b7399f7e8d1de42797263695bf8f31290db88adb506e3ebce6f9f05456952b75"),
     ("kst(4,6)", "f581d45af0e358aa59bc8114dfa81bf5f52e01f0be45bf57affdaf59514928ca"),
     ("kst(5,5)", "25ee21d06e4b204d24d85a30d102403fd6c3f82af216ff1151de68806ce6aa19"),
+    ("kst(1,2)", "2f03385b8e9075e4eddfdf8ba12448f95ca166594afbbc62f8f4de968cc3995a"),
+    ("kst(1,3)", "74d79d2420805904a39f48a3b54106b657ad3c1fb8f19069c76c0cf7c4ef556b"),
+    ("kst(1,5)", "8e7208f8288b19d826f3c6154ededd64105666bc771ed0437ca8ccc4a5b39882"),
+    ("kst(1,6)", "d6c067215f0670175684943a57feb1d88cbb68b3b16a2e4f174367fe1f53370b"),
+    ("kst(1,7)", "a067ad6e925d4b597c1c4ebd0402a01e852a2b7c52df21f7558b8b90c8ac9602"),
+    ("kst(1,8)", "6dcd81510ca677da0edc9106e54e1c9951b84792cb951404814542414729fc2a"),
+    ("kst(1,10)", "f38a7356ee9b9b1009ee2d8ac0e6afab6b644da4c1f537dff727be39d4269b67"),
+    ("kst(1,11)", "2e95baf8df23939c9fe6d654cab1512607bb8f49a40a8784ffe472013181cfd0"),
+    ("kst(2,4)", "f93491867fce3cbf70efe127dad019124a09d94cc82a49353c76bd9665198853"),
+    ("kst(2,6)", "1694e5a6bd800a50509aff387f9e9aa2efa4fbb62389a2d41476133c83b4a4c5"),
+    ("kst(2,7)", "420ac0861152e39b6ab7dbccfc8951c864577599764914183ff5da60a71a8076"),
+    ("kst(2,8)", "78ff36a32ce8c475e58f708cf7ddae241775f913a4e9c801e847c9710d8cf1b2"),
+    ("kst(2,9)", "132f88dd0e4ea63b45e0835a47de62a5a36666392ce32d42a8e09c58f37d86c7"),
+    ("kst(2,10)", "4bd4d834d1451a6fad366635ed06d5ad74b2513f7330756a88b8d7410cb6b5be"),
+    ("kst(3,3)", "dd5ecd7aa3a8937e380d5e79428e8d53f67bb20d45b880a243654afb94278602"),
+    ("kst(3,5)", "38260cb637e442c9895b6656b7110101270fb50e40b3a0c1b53159229b424284"),
+    ("kst(3,6)", "396750152b3e56caa3e23d9b285357bc2fbda746895ed77a28538c53a67f9db6"),
+    ("kst(3,7)", "df3e799b73f36baa0278526a410b55a1148516bd0ddfc3fff2a56ac9360f5d9c"),
+    ("kst(3,8)", "e28a58296bf2bf54049b345b543220c138946ab0008c9df2ce533ca201da94d3"),
+    ("kst(3,9)", "a19009db5ceff0162793df327e5d8c3da94aa7688bd48793035b2bfcaf5396d5"),
+    ("kst(4,4)", "ce6c3bf48c2f0d37215f1ea019bcd3af0b3beb397535cd22b83d8c268ffe5fc3"),
+    ("kst(4,5)", "d99255f2aaede8b0f7d68ac57a2d0c13dcbbc5d6f5f2477507a645963e2518fb"),
+    ("kst(4,7)", "f5f03263928785919829f64fbd7ba83fe9dd4fe2f0be2225dc9766af691d0f68"),
+    ("kst(4,8)", "d0cf2f4aa8fd79875617d160becae96c693c073a59253835502d8fcf85dfdb68"),
+    ("kst(5,7)", "8cc89f75abbb2a0c367ce3452eea02cb9ef6f79b0d328bb737dd0af182da7dec"),
+    ("kst(6,6)", "459cae0be916835b94c88c338bbe53aa3406fb440ad4ce0b0f678d08c8a2a389"),
 ]
 
 

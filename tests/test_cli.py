@@ -68,6 +68,19 @@ def test_certify_exit_codes(capsys, tmp_path):
     assert code == 1
 
 
+KRT_PAIRS = [(r, t) for r in range(2, 7) for t in range(2, 7) if r * t <= 12]
+
+
+@pytest.mark.parametrize("r,t", KRT_PAIRS, ids=[f"krt({r},{t})" for r, t in KRT_PAIRS])
+def test_certify_krt_runs_every_accepted_size(r, t, capsys):
+    """Every rt <= 12 ends in a verdict (exit 0 or 1), never a usage error;
+    below t > 1 + log r only the hypothesis check fails."""
+    code = main(["certify", "krt", "--r", str(r), "--t", str(t), "--quiet"])
+    captured = capsys.readouterr()
+    assert code == (1 if t == 2 and r >= 3 else 0), captured.err
+    assert captured.err == ""
+
+
 def test_certify_kst_rejects_negative_sizes(capsys):
     """Two negative sizes have a product >= 2, so only s, t >= 1 keeps them
     from reaching the root isolation."""

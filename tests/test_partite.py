@@ -194,8 +194,10 @@ def test_draw_sum_multinomial_theorem_and_size_guard(spec_c4):
     xs = {i: MPoly.var("x%d" % i) for i in range(3)}
     assert draw_sum(4, xs, lambda counts: 1) == (xs[0] + xs[1] + xs[2]) ** 4
     assert draw_sum(3, {0: F(1, 2)}, lambda counts: 0) == 0
-    with pytest.raises(ValueError, match="support too large"):
-        draw_sum(8, {i: F(1, 8) for i in range(8)}, lambda counts: 1)
+    # the guard counts multisets: C(15, 8) = 6,435 here
+    assert draw_sum(8, {i: F(1, 8) for i in range(8)}, lambda counts: 1) == 1
+    with pytest.raises(ValueError, match="support too large"):  # C(51, 12) multisets
+        draw_sum(12, {i: F(1, 40) for i in range(40)}, lambda counts: 1)
     # lambda has no support limit: C(57, 2) pairs of parts, 4!/(2! 2!)
     # orders of the draws, (1/57)^4 each
     assert lambda_of_vector(spec_c4, PartiteVector.uniform(57)) == F(56, 61731)

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from inducibility.graphs import Graph, attach, iso_classes
+from inducibility.graphs import Graph, iso_classes
 from inducibility.objectives import ObjectiveSpec, big_lambda, big_lambda_vertex, partitions_of
 from inducibility.partite import PartiteVector, density_polynomial, lambda_gradient, realise
 from inducibility.polynomials import MPoly
@@ -16,7 +16,7 @@ from inducibility.perturbation import (AttachmentPattern, attach_value,
                                        lagrange_residual, pair_density,
                                        pattern_e, vertex_gradient)
 
-from helpers import partial_derivative_fd
+from helpers import attach, flip, partial_derivative_fd
 
 A8 = PartiteVector.uniform(8)
 A311 = PartiteVector([F(3, 5)])
@@ -133,7 +133,7 @@ def _ordered_flip(spec, x, i1, i2):
         for i in tup:
             weight *= x.entry(i)
         g = _sample_graph((i1, i2) + tup)
-        total += weight * (spec.gamma_of(g) - spec.gamma_of(g.flip(0, 1)))
+        total += weight * (spec.gamma_of(g) - spec.gamma_of(flip(g, 0, 1)))
     return total
 
 
@@ -206,7 +206,7 @@ def test_compare_bounds_identity(spec_c4):
 
 
 def test_compare_bounds_single_edge(spec_c4):
-    h = realise(12, HALF).graph().flip(0, 6)     # delete one cross edge
+    h = flip(realise(12, HALF).graph(), 0, 6)     # delete one cross edge
     c = flip_gradient(spec_c4, HALF, 1, 2)
     rep = compare_bounds(spec_c4, h, HALF, c)
     assert rep.bounds.wrong_pairs == 1 and rep.is_star
@@ -217,7 +217,7 @@ def test_compare_bounds_single_edge(spec_c4):
 def test_compare_bounds_star(spec_c4):
     h = realise(12, HALF).graph()
     for v in (6, 7, 8):               # 3-edge star of wrong pairs at vertex 0
-        h = h.flip(0, v)
+        h = flip(h, 0, v)
     cmin = min(flip_gradient(spec_c4, HALF, 1, 2), flip_gradient(spec_c4, HALF, 1, 1))
     rep = compare_bounds(spec_c4, h, HALF, cmin)
     assert rep.is_star and rep.bounds.max_degree == 3
@@ -292,7 +292,7 @@ def test_finite_flip_delta_exact(name, n):
             if p1 == p2 and len(p1) < 2:
                 continue
             u, v = p1[0], p2[1] if p1 == p2 else p2[0]
-            want = (base - big_lambda(spec, g.flip(u, v))) / comb(n - 2, spec.k - 2)
+            want = (base - big_lambda(spec, flip(g, u, v))) / comb(n - 2, spec.k - 2)
             assert finite_flip_delta(spec, realised, i1, i2) == want, (x, i1, i2)
 
 

@@ -1,12 +1,24 @@
 """Every public name of the package is reached by the program.
 
 A public (non-underscore, non-dunder) module-level function or class, or a
-public method of a module-level class, must be referred to by name somewhere
-in src/ outside its own body, or in the benchmark scripts (perfbench/*.py,
-which also name traced functions as strings). Re-exports in __init__.py and
-uses in tests/ do not count: a name only tests call is test code and belongs
-in tests/. The only exceptions are the paper-facing functions in API, each
-kept for the paper notion it computes.
+public method of a module-level class, must be read somewhere in src/
+outside its own body, or in the benchmark scripts (perfbench/*.py).
+Re-exports in __init__.py and uses in tests/ do not count: a name only tests
+call is test code and belongs in tests/. The only exceptions are the
+paper-facing functions in API, each kept for the paper notion it computes.
+
+What counts as a read:
+- only a load: a field declaration such as ``attach: UPoly`` or an
+  assignment stores the name and does not count;
+- a method only through an attribute access (``obj.name``);
+- a module-level function or class only through a bare name, or through
+  ``module.name`` on an imported inducibility module;
+- a string only in perfbench/layers.py, which names the traced targets
+  (a JSON key elsewhere in perfbench is data, not a use).
+
+The test reads names, not types, so it cannot tell apart methods of the same
+name on several classes: a dead ``degree``, ``const`` or ``graph`` method
+would pass while a live member of that name exists on another class.
 """
 
 import ast
@@ -17,11 +29,11 @@ SRC = ROOT / "src" / "inducibility"
 PERFBENCH = ROOT / "perfbench"
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+MODULES = {path.stem for path in SRC.glob("*.py")}
 
 # name -> the paper notion it computes
 API = {
     "lambda_vertex": "lambda(G, v), the mean of gamma over the k-subsets through v",
-    "density_polynomial": "the induced density of K_a in a complete partite limit, as a polynomial",
     "pattern_e": "the clone attachment pattern e_i, joined to every part but part i",
     "compare_bounds": "the comparison bounds of the stability theorem between a graph "
                       "and a complete partite realisation",
@@ -34,43 +46,78 @@ def _is_public(name: str) -> bool:
 
 
 def _public_definitions(tree: ast.Module):
+    """(node, is_method) of every public module-level definition and every
+    public method of a module-level class."""
     for node in tree.body:
         if isinstance(node, _DEFS) and _is_public(node.name):
-            yield node
+            yield node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, _DEFS) and _is_public(item.name):
-                    yield item
+                    yield item, True
+
+
+def _dotted(node: ast.expr) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return None if base is None else f"{base}.{node.attr}"
+    return None
+
+
+def _module_aliases(tree: ast.Module) -> set[str]:
+    """Dotted names bound to an inducibility module by the imports of tree."""
+    aliases = {f"inducibility.{m}" for m in MODULES}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module == "inducibility"
+                                                 or (node.level and node.module is None)):
+            aliases |= {a.asname or a.name for a in node.names if a.name in MODULES}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names
+                        if a.asname and a.name.removeprefix("inducibility.") in MODULES}
+    return aliases
 
 
 def _references(tree: ast.Module, strings: bool):
-    """(name, line) of every name read and attribute accessed, and of every
-    string constant when ``strings`` is set."""
+    """(kind, name, line) of every read in tree: kind "name" for a bare name
+    load, "module" for ``module.name`` on an inducibility module, "attr" for
+    any attribute load, and "string" for string constants when ``strings``."""
+    modules = _module_aliases(tree)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield "name", node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield "attr", node.attr, node.lineno
+            if _dotted(node.value) in modules:
+                yield "module", node.attr, node.lineno
         elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno
+            yield "string", node.value, node.lineno
+
+
+def _all_references():
+    refs = {path.name: list(_references(ast.parse(path.read_text(), str(path)), strings=False))
+            for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        refs["perfbench/" + path.name] = list(_references(tree, strings=path.name == "layers.py"))
+    return refs
 
 
 def test_no_public_definitions_reached_only_from_tests():
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(SRC.glob("*.py"))}
-    refs = {name: list(_references(tree, strings=False))
-            for name, tree in trees.items() if name != "__init__.py"}
-    for path in sorted(PERFBENCH.glob("*.py")):
-        refs["perfbench/" + path.name] = list(_references(ast.parse(path.read_text()), strings=True))
+    refs = _all_references()
     assert len(trees) > 5
     unused = []
     for file, tree in trees.items():
-        for node in _public_definitions(tree):
+        for node, is_method in _public_definitions(tree):
             if node.name in API:
                 continue
-            used = any(name == node.name
+            kinds = {"attr", "string"} if is_method else {"name", "module", "string"}
+            used = any(kind in kinds and name == node.name
                        and not (other == file and node.lineno <= line <= node.end_lineno)
-                       for other, found in refs.items() for name, line in found)
+                       for other, found in refs.items() for kind, name, line in found)
             if not used:
                 unused.append(f"{file}:{node.lineno} {node.name}")
     assert not unused, "public definitions reached only from tests: " + ", ".join(unused)
@@ -78,5 +125,5 @@ def test_no_public_definitions_reached_only_from_tests():
 
 def test_api_names_exist():
     defined = {node.name for path in SRC.glob("*.py")
-               for node in _public_definitions(ast.parse(path.read_text()))}
+               for node, _ in _public_definitions(ast.parse(path.read_text()))}
     assert set(API) <= defined

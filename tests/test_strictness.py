@@ -13,7 +13,7 @@ from inducibility.polynomials import UPoly
 from inducibility.strictness import (_margin_for_pattern, check_str1, check_str2, compute_w,
                                      finite_strictness_check, strictness_certificate)
 
-from helpers import counterexample_candidates, counterexample_spec
+from helpers import counterexample_candidates, counterexample_spec, flip
 
 A8 = PartiteVector.uniform(8)
 A311 = PartiteVector([F(3, 5)])
@@ -55,9 +55,9 @@ def test_w_limit_consistency(spec_k311):
         joined = int(F(1, 2) * v0)
         for i in (0, 1):
             if i == 0:
-                w_fin = (1 - p.bit(1)) * sizes[1] + (v0 - joined)
+                w_fin = (1 - p.b.get(1, 0)) * sizes[1] + (v0 - joined)
             else:
-                w_fin = p.bit(1) * sizes[1] + (v0 - joined)
+                w_fin = p.b.get(1, 0) * sizes[1] + (v0 - joined)
             lim = w[i] + (1 - p.alpha) * a.x0
             assert abs(F(w_fin, n) - lim) <= F(3, n)
 
@@ -178,7 +178,7 @@ def test_finite_strictness_with_empty_realised_part():
     # c1 is the least n^2 (lambda(G) - lambda(G + uv)) over all pairs uv
     g = realise(10, x).graph()
     lam = lambda_graph(spec, g)
-    want = min(100 * (lam - lambda_graph(spec, g.flip(u, v)))
+    want = min(100 * (lam - lambda_graph(spec, flip(g, u, v)))
                for u in range(10) for v in range(u + 1, 10))
     assert finite_strictness_check(spec, x, 10).c1 == want
 
