@@ -425,8 +425,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--objective", required=True)
     p.add_argument("--mode", choices=["finite", "continuous"], default="continuous")
     p.add_argument("--n", type=int)
-    p.add_argument("--starts", type=int, default=200)
-    p.add_argument("--max-support", type=int, default=8)
+    p.add_argument("--starts", type=int, default=200,
+                   help="least number of ascent starts (default 200): the fixed starts "
+                        "(uniform splits, the clique grid, finite-n shapes and --seeds) "
+                        "always run, and random starts fill up to this number; "
+                        "provenance.starts gives the count run")
+    p.add_argument("--max-support", type=int, default=8,
+                   help="most parts a candidate may have, 1 to 10 (default 8)")
     p.add_argument("--seeds", action="append", help="extra seed vectors (JSON)")
     p.add_argument("--seed", type=int, default=0)
     common(p)

@@ -17,10 +17,13 @@ from __future__ import annotations
 import math
 import operator
 import random
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from itertools import compress
 from math import comb
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .graphs import CompletePartiteShape
 from .objectives import ObjectiveSpec
@@ -80,7 +83,16 @@ def _set_partitions(items: Sequence[int]):
 
 
 class _FloatPlan:
-    """lambda(x) = sum coeff * x0^s * prod(power sums), in floats."""
+    """lambda(x) = sum coeff * x0^s * prod(power sums), in floats.
+
+    value and gradient give the floats of the plain loop over terms, slots and
+    parts (tests/helpers.py keeps it as the reference) with less work: the
+    power sums and the powers p**j are computed once per point over the
+    distinct nonzero coordinates, tied coordinates share one partial, and a
+    run of equal exponents in a term shares one product of the other power
+    sums. Every reported float goes through the same operations in the same
+    order as in that loop.
+    """
 
     def __init__(self, spec: ObjectiveSpec):
         self.k = spec.k
@@ -105,54 +117,81 @@ class _FloatPlan:
                     key = (s, tuple(sorted(exps)))
                     terms[key] = terms.get(key, 0.0) + float(coeff)
         self.terms = [(s, exps, c) for (s, exps), c in terms.items() if c]
+        # per term, each run of equal (sorted) exponents e with its length and
+        # the exponents left when one e is dropped: the slots of a run differ
+        # only in which e they drop, so they share that product
+        self._runs = [[(e, exps.count(e), exps[:i] + exps[i + 1:])
+                       for i, e in enumerate(exps) if i == 0 or exps[i - 1] != e]
+                      for _, exps, _ in self.terms]
+        # the power p**(e - 1) each slot multiplies, in (term, slot) order
+        self._degrees = [e - 1 for runs in self._runs for e, count, _ in runs
+                         for _ in range(count)]
+        self._ones = [d == 0 for d in self._degrees]
+        self._point: Optional[tuple[float, Sequence[float]]] = None
+
+    def _table(self, x0: float, parts: Sequence[float]):
+        """(x0**s, power sums, {p: [p**j]}) at the point, kept for the next call.
+
+        Zero coordinates add nothing to a power sum, so they are skipped; sum()
+        still runs over the same nonzero parts in the same order."""
+        if (x0, parts) != self._point:
+            r = range(self.k + 1)
+            pows = {}
+            for p in parts:
+                if p and p not in pows:
+                    pows[p] = [p**j for j in r]
+            rows = [pows[p] for p in parts if p]
+            ps = [sum(col) for col in zip(*rows)] if rows else [0.0] * (self.k + 1)
+            self._point = (x0, list(parts))
+            self._cache = ([x0**s for s in r], ps, pows)
+        return self._cache
 
     def value(self, x0: float, parts: Sequence[float]) -> float:
-        ps = [0.0] * (self.k + 1)
-        for e in range(1, self.k + 1):
-            ps[e] = sum(p**e for p in parts)
+        xs, ps, _ = self._table(x0, parts)
         total = 0.0
         for s, exps, c in self.terms:
-            t = c * (x0**s if s else 1.0)
+            t = c * xs[s]
             for e in exps:
                 t *= ps[e]
             total += t
         return total
 
     def gradient(self, x0: float, parts: Sequence[float]) -> tuple[float, list[float]]:
-        ps = [0.0] * (self.k + 1)
-        for e in range(1, self.k + 1):
-            ps[e] = sum(p**e for p in parts)
+        xs, ps, pows = self._table(x0, parts)
         g0 = 0.0
-        gi = [0.0] * len(parts)
-        for s, exps, c in self.terms:
-            prods = 1.0
-            for e in exps:
-                prods *= ps[e]
+        coeffs: list[float] = []   # rest * e of every slot, in (term, slot) order
+        for (s, exps, c), runs in zip(self.terms, self._runs):
             if s:
-                g0 += c * s * x0 ** (s - 1) * prods
-            for pos, e in enumerate(exps):
-                rest = c * (x0**s if s else 1.0)
-                for q, e2 in enumerate(exps):
-                    if q != pos:
-                        rest *= ps[e2]
-                for i, p in enumerate(parts):
-                    gi[i] += rest * e * p ** (e - 1)
-        return g0, gi
+                prods = 1.0
+                for e in exps:
+                    prods *= ps[e]
+                g0 += c * s * xs[s - 1] * prods
+            base = c * xs[s]
+            for e, count, others in runs:
+                rest = base
+                for e2 in others:
+                    rest *= ps[e2]
+                coeffs += [rest * e] * count
+        # each partial adds its slots left to right from 0.0, as the loop did
+        partial = {p: reduce(operator.add,
+                             map(operator.mul, coeffs, map(pw.__getitem__, self._degrees)), 0.0)
+                   for p, pw in pows.items()}
+        # at a zero coordinate only the slots with e = 1 (p**0 = 1) add
+        zero = reduce(operator.add, compress(coeffs, self._ones), 0.0)
+        return g0, [partial[p] if p else zero for p in parts]
 
 
 def _project_simplex(v: Sequence[float]) -> list[float]:
     """Euclidean projection onto {x >= 0, sum x = 1}."""
     u = sorted(v, reverse=True)
     css = 0.0
-    rho = -1
     theta = 0.0
     for j, uj in enumerate(u):
         css += uj
         t = (css - 1.0) / (j + 1)
         if uj - t > 0:
-            rho = j
             theta = t
-    return [max(x - theta, 0.0) for x in v]
+    return [0.0 if x < theta else x - theta for x in v]   # max(x - theta, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +267,27 @@ def _ascend(plan: _FloatPlan, z: list[float]) -> tuple[list[float], float]:
     return z, val
 
 
+def _memoised_ascent(plan: _FloatPlan):
+    """_ascend on plan, memoised by its input point.
+
+    _ascend is a pure function of the point, and the merge and split moves
+    of different starts reach the same points again. The memo keeps each
+    point and result as packed doubles, which is exact and small; each call
+    returns a fresh list."""
+    memo: dict[bytes, tuple[bytes, float]] = {}
+
+    def ascend(z: list[float]) -> tuple[list[float], float]:
+        point = struct.Struct(f"{len(z)}d")
+        key = point.pack(*z)
+        if key not in memo:
+            out, val = _ascend(plan, z)
+            memo[key] = (point.pack(*out), val)
+        out, val = memo[key]
+        return list(point.unpack(out)), val
+
+    return ascend
+
+
 def _residual_float(plan: _FloatPlan, z: list[float]) -> float:
     lam = plan.value(z[0], z[1:])
     g0, gi = plan.gradient(z[0], z[1:])
@@ -282,11 +342,11 @@ def continuous_opt(spec: ObjectiveSpec, max_support: int, starts: int = 200,
         tot = sum(raw)
         seeds.append([x0] + [(1 - x0) * w / tot for w in raw] + [0.0] * (M - r))
 
+    ascend = _memoised_ascent(plan)
     found: list[tuple[float, list[float]]] = []
     for z in seeds:
-        z = _project_simplex(z)
-        z, val = _ascend(plan, z)
-        z, val = _local_moves(plan, z, val)
+        z, val = ascend(_project_simplex(z))
+        z, val = _local_moves(ascend, z, val)
         found.append((val, z))
 
     # cluster by rounded coordinates, keep the best representative
@@ -324,7 +384,8 @@ def continuous_opt(spec: ObjectiveSpec, max_support: int, starts: int = 200,
     })
 
 
-def _local_moves(plan: _FloatPlan, z: list[float], val: float) -> tuple[list[float], float]:
+def _local_moves(ascend: Callable[[list[float]], tuple[list[float], float]],
+                 z: list[float], val: float) -> tuple[list[float], float]:
     """Merge the two smallest parts / split the largest, keeping improvements."""
     improved = True
     while improved:
@@ -334,7 +395,7 @@ def _local_moves(plan: _FloatPlan, z: list[float], val: float) -> tuple[list[flo
         if len(parts) >= 2:
             merged = parts[:-2] + [parts[-2] + parts[-1]]
             cand = [z[0]] + merged + [0.0] * (M - len(merged))
-            cand, cv = _ascend(plan, _project_simplex(cand))
+            cand, cv = ascend(_project_simplex(cand))
             if cv > val + 1e-12:
                 z, val = cand, cv
                 improved = True
@@ -342,7 +403,7 @@ def _local_moves(plan: _FloatPlan, z: list[float], val: float) -> tuple[list[flo
         if parts and len(parts) < M:
             split = [parts[0] / 2, parts[0] / 2] + parts[1:]
             cand = [z[0]] + split + [0.0] * (M - len(split))
-            cand, cv = _ascend(plan, _project_simplex(cand))
+            cand, cv = ascend(_project_simplex(cand))
             if cv > val + 1e-12:
                 z, val = cand, cv
                 improved = True

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from inducibility.graphs import Graph, PartiteStructure
 from inducibility.objectives import ObjectiveSpec, partitions_of
+from inducibility.optsearch import _FloatPlan
 from inducibility.partite import PartiteVector, lambda_free
 
 
@@ -56,6 +57,63 @@ def partial_derivative_fd(spec: ObjectiveSpec, x: PartiteVector, i: int,
         return lambda_free(spec, w[0], w[1:])
 
     return (at(step) - at(-step)) / (2 * step)
+
+
+class ReferenceFloatPlan:
+    """The float plan's value and gradient as plain loops over terms, slots
+    and parts, recomputing every power sum and power at each call. The
+    program's plan must give the same floats, bit for bit."""
+
+    def __init__(self, spec: ObjectiveSpec):
+        plan = _FloatPlan(spec)
+        self.k, self.terms = plan.k, plan.terms
+
+    def value(self, x0, parts):
+        ps = [0.0] * (self.k + 1)
+        for e in range(1, self.k + 1):
+            ps[e] = sum(p**e for p in parts)
+        total = 0.0
+        for s, exps, c in self.terms:
+            t = c * (x0**s if s else 1.0)
+            for e in exps:
+                t *= ps[e]
+            total += t
+        return total
+
+    def gradient(self, x0, parts):
+        ps = [0.0] * (self.k + 1)
+        for e in range(1, self.k + 1):
+            ps[e] = sum(p**e for p in parts)
+        g0 = 0.0
+        gi = [0.0] * len(parts)
+        for s, exps, c in self.terms:
+            prods = 1.0
+            for e in exps:
+                prods *= ps[e]
+            if s:
+                g0 += c * s * x0 ** (s - 1) * prods
+            for pos, e in enumerate(exps):
+                rest = c * (x0**s if s else 1.0)
+                for q, e2 in enumerate(exps):
+                    if q != pos:
+                        rest *= ps[e2]
+                for i, p in enumerate(parts):
+                    gi[i] += rest * e * p ** (e - 1)
+        return g0, gi
+
+
+def reference_project_simplex(v):
+    """Euclidean projection onto the simplex, clipping with max() as the
+    program's projection first did."""
+    u = sorted(v, reverse=True)
+    css = 0.0
+    theta = 0.0
+    for j, uj in enumerate(u):
+        css += uj
+        t = (css - 1.0) / (j + 1)
+        if uj - t > 0:
+            theta = t
+    return [max(x - theta, 0.0) for x in v]
 
 
 def counterexample_spec() -> ObjectiveSpec:

@@ -221,6 +221,15 @@ def test_report_determinism(capsys, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_opt_starts_is_a_floor(capsys, tmp_path):
+    """The fixed starts always run; --starts only adds random ones up to it."""
+    out = tmp_path / "r.json"
+    for starts, ran in (("0", 32), ("40", 40)):
+        run_cli(["opt", "--objective", "KP 2,1", "--max-support", "3", "--starts", starts,
+                 "--quiet", "--out", str(out)], capsys)
+        assert json.loads(out.read_text())["result"]["provenance"]["starts"] == ran
+
+
 def test_module_entry_point(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

@@ -5,6 +5,8 @@ from math import comb, sqrt
 
 import pytest
 
+from helpers import ReferenceFloatPlan, reference_project_simplex
+from inducibility import optsearch
 from inducibility.cli import parse_objective
 from inducibility.graphs import CompletePartiteShape, Graph, iso_classes
 from inducibility.objectives import ObjectiveSpec, big_lambda, partitions_of
@@ -186,3 +188,91 @@ def test_continuous_opt_k2111(spec_k2111):
     cs = continuous_opt(spec_k2111, 10, starts=60, seed=0)
     assert cs.best_vector() == PartiteVector.uniform(8)
     assert cs.candidates[0].lam_exact == F(525, 1024)
+
+
+PLAN_OBJECTIVES = ["KP 1,1,1,1", "KP 2,2,1", "SUM 1*KP 2,2 + 1/2*KP 1,1,1,1",
+                   "SUM 1*KP 3,1 + -1/2*KP 4", "KP 2,1,1,1", "KP 3,3"]
+
+
+def _plan_specs():
+    rng = random.Random(19)
+    table = {g: F(rng.randint(-6, 6), rng.randint(1, 5)) for g in iso_classes(4)}
+    return [parse_objective(o) for o in PLAN_OBJECTIVES] + [ObjectiveSpec.from_table(4, table)]
+
+
+def _plan_points(rng, m=10):
+    """Points of the simplex with zero parts, tied parts, x0 = 0 and x0 = 1."""
+    yield 1.0, [0.0] * m
+    for _ in range(40):
+        x0 = rng.choice([0.0, rng.random()])
+        r = rng.randint(1, m)
+        raw = [rng.expovariate(1.0) for _ in range(r)]
+        if rng.random() < 0.5:
+            raw = [rng.choice(raw[:2]) for _ in range(r)]
+        tot = sum(raw)
+        parts = [(1 - x0) * w / tot for w in raw] + [0.0] * (m - r)
+        rng.shuffle(parts)
+        yield x0, parts
+
+
+def _hex(value, gradient):
+    g0, gi = gradient
+    return value.hex(), g0.hex(), [g.hex() for g in gi]
+
+
+def test_float_plan_bitwise_equal_to_reference_loops():
+    """value and every partial are the reference loops' floats, bit for bit,
+    whichever of value and gradient reads the point's table first."""
+    rng = random.Random(7)
+    for spec in _plan_specs():
+        plan, ref = optsearch._FloatPlan(spec), ReferenceFloatPlan(spec)
+        assert plan.k == ref.k
+        for i, (x, parts) in enumerate(_plan_points(rng)):
+            for x0 in (x, x / 2):   # the same parts with another x0 come next
+                want = _hex(ref.value(x0, parts), ref.gradient(x0, parts))
+                if i % 2:
+                    gradient = plan.gradient(x0, parts)
+                    value = plan.value(x0, list(parts))
+                else:
+                    value = plan.value(x0, parts)
+                    gradient = plan.gradient(x0, list(parts))
+                assert _hex(value, gradient) == want, (spec.label, x0, parts)
+
+
+@pytest.mark.parametrize("objective, max_support, seed", [
+    ("KP 2,2,1", 6, 5), ("SUM 1*KP 3,1 + -1/2*KP 4", 5, 3), ("KP 2,1,1,1", 6, 0),
+])
+def test_continuous_opt_unchanged_under_reference_plan(monkeypatch, objective, max_support, seed):
+    spec = parse_objective(objective)
+    got = continuous_opt(spec, max_support, starts=10, seed=seed).to_jsonable()
+    monkeypatch.setattr(optsearch, "_FloatPlan", ReferenceFloatPlan)
+    monkeypatch.setattr(optsearch, "_project_simplex", reference_project_simplex)
+    assert continuous_opt(spec, max_support, starts=10, seed=seed).to_jsonable() == got
+
+
+def test_project_simplex_bitwise_equal_to_reference():
+    rng = random.Random(11)
+    for _ in range(2000):
+        v = [rng.choice([0.0, 0.25, rng.uniform(-0.5, 1.0)]) for _ in range(rng.randint(1, 11))]
+        want = [x.hex() for x in reference_project_simplex(v)]
+        assert [x.hex() for x in optsearch._project_simplex(v)] == want, v
+
+
+def test_memoised_ascent_runs_once_per_point_and_returns_fresh_lists(spec_c4):
+    calls = []
+
+    class CountingPlan(ReferenceFloatPlan):
+        def gradient(self, x0, parts):
+            calls.append(1)
+            return super().gradient(x0, parts)
+
+    ascend = optsearch._memoised_ascent(CountingPlan(spec_c4))
+    start = [0.0, 0.7, 0.2, 0.1, 0.0]
+    first, val = ascend(list(start))
+    n = len(calls)
+    assert n > 0
+    again, val2 = ascend(list(start))
+    assert len(calls) == n and (again, val2) == (first, val)
+    assert again is not first
+    again.append(5.0)
+    assert ascend(start)[0] == first
