@@ -24,7 +24,7 @@ from .optsearch import (CandidateSet, KstResult, continuous_opt, finite_opt,
                         kst_maximiser)
 from .polynomials import (AlgebraicNumber, MPoly, UPoly, resultant,
                            sturm_root_count)
-from .matrices import RationalMatrix, psd_check
+from .matrices import psd_check
 from .intervals import BBResult, bb_max_bound
 from .certificates import (CertificateReport, certify_k2111, certify_k311,
                            certify_krt, certify_kst, krt_value,

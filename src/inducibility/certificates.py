@@ -20,7 +20,7 @@ from math import comb, factorial, gcd
 from typing import Optional
 
 from .intervals import bb_max_bound
-from .matrices import RationalMatrix, psd_check
+from .matrices import psd_check
 from .objectives import ObjectiveSpec
 from .optsearch import kst_maximiser
 from .partite import (PartiteVector, density_formula, density_polynomial,
@@ -656,8 +656,10 @@ def certify_k311() -> CertificateReport:
     rep.add("exclusion_total", total < lam0, f"{total} < 216/625")
 
     # (2a) sum-of-squares route
-    grams = {name: RationalMatrix([[Fraction(v) for v in row] for row in rows])
+    grams = {name: [[Fraction(v) for v in row] for row in rows]
              for name, rows in data["gram_matrices"].items()}
+    if any(len(m) != 6 or any(len(r) != 6 for r in m) for m in grams.values()):
+        raise ValueError("k311 data: every Gram matrix must be 6x6")
     for name in ("R0", "Q1", "Q2", "Q3"):
         rep.add(f"psd_{name}", psd_check(grams[name]))
     basis = [MPoly.const(1), y, z, y**2, y * z, z**2]
@@ -666,7 +668,7 @@ def certify_k311() -> CertificateReport:
         total_poly = MPoly.const(0)
         for i in range(6):
             for jj in range(6):
-                total_poly = total_poly + mat.rows[i][jj] * basis[i] * basis[jj]
+                total_poly = total_poly + mat[i][jj] * basis[i] * basis[jj]
         sos[name] = total_poly
     alpha = Fraction(data["shift"])
     eps = (-h - z * sos["Q1"] - (y - z) * sos["Q2"] - (alpha - y) * sos["Q3"]

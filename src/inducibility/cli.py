@@ -24,7 +24,7 @@ from .graphs import CANON_MAX, Graph, parse_graph_text, write_graph_text
 from .objectives import ObjectiveSpec, lambda_graph, brute_lambda_max
 from .partite import PartiteVector, edit_distance_vectors, lambda_of_vector
 from .polynomials import parse_rational
-from .perturbation import AttachmentPattern, clone_values, vertex_gradient
+from .perturbation import AttachmentPattern, clone_residual, clone_values, vertex_gradient
 from .symmetrise import SymmetrisationError, symmetrise_full, symmetrise_vertex
 from .strictness import check_str1, strictness_certificate
 from .optsearch import continuous_opt, finite_opt
@@ -258,8 +258,7 @@ def cmd_gradients(args) -> int:
     x = parse_vector(args.vector)
     flips = {f"{i1},{i2}": str(v) for (i1, i2), v in check_str1(spec, x)[1].items()}
     clone = clone_values(spec, x)
-    lam = lambda_of_vector(spec, x)
-    res = max(abs(v - lam) for v in clone.values())
+    res = clone_residual(x, clone)
     clones = {str(i): str(v) for i, v in clone.items()}
     extras = {}
     for pat in args.pattern or []:
@@ -305,8 +304,8 @@ def cmd_opt(args) -> int:
     result = cs.to_jsonable()
     if args.seeds:
         result["provenance"]["extra_seeds"] = args.seeds
-    best = cs.best_vector()
-    line = (f"best {best.to_json()} lambda = {cs.candidates[0].lam_exact}"
+    best = cs.best_snapped()
+    line = (f"best {best.vector.to_json()} lambda = {best.lam_exact}"
             if best is not None else f"best (unsnapped) lambda ~ {cs.lam_best:.9f}")
     emit(make_report("opt", "value", result, spec.label), args, line)
     return EXIT_PASS

@@ -1,21 +1,22 @@
 """Finite graphs on up to 64 vertices as immutable bitset adjacency rows.
 
-Provides canonical forms for n <= 8, one class lookup (``key_of_code``, a
-code-to-class map filled on demand, and ``class_key`` over it; it keys gamma
-tables by isomorphism class), isomorphism-class generation by canonical
-deletion, induced-subgraph counting, pair flips, exact edit distance by
-bijection search, complete-partite detection, realised partite structures and
-the plain-text graph format.
+Provides the one k-subset walk (``subset_codes``), canonical forms for
+n <= 8, one class lookup (``key_of_code``, a code-to-class map filled on
+demand, and ``class_key`` over it; it keys gamma tables by isomorphism
+class), isomorphism-class generation by canonical deletion, induced-subgraph
+counting, exact edit distance by bijection search, complete-partite
+detection, realised partite structures and the plain-text graph format.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 MAX_VERTICES = 64
 CANON_MAX = 8
@@ -116,6 +117,23 @@ class Graph:
                     code |= 1 << bit
                 bit += 1
         return code
+
+
+def subset_codes(g: Graph, k: int, through: Optional[int] = None) -> Iterator[int]:
+    """The ``Graph.subset_code`` of every k-subset of g's vertices, in
+    ``itertools.combinations`` order; with ``through``, of those subsets
+    that contain that vertex only. The one subset walk of the package."""
+    if through is None:
+        for verts in itertools.combinations(range(g.n), k):
+            yield g.subset_code(verts)
+        return
+    if not 0 <= through < g.n:
+        raise ValueError("vertex out of range")
+    # `through` goes in before the first member above it, keeping the order
+    others = [u for u in range(g.n) if u != through]
+    for rest in itertools.combinations(others, k - 1):
+        at = bisect.bisect(rest, through)
+        yield g.subset_code(rest[:at] + (through,) + rest[at:])
 
 
 def graph_from_code(k: int, code: int) -> Graph:
@@ -315,8 +333,7 @@ def induced_count(f: Graph, g: Graph) -> int:
     if comb(n, k) > 10**8:
         raise ValueError("subset enumeration bound exceeded")
     target = class_key(f)
-    return sum(class_key(g.induced(verts)) == target
-               for verts in itertools.combinations(range(n), k))
+    return sum(key_of_code(k, code) == target for code in subset_codes(g, k))
 
 
 def edit_distance_exact(g: Graph, h: Graph) -> Fraction:

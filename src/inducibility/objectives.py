@@ -11,14 +11,14 @@ must be >= 0 for the monotone-symmetrisation guarantee, tracked as
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
 from .graphs import (CANON_MAX, CompletePartiteShape, Graph, class_key, class_keys,
-                     complete_partite_shape_of, iso_classes, key_of_code)
+                     complete_partite_shape_of, graph_from_code, iso_classes, key_of_code,
+                     subset_codes)
 from .polynomials import Rat, _frac
 
 
@@ -84,9 +84,10 @@ class ObjectiveSpec:
         shapes = [(c, CompletePartiteShape(a)) for c, a in tl]
         gamma = {}
         for key, f in zip(class_keys(kk), iso_classes(kk)):
-            found = Counter(complete_partite_shape_of(f.induced(verts))
-                            for m in {s.n for _, s in shapes}
-                            for verts in itertools.combinations(range(kk), m))
+            found: Counter = Counter()
+            for m in {s.n for _, s in shapes}:
+                for code, count in Counter(subset_codes(f, m)).items():
+                    found[complete_partite_shape_of(graph_from_code(m, code))] += count
             gamma[key] = sum(c * Fraction(found[s], comb(kk, s.n)) for c, s in shapes)
         eligible = all(c >= 0 or partition_is_clique(a) for c, a in tl)
         if label is None:
@@ -168,10 +169,7 @@ def big_lambda(spec: ObjectiveSpec, g: Graph) -> Fraction:
     if g.n < spec.k:
         raise ValueError("graph smaller than objective arity")
     table = spec.code_table()
-    total = Fraction(0)
-    for verts in itertools.combinations(range(g.n), spec.k):
-        total += table[g.subset_code(verts)]
-    return total
+    return sum((table[code] for code in subset_codes(g, spec.k)), Fraction(0))
 
 
 def lambda_graph(spec: ObjectiveSpec, g: Graph) -> Fraction:
@@ -181,17 +179,10 @@ def lambda_graph(spec: ObjectiveSpec, g: Graph) -> Fraction:
 
 def big_lambda_vertex(spec: ObjectiveSpec, g: Graph, v: int) -> Fraction:
     """Lambda(G, v) = sum over k-subsets containing v (= Lambda(G) - Lambda(G-v))."""
-    if not 0 <= v < g.n:
-        raise ValueError("vertex out of range")
     if g.n < spec.k:
         raise ValueError("graph smaller than objective arity")
     table = spec.code_table()
-    others = [u for u in range(g.n) if u != v]
-    total = Fraction(0)
-    for rest in itertools.combinations(others, spec.k - 1):
-        verts = tuple(sorted(rest + (v,)))
-        total += table[g.subset_code(verts)]
-    return total
+    return sum((table[code] for code in subset_codes(g, spec.k, through=v)), Fraction(0))
 
 
 def lambda_vertex(spec: ObjectiveSpec, g: Graph, v: int) -> Fraction:

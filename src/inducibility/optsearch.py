@@ -132,8 +132,8 @@ class _FloatPlan:
     def _table(self, x0: float, parts: Sequence[float]):
         """(x0**s, power sums, {p: [p**j]}) at the point, kept for the next call.
 
-        Zero coordinates add nothing to a power sum, so they are skipped; sum()
-        still runs over the same nonzero parts in the same order."""
+        Zero coordinates add nothing to a power sum, so they are skipped; the
+        fold still runs over the same nonzero parts in the same order."""
         if (x0, parts) != self._point:
             r = range(self.k + 1)
             pows = {}
@@ -141,7 +141,7 @@ class _FloatPlan:
                 if p and p not in pows:
                     pows[p] = [p**j for j in r]
             rows = [pows[p] for p in parts if p]
-            ps = [sum(col) for col in zip(*rows)] if rows else [0.0] * (self.k + 1)
+            ps = [_fold(col) for col in zip(*rows)] if rows else [0.0] * (self.k + 1)
             self._point = (x0, list(parts))
             self._cache = ([x0**s for s in r], ps, pows)
         return self._cache
@@ -179,6 +179,12 @@ class _FloatPlan:
         # at a zero coordinate only the slots with e = 1 (p**0 = 1) add
         zero = reduce(operator.add, compress(coeffs, self._ones), 0.0)
         return g0, [partial[p] if p else zero for p in parts]
+
+
+def _fold(values: Sequence[float]) -> float:
+    """The left-to-right float sum from 0.0, on every interpreter: sum()
+    compensates its rounding from Python 3.12 on."""
+    return reduce(operator.add, values, 0.0)
 
 
 def _project_simplex(v: Sequence[float]) -> list[float]:
@@ -219,11 +225,9 @@ class CandidateSet:
     lam_best: float
     provenance: dict = field(default_factory=dict)
 
-    def best_vector(self) -> Optional[PartiteVector]:
-        for c in self.candidates:
-            if c.vector is not None:
-                return c.vector
-        return None
+    def best_snapped(self) -> Optional[Candidate]:
+        """The first candidate whose snap verified, or None."""
+        return next((c for c in self.candidates if c.snapped), None)
 
     def to_jsonable(self) -> dict:
         return {
@@ -330,16 +334,16 @@ def continuous_opt(spec: ObjectiveSpec, max_support: int, starts: int = 200,
             sizes = shape.part_sizes
             n = shape.n
             ratios = sorted((s / n for s in sizes), reverse=True)[:M]
-            seeds.append([1 - sum(ratios)] + ratios + [0.0] * (M - len(ratios)))
+            seeds.append([1 - _fold(ratios)] + ratios + [0.0] * (M - len(ratios)))
             big = sorted((s / n for s in sizes if s >= 2), reverse=True)[:M]
-            seeds.append([1 - sum(big)] + big + [0.0] * (M - len(big)))
+            seeds.append([1 - _fold(big)] + big + [0.0] * (M - len(big)))
     except ValueError:
         pass
     while len(seeds) < starts:
         r = rng.randint(1, M)
         raw = [rng.expovariate(1.0) for _ in range(r)]
         x0 = rng.random() if rng.random() < 0.4 else 0.0
-        tot = sum(raw)
+        tot = _fold(raw)
         seeds.append([x0] + [(1 - x0) * w / tot for w in raw] + [0.0] * (M - r))
 
     ascend = _memoised_ascent(plan)
@@ -367,9 +371,8 @@ def continuous_opt(spec: ObjectiveSpec, max_support: int, starts: int = 200,
         cand = Candidate(tuple(z[1:]), z[0], val, res)
         snap = _try_snap(spec, z, val)
         if snap is not None:
-            cand.vector = snap
-            cand.lam_exact = lambda_of_vector(spec, snap)
-            cand.residual_exact = lagrange_residual(spec, snap)
+            cand.vector, cand.lam_exact = snap
+            cand.residual_exact = lagrange_residual(spec, cand.vector)
         candidates.append(cand)
 
     if candidates:
@@ -410,7 +413,9 @@ def _local_moves(ascend: Callable[[list[float]], tuple[list[float], float]],
     return z, val
 
 
-def _try_snap(spec: ObjectiveSpec, z: list[float], val: float) -> Optional[PartiteVector]:
+def _try_snap(spec: ObjectiveSpec, z: list[float],
+              val: float) -> Optional[tuple[PartiteVector, Fraction]]:
+    """The rational vector near z and its exact lambda, when they confirm val."""
     parts = []
     for p in z[1:]:
         f = Fraction(p).limit_denominator(64)
@@ -427,9 +432,10 @@ def _try_snap(spec: ObjectiveSpec, z: list[float], val: float) -> Optional[Parti
         vec = PartiteVector(sorted(parts, reverse=True))
     except ValueError:
         return None
-    if float(lambda_of_vector(spec, vec)) < val - 1e-9:
+    lam = lambda_of_vector(spec, vec)
+    if float(lam) < val - 1e-9:
         return None
-    return vec
+    return vec, lam
 
 
 # ---------------------------------------------------------------------------

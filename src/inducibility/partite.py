@@ -28,7 +28,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache
 from math import comb, factorial, perm, prod
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
@@ -305,15 +305,22 @@ def _closed_form(a: Sequence[int], x0, parts: Sequence):
     """
     a = _norm_partition(a)
     pattern = _compiled(a)
-    factors = _part_factors(pattern, parts, _limit_weight)
-    if pattern.sizes[-1] == 1:
-        factors.append(pattern.clique(x0))
-    return factorial(sum(a)) * pattern.coefficient(factors)
+    return factorial(sum(a)) * pattern.coefficient(_limit_factors(pattern, x0, parts))
 
 
 def _limit_weight(p, d: int):
     """p^d/d!: the weight of a pattern part of size d in a limit part of value p."""
     return p**d * Fraction(1, factorial(d))
+
+
+def _limit_factors(pattern: "CompiledPattern", x0, parts: Sequence) -> list:
+    """The closed form's factors at a limit point: one per run of equal
+    parts, then the clique factor when x0 is nonzero and 1 is a part size of
+    the pattern (at x0 = 0 that factor is the empty product)."""
+    factors = _part_factors(pattern, parts, _limit_weight)
+    if x0 and pattern.sizes[-1] == 1:
+        factors.append(pattern.clique(x0))
+    return factors
 
 
 def _part_factors(pattern: "CompiledPattern", parts: Sequence, weight: Callable) -> list:
@@ -372,9 +379,7 @@ def lambda_gradient(spec: ObjectiveSpec, x: PartiteVector) -> dict[int, Fraction
         if not gamma:
             continue
         pattern = _compiled(a)
-        factors = _part_factors(pattern, x.parts, _limit_weight)
-        if x.x0 and pattern.sizes[-1] == 1:
-            factors.append(pattern.clique(x.x0))
+        factors = _limit_factors(pattern, x.x0, x.parts)
         for r, (rest, f) in enumerate(zip(pattern.leave_one_out(factors), factors)):
             sums[r] += gamma * pattern.top(rest, pattern.slope(f))
     scale = factorial(spec.k)
@@ -491,7 +496,7 @@ class CompiledPattern:
         return self.top(poly, factors[-1]) if factors else poly[-1]
 
 
-@lru_cache(maxsize=256)
+@cache
 def _compiled(a: tuple[int, ...]) -> CompiledPattern:
     """The CompiledPattern of a sorted partition, built once per process."""
     return CompiledPattern(a)

@@ -15,7 +15,8 @@ The free form of lambda is the homogeneous degree-k polynomial in
 partials of that form, under which (1/k) d(lambda)/dx_i = lambda(x, (e_i, 1))
 holds exactly for every i in supp* (clique index included). Every clone
 value comes from one call of partite.lambda_gradient, which differentiates
-the closed form; attach_value at the clone pattern pattern_e is the
+the closed form, and the Lagrange residual reads lambda from the clone values
+(clone_residual); attach_value at the clone pattern pattern_e is the
 independent route to the same numbers.
 """
 
@@ -29,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 
 from .graphs import Graph, PartiteStructure
 from .objectives import ObjectiveSpec, lambda_graph
-from .partite import PartiteVector, draw_sum, lambda_gradient, lambda_of_vector, pick_sum, realise
+from .partite import PartiteVector, draw_sum, lambda_gradient, pick_sum, realise
 from .polynomials import Rat, UPoly, _frac
 
 
@@ -230,8 +231,15 @@ def clone_values(spec: ObjectiveSpec, x: PartiteVector) -> dict[int, Fraction]:
 
 def lagrange_residual(spec: ObjectiveSpec, x: PartiteVector) -> Fraction:
     """max_i |lambda(x,(e_i,1)) - lambda(x)| over supp*; 0 at interior maximisers."""
-    lam = lambda_of_vector(spec, x)
-    return max(abs(v - lam) for v in clone_values(spec, x).values())
+    return clone_residual(x, clone_values(spec, x))
+
+
+def clone_residual(x: PartiteVector, clones: Mapping[int, Fraction]) -> Fraction:
+    """The Lagrange residual from the clone values of x alone: the free form
+    of lambda is homogeneous of degree k, so by Euler's identity lambda(x) =
+    sum_i x_i lambda(x, (e_i, 1)) over supp*, exactly."""
+    lam = sum((x.entry(i) * v for i, v in clones.items()), Fraction(0))
+    return max(abs(v - lam) for v in clones.values())
 
 
 # ---------------------------------------------------------------------------

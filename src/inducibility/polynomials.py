@@ -698,10 +698,6 @@ class AlgebraicNumber:
                 v = g(lo)
                 return (v > 0) - (v < 0)
 
-    def __float__(self) -> float:
-        a = self.refine(Fraction(1, 2**60)) if not self.is_rational else self
-        return float((a.lo + a.hi) / 2)
-
     def __repr__(self) -> str:
         if self.is_rational:
             return f"AlgebraicNumber({self.lo})"

@@ -1,7 +1,10 @@
 """Test-only references and fixtures: independent float and graph routes that
 the program itself does not need, and the negative strictness fixture."""
 
+import operator
+import sys
 from fractions import Fraction
+from functools import reduce
 
 from inducibility.graphs import Graph, PartiteStructure
 from inducibility.objectives import ObjectiveSpec, partitions_of
@@ -46,6 +49,24 @@ def attach(g: Graph, structure: PartiteStructure, b: dict[int, int],
     return g.add_vertex(mask)
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """Wrap partite's function ``name`` in every inducibility module that
+    imported it; the returned list gets the arguments of each call."""
+    from inducibility import partite
+    original = getattr(partite, name)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("inducibility")
+                and getattr(module, name, None) is original):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def partial_derivative_fd(spec: ObjectiveSpec, x: PartiteVector, i: int,
                           step: float = 1e-6) -> float:
     """Central finite difference of the free form of lambda in float."""
@@ -61,7 +82,8 @@ def partial_derivative_fd(spec: ObjectiveSpec, x: PartiteVector, i: int,
 
 class ReferenceFloatPlan:
     """The float plan's value and gradient as plain loops over terms, slots
-    and parts, recomputing every power sum and power at each call. The
+    and parts, recomputing every power sum and power at each call; a power
+    sum is a left fold from 0.0, as sum() is before Python 3.12. The
     program's plan must give the same floats, bit for bit."""
 
     def __init__(self, spec: ObjectiveSpec):
@@ -71,7 +93,7 @@ class ReferenceFloatPlan:
     def value(self, x0, parts):
         ps = [0.0] * (self.k + 1)
         for e in range(1, self.k + 1):
-            ps[e] = sum(p**e for p in parts)
+            ps[e] = reduce(operator.add, (p**e for p in parts), 0.0)
         total = 0.0
         for s, exps, c in self.terms:
             t = c * (x0**s if s else 1.0)
@@ -83,7 +105,7 @@ class ReferenceFloatPlan:
     def gradient(self, x0, parts):
         ps = [0.0] * (self.k + 1)
         for e in range(1, self.k + 1):
-            ps[e] = sum(p**e for p in parts)
+            ps[e] = reduce(operator.add, (p**e for p in parts), 0.0)
         g0 = 0.0
         gi = [0.0] * len(parts)
         for s, exps, c in self.terms:

@@ -132,7 +132,7 @@ def test_criterion_5_opt_search(spec_c4, spec_k2111, spec_k311, spec_k33, spec_k
     ok = True
     for spec, m, want_vec, want_val in targets:
         cs = continuous_opt(spec, m, starts=200, seed=0)
-        best = cs.best_vector()
+        best = cs.best_snapped().vector
         good = (best == want_vec
                 and cs.candidates[0].lam_exact == want_val
                 and abs(cs.candidates[0].lam_float - float(want_val)) <= 1e-9)

@@ -64,6 +64,19 @@ def test_positive_multiplier_lp_regenerates_k311_multiplier(monkeypatch):
     assert _check(rep, "product_coefficients_positive").passed
 
 
+@pytest.mark.parametrize("cut", ["square 5x5", "ragged"])
+def test_certify_k311_malformed_gram_is_a_usage_error(monkeypatch, capsys, cut):
+    """A Gram matrix that is not 6x6 ends in exit 3, not in a traceback."""
+    from inducibility.cli import main
+    data = certificates._load_k311_data()
+    q2 = data["gram_matrices"]["Q2"]
+    q2 = [r[:5] for r in q2[:5]] if cut == "square 5x5" else q2[:5] + [q2[5][:4]]
+    data["gram_matrices"] = dict(data["gram_matrices"], Q2=q2)
+    monkeypatch.setattr(certificates, "_load_k311_data", lambda: data)
+    assert main(["certify", "k311", "--quiet"]) == 3
+    assert "6x6" in capsys.readouterr().err
+
+
 def test_certify_kst_cases():
     for s, t in ((2, 2), (2, 3), (3, 2)):
         rep = certify_kst(s, t)

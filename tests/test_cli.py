@@ -9,6 +9,8 @@ import pytest
 from inducibility.cli import main, parse_objective, validate_report
 from inducibility.graphs import Graph, write_graph_text
 
+from helpers import count_calls
+
 
 def run_cli(args, capsys):
     code = main(args)
@@ -106,6 +108,20 @@ def test_opt_finite(capsys):
     code, out = run_cli(["opt", "--objective", "KP 2,2", "--mode", "finite",
                          "--n", "8", "--quiet"], capsys)
     assert code == 0 and "[4, 4]" in out
+
+
+def test_opt_verdict_line_takes_lambda_of_the_printed_vector(capsys, tmp_path):
+    """The first candidate does not snap here; the verdict line prints the
+    first snapped vector with that candidate's exact lambda."""
+    out_file = tmp_path / "r.json"
+    code, out = run_cli(["opt", "--objective", "KP 2,2,1", "--max-support", "1",
+                         "--starts", "40", "--seed", "1", "--out", str(out_file)], capsys)
+    assert code == 0
+    candidates = json.loads(out_file.read_text())["result"]["candidates"]
+    assert not candidates[0]["snapped"]
+    best = next(c for c in candidates if c["snapped"])
+    assert (best["vector"], best["lambda_exact"]) == ({"x0": "1/10", "parts": ["9/10"]}, "0")
+    assert out.strip() == 'best {"x0": "1/10", "parts": ["9/10"]} lambda = 0'
 
 
 def test_oracle(capsys):
@@ -301,9 +317,10 @@ def test_density_kp221_thirty_parts(capsys, tmp_path):
     assert rep["result"]["lambda"] == str(density_formula([2, 2, 1], x))
 
 
-def test_gradients_kp221_clone_values_match_attach(capsys, tmp_path):
+def test_gradients_kp221_clone_values_match_attach(capsys, tmp_path, monkeypatch):
     """Clone values and the Lagrange residual of the report equal the
-    attachment route, k - 1 draws per clone pattern."""
+    attachment route, k - 1 draws per clone pattern; the report reads lambda
+    from its clone values, with no lambda_of_vector call."""
     from fractions import Fraction as F
     from inducibility.partite import PartiteVector, lambda_of_vector
     from inducibility.perturbation import attach_value, pattern_e
@@ -311,9 +328,10 @@ def test_gradients_kp221_clone_values_match_attach(capsys, tmp_path):
                        F(1, 20)])
     assert x.x0 > 0
     out_file = tmp_path / "g.json"
+    calls = count_calls(monkeypatch, "lambda_of_vector")
     code, _ = run_cli(["gradients", "--objective", "KP 2,2,1", "--vector", x.to_json(),
                        "--quiet", "--out", str(out_file)], capsys)
-    assert code == 0
+    assert code == 0 and calls == []
     rep = json.loads(out_file.read_text())
     validate_report(rep)
     spec = parse_objective("KP 2,2,1")

@@ -217,6 +217,23 @@ def test_flip():
         flip(g, 1, 1)
 
 
+def test_subset_codes_follow_combinations():
+    """The walk yields subset_code of every k-subset in combinations order,
+    and with `through` those subsets that contain the vertex, in order."""
+    rng = random.Random(20)
+    for n in range(10):
+        g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                 if rng.random() < 0.5])
+        for k in range(1, n + 1):
+            subsets = list(itertools.combinations(range(n), k))
+            assert list(graphs.subset_codes(g, k)) == [g.subset_code(s) for s in subsets]
+            for v in range(n):
+                assert list(graphs.subset_codes(g, k, through=v)) == \
+                    [g.subset_code(s) for s in subsets if v in s]
+        with pytest.raises(ValueError):
+            list(graphs.subset_codes(g, 1, through=n))
+
+
 def test_induced_count_examples():
     assert induced_count(Graph.complete_partite([1] * 3), Graph.complete_partite([1] * 6)) == 20
     assert induced_count(Graph.complete_partite([1] * 3), Graph.complete_partite([2, 2, 2])) == 8

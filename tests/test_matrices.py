@@ -3,21 +3,29 @@ from fractions import Fraction as F
 
 import pytest
 
-from inducibility.matrices import RationalMatrix, psd_check
+from inducibility.matrices import det, psd_check
 
 
 def test_psd_identity_and_indefinite():
-    assert psd_check(RationalMatrix([[1 if i == j else 0 for j in range(6)]
-                                     for i in range(6)]))
-    assert not psd_check(RationalMatrix([[1, 2], [2, 1]]))      # det = -3
-    assert not psd_check(RationalMatrix([[1, 2], [3, 1]]))      # asymmetric
+    assert psd_check([[1 if i == j else 0 for j in range(6)] for i in range(6)])
+    assert not psd_check([[1, 2], [2, 1]])      # det = -3
+    assert not psd_check([[1, 2], [3, 1]])      # asymmetric
+
+
+def test_malformed_rows_raise():
+    """Ragged and non-square rows are a ValueError (a usage error at the CLI)."""
+    for rows in ([[1, 0], [0]], [[1, 0, 0], [0, 1, 0]]):
+        with pytest.raises(ValueError):
+            psd_check(rows)
+        with pytest.raises(ValueError):
+            det(rows)
 
 
 def test_det_exact():
-    m = RationalMatrix([[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]])
-    assert m.det() == F(1, 14) - F(1, 15)
-    assert RationalMatrix([[2]]).det() == 2
-    assert RationalMatrix([[1, 2], [2, 4]]).det() == 0
+    assert det([[F(1, 2), F(1, 3)], [F(1, 5), F(1, 7)]]) == F(1, 14) - F(1, 15)
+    assert det([[2]]) == 2
+    assert det([[1, 2], [2, 4]]) == 0
+    assert det([]) == 1
 
 
 def test_psd_against_cholesky():
@@ -32,8 +40,7 @@ def test_psd_against_cholesky():
         d = rng.choice([F(1), F(2), F(-4), F(-9)])
         m = [[sum(a[k][i] * a[k][j] for k in range(n)) + (d if i == j else 0)
               for j in range(n)] for i in range(n)]
-        mat = RationalMatrix(m)
-        ours = psd_check(mat)
+        ours = psd_check(m)
         arr = numpy.array([[float(x) for x in row] for row in m])
         eig = numpy.linalg.eigvalsh(arr)
         if abs(min(eig)) < 1e-3:

@@ -1,17 +1,18 @@
 import hashlib
+import json
 import random
 from fractions import Fraction as F
 from math import comb, sqrt
 
 import pytest
 
-from helpers import ReferenceFloatPlan, reference_project_simplex
+from helpers import ReferenceFloatPlan, count_calls, reference_project_simplex
 from inducibility import optsearch
 from inducibility.cli import parse_objective
 from inducibility.graphs import CompletePartiteShape, Graph, iso_classes
 from inducibility.objectives import ObjectiveSpec, big_lambda, partitions_of
 from inducibility.optsearch import continuous_opt, finite_opt, kst_maximiser
-from inducibility.partite import PartiteVector, count_partite
+from inducibility.partite import PartiteVector, count_partite, lambda_of_vector
 from inducibility.polynomials import UPoly
 
 
@@ -89,7 +90,7 @@ def test_merge_move_never_decreases_kst(spec_c4, spec_k33):
 
 def test_continuous_opt_c4(spec_c4):
     cs = continuous_opt(spec_c4, 6, starts=80, seed=0)
-    best = cs.best_vector()
+    best = cs.best_snapped().vector
     assert best == PartiteVector([F(1, 2), F(1, 2)])
     assert cs.candidates[0].lam_exact == F(3, 8)
     assert abs(cs.candidates[0].lam_float - 3 / 8) < 1e-9
@@ -100,7 +101,7 @@ def test_continuous_opt_c4(spec_c4):
 def test_continuous_opt_extra_seeds(spec_c4):
     seedvec = PartiteVector([F(1, 2), F(1, 2)])
     cs = continuous_opt(spec_c4, 4, starts=1, seed=0, extra_seeds=[seedvec])
-    assert cs.best_vector() == seedvec
+    assert cs.best_snapped().vector == seedvec
 
 
 def test_continuous_opt_consistency_with_finite(spec_c4):
@@ -186,7 +187,7 @@ def test_kst_rejects_trivial():
 
 def test_continuous_opt_k2111(spec_k2111):
     cs = continuous_opt(spec_k2111, 10, starts=60, seed=0)
-    assert cs.best_vector() == PartiteVector.uniform(8)
+    assert cs.best_snapped().vector == PartiteVector.uniform(8)
     assert cs.candidates[0].lam_exact == F(525, 1024)
 
 
@@ -256,6 +257,41 @@ def test_project_simplex_bitwise_equal_to_reference():
         v = [rng.choice([0.0, 0.25, rng.uniform(-0.5, 1.0)]) for _ in range(rng.randint(1, 11))]
         want = [x.hex() for x in reference_project_simplex(v)]
         assert [x.hex() for x in optsearch._project_simplex(v)] == want, v
+
+
+def test_continuous_opt_report_pinned_across_interpreters():
+    """Every float sum of the search is a left fold from 0.0, so the report
+    does not depend on sum()'s compensated rounding from Python 3.12 on.
+    With sum() this case gave 22 clusters under 3.11 and 23 under 3.12."""
+    cs = continuous_opt(parse_objective("SUM 1*KP 2,2 + 1/2*KP 1,1,1,1"), 10,
+                        starts=200, seed=3)
+    dump = json.dumps(cs.to_jsonable(), sort_keys=True).encode()
+    assert cs.provenance["clusters"] == 22
+    assert hashlib.sha256(dump).hexdigest() == \
+        "62152b82075e43d9c78d352a6dbec803eb2fe34fcd4191585b6dd260cc0a8aed"
+
+
+def test_continuous_opt_computes_lambda_once_per_snap(monkeypatch):
+    """Each snap attempt that builds a vector computes its exact lambda once,
+    and the candidate keeps that value; nothing else calls lambda_of_vector."""
+    attempts = []
+    calls = count_calls(monkeypatch, "lambda_of_vector")
+    try_snap = optsearch._try_snap
+
+    def counted_snap(*args):
+        before = len(calls)
+        snap = try_snap(*args)
+        attempts.append((snap, len(calls) - before))
+        return snap
+
+    monkeypatch.setattr(optsearch, "_try_snap", counted_snap)
+    cs = continuous_opt(parse_objective("KP 2,2,1"), 1, starts=40, seed=1)
+    assert len(calls) == sum(n for _, n in attempts)
+    assert all(n == (snap is not None) for snap, n in attempts)
+    assert any(snap is None for snap, _ in attempts)
+    snapped = [c for c in cs.candidates if c.snapped]
+    assert snapped and all(c.lam_exact == lambda_of_vector(parse_objective("KP 2,2,1"), c.vector)
+                           for c in snapped)
 
 
 def test_memoised_ascent_runs_once_per_point_and_returns_fresh_lists(spec_c4):

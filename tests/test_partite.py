@@ -13,7 +13,7 @@ from inducibility.partite import (PartiteVector, SymmetricIndex, count_partite,
                                   elementary_symmetric, lambda_free, lambda_gradient,
                                   lambda_of_shape, lambda_of_vector, partition_counts,
                                   pick_sum, realise, sampling_density)
-from inducibility.perturbation import attach_value, lagrange_residual, pattern_e
+from inducibility.perturbation import attach_value, clone_values, lagrange_residual, pattern_e
 from inducibility.polynomials import MPoly
 
 
@@ -275,6 +275,23 @@ def test_lambda_and_gradient_match_draw_references():
     assert any(x.x0 == 0 and len(set(x.parts)) < len(x.parts) for _, x in cases)
     for spec, x in cases:
         _check_kernel_against_draws(spec, x)
+
+
+def test_lambda_is_the_euler_sum_of_clone_values():
+    """The free form is homogeneous of degree k, so lambda(x) = sum_i x_i
+    lambda(x, (e_i, 1)) over supp* exactly; lagrange_residual reads lambda
+    this way. Seeded KP, SUM and table specs, with and without clique mass,
+    with tied parts and with a single part."""
+    cases = list(_kernel_cases(20, 150))
+    cases += [(spec, PartiteVector(parts)) for spec, _ in cases[:7]
+              for parts in ([F(3, 5)], [F(1)], [])]
+    assert any(x.x0 and len(set(x.parts)) < len(x.parts) for _, x in cases)
+    assert any(x.x0 == 0 and len(set(x.parts)) < len(x.parts) for _, x in cases)
+    assert {spec.provenance[0] for spec, _ in cases} == {"combination", "table"}
+    for spec, x in cases:
+        clones = clone_values(spec, x)
+        assert lambda_of_vector(spec, x) == sum(x.entry(i) * v for i, v in clones.items()), \
+            (spec, x)
 
 
 def test_lambda_gradient_clique_and_run_cases(spec_c4, spec_k311):

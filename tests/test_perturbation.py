@@ -16,7 +16,7 @@ from inducibility.perturbation import (AttachmentPattern, attach_value,
                                        lagrange_residual, pair_density,
                                        pattern_e, vertex_gradient)
 
-from helpers import attach, flip, partial_derivative_fd
+from helpers import attach, count_calls, flip, partial_derivative_fd
 
 A8 = PartiteVector.uniform(8)
 A311 = PartiteVector([F(3, 5)])
@@ -107,6 +107,15 @@ def test_lagrange_residual(spec_k2111, spec_k311, spec_c4):
     # positive residual needs an asymmetric non-maximiser
     assert lagrange_residual(spec_c4, PartiteVector([F(1, 2), F(1, 4), F(1, 4)])) > 0
     assert lagrange_residual(spec_k2111, PartiteVector([F(1, 2), F(1, 2)])) == 0
+
+
+def test_lagrange_residual_makes_no_lambda_pass(monkeypatch, spec_k2111, spec_c4):
+    """lambda comes from the clone values (Euler's identity), so the
+    residual costs one gradient pass and no lambda_of_vector call."""
+    calls = count_calls(monkeypatch, "lambda_of_vector")
+    assert lagrange_residual(spec_k2111, A8) == 0
+    assert lagrange_residual(spec_c4, PartiteVector([F(1, 2), F(1, 4), F(1, 8)])) > 0
+    assert calls == []
 
 
 def test_partial_at_maximiser(spec_k2111):
