@@ -20,7 +20,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .graphs import CANON_MAX, Graph, parse_graph_text, write_graph_text
+from .graphs import (CANON_MAX, Graph, complete_partite_shape_of, edit_distance_exact,
+                     parse_graph_text, write_graph_text)
 from .objectives import ObjectiveSpec, lambda_graph, brute_lambda_max
 from .partite import PartiteVector, edit_distance_vectors, lambda_of_vector
 from .polynomials import parse_rational
@@ -29,7 +30,6 @@ from .symmetrise import SymmetrisationError, symmetrise_full, symmetrise_vertex
 from .strictness import check_str1, strictness_certificate
 from .optsearch import continuous_opt, finite_opt
 from .certificates import certify_k2111, certify_k311, certify_krt, certify_kst
-from .graphs import edit_distance_exact
 
 SCHEMA_ID = "inducibility.report/1"
 
@@ -342,7 +342,6 @@ def cmd_oracle(args) -> int:
     spec = parse_objective(args.objective)
     val_all, witnesses = brute_lambda_max(spec, args.n)
     val_partite, shapes = finite_opt(spec, args.n)
-    from .graphs import complete_partite_shape_of
     partite_witness = any(complete_partite_shape_of(g) is not None for g in witnesses)
     agree = val_all == val_partite
     ok = agree and (partite_witness or not spec.eligible)

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 MAX_VERTICES = 64
 CANON_MAX = 8
@@ -136,6 +137,25 @@ def subset_codes(g: Graph, k: int, through: Optional[int] = None) -> Iterator[in
         yield g.subset_code(rest[:at] + (through,) + rest[at:])
 
 
+def extension_codes(g: Graph, k: int) -> Callable[[int], Iterator[int]]:
+    """The map mask -> ``subset_codes(g.add_vertex(mask), k, through=g.n)``:
+    the same codes in the same order, with g's adjacency walked once rather
+    than once per mask. A subset's code is the OR of its code with the new
+    vertex isolated and its code in the star joining the new vertex to
+    ``mask``, and the star's codes depend on g.n and k alone."""
+    apart = tuple(subset_codes(g.add_vertex(0), k, through=g.n))
+    stars = _star_codes(g.n, k)
+    return lambda mask: map(operator.or_, stars[mask], apart)
+
+
+@lru_cache(maxsize=None)
+def _star_codes(m: int, k: int) -> tuple[tuple[int, ...], ...]:
+    """By mask < 2**m, the codes of the k-subsets through vertex m of the
+    graph on m + 1 vertices whose only edges join m to ``mask``."""
+    return tuple(tuple(subset_codes(Graph.empty(m).add_vertex(mask), k, through=m))
+                 for mask in range(1 << m))
+
+
 def graph_from_code(k: int, code: int) -> Graph:
     rows = [0] * k
     bit = 0
@@ -244,24 +264,20 @@ def _invariant(g: Graph, v: int) -> tuple[int, int]:
     return row.bit_count(), sum(g.rows[w].bit_count() for w in range(g.n) if row >> w & 1)
 
 
-@lru_cache(maxsize=None)
-def _classes(n: int) -> tuple[tuple[bytes, ...], tuple[Graph, ...]]:
-    """Canonical keys and representatives of the classes on n <= 8 vertices,
-    in key order, by canonical deletion (McKay, J. Algorithms 26, 1998).
+def extension_candidates(n: int) -> Iterator[tuple[Graph, int, Graph]]:
+    """The canonical-deletion candidates on 1 <= n <= 8 vertices (McKay,
+    J. Algorithms 26, 1998): (g, mask, h) for each class g in
+    iso_classes(n - 1), in that order, and each ``mask`` in increasing order
+    whose extension h = g.add_vertex(mask) has its new vertex n - 1
+    maximising ``_invariant`` among h's vertices.
 
-    Each class g on n - 1 vertices is extended by a new vertex v joined to
-    ``mask``, and the extension h is kept only when v maximises ``_invariant``
-    among h's vertices; only the kept ones are canonically labelled. This
-    misses no class: any H has a vertex u of maximum invariant, H - u is
-    isomorphic to some g, and the isomorphism carries H onto an extension of
-    g whose new vertex has u's (maximum) value. A representative is whichever
-    member of its class is found first, so only the keys are canonical.
+    Every class on n vertices is among the h: any H has a vertex u of
+    maximum invariant, H - u is isomorphic to some g, and the isomorphism
+    carries H onto an extension of g whose new vertex has u's (maximum)
+    value. A class may appear more than once.
     """
-    if not 0 <= n <= CANON_MAX:
-        raise ValueError("iso_classes limited to 0 <= n <= 8")
-    if n == 0:
-        return (canonical_key(Graph.empty(0)),), (Graph.empty(0),)
-    out: dict[bytes, Graph] = {}
+    if not 1 <= n <= CANON_MAX:
+        raise ValueError("extension candidates limited to 1 <= n <= 8")
     for g in iso_classes(n - 1):
         deg = [r.bit_count() for r in g.rows]
         top = max(deg, default=0)
@@ -277,7 +293,23 @@ def _classes(n: int) -> tuple[tuple[bytes, ...], tuple[Graph, ...]]:
             mine = _invariant(h, n - 1)
             if any(_invariant(h, u) > mine for u in range(n - 1)):
                 continue
-            out.setdefault(canonical_key(h), h)
+            yield g, mask, h
+
+
+@lru_cache(maxsize=None)
+def _classes(n: int) -> tuple[tuple[bytes, ...], tuple[Graph, ...]]:
+    """Canonical keys and representatives of the classes on n <= 8 vertices,
+    in key order: the ``extension_candidates`` canonically labelled, the
+    first one per key kept. A representative is whichever member of its
+    class is found first, so only the keys are canonical.
+    """
+    if not 0 <= n <= CANON_MAX:
+        raise ValueError("iso_classes limited to 0 <= n <= 8")
+    if n == 0:
+        return (canonical_key(Graph.empty(0)),), (Graph.empty(0),)
+    out: dict[bytes, Graph] = {}
+    for _, _, h in extension_candidates(n):
+        out.setdefault(canonical_key(h), h)
     keys = tuple(sorted(out))
     return keys, tuple(out[key] for key in keys)
 
@@ -287,8 +319,9 @@ def iso_classes(n: int) -> tuple[Graph, ...]:
 
     None is missed: every class extends a class on n - 1 vertices by a vertex
     of maximum (degree, sum of neighbour degrees), the only extensions
-    ``_classes`` labels. Each graph is any one member of its class, not a
-    canonical form; its key is ``class_keys(n)`` at the same index."""
+    ``extension_candidates`` yields. Each graph is any one member of its
+    class, not a canonical form; its key is ``class_keys(n)`` at the same
+    index."""
     return _classes(n)[1]
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable, Mapping, Sequence
 
-from .graphs import (CANON_MAX, CompletePartiteShape, Graph, class_key, class_keys,
-                     complete_partite_shape_of, graph_from_code, iso_classes, key_of_code,
+from .graphs import (CANON_MAX, CompletePartiteShape, Graph, canonical_key, class_key,
+                     class_keys, complete_partite_shape_of, extension_candidates,
+                     extension_codes, graph_from_code, iso_classes, key_of_code,
                      subset_codes)
 from .polynomials import Rat, _frac
 
@@ -131,12 +132,13 @@ class ObjectiveSpec:
 
 
 class _CodeTable(dict):
-    """gamma by upper-triangle code, each code filled on its first read."""
+    """gamma, or any value by class key, by upper-triangle code, each code
+    filled on its first read."""
 
-    def __init__(self, k: int, gamma: Mapping[bytes, Fraction]):
+    def __init__(self, k: int, gamma: Mapping[bytes, Rat]):
         self.k, self.gamma = k, gamma
 
-    def __missing__(self, code: int) -> Fraction:
+    def __missing__(self, code: int) -> Rat:
         value = self[code] = self.gamma[key_of_code(self.k, code)]
         return value
 
@@ -191,23 +193,49 @@ def lambda_vertex(spec: ObjectiveSpec, g: Graph, v: int) -> Fraction:
 
 
 def brute_lambda_max(spec: ObjectiveSpec, n: int) -> tuple[Fraction, list[Graph]]:
-    """Exact max of lambda over all n-vertex graphs with all extremal classes.
+    """Exact max of lambda over all n-vertex graphs with all extremal classes;
+    n <= 7.
 
-    Enumerates isomorphism classes (equivalent to scanning all labeled graphs,
-    since lambda is isomorphism-invariant); n <= 7.
+    Scans the canonical-deletion candidates (``extension_candidates``),
+    which contain every class, so their maximum is the maximum over all
+    graphs. A candidate h extends a class g by a vertex v joined to ``mask``,
+    and Lambda(h) = Lambda(g) + Lambda(h, v): Lambda(g) is taken once per g,
+    and Lambda(h, v) from ``extension_codes``, which walks g once for all its
+    masks. Values are compared as integer sums of gamma * D over a common
+    denominator D of gamma; only the maximum becomes a Fraction. Only the
+    maximising candidates are canonically labelled; the first one per key is
+    kept, in key order, which is the member and the order ``iso_classes(n)``
+    holds.
+
+    At n = 7, ``oracle`` takes 0.13-0.23 s in process for the k = 4 and 5
+    objectives of the benchmark, against 0.53-0.88 s when the brute force
+    scanned ``iso_classes(7)``, whose labelling of all 2,106 candidates took
+    most of that (fresh processes, 2-vCPU VM). The worst case is a constant
+    gamma: every candidate is a maximiser and is labelled, as many graphs as
+    building ``iso_classes(7)`` labels. From k = 6 the first read of each
+    distinct k-vertex code also costs a label (``key_of_code``).
     """
     if n > 7:
         raise ValueError("brute force limited to n <= 7")
-    if n < spec.k:
+    k = spec.k
+    if n < k:
         raise ValueError("need n >= k")
-    best: Fraction | None = None
-    witnesses: list[Graph] = []
-    for g in iso_classes(n):
-        val = lambda_graph(spec, g)
-        if best is None or val > best:
-            best = val
-            witnesses = [g]
-        elif val == best:
-            witnesses.append(g)
+    scale = lcm(*(v.denominator for v in spec.gamma.values()))
+    weight = _CodeTable(k, {key: (v * scale).numerator for key, v in spec.gamma.items()})
+    best: int | None = None
+    top: list[Graph] = []
+    parent = None
+    for g, mask, h in extension_candidates(n):
+        if g is not parent:
+            parent, through_v = g, extension_codes(g, k)
+            base = sum(weight[code] for code in subset_codes(g, k))
+        total = base + sum(weight[code] for code in through_v(mask))
+        if best is None or total > best:
+            best, top = total, [h]
+        elif total == best:
+            top.append(h)
     assert best is not None
-    return best, witnesses
+    first: dict[bytes, Graph] = {}
+    for h in top:
+        first.setdefault(canonical_key(h), h)
+    return Fraction(best, scale * comb(n, k)), [first[key] for key in sorted(first)]

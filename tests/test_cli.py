@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -127,6 +128,42 @@ def test_opt_verdict_line_takes_lambda_of_the_printed_vector(capsys, tmp_path):
 def test_oracle(capsys):
     code, out = run_cli(["oracle", "--objective", "KP 2,1", "--n", "5", "--quiet"], capsys)
     assert code == 0
+
+
+# sha256 of the `oracle --out` report for each objective of the benchmark's
+# oracle pool, at n = 7 and at n = k; pinned while the brute force still
+# scanned iso_classes(n), so a scan that finds another value, another
+# witness count or another verdict shows here
+ORACLE_REPORT_SHA256 = [
+    ("KP 2,1,1", 4, "86411bd49b13db4b191427a5b105587ebe5cd14bd539e3f32b1e0601a9721a39"),
+    ("KP 2,1,1", 7, "76c3180a78bee992487866a088a25a90010af26d22807d2aff49d1794dd9a1a2"),
+    ("KP 3,1", 4, "ca1095277f1ee20b43f12923f58711f90da794905014a886727ed9ae412d5e49"),
+    ("KP 3,1", 7, "ca9c28366dec3f9c1b1c3ef8a0523e4e5e643edf7dfe40dcccb81d54dbdab125"),
+    ("KP 2,2,1", 5, "6de41a05d2be9f29a538bf2b731f475a575c9b6b1cd123053db6298f4f83a977"),
+    ("KP 2,2,1", 7, "92cb68fe07729af50c7dcd5ce7946ab19e5ed088198c8c14a1dd730483e1cea4"),
+    ("KP 3,1,1", 5, "57014183729bdd0001ef686dc15008f38bb7baeaa4b1964cad619d21d714fd54"),
+    ("KP 3,1,1", 7, "7f461762dfd505fe82e9f5c2cb87550971807eecbcc0979d61825c50329834ba"),
+    ("KP 3,2", 5, "8d191799021856a5a04f8ceeb5ee722ce5ded0e83f2055e03cd631e256124b98"),
+    ("KP 3,2", 7, "1862ada8e7f1207fcfee32649b90c8e6ba4134d424515ccc631ddbcd72f6aa4e"),
+    ("SUM 1*KP 2,2 + 1*KP 4", 4,
+     "64a5a3b4cb510b68a3d7623a97f1eee7b70a1000371018043b8425f871f9e19a"),
+    ("SUM 1*KP 2,2 + 1*KP 4", 7,
+     "6d19528cf966f0e993a8120da846fe92cfe71b7c8dec8a2bf66864765ee252b1"),
+    ("SUM 1*KP 2,1,1 + -1/2*KP 1,1,1,1", 4,
+     "8349cc8b9a7a2191443e96e5cd34120d45796bc6b97e5b5b567f1e0b60964837"),
+    ("SUM 1*KP 2,1,1 + -1/2*KP 1,1,1,1", 7,
+     "e63d1b4f06672dd37ef452b8d85b40492df0e36383238c5d64c43dcbe9cf284a"),
+]
+
+
+@pytest.mark.parametrize("objective,n,digest", ORACLE_REPORT_SHA256,
+                         ids=[f"{o} n={n}" for o, n, _ in ORACLE_REPORT_SHA256])
+def test_oracle_report_bytes_are_pinned(objective, n, digest, capsys, tmp_path):
+    out_file = tmp_path / "r.json"
+    code, _ = run_cli(["oracle", "--objective", objective, "--n", str(n),
+                       "--out", str(out_file), "--quiet"], capsys)
+    assert code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
 def test_edit_distance_vectors(capsys):

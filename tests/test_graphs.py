@@ -234,6 +234,20 @@ def test_subset_codes_follow_combinations():
             list(graphs.subset_codes(g, 1, through=n))
 
 
+def test_extension_codes_follow_subset_codes():
+    """For every mask, the codes through the new vertex equal the walk over
+    the extended graph, in the same order."""
+    rng = random.Random(21)
+    for m in range(7):
+        g = Graph.from_edges(m, [e for e in itertools.combinations(range(m), 2)
+                                 if rng.random() < 0.5])
+        for k in range(1, m + 2):
+            through_v = graphs.extension_codes(g, k)
+            for mask in range(1 << m):
+                assert list(through_v(mask)) == \
+                    list(graphs.subset_codes(g.add_vertex(mask), k, through=m))
+
+
 def test_induced_count_examples():
     assert induced_count(Graph.complete_partite([1] * 3), Graph.complete_partite([1] * 6)) == 20
     assert induced_count(Graph.complete_partite([1] * 3), Graph.complete_partite([2, 2, 2])) == 8

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -5,6 +6,7 @@ from math import comb
 
 import pytest
 
+from inducibility import graphs, objectives
 from inducibility.graphs import (Graph, canonical_key, complete_partite_shape_of, graph_from_code,
                                  iso_classes)
 from inducibility.objectives import (ObjectiveSpec, big_lambda, big_lambda_vertex,
@@ -155,6 +157,70 @@ def test_brute_partite_witness_for_eligible():
         spec = ObjectiveSpec.combination(terms)
         _, wit = brute_lambda_max(spec, 5)
         assert any(complete_partite_shape_of(w) is not None for w in wit)
+
+
+def _class_scan(spec, n):
+    """max of lambda over iso_classes(n), and every class reaching it in class order."""
+    values = [lambda_graph(spec, g) for g in iso_classes(n)]
+    best = max(values)
+    return best, [g for g, v in zip(iso_classes(n), values) if v == best]
+
+
+def _seeded_table(k):
+    rng = random.Random(k)
+    return ObjectiveSpec.from_table(k, {g: F(rng.randint(-6, 6), rng.randint(1, 5))
+                                        for g in iso_classes(k)})
+
+
+BRUTE_SPECS = {
+    "KP 2,1,1": lambda: ObjectiveSpec.partite_density([2, 1, 1]),
+    "KP 3,2": lambda: ObjectiveSpec.partite_density([3, 2]),
+    "SUM 1*KP 2,2 + -1/2*KP 3,1": lambda: ObjectiveSpec.combination([(1, [2, 2]),
+                                                                     (F(-1, 2), [3, 1])]),
+    "table k=3": lambda: _seeded_table(3),
+    "table k=4": lambda: _seeded_table(4),
+    "table k=5": lambda: _seeded_table(5),
+    "constant": lambda: ObjectiveSpec.from_table(4, {g: F(1, 2) for g in iso_classes(4)}),
+}
+
+
+@pytest.mark.parametrize("name", BRUTE_SPECS)
+def test_brute_lambda_max_equals_class_scan(name):
+    """The candidate scan gives the class scan's value and its witness list,
+    the same representatives in the same order."""
+    spec = BRUTE_SPECS[name]()
+    for n in range(spec.k, 8):
+        val, wit = brute_lambda_max(spec, n)
+        assert (val, wit) == _class_scan(spec, n), n
+    if name == "constant":
+        assert wit == list(iso_classes(7)) and len(wit) == 1044
+
+
+def test_brute_lambda_max_labels_only_maximisers(monkeypatch):
+    """With iso_classes(6) warm, the brute force at n = 7 labels at most one
+    graph per maximising candidate and adds no class table; building
+    iso_classes(7) labels all 2,106 candidates."""
+    monkeypatch.setattr(graphs, "_classes",
+                        functools.lru_cache(maxsize=None)(graphs._classes.__wrapped__))
+    iso_classes(6)
+    spec = ObjectiveSpec.partite_density([2, 1, 1])
+    for code in range(1 << 6):
+        spec.code_table()[code]
+    calls = 0
+    label = graphs.canonical_key
+
+    def counting(g):
+        nonlocal calls
+        calls += 1
+        return label(g)
+
+    monkeypatch.setattr(graphs, "canonical_key", counting)
+    monkeypatch.setattr(objectives, "canonical_key", counting, raising=False)
+    tables = graphs._classes.cache_info().currsize
+    val, wit = brute_lambda_max(spec, 7)
+    assert graphs._classes.cache_info().currsize == tables
+    maximisers = sum(lambda_graph(spec, h) == val for _, _, h in graphs.extension_candidates(7))
+    assert len(wit) <= calls <= maximisers
 
 
 def test_from_table_round_trip(spec_c4):
