@@ -36,9 +36,10 @@ def partition_is_clique(a: Sequence[int]) -> bool:
 
 
 class ObjectiveSpec:
-    """gamma: canonical key of a k-vertex graph -> exact rational."""
+    """gamma: canonical key of a k-vertex graph -> exact rational; scale:
+    the lcm of gamma's denominators, so gamma * scale is integral."""
 
-    __slots__ = ("k", "gamma", "provenance", "eligible", "label", "_code_table",
+    __slots__ = ("k", "gamma", "scale", "provenance", "eligible", "label", "_code_table",
                  "_partition_values")
 
     def __init__(self, k: int, gamma: Mapping[bytes, Fraction],
@@ -52,7 +53,8 @@ class ObjectiveSpec:
         self.provenance = provenance
         self.eligible = eligible
         self.label = label
-        self._code_table = _CodeTable(k, self.gamma)
+        self.scale = lcm(*(v.denominator for v in self.gamma.values()))
+        self._code_table = _CodeTable(k, self.gamma, self.scale)
         self._partition_values: dict[tuple[int, ...], Fraction] | None = None
 
     def __repr__(self) -> str:
@@ -108,8 +110,14 @@ class ObjectiveSpec:
             raise ValueError("gamma defined on k-vertex graphs only")
         return self.gamma[class_key(g)]
 
-    def code_table(self) -> dict[int, Fraction]:
-        """gamma by raw upper-triangle code of a k-vertex graph, filled on first read."""
+    def code_table(self) -> dict[int, int]:
+        """gamma * scale by raw upper-triangle code of a k-vertex graph, as ints,
+        filled on first read.
+
+        scale is the lcm of gamma's denominators, so every sum of gamma over
+        subsets or draws is an integer sum over this table; its reader makes
+        the one Fraction of its result by dividing by scale once.
+        """
         return self._code_table
 
     def on_complete_partite(self, a: Sequence[int]) -> Fraction:
@@ -130,16 +138,23 @@ class ObjectiveSpec:
                                       for a in partitions_of(self.k)}
         return self._partition_values
 
+    def partition_weights(self) -> dict[tuple[int, ...], int]:
+        """gamma * scale on the complete partite classes where gamma is
+        nonzero, as ints, keyed by partition of k in partitions_of order."""
+        scale = self.scale
+        return {a: v.numerator * (scale // v.denominator)
+                for a, v in self.partition_values().items() if v}
+
 
 class _CodeTable(dict):
-    """gamma, or any value by class key, by upper-triangle code, each code
-    filled on its first read."""
+    """gamma * scale by upper-triangle code, each code filled on its first read."""
 
-    def __init__(self, k: int, gamma: Mapping[bytes, Rat]):
-        self.k, self.gamma = k, gamma
+    def __init__(self, k: int, gamma: Mapping[bytes, Fraction], scale: int):
+        self.k, self.gamma, self.scale = k, gamma, scale
 
-    def __missing__(self, code: int) -> Rat:
-        value = self[code] = self.gamma[key_of_code(self.k, code)]
+    def __missing__(self, code: int) -> int:
+        v = self.gamma[key_of_code(self.k, code)]
+        value = self[code] = v.numerator * (self.scale // v.denominator)
         return value
 
 
@@ -171,7 +186,7 @@ def big_lambda(spec: ObjectiveSpec, g: Graph) -> Fraction:
     if g.n < spec.k:
         raise ValueError("graph smaller than objective arity")
     table = spec.code_table()
-    return sum((table[code] for code in subset_codes(g, spec.k)), Fraction(0))
+    return Fraction(sum(table[code] for code in subset_codes(g, spec.k)), spec.scale)
 
 
 def lambda_graph(spec: ObjectiveSpec, g: Graph) -> Fraction:
@@ -184,7 +199,7 @@ def big_lambda_vertex(spec: ObjectiveSpec, g: Graph, v: int) -> Fraction:
     if g.n < spec.k:
         raise ValueError("graph smaller than objective arity")
     table = spec.code_table()
-    return sum((table[code] for code in subset_codes(g, spec.k, through=v)), Fraction(0))
+    return Fraction(sum(table[code] for code in subset_codes(g, spec.k, through=v)), spec.scale)
 
 
 def lambda_vertex(spec: ObjectiveSpec, g: Graph, v: int) -> Fraction:
@@ -201,8 +216,8 @@ def brute_lambda_max(spec: ObjectiveSpec, n: int) -> tuple[Fraction, list[Graph]
     graphs. A candidate h extends a class g by a vertex v joined to ``mask``,
     and Lambda(h) = Lambda(g) + Lambda(h, v): Lambda(g) is taken once per g,
     and Lambda(h, v) from ``extension_codes``, which walks g once for all its
-    masks. Values are compared as integer sums of gamma * D over a common
-    denominator D of gamma; only the maximum becomes a Fraction. Only the
+    masks. Values are compared as integer sums over the spec's code table
+    (gamma * scale); only the maximum becomes a Fraction. Only the
     maximising candidates are canonically labelled; the first one per key is
     kept, in key order, which is the member and the order ``iso_classes(n)``
     holds.
@@ -220,8 +235,7 @@ def brute_lambda_max(spec: ObjectiveSpec, n: int) -> tuple[Fraction, list[Graph]
     k = spec.k
     if n < k:
         raise ValueError("need n >= k")
-    scale = lcm(*(v.denominator for v in spec.gamma.values()))
-    weight = _CodeTable(k, {key: (v * scale).numerator for key, v in spec.gamma.items()})
+    weight = spec.code_table()
     best: int | None = None
     top: list[Graph] = []
     parent = None
@@ -238,4 +252,4 @@ def brute_lambda_max(spec: ObjectiveSpec, n: int) -> tuple[Fraction, list[Graph]
     first: dict[bytes, Graph] = {}
     for h in top:
         first.setdefault(canonical_key(h), h)
-    return Fraction(best, scale * comb(n, k)), [first[key] for key in sorted(first)]
+    return Fraction(best, spec.scale * comb(n, k)), [first[key] for key in sorted(first)]

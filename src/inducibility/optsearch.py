@@ -43,27 +43,25 @@ def finite_opt(spec: ObjectiveSpec, n: int) -> tuple[Fraction, list[CompletePart
     Scans every partition of n with partite.partition_counts, which carries
     the generating-function product of each pattern with nonzero gamma along
     a depth-first walk. Partitions are compared by the integer
-    sum of (gamma * D) * count over a common denominator D of the gamma
-    values; only the maximum becomes a Fraction. The argmax shapes are listed
-    in partitions_of order.
+    sum of (gamma * scale) * count (spec.partition_weights()); only the
+    maximum becomes a Fraction. The argmax shapes are listed in
+    partitions_of order.
     """
     if n > 40:
         raise ValueError("partition scan limited to n <= 40")
     if n < spec.k:
         raise ValueError("need n >= k")
-    gamma = {a: v for a, v in spec.partition_values().items() if v != 0}
-    scale = math.lcm(*(v.denominator for v in gamma.values()))
-    weights = [v.numerator * (scale // v.denominator) for v in gamma.values()]
+    weights = spec.partition_weights()
     best: Optional[int] = None
     arg: list[tuple[tuple[int, int], ...]] = []
-    for groups, counts in partition_counts(list(gamma), n):
-        total = sum(map(operator.mul, weights, counts))
+    for groups, counts in partition_counts(list(weights), n):
+        total = sum(map(operator.mul, weights.values(), counts))
         if best is None or total > best:
             best, arg = total, [groups]
         elif total == best:
             arg.append(groups)
     assert best is not None
-    return (Fraction(best, scale * comb(n, spec.k)),
+    return (Fraction(best, spec.scale * comb(n, spec.k)),
             [CompletePartiteShape(counts=groups) for groups in arg])
 
 

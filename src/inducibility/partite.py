@@ -16,10 +16,10 @@ The kernel: with d_j the distinct part sizes of a pattern K_a and c_j their
 counts, each pattern part goes into a distinct host part, so the placements
 are the coefficient of prod_j z_j^{c_j} in a product of one factor
 (1 + sum_j w_j z_j) per host part. With w_j = C(s, d_j) for a host part of
-size s this counts induced copies; with w_j = x_i^{d_j}/d_j! for a limit
-part and the clique factor sum_e x0^e/e! z^e (size-1 variable), k! times the
-coefficient is p(K_a, x); with w_j = x_i^{d_j} and prod_j c_j! in front it
-is the elementary symmetric sum S_d(x).
+size s this counts induced copies; with w_j = x_i^{d_j} for a limit part
+and the clique factor c! sum_e x0^e/e! z^e (size-1 variable, c singletons),
+an integer lead times the coefficient is p(K_a, x); with prod_j c_j! in
+front and no clique factor it is the elementary symmetric sum S_d(x).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb, factorial, perm, prod
+from math import comb, factorial, lcm, perm, prod
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -79,6 +79,16 @@ class PartiteVector:
     def draw_weights(self) -> dict[int, Fraction]:
         """The draw probabilities {i: x_i} over supp*."""
         return {i: self.entry(i) for i in self.supp_star}
+
+    def integer_weights(self) -> tuple[int, dict[int, int]]:
+        """(D, {i: D x_i} over supp*) with D the least common denominator of
+        the parts: the point as integers. A homogeneous free form of degree
+        d at these weights is D^d times its value at x."""
+        d = lcm(*(p.denominator for p in self.parts))
+        weights = {i: p.numerator * (d // p.denominator) for i, p in enumerate(self.parts, 1)}
+        if self.x0:
+            weights[0] = d - sum(weights.values())
+        return d, weights
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PartiteVector) and self.parts == other.parts
@@ -136,7 +146,7 @@ def elementary_symmetric(x: PartiteVector, idx: SymmetricIndex) -> Fraction:
     d = tuple(sorted(idx.exponents, reverse=True))
     pattern = _compiled(d)
     allowed = [p for i, p in enumerate(x.parts, start=1) if i not in idx.excluded]
-    return pattern.coefficient(_part_factors(pattern, allowed, pow)) / sym_coefficient(d)
+    return pattern.coefficient(_part_factors(pattern, allowed)) / sym_coefficient(d)
 
 
 def sym_coefficient(a: Sequence[int]) -> Fraction:
@@ -200,8 +210,13 @@ def draw_sum(k: int, weights: Mapping[int, object], term: Callable[[dict], objec
     each drawn key, in ascending order, to its repeat count. A nonzero term
     contributes multinomial(k; counts) * prod weights[i]**c * term, so free
     (unnormalised) weights give the homogeneous degree-k free form. Generic
-    in the weight ring (Fraction, float, MPoly) and in the term ring
-    (scalars, or UPoly in alpha); an empty sum is Fraction(0).
+    in the weight ring (int, Fraction, float, MPoly) and in the term ring
+    (scalars, or UPoly in alpha); an empty sum is Fraction(0). At a rational
+    point the integrands of perturbation pass the integer weights D x_i
+    (PartiteVector.integer_weights) and an integer term (gamma * scale from
+    the code table), so the sum is an int; they divide it by scale and by
+    D^k at the end. sampling_density passes the Fraction draw probabilities:
+    it is the Fraction reference route.
     """
     keys = sorted(weights)
     if comb(len(keys) + k - 1, k) > 10**7:
@@ -263,6 +278,7 @@ def sampling_density(a: Sequence[int], x: PartiteVector) -> Fraction:
     Dual route to density_formula: enumerate draw multisets and test whether
     the pattern partition equals a. A multiset's pattern has one part per
     nonzero index, of its repeat count, and one singleton per clique draw.
+    A reference route: it draws with the Fraction probabilities of x.
     """
     a = _norm_partition(a)
 
@@ -274,7 +290,8 @@ def sampling_density(a: Sequence[int], x: PartiteVector) -> Fraction:
 
 
 def density_formula(a: Sequence[int], x: PartiteVector) -> Fraction:
-    """p(K_{a_1,...,a_l}, x) via the elementary-symmetric closed form."""
+    """p(K_{a_1,...,a_l}, x) via the elementary-symmetric closed form, at the
+    Fraction entries of x (a reference route for lambda_of_vector)."""
     return _closed_form(a, x.x0, x.parts)
 
 
@@ -291,42 +308,45 @@ def density_polynomial(a: Sequence[int], m: int) -> MPoly:
 
 
 def _closed_form(a: Sequence[int], x0, parts: Sequence):
-    """Ring-generic body of the closed form (Fraction parts or MPoly variables).
+    """Ring-generic body of the closed form (int, Fraction or float parts, or
+    MPoly variables).
 
-    With d_j the distinct part sizes of a, c_j their counts and k = sum(a),
+    With d_j the distinct part sizes of a, c_j their counts, c the number of
+    parts of size 1 and k = sum(a),
 
-        p(K_a, x) = k! [prod_j z_j^{c_j}] E(x0) prod_{i>=1} (1 + sum_j x_i^{d_j}/d_j! z_j):
+        p(K_a, x) = L [prod_j z_j^{c_j}] C(x0) prod_{i>=1} (1 + sum_j x_i^{d_j} z_j):
 
-    part i takes at most one pattern part, of size d_j with weight x_i^{d_j}/d_j!.
-    The clique factor E(x0) = sum_e x0^e/e! z^e, in the variable of size 1, is
-    the limit of m host parts of weight x0/m each; it places e singleton
-    pattern parts in the clique and is present only when 1 is a part size.
-    Equal parts share one factor (see CompiledPattern).
+    part i takes at most one pattern part, of size d_j with weight x_i^{d_j}.
+    The clique factor C(x0) = c! sum_e x0^e/e! z^e, in the variable of size
+    1, is c! times the limit of m host parts of weight x0/m each; it places e
+    singleton pattern parts in the clique and is present only when x0 is
+    nonzero and 1 is a part size. The lead L is the multinomial
+    k!/prod(a_i!), divided by c! when the clique factor is present (an
+    integer too). So at integer weights every factor and the value are
+    integers, and no step divides. Equal parts share one factor (see
+    CompiledPattern).
     """
-    a = _norm_partition(a)
-    pattern = _compiled(a)
-    return factorial(sum(a)) * pattern.coefficient(_limit_factors(pattern, x0, parts))
+    pattern = _compiled(_norm_partition(a))
+    lead, factors = _limit_factors(pattern, x0, parts)
+    return lead * pattern.coefficient(factors)
 
 
-def _limit_weight(p, d: int):
-    """p^d/d!: the weight of a pattern part of size d in a limit part of value p."""
-    return p**d * Fraction(1, factorial(d))
-
-
-def _limit_factors(pattern: "CompiledPattern", x0, parts: Sequence) -> list:
-    """The closed form's factors at a limit point: one per run of equal
-    parts, then the clique factor when x0 is nonzero and 1 is a part size of
-    the pattern (at x0 = 0 that factor is the empty product)."""
-    factors = _part_factors(pattern, parts, _limit_weight)
+def _limit_factors(pattern: "CompiledPattern", x0, parts: Sequence) -> tuple[int, list]:
+    """The closed form at a limit point as (lead, factors): one factor per
+    run of equal parts, then the clique factor when x0 is nonzero and 1 is a
+    part size of the pattern. At x0 = 0 the clique factor would be c! times
+    the empty product, so it is left out and the lead is not divided by c!."""
+    factors = _part_factors(pattern, parts)
     if x0 and pattern.sizes[-1] == 1:
         factors.append(pattern.clique(x0))
-    return factors
+        return pattern.lead // factorial(pattern.states[-1][-1]), factors
+    return pattern.lead, factors
 
 
-def _part_factors(pattern: "CompiledPattern", parts: Sequence, weight: Callable) -> list:
+def _part_factors(pattern: "CompiledPattern", parts: Sequence) -> list:
     """One CompiledPattern factor per run of equal limit parts, in which a
-    pattern part of size d has weight(p, d) placements in a part of value p."""
-    return [pattern.factor([weight(p, d) for d in pattern.sizes], len(list(run)))
+    pattern part of size d has weight p^d in a part of value p."""
+    return [pattern.factor([p**d for d in pattern.sizes], len(list(run)))
             for p, run in itertools.groupby(parts)]
 
 
@@ -335,25 +355,31 @@ def _part_factors(pattern: "CompiledPattern", parts: Sequence, weight: Callable)
 # ---------------------------------------------------------------------------
 
 def lambda_of_vector(spec: ObjectiveSpec, x: PartiteVector) -> Fraction:
-    """Exact E[gamma(pattern of k independent draws from x)]."""
-    return lambda_free(spec, x.x0, x.parts)
+    """Exact E[gamma(pattern of k independent draws from x)].
+
+    The free form at the integer weights D x_i (x.integer_weights()),
+    divided by D^k.
+    """
+    d, weights = x.integer_weights()
+    return lambda_free(spec, weights.get(0, 0), [weights[i] for i in x.support]) / d**spec.k
 
 
 def lambda_free(spec: ObjectiveSpec, clique_weight, part_weights: Sequence) -> object:
     """The same expectation with free (unnormalised) weights.
 
     The sum over the partitions a of k of gamma(K_a) times the closed form
-    of p(K_a, .) (_closed_form). Generic in the weight ring: Fractions give
-    the exact value, floats give the numeric free form used for
-    finite-difference cross-checks, and MPoly weights give lambda as a
-    polynomial. The result is the homogeneous degree-k free form of lambda;
-    on the simplex it equals lambda_of_vector.
+    of p(K_a, .) (_closed_form). Generic in the weight ring: ints and
+    Fractions give the exact value, floats give the numeric free form used
+    for finite-difference cross-checks, and MPoly weights give lambda as a
+    polynomial. The sum runs over gamma * scale (partition_weights), so it
+    is an int at integer weights, and is divided by scale once, at the end.
+    The result is the homogeneous degree-k free form of lambda; on the
+    simplex it equals lambda_of_vector.
     """
-    total = Fraction(0)
-    for a, gamma in spec.partition_values().items():
-        if gamma:
-            total = total + _closed_form(a, clique_weight, part_weights) * gamma
-    return total
+    total = 0
+    for a, gamma in spec.partition_weights().items():
+        total = total + gamma * _closed_form(a, clique_weight, part_weights)
+    return total * Fraction(1, spec.scale)
 
 
 def lambda_gradient(spec: ObjectiveSpec, x: PartiteVector) -> dict[int, Fraction]:
@@ -366,24 +392,26 @@ def lambda_gradient(spec: ObjectiveSpec, x: PartiteVector) -> dict[int, Fraction
     placed(e)/p (CompiledPattern.slope), times the product of the other
     factors (CompiledPattern.leave_one_out). A run of m equal parts has the
     factor F(p)^m, and each member's partial is 1/m of its derivative,
-    F'(p) F(p)^{m-1}. The clique factor sum_e x0^e/e! z^e differentiates to
-    the same list shifted one slot up in the size-1 variable; a pattern with
-    no part of size 1 has clique partial 0. (1/k) d(lambda)/dx_i is the
-    clone value lambda(x, (e_i, 1)).
+    F'(p) F(p)^{m-1}. The clique factor c! sum_e x0^e/e! z^e is scaled the
+    same way, placed(e) = e; a pattern with no part of size 1 has clique
+    partial 0. (1/k) d(lambda)/dx_i is the clone value lambda(x, (e_i, 1)).
+
+    The products run at the integer weights D x_i over gamma * scale, so
+    each partial is an int until one division by scale * D^(k-1) * m p.
     """
-    groups = [(p, len(list(run))) for p, run in itertools.groupby(x.parts)]
-    if x.x0:
-        groups.append((x.x0, 1))
-    sums = [Fraction(0)] * len(groups)
-    for a, gamma in spec.partition_values().items():
-        if not gamma:
-            continue
+    d, weights = x.integer_weights()
+    x0, parts = weights.get(0, 0), [weights[i] for i in x.support]
+    groups = [(p, len(list(run))) for p, run in itertools.groupby(parts)]
+    if x0:
+        groups.append((x0, 1))
+    sums = [0] * len(groups)
+    for a, gamma in spec.partition_weights().items():
         pattern = _compiled(a)
-        factors = _limit_factors(pattern, x.x0, x.parts)
+        lead, factors = _limit_factors(pattern, x0, parts)
         for r, (rest, f) in enumerate(zip(pattern.leave_one_out(factors), factors)):
-            sums[r] += gamma * pattern.top(rest, pattern.slope(f))
-    scale = factorial(spec.k)
-    partials = [scale * t / (m * p) for t, (p, m) in zip(sums, groups)]
+            sums[r] += gamma * lead * pattern.top(rest, pattern.slope(f))
+    scale = spec.scale * d ** (spec.k - 1)
+    partials = [Fraction(t, scale * m * p) for t, (p, m) in zip(sums, groups)]
     grad = {0: partials.pop()} if x.x0 else {}
     members = (v for (_, m), v in zip(groups, partials) for _ in range(m))
     grad.update(zip(x.support, members))
@@ -405,8 +433,14 @@ class CompiledPattern:
     factor (1 + sum_j w_j z_j)^m, and the placements of the whole pattern are
     the coefficient of prod_j z_j^{c_j} in the product of the factors of all
     groups. With w_j = C(s, d_j) for host parts of size s this counts induced
-    copies (count_partite); with real weights it gives the limit densities and
-    elementary symmetric sums (_closed_form, elementary_symmetric).
+    copies (count_partite); with w_j = p^{d_j} for limit parts it gives the
+    limit densities (_closed_form, times the integer lead) and elementary
+    symmetric sums (elementary_symmetric). The kernel never divides: integer
+    weights (host sizes, or the integer weights D x_i of a rational point)
+    keep every product an int, and the caller divides its result at the end
+    (lambda_free by scale, lambda_of_vector then by D^k, lambda_gradient by
+    scale * D^(k-1) * m p at once). density_formula and sampling_density
+    stay on the Fraction entries of x, as the reference routes.
 
     Polynomials are kept truncated to the exponent vectors e <= c, stored as
     lists indexed by the mixed-radix rank of e (e = 0 first, e = c last, the
@@ -414,10 +448,11 @@ class CompiledPattern:
     of z^e and z^f sits at the sum of their ranks.
     """
 
-    __slots__ = ("sizes", "states", "_pairs", "_picks", "_placed")
+    __slots__ = ("sizes", "states", "lead", "_pairs", "_picks", "_placed")
 
     def __init__(self, a: tuple[int, ...]):
         self.sizes = sorted(set(a), reverse=True)
+        self.lead = _multinomial(sum(a), a)
         caps = [a.count(d) for d in self.sizes]
         self.states = list(itertools.product(*(range(c + 1) for c in caps)))
         self._pairs = [(i, j, i + j)
@@ -449,11 +484,13 @@ class CompiledPattern:
         return out
 
     def clique(self, x0) -> list:
-        """sum_e x0^e/e! z^e in the variable of size 1, truncated: the limit
-        of (1 + x0/m z)^m, m host parts of weight x0/m each. Needs 1 as a
-        part size; its exponent is the least significant digit of the rank."""
+        """c! sum_e x0^e/e! z^e in the variable of size 1, truncated at the
+        count c of that size: c! times the limit of (1 + x0/m z)^m, m host
+        parts of weight x0/m each, with the integer coefficients c!/e!. Needs
+        1 as a part size; its exponent is the least significant digit of the
+        rank."""
         c = self.states[-1][-1]
-        return ([x0**e * Fraction(1, factorial(e)) for e in range(c + 1)]
+        return ([factorial(c) // factorial(e) * x0**e for e in range(c + 1)]
                 + [0] * (len(self.states) - c - 1))
 
     def slope(self, factor: list) -> list:
@@ -553,11 +590,8 @@ def lambda_of_shape(spec: ObjectiveSpec, shape: CompletePartiteShape) -> Fractio
     n = shape.n
     if n < spec.k:
         raise ValueError("shape smaller than objective arity")
-    total = Fraction(0)
-    for part, val in spec.partition_values().items():
-        if val != 0:
-            total += val * count_partite(part, shape)
-    return total / comb(n, spec.k)
+    total = sum(weight * count_partite(a, shape) for a, weight in spec.partition_weights().items())
+    return Fraction(total, spec.scale * comb(n, spec.k))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,11 @@ subset enumeration, so they stay cheap at n in the hundreds). The limit
 flip gradients, through-pair densities and attachment values are integrands
 over the draw kernel partite.draw_sum; the finite-n flip deltas and
 attachment values are integrands over its counting twin partite.pick_sum.
-One encoder, _pattern_code, gives every pattern code.
+One encoder, _pattern_code, gives every pattern code. Every integrand reads
+gamma * scale from the spec's integer code table; at a limit point the draws
+weigh the integer weights D x_i (PartiteVector.integer_weights), so a flip
+gradient or pair density is an integer sum until it is divided by scale and
+by D^(k-2).
 
 The free form of lambda is the homogeneous degree-k polynomial in
 (x0, x1, ...) given by the sampling formula; partial derivatives are plain
@@ -118,15 +122,18 @@ def flip_gradient(spec: ObjectiveSpec, x: PartiteVector, i1: int, i2: int) -> Fr
     Conditions the k-sample on the first two draws having types i1, i2 and
     averages gamma(pattern) - gamma(pattern with pair {1,2} flipped).
     """
-    return flip_gradient_generic(spec, x.draw_weights(), i1, i2)
+    d, weights = x.integer_weights()
+    return flip_gradient_generic(spec, weights, i1, i2) / d ** (spec.k - 2)
 
 
 def flip_gradient_generic(spec: ObjectiveSpec, entries: Mapping[int, object],
                           i1: int, i2: int):
-    """Generic-ring flip gradient; entries maps supp* indices to weights."""
+    """Generic-ring flip gradient; entries maps supp* indices to weights.
+    The draw sum runs over gamma * scale and is divided by scale once."""
     if i1 not in entries or i2 not in entries:
         raise ValueError("flip indices must lie in supp*")
-    return draw_sum(spec.k - 2, entries, _flip_loss(spec.code_table(), i1, i2))
+    loss = _flip_loss(spec.code_table(), i1, i2)
+    return draw_sum(spec.k - 2, entries, loss) * Fraction(1, spec.scale)
 
 
 def _flip_loss(table, i1: int, i2: int):
@@ -144,11 +151,13 @@ def pair_density(spec: ObjectiveSpec, x: PartiteVector, i1: int, i2: int) -> Fra
 
     Equals the flip gradient exactly when the flipped pattern never counts.
     """
-    if i1 not in x.supp_star or i2 not in x.supp_star:
+    d, weights = x.integer_weights()
+    if i1 not in weights or i2 not in weights:
         raise ValueError("indices must lie in supp*")
     table = spec.code_table()
-    return draw_sum(spec.k - 2, x.draw_weights(),
-                    lambda counts: table[_pattern_code([i1, i2] + _draw_types(counts))])
+    total = draw_sum(spec.k - 2, weights,
+                     lambda counts: table[_pattern_code([i1, i2] + _draw_types(counts))])
+    return Fraction(total, spec.scale * d ** (spec.k - 2))
 
 
 @dataclass(frozen=True)
@@ -194,11 +203,14 @@ def attach_value(spec: ObjectiveSpec, x: PartiteVector, p: AttachmentPattern) ->
 
     A (k-1)-sample is drawn from x; the new vertex joins nonzero draws i with
     b(i) = 1 and each clique draw independently with probability alpha. The
-    alpha dependence is returned exactly as a degree <= k-1 polynomial.
+    alpha dependence is returned exactly as a degree <= k-1 polynomial. The
+    draws weigh the integer weights D x_i, and the polynomial is divided by
+    D^(k-1).
     """
     _check_pattern(x, p)
+    d, weights = x.integer_weights()
     # terms without clique draws are scalars, so the sum may be one too
-    poly = UPoly() + attach_value_generic(spec, x.draw_weights(), p.b)
+    poly = (UPoly() + attach_value_generic(spec, weights, p.b)) * Fraction(1, d ** (spec.k - 1))
     return AttachValue(poly(p.alpha), poly)
 
 
@@ -209,11 +221,13 @@ def attach_value_generic(spec: ObjectiveSpec, entries: Mapping[int, object],
     Without a clique weight (key 0) this is the value in the weight ring.
     With one, each clique draw is joined with probability alpha, so over
     Fraction weights the result is a UPoly in alpha (a scalar when no term
-    has a clique draw).
+    has a clique draw). The draw sum runs over gamma * scale and is divided
+    by scale once.
     """
     table = spec.code_table()
-    return draw_sum(spec.k - 1, entries,
-                    lambda counts: _attach_term(table, b, counts, _clique_split))
+    total = draw_sum(spec.k - 1, entries,
+                     lambda counts: _attach_term(table, b, counts, _clique_split))
+    return total * Fraction(1, spec.scale)
 
 
 def vertex_gradient(spec: ObjectiveSpec, x: PartiteVector, p: AttachmentPattern) -> AttachValue:
@@ -261,7 +275,8 @@ def finite_flip_delta(spec: ObjectiveSpec, structure: PartiteStructure,
     if sizes[i1] < 0:
         raise ValueError("part too small to host the pair")
     loss = _flip_loss(spec.code_table(), i1, i2)
-    return pick_sum(spec.k - 2, sizes, loss) / comb(structure.n - 2, spec.k - 2)
+    total = pick_sum(spec.k - 2, sizes, loss)
+    return Fraction(total, spec.scale * comb(structure.n - 2, spec.k - 2))
 
 
 def finite_attach_lambda_vertex(spec: ObjectiveSpec, structure: PartiteStructure,
@@ -284,7 +299,7 @@ def finite_attach_lambda_vertex(spec: ObjectiveSpec, structure: PartiteStructure
 
     table = spec.code_table()
     total = pick_sum(spec.k - 1, sizes, lambda counts: _attach_term(table, b, counts, split))
-    return total / comb(structure.n, spec.k - 1)
+    return Fraction(total, spec.scale * comb(structure.n, spec.k - 1))
 
 
 # ---------------------------------------------------------------------------

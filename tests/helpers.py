@@ -2,11 +2,12 @@
 the program itself does not need, and the negative strictness fixture."""
 
 import operator
+import random
 import sys
 from fractions import Fraction
 from functools import reduce
 
-from inducibility.graphs import Graph, PartiteStructure
+from inducibility.graphs import Graph, PartiteStructure, iso_classes
 from inducibility.objectives import ObjectiveSpec, partitions_of
 from inducibility.optsearch import _FloatPlan
 from inducibility.partite import PartiteVector, lambda_free
@@ -148,3 +149,40 @@ def counterexample_spec() -> ObjectiveSpec:
 def counterexample_candidates() -> list[PartiteVector]:
     return [PartiteVector(), PartiteVector([Fraction(1)]),
             PartiteVector([Fraction(1, 2), Fraction(1, 2)])]
+
+
+def integer_route_specs():
+    """KP densities, a SUM with a negative coefficient, and seeded
+    from_table specs at k = 3..6 (gamma with denominators up to 12)."""
+    rng = random.Random(23)
+    specs = [ObjectiveSpec.partite_density(a) for a in ([2, 1], [2, 1, 1], [3, 1, 1], [2, 2, 1, 1])]
+    specs.append(ObjectiveSpec.combination([(Fraction(3, 4), [2, 1, 1]),
+                                            (Fraction(-5, 6), [1, 1, 1, 1]),
+                                            (Fraction(1, 3), [2, 2])]))
+    for k in range(3, 7):
+        specs.append(ObjectiveSpec.from_table(
+            k, {g: Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for g in iso_classes(k)}))
+    return specs
+
+
+def integer_route_vectors(seed):
+    """Seeded rational points for the integer route: 1 to 8 parts drawn from
+    a pool of three values (so parts tie), each with and without clique
+    mass; x0 only; parts with denominators near 10^40; and 30 parts 1/p over
+    pairwise coprime primes p."""
+    rng = random.Random(seed)
+    out = [PartiteVector()]
+    for m in range(1, 9):
+        pool = [Fraction(rng.randint(1, 9), rng.randint(10, 40)) for _ in range(3)]
+        parts = sorted((rng.choice(pool) for _ in range(m)), reverse=True)
+        while sum(parts) >= 1:
+            parts = [p / 2 for p in parts]
+        out += [PartiteVector(parts), PartiteVector([p / sum(parts) for p in parts])]
+    for m in (1, 3, 5):
+        dens = [rng.randrange(10**39, 10**40) for _ in range(m)]
+        parts = sorted((Fraction(rng.randrange(1, d // 8), d) for d in dens), reverse=True)
+        out += [PartiteVector(parts), PartiteVector([p / sum(parts) for p in parts])]
+    primes = [p for p in range(31, 200) if all(p % q for q in range(2, p))][:30]
+    out.append(PartiteVector([Fraction(1, p) for p in primes]))
+    return out
+

@@ -13,7 +13,7 @@ from inducibility.objectives import (ObjectiveSpec, big_lambda, big_lambda_verte
                                      brute_lambda_max, lambda_graph, lambda_vertex,
                                      partitions_of)
 
-from helpers import flip
+from helpers import flip, integer_route_specs
 
 
 def test_partitions_of():
@@ -39,14 +39,23 @@ def test_gamma_expansion_matches_definition():
     assert spec.eligible  # the negative weight sits on the clique K_3
 
 
-@pytest.mark.parametrize("name", ["spec_k12", "spec_c4", "spec_k2111", "spec_k33", "spec_k43"])
+@pytest.mark.parametrize("name", ["spec_k12", "spec_c4", "spec_k2111", "spec_k33", "spec_k43",
+                                  "signed SUM"])
 def test_code_table_matches_gamma(name, request):
-    spec = request.getfixturevalue(name)
+    """The code table holds gamma * scale as ints, scale the lcm of gamma's
+    denominators."""
+    if name == "signed SUM":
+        spec = ObjectiveSpec.combination([(F(3, 4), [2, 1, 1]), (F(-5, 6), [1, 1, 1, 1])])
+        assert spec.scale == 12
+    else:
+        spec = request.getfixturevalue(name)
     k = spec.k
     table = spec.code_table()
     codes = 1 << (k * (k - 1) // 2)
     for code in random.Random(k).sample(range(codes), min(codes, 200)):
-        assert table[code] == spec.gamma[canonical_key(graph_from_code(k, code))]
+        value = table[code]
+        assert type(value) is int
+        assert value == spec.gamma[canonical_key(graph_from_code(k, code))] * spec.scale
 
 
 @pytest.mark.parametrize("a", [a for m in range(1, 7) for a in partitions_of(m)],
@@ -105,6 +114,21 @@ def test_lambda_graph_naive_oracle(spec_c4):
                 count += 1
                 break
     assert lambda_graph(spec_c4, g) == F(count, comb(7, 4))
+
+
+def test_big_lambda_integer_sums_equal_fraction_sums():
+    """big_lambda and big_lambda_vertex, integer sums over the code table
+    divided by scale once, equal Fraction sums of gamma_of over the induced
+    k-subsets (all, and those through v) on seeded graphs."""
+    rng = random.Random(5)
+    for spec in integer_route_specs():
+        n = rng.randint(spec.k, 9)
+        g = graph_from_code(n, rng.randrange(1 << (n * (n - 1) // 2)))
+        subsets = list(itertools.combinations(range(n), spec.k))
+        assert big_lambda(spec, g) == sum((spec.gamma_of(g.induced(s)) for s in subsets), F(0))
+        v = rng.randrange(n)
+        assert big_lambda_vertex(spec, g, v) == sum(
+            (spec.gamma_of(g.induced(s)) for s in subsets if v in s), F(0))
 
 
 def test_lambda_vertex_identity(spec_c4):

@@ -9,12 +9,15 @@ from inducibility.graphs import CompletePartiteShape, Graph, complete_partite_sh
 from inducibility.objectives import ObjectiveSpec, partitions_of
 from inducibility.graphs import edit_distance_exact
 from inducibility.partite import (PartiteVector, SymmetricIndex, count_partite,
-                                  density_formula, draw_sum, edit_distance_vectors,
+                                  density_formula, density_polynomial, draw_sum,
+                                  edit_distance_vectors,
                                   elementary_symmetric, lambda_free, lambda_gradient,
                                   lambda_of_shape, lambda_of_vector, partition_counts,
                                   pick_sum, realise, sampling_density)
 from inducibility.perturbation import attach_value, clone_values, lagrange_residual, pattern_e
 from inducibility.polynomials import MPoly
+
+from helpers import integer_route_specs, integer_route_vectors
 
 
 def rand_vector(rng, max_support=4, max_denom=12, allow_clique=True):
@@ -541,3 +544,42 @@ def test_edit_vectors_vs_finite_realisations():
         d_exact = edit_distance_exact(gx, gy)
         d_lim = edit_distance_vectors(x, y)
         assert abs(d_exact - d_lim) <= slack, (x, y, d_exact, d_lim)
+
+
+def test_integer_route_vectors_cover_the_cases():
+    vectors = integer_route_vectors(7)
+    assert {len(x.parts) for x in vectors} >= set(range(9)) | {30}
+    assert any(x.x0 == 0 and len(set(x.parts)) < len(x.parts) for x in vectors)
+    assert any(x.x0 and len(set(x.parts)) < len(x.parts) for x in vectors)
+    assert max(p.denominator for x in vectors for p in x.parts) > 10**39
+    assert PartiteVector().x0 == 1 and PartiteVector() in vectors
+
+
+def test_lambda_of_vector_integer_route_equals_density_formula():
+    """lambda_of_vector, evaluated at the integer weights D x_i, equals the
+    Fraction route sum_b gamma(K_b) density_formula(b, x)."""
+    specs = integer_route_specs()
+    for x in integer_route_vectors(7):
+        for spec in specs:
+            want = sum((spec.on_complete_partite(b) * density_formula(b, x)
+                        for b in partitions_of(spec.k)), F(0))
+            assert lambda_of_vector(spec, x) == want, (spec, x)
+
+
+def test_lambda_gradient_integer_route_equals_polynomial_partials():
+    """lambda_gradient at the integer weights equals the partials of
+    sum_b gamma(K_b) density_polynomial(b, m) evaluated at x, over supp*
+    (up to 8 parts; k = 6 up to 5 parts, to bound the polynomial sizes)."""
+    specs = integer_route_specs()
+    free: dict = {}
+    for x in integer_route_vectors(7):
+        m = len(x.parts)
+        if m > 8:
+            continue
+        point = {f"x{i}": x.entry(i) for i in range(m + 1)}
+        for spec in (specs if m <= 5 else [s for s in specs if s.k <= 5]):
+            if (spec, m) not in free:
+                free[spec, m] = sum((spec.on_complete_partite(b) * density_polynomial(b, m)
+                                     for b in partitions_of(spec.k)), MPoly.const(0))
+            want = {i: free[spec, m].partial(f"x{i}").evaluate(point) for i in x.supp_star}
+            assert lambda_gradient(spec, x) == want, (spec, x)

@@ -5,10 +5,12 @@ from math import comb
 
 import pytest
 
+from inducibility import partite, perturbation
 from inducibility.graphs import Graph, iso_classes
 from inducibility.objectives import ObjectiveSpec, big_lambda, big_lambda_vertex, partitions_of
-from inducibility.partite import PartiteVector, density_polynomial, lambda_gradient, realise
-from inducibility.polynomials import MPoly
+from inducibility.partite import (PartiteVector, density_polynomial, draw_sum, lambda_gradient,
+                                  lambda_of_vector, realise)
+from inducibility.polynomials import MPoly, UPoly
 from inducibility.perturbation import (AttachmentPattern, attach_value,
                                        attach_value_generic, compare_bounds,
                                        finite_attach_lambda_vertex, finite_flip_delta,
@@ -16,7 +18,8 @@ from inducibility.perturbation import (AttachmentPattern, attach_value,
                                        lagrange_residual, pair_density,
                                        pattern_e, vertex_gradient)
 
-from helpers import attach, count_calls, flip, partial_derivative_fd
+from helpers import (attach, count_calls, flip, integer_route_specs, integer_route_vectors,
+                     partial_derivative_fd)
 
 A8 = PartiteVector.uniform(8)
 A311 = PartiteVector([F(3, 5)])
@@ -320,3 +323,65 @@ def test_finite_attach_lambda_vertex_exact(name, n):
                 h = attach(s.graph(), s, b, F(j, v0) if v0 else F(0))
                 want = big_lambda_vertex(spec, h, n) / comb(n, spec.k - 1)
                 assert finite_attach_lambda_vertex(spec, s, b, j) == want, (x, b, j)
+
+
+def _pattern_graph(types):
+    """The sampled pattern of draws with these types: two draws are joined
+    iff their types differ or both are the clique (0)."""
+    k = len(types)
+    return Graph.from_edges(k, [(a, b) for a in range(k) for b in range(a + 1, k)
+                                if types[a] != types[b] or types[a] == 0])
+
+
+def test_flip_pair_attach_integer_route_equal_fraction_route():
+    """flip_gradient, pair_density and attach_value, whose draws weigh the
+    integer weights D x_i, equal the Fraction route: the _generic functions
+    on x.draw_weights(), and for pair_density a draw sum of gamma_of. Four
+    seeded specs per vector; the 30-part vector runs with the k = 3 specs
+    only (31 draw keys)."""
+    rng = random.Random(41)
+    specs = integer_route_specs()
+    for x in integer_route_vectors(7):
+        weights = x.draw_weights()
+        eligible = specs if len(x.parts) <= 8 else [s for s in specs if s.k == 3]
+        for spec in rng.sample(eligible, min(4, len(eligible))):
+            k = spec.k
+            for i1, i2 in rng.sample(list(itertools.combinations_with_replacement(x.supp_star, 2)),
+                                     min(3, len(x.supp_star))):
+                assert flip_gradient(spec, x, i1, i2) == \
+                    flip_gradient_generic(spec, weights, i1, i2), (spec, x, i1, i2)
+                want = draw_sum(k - 2, weights, lambda counts: spec.gamma_of(_pattern_graph(
+                    [i1, i2] + [i for i, c in counts.items() for _ in range(c)])))
+                assert pair_density(spec, x, i1, i2) == want, (spec, x, i1, i2)
+            b = {i: rng.randint(0, 1) for i in x.support}
+            alpha = F(rng.randint(0, 7), 7) if x.x0 else F(1)
+            got = attach_value(spec, x, AttachmentPattern(b, alpha))
+            want = UPoly() + attach_value_generic(spec, weights, b)
+            assert got.poly == want and got.value == want(alpha), (spec, x, b)
+
+
+def test_rational_point_kernels_see_only_ints(monkeypatch):
+    """At a rational point every truncated product of the pattern kernel and
+    every draw-sum weight is an int: the values become Fractions only at the
+    end."""
+    seen = {"times": set(), "draw_sum": set()}
+    times, draw = partite.CompiledPattern.times, perturbation.draw_sum
+
+    def spy_times(self, poly, factor):
+        seen["times"].update(map(type, poly + factor))
+        return times(self, poly, factor)
+
+    def spy_draw(k, weights, term):
+        seen["draw_sum"].update(map(type, weights.values()))
+        return draw(k, weights, term)
+
+    monkeypatch.setattr(partite.CompiledPattern, "times", spy_times)
+    monkeypatch.setattr(perturbation, "draw_sum", spy_draw)
+    x = PartiteVector([F(1, 3), F(1, 5), F(1, 5), F(1, 7)])
+    for spec in integer_route_specs()[3:6]:  # KP 2,2,1,1, the signed SUM, the k = 3 table
+        lambda_of_vector(spec, x)
+        lagrange_residual(spec, x)
+        flip_gradient(spec, x, 0, 2)
+        pair_density(spec, x, 1, 2)
+        attach_value(spec, x, AttachmentPattern({1: 1, 3: 1}, F(1, 2)))
+    assert seen == {"times": {int}, "draw_sum": {int}}
