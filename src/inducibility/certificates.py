@@ -27,11 +27,12 @@ from .partite import (PartiteVector, density_formula, density_polynomial,
                       elementary_symmetric, lambda_of_vector, sampling_density,
                       SymmetricIndex, _multinomial)
 from .perturbation import attach_value_generic, flip_gradient_generic, pair_density
-from .polynomials import MPoly, UPoly, resultant
+from .polynomials import MPoly, UPoly, parse_rational, resultant
 from .strictness import strictness_certificate
 
 LAMBDA_2111 = Fraction(525, 1024)
 LAMBDA_311 = Fraction(216, 625)
+_K311_GRAMS = ("R0", "Q1", "Q2", "Q3")
 
 
 @dataclass(frozen=True)
@@ -77,6 +78,30 @@ class CertificateReport:
 def _load_k311_data() -> dict:
     raw = resources.files("inducibility.data").joinpath("k311_certificate.json").read_text()
     return json.loads(raw)
+
+
+def _read_k311_data(data) -> dict:
+    """The k311 certificate data with every datum read by parse_rational;
+    ValueError unless it holds the four lists and the four 6x6 Gram matrices."""
+    def numbers(key: str, values) -> list[Fraction]:
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"k311 data: {key} must be a nonempty list")
+        try:
+            return [parse_rational(v) for v in values]
+        except ValueError as e:
+            raise ValueError(f"k311 data: {key}: {e}") from e
+
+    grams = data.get("gram_matrices") if isinstance(data, dict) else None
+    if not (isinstance(grams, dict) and sorted(grams) == sorted(_K311_GRAMS)
+            and all(isinstance(m, list) and len(m) == 6
+                    and all(isinstance(r, list) and len(r) == 6 for r in m) for m in grams.values())):
+        raise ValueError("k311 data: expected an object whose gram_matrices map "
+                         f"{', '.join(_K311_GRAMS)} to 6x6 matrices")
+    out = {key: numbers(key, data.get(key))
+           for key in ("q_coefficients_ascending", "r1_coefficients_ascending")}
+    out.update((key, numbers(key, [data.get(key)])[0]) for key in ("shift", "epsilon_lower_bound"))
+    out["gram_matrices"] = {name: [numbers(name, r) for r in grams[name]] for name in _K311_GRAMS}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +616,7 @@ def certify_k311() -> CertificateReport:
     rep = CertificateReport("k311")
     spec = ObjectiveSpec.partite_density([3, 1, 1])
     lam0 = LAMBDA_311
-    data = _load_k311_data()
+    data = _read_k311_data(_load_k311_data())
     y = MPoly.var("y")
     z = MPoly.var("z")
     s_var = MPoly.var("s")
@@ -656,11 +681,8 @@ def certify_k311() -> CertificateReport:
     rep.add("exclusion_total", total < lam0, f"{total} < 216/625")
 
     # (2a) sum-of-squares route
-    grams = {name: [[Fraction(v) for v in row] for row in rows]
-             for name, rows in data["gram_matrices"].items()}
-    if any(len(m) != 6 or any(len(r) != 6 for r in m) for m in grams.values()):
-        raise ValueError("k311 data: every Gram matrix must be 6x6")
-    for name in ("R0", "Q1", "Q2", "Q3"):
+    grams = data["gram_matrices"]
+    for name in _K311_GRAMS:
         rep.add(f"psd_{name}", psd_check(grams[name]))
     basis = [MPoly.const(1), y, z, y**2, y * z, z**2]
     sos = {}
@@ -670,22 +692,22 @@ def certify_k311() -> CertificateReport:
             for jj in range(6):
                 total_poly = total_poly + mat[i][jj] * basis[i] * basis[jj]
         sos[name] = total_poly
-    alpha = Fraction(data["shift"])
+    alpha = data["shift"]
     eps = (-h - z * sos["Q1"] - (y - z) * sos["Q2"] - (alpha - y) * sos["Q3"]
            - sos["R0"])
     const = eps.terms.get((0,) * len(eps.vars), Fraction(0))
     others = sum(abs(c) for e, c in eps.terms.items() if any(e))
-    rep.add("epsilon_margin", const - others >= Fraction(data["epsilon_lower_bound"]),
+    rep.add("epsilon_margin", const - others >= data["epsilon_lower_bound"] > 0,
             f"constant minus other coefficient mass = {const - others} >= 1/50")
 
     # (2b) eliminant route
-    q_fix = UPoly([Fraction(c) for c in data["q_coefficients_ascending"]])
+    q_fix = UPoly(data["q_coefficients_ascending"])
     elim = resultant(h, h.partial("z"), "z")
     elim_u = elim.to_upoly("y")
-    rep.add("eliminant_divisible_by_q", elim_u.divmod(q_fix)[1].is_zero())
+    rep.add("eliminant_divisible_by_q", not q_fix.is_zero() and elim_u.divmod(q_fix)[1].is_zero())
     p_shift = q_fix.shift(alpha)
-    r1 = UPoly([Fraction(c) for c in data["r1_coefficients_ascending"]])
-    rep.add("r1_coefficients_positive", all(c > 0 for c in r1.coeffs))
+    r1 = UPoly(data["r1_coefficients_ascending"])
+    rep.add("r1_coefficients_positive", not r1.is_zero() and all(c > 0 for c in r1.coeffs))
     prod = p_shift * r1
     rep.add("product_coefficients_positive", all(c > 0 for c in prod.coeffs),
             f"deg {prod.degree} product of q(y + 272/1000) with the multiplier")

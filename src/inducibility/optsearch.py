@@ -326,17 +326,15 @@ def continuous_opt(spec: ObjectiveSpec, max_support: int, starts: int = 200,
     for x0 in (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9):
         for r in range(1, M + 1):
             seeds.append([x0] + [(1 - x0) / r] * r + [0.0] * (M - r))
-    try:
-        _, shapes = finite_opt(spec, max(spec.k + 7, 12))
-        for shape in shapes[:4]:
-            sizes = shape.part_sizes
-            n = shape.n
-            ratios = sorted((s / n for s in sizes), reverse=True)[:M]
-            seeds.append([1 - _fold(ratios)] + ratios + [0.0] * (M - len(ratios)))
-            big = sorted((s / n for s in sizes if s >= 2), reverse=True)[:M]
-            seeds.append([1 - _fold(big)] + big + [0.0] * (M - len(big)))
-    except ValueError:
-        pass
+    # 3 <= k <= 8 for every spec, so n is 12 to 15 and the scan cannot refuse it
+    _, shapes = finite_opt(spec, max(spec.k + 7, 12))
+    for shape in shapes[:4]:
+        sizes = shape.part_sizes
+        n = shape.n
+        ratios = sorted((s / n for s in sizes), reverse=True)[:M]
+        seeds.append([1 - _fold(ratios)] + ratios + [0.0] * (M - len(ratios)))
+        big = sorted((s / n for s in sizes if s >= 2), reverse=True)[:M]
+        seeds.append([1 - _fold(big)] + big + [0.0] * (M - len(big)))
     while len(seeds) < starts:
         r = rng.randint(1, M)
         raw = [rng.expovariate(1.0) for _ in range(r)]

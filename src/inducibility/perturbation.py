@@ -12,7 +12,8 @@ One encoder, _pattern_code, gives every pattern code. Every integrand reads
 gamma * scale from the spec's integer code table; at a limit point the draws
 weigh the integer weights D x_i (PartiteVector.integer_weights), so a flip
 gradient or pair density is an integer sum until it is divided by scale and
-by D^(k-2).
+by D^(k-2). An attachment value draws the clique as two groups, the vertices
+joined to the attached vertex (_JOINED) and the others (0).
 
 The free form of lambda is the homogeneous degree-k polynomial in
 (x0, x1, ...) given by the sampling formula; partial derivatives are plain
@@ -45,7 +46,7 @@ from .polynomials import Rat, UPoly, _frac
 class AttachmentPattern:
     """(b, alpha): b maps part indices to {0,1}, alpha is the clique fraction.
 
-    alpha is forced to 1 when the vector has no clique mass.
+    Without clique mass the attachment value does not depend on alpha.
     """
 
     __slots__ = ("b", "alpha")
@@ -72,20 +73,16 @@ def pattern_e(i: int, x: PartiteVector) -> AttachmentPattern:
     return AttachmentPattern({j: 0 if j == i else 1 for j in x.support}, Fraction(1))
 
 
-def _check_pattern(x: PartiteVector, p: AttachmentPattern) -> None:
-    if any(i > len(x.parts) for i in p.b):
-        raise ValueError("pattern index outside the vector support")
-    if x.x0 == 0 and p.alpha != 1:
-        raise ValueError("alpha must be 1 when the clique mass is zero")
-
-
 # ---------------------------------------------------------------------------
 # Pattern codes (upper-triangle adjacency of sampled patterns)
 # ---------------------------------------------------------------------------
 
+_JOINED = -1  # clique draws joined to an attached vertex; they sort before key 0
+
+
 def _pattern_code(types: Sequence[int]) -> int:
     """Adjacency code of the pattern of draws with these types, in order; two
-    draws are joined iff their types differ or both are 0.
+    draws are joined iff their types differ or both are clique draws (<= 0).
 
     An attached vertex goes first: its row is the low len(types) bits, so a
     pattern plus an attached vertex is joined_bits | code << len(types), and
@@ -98,7 +95,7 @@ def _pattern_code(types: Sequence[int]) -> int:
         ta = types[a]
         for b in range(a + 1, k):
             tb = types[b]
-            if ta != tb or ta == 0:
+            if ta != tb or ta <= 0:
                 code |= 1 << bit
             bit += 1
     return code
@@ -166,36 +163,28 @@ class AttachValue:
     poly: UPoly            # the value as a polynomial in alpha
 
 
-@lru_cache(maxsize=None)
-def _clique_split(zeros: int, j: int) -> UPoly:
-    """C(zeros, j) alpha^j (1 - alpha)^(zeros - j): exactly j of the clique
-    draws are joined to the attached vertex."""
-    return comb(zeros, j) * UPoly.x() ** j * UPoly([1, -1]) ** (zeros - j)
+def _attach_term(table, b: Mapping[int, int], counts: Mapping[int, int]):
+    """gamma * scale seen by a vertex attached to a (k-1)-draw with these counts.
 
-
-def _attach_term(table, b: Mapping[int, int], counts: Mapping[int, int], split):
-    """gamma seen by a vertex attached to a (k-1)-draw with these counts.
-
-    The vertex joins nonzero draws i with b(i) = 1, and exactly j of the
-    `zeros` clique draws with weight split(zeros, j): a polynomial in alpha
-    in the limit (_clique_split), a hypergeometric fraction at finite n. The
-    value is a scalar when no clique draw occurs. Clique draws come first, so
-    joining j of them sets the j lowest bits of the code.
+    The vertex joins the draws of the _JOINED clique group and of the parts i
+    with b(i) = 1. Its row has one bit per draw in the order of counts, so
+    each joined group sets a run of bits, the _JOINED draws the lowest.
     """
     types = _draw_types(counts)
-    zeros = counts.get(0, 0)
     code = _pattern_code(types) << len(types)
-    for a in range(zeros, len(types)):
-        if b.get(types[a], 0):
-            code |= 1 << a
-    if not zeros:
-        return table[code]
-    total = 0
-    for j in range(zeros + 1):
-        gamma = table[code | (1 << j) - 1]
-        if gamma:
-            total = total + gamma * split(zeros, j)
-    return total
+    a = 0
+    for i, c in counts.items():
+        if i == _JOINED or b.get(i, 0):
+            code |= (1 << c) - 1 << a
+        a += c
+    return table[code]
+
+
+@lru_cache(maxsize=None)
+def _alpha_split(joined: int, unjoined: int):
+    """alpha^joined (1 - alpha)^unjoined, the chance of joining exactly the
+    _JOINED clique draws; 1 without clique draws."""
+    return UPoly.x() ** joined * UPoly([1, -1]) ** unjoined if joined + unjoined else 1
 
 
 def attach_value(spec: ObjectiveSpec, x: PartiteVector, p: AttachmentPattern) -> AttachValue:
@@ -207,7 +196,8 @@ def attach_value(spec: ObjectiveSpec, x: PartiteVector, p: AttachmentPattern) ->
     draws weigh the integer weights D x_i, and the polynomial is divided by
     D^(k-1).
     """
-    _check_pattern(x, p)
+    if any(i > len(x.parts) for i in p.b):
+        raise ValueError("pattern index outside the vector support")
     d, weights = x.integer_weights()
     # terms without clique draws are scalars, so the sum may be one too
     poly = (UPoly() + attach_value_generic(spec, weights, p.b)) * Fraction(1, d ** (spec.k - 1))
@@ -219,15 +209,20 @@ def attach_value_generic(spec: ObjectiveSpec, entries: Mapping[int, object],
     """Generic-ring attachment value; entries maps supp* indices to weights.
 
     Without a clique weight (key 0) this is the value in the weight ring.
-    With one, each clique draw is joined with probability alpha, so over
-    Fraction weights the result is a UPoly in alpha (a scalar when no term
-    has a clique draw). The draw sum runs over gamma * scale and is divided
-    by scale once.
+    With one, it is drawn as two groups, _JOINED and 0, and a term with j
+    joined and u unjoined clique draws weighs alpha^j (1 - alpha)^u (the
+    multinomial carries C(j + u, j)), so over Fraction weights the result is
+    a UPoly in alpha (a scalar when no term has a clique draw). The draw sum
+    runs over gamma * scale and is divided by scale once.
     """
     table = spec.code_table()
-    total = draw_sum(spec.k - 1, entries,
-                     lambda counts: _attach_term(table, b, counts, _clique_split))
-    return total * Fraction(1, spec.scale)
+    entries = {_JOINED: entries[0], **entries} if 0 in entries else entries
+
+    def term(counts):
+        gamma = _attach_term(table, b, counts)
+        return gamma and gamma * _alpha_split(counts.get(_JOINED, 0), counts.get(0, 0))
+
+    return draw_sum(spec.k - 1, entries, term) * Fraction(1, spec.scale)
 
 
 def vertex_gradient(spec: ObjectiveSpec, x: PartiteVector, p: AttachmentPattern) -> AttachValue:
@@ -284,21 +279,17 @@ def finite_attach_lambda_vertex(spec: ObjectiveSpec, structure: PartiteStructure
     """lambda(G +_{b,alpha} u, u) with floor(alpha|V0|) = v0_neighbours, exact.
 
     The attachment integrand of attach_value summed over the ways to pick
-    k-1 vertices from the groups of the realisation; exactly j of the zeros
-    clique vertices picked are joined to u in C(nb, j) C(v0 - nb, zeros - j)
-    of the C(v0, zeros) ways, nb = v0_neighbours. Works for any n.
+    k-1 vertices from the groups of the realisation, where the clique is two
+    groups: the nb = v0_neighbours vertices joined to u (_JOINED) and the
+    v0 - nb others (0). The sum is an int. Works for any n.
     """
     sizes = structure.group_sizes()
     v0 = sizes.get(0, 0)
     if not 0 <= v0_neighbours <= v0:
         raise ValueError("clique neighbour count out of range")
-
-    def split(zeros: int, j: int):
-        return Fraction(comb(v0_neighbours, j) * comb(v0 - v0_neighbours, zeros - j),
-                        comb(v0, zeros))
-
+    sizes[_JOINED], sizes[0] = v0_neighbours, v0 - v0_neighbours
     table = spec.code_table()
-    total = pick_sum(spec.k - 1, sizes, lambda counts: _attach_term(table, b, counts, split))
+    total = pick_sum(spec.k - 1, sizes, lambda counts: _attach_term(table, b, counts))
     return Fraction(total, spec.scale * comb(structure.n, spec.k - 1))
 
 

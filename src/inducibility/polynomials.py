@@ -20,8 +20,10 @@ def _frac(x: Rat) -> Fraction:
 
 
 def parse_rational(value) -> Fraction:
-    """An exact rational from outside input: a rational string or an integer."""
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
+    """An exact rational from outside input: an integer, or a string "p", "p/q"
+    or a plain decimal; not "1e-9", as a short exponent spells huge integers."""
+    exponent = isinstance(value, str) and "e" in value.lower()
+    if isinstance(value, (int, str)) and not isinstance(value, bool) and not exponent:
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -193,7 +193,9 @@ def test_usage_errors(capsys):
             ("KP 2,1", '[1]', 'expected an object with a "parts" list'),
             ("KP 2,1", '{"x0":"0","parts":"1"}', 'expected an object with a "parts" list'),
             ("KP 2,1", '{"x0":"0","parts":[0.5, 0.5]}', "0.5 is not a rational string"),
-            ("KP 2,1", '{"x0":"0","parts":[true]}', "True is not a rational string")]:
+            ("KP 2,1", '{"x0":"0","parts":[true]}', "True is not a rational string"),
+            ("KP 2,1", '{"parts":["1e-2"]}', "vector JSON: '1e-2' is not a rational"),
+            ("SUM 1E0*KP 2,1", '{"x0":"1","parts":[]}', "bad SUM coefficient: '1E0' is not")]:
         assert main(["density", "--objective", objective, "--vector", vector, "--quiet"]) == 3
         assert message in capsys.readouterr().err
     gradients = ["gradients", "--objective", "KP 2,1", "--vector",
@@ -326,6 +328,22 @@ def test_gradients_report(capsys, tmp_path):
     validate_report(rep)
     assert rep["result"]["flip_gradients"]["1,2"] == "75/256"
     assert rep["result"]["lagrange_residual"] == "0"
+
+
+def test_gradients_alpha_without_clique_mass(capsys, tmp_path):
+    """Without clique mass the attachment polynomial is constant, so a
+    pattern with alpha = 1/2 gives the vertex gradient of alpha = 1."""
+    grads = {}
+    for alpha in ("1/2", "1"):
+        out_file = tmp_path / "g.json"
+        pattern = json.dumps({"b": {"1": 1, "2": 0}, "alpha": alpha})
+        code, _ = run_cli(["gradients", "--objective", "KP 2,1,1", "--vector",
+                           '{"x0":"0","parts":["1/2","1/4","1/4"]}', "--quiet",
+                           "--pattern", pattern, "--out", str(out_file)], capsys)
+        assert code == 0
+        grads[alpha] = json.loads(out_file.read_text())["result"]["vertex_gradients"][pattern]
+    assert grads["1/2"] == grads["1"] and len(grads["1"]["alpha_poly"]) <= 1
+    assert grads["1"]["value"] != "0"
 
 
 def test_certify_k2111_cli_report(capsys, tmp_path):

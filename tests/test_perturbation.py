@@ -63,9 +63,12 @@ def test_attach_alpha_poly_matches_direct_eval(spec_k311):
         assert av.value == av.poly(alpha)
 
 
-def test_attach_requires_alpha_one_without_clique(spec_k2111):
-    with pytest.raises(ValueError):
-        attach_value(spec_k2111, A8, AttachmentPattern({1: 1}, F(1, 2)))
+def test_attach_ignores_alpha_without_clique(spec_k2111):
+    """Without clique mass the attachment polynomial is constant, so any
+    alpha gives the alpha = 1 value."""
+    half = attach_value(spec_k2111, A8, AttachmentPattern({1: 1}, F(1, 2)))
+    one = attach_value(spec_k2111, A8, AttachmentPattern({1: 1}, F(1)))
+    assert half == one and half.poly.degree <= 0
 
 
 def test_vertex_gradient(spec_k2111):
@@ -362,10 +365,11 @@ def test_flip_pair_attach_integer_route_equal_fraction_route():
 
 def test_rational_point_kernels_see_only_ints(monkeypatch):
     """At a rational point every truncated product of the pattern kernel and
-    every draw-sum weight is an int: the values become Fractions only at the
-    end."""
-    seen = {"times": set(), "draw_sum": set()}
-    times, draw = partite.CompiledPattern.times, perturbation.draw_sum
+    every draw-sum weight is an int, and on a realisation every pick-sum term
+    of the finite-n flip and attachment values is an int: the values become
+    Fractions only at the end."""
+    seen = {"times": set(), "draw_sum": set(), "pick_sum": set()}
+    times, draw, pick = partite.CompiledPattern.times, perturbation.draw_sum, perturbation.pick_sum
 
     def spy_times(self, poly, factor):
         seen["times"].update(map(type, poly + factor))
@@ -375,13 +379,25 @@ def test_rational_point_kernels_see_only_ints(monkeypatch):
         seen["draw_sum"].update(map(type, weights.values()))
         return draw(k, weights, term)
 
+    def spy_pick(k, sizes, term):
+        def seen_term(counts):
+            value = term(counts)
+            seen["pick_sum"].add(type(value))
+            return value
+        return pick(k, sizes, seen_term)
+
     monkeypatch.setattr(partite.CompiledPattern, "times", spy_times)
     monkeypatch.setattr(perturbation, "draw_sum", spy_draw)
+    monkeypatch.setattr(perturbation, "pick_sum", spy_pick)
     x = PartiteVector([F(1, 3), F(1, 5), F(1, 5), F(1, 7)])
+    realised = realise(20, x)
     for spec in integer_route_specs()[3:6]:  # KP 2,2,1,1, the signed SUM, the k = 3 table
         lambda_of_vector(spec, x)
         lagrange_residual(spec, x)
         flip_gradient(spec, x, 0, 2)
         pair_density(spec, x, 1, 2)
         attach_value(spec, x, AttachmentPattern({1: 1, 3: 1}, F(1, 2)))
-    assert seen == {"times": {int}, "draw_sum": {int}}
+        finite_flip_delta(spec, realised, 0, 2)
+        for j in (0, 1, len(realised.v0)):
+            finite_attach_lambda_vertex(spec, realised, {1: 1, 3: 1}, j)
+    assert seen == {"times": {int}, "draw_sum": {int}, "pick_sum": {int}}
