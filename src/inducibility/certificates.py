@@ -13,7 +13,6 @@ multiplier from a checked-in data file and re-verifies all of them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 from math import comb, factorial, gcd
@@ -35,21 +34,27 @@ LAMBDA_311 = Fraction(216, 625)
 _K311_GRAMS = ("R0", "Q1", "Q2", "Q3")
 
 
-@dataclass(frozen=True)
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass
 class CertificateReport:
-    name: str
-    checks: list[CheckResult] = field(default_factory=list)
-    lambda_max: Optional[Fraction] = None
-    maximiser: Optional[dict] = None
-    notes: list[str] = field(default_factory=list)
-    inconclusive: bool = False
+    """The checks of one certificate; a pipeline fills in the rest as it goes."""
+
+    __slots__ = ("name", "checks", "lambda_max", "maximiser", "notes", "inconclusive")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checks: list[CheckResult] = []
+        self.lambda_max: Optional[Fraction] = None
+        self.maximiser: Optional[dict] = None
+        self.notes: list[str] = []
+        self.inconclusive = False
 
     @property
     def passed(self) -> bool:

@@ -55,11 +55,13 @@ def parse_objective(text: str) -> ObjectiveSpec:
     if text.upper().startswith("KP"):
         return ObjectiveSpec.partite_density(_parse_partition(text[2:]))
     if text.upper().startswith("SUM"):
+        if not text[3:].strip():
+            raise UsageError("empty SUM objective")
         terms = []
         for chunk in text[3:].split("+"):
             chunk = chunk.strip()
             if not chunk:
-                continue
+                raise UsageError(f"empty SUM term in {text!r}: '+' must join two c*KP terms")
             if "*" not in chunk:
                 raise UsageError(f"bad SUM term {chunk!r}: expected c*KP a,b,...")
             coeff_txt, kp = chunk.split("*", 1)
@@ -71,18 +73,17 @@ def parse_objective(text: str) -> ObjectiveSpec:
             except ValueError as e:
                 raise UsageError(f"bad SUM coefficient: {e}") from e
             terms.append((coeff, _parse_partition(kp[2:])))
-        if not terms:
-            raise UsageError("empty SUM objective")
         return ObjectiveSpec.combination(terms)
     raise UsageError(f"cannot parse objective {text!r}")
 
 
 def _parse_partition(text: str) -> list[int]:
-    try:
-        parts = [int(x) for x in text.replace(" ", "").split(",") if x]
-    except ValueError as e:
-        raise UsageError(f"bad partition {text!r}") from e
-    if not parts or any(p <= 0 for p in parts):
+    """Positive decimal integers joined by commas; spaces only around them."""
+    chunks = [x.strip() for x in text.split(",")]
+    if not all(x.isascii() and x.isdigit() for x in chunks):
+        raise UsageError(f"bad partition {text!r}: expected positive integers joined by commas")
+    parts = [int(x) for x in chunks]
+    if any(p <= 0 for p in parts):
         raise UsageError(f"bad partition {text!r}")
     return parts
 
@@ -99,7 +100,7 @@ def _objective_from_table_file(path: Path) -> ObjectiveSpec:
     table = {}
     for i, entry in enumerate(obj["values"]):
         where = f"gamma table {path.name}, values[{i}]"
-        if not (isinstance(entry, dict) and entry.get("n", k) == k
+        if not (isinstance(entry, dict) and _is_int(entry.get("n", k)) and entry.get("n", k) == k
                 and isinstance(entry.get("edges"), list)
                 and all(isinstance(e, list) and len(e) == 2 and all(map(_is_int, e))
                         for e in entry["edges"])):

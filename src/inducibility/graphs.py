@@ -10,10 +10,8 @@ detection, realised partite structures and the plain-text graph format.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -24,26 +22,36 @@ CANON_MAX = 8
 LOOKUP_MAX = 5  # key_of_code files a class under all k! codes up to this k
 
 
-@dataclass(frozen=True)
 class Graph:
-    n: int
-    rows: tuple[int, ...]  # rows[i] bit j set iff ij is an edge
+    """A graph on n vertices; rows[i] has bit j set iff ij is an edge.
+    Compared and hashed by value (gamma tables key on graphs), so treat it
+    as immutable."""
 
-    def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise ValueError(f"vertex count {self.n} out of range 0..{MAX_VERTICES}")
-        if len(self.rows) != self.n:
+    __slots__ = ("n", "rows")
+
+    def __init__(self, n: int, rows: tuple[int, ...]):
+        if not 0 <= n <= MAX_VERTICES:
+            raise ValueError(f"vertex count {n} out of range 0..{MAX_VERTICES}")
+        if len(rows) != n:
             raise ValueError("row count mismatch")
-        mask = (1 << self.n) - 1
-        for i, r in enumerate(self.rows):
+        mask = (1 << n) - 1
+        for i, r in enumerate(rows):
             if r & ~mask:
                 raise ValueError("adjacency bit outside vertex range")
             if r >> i & 1:
                 raise ValueError(f"self-loop at {i}")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if (self.rows[i] >> j & 1) != (self.rows[j] >> i & 1):
+        for i in range(n):
+            for j in range(i + 1, n):
+                if (rows[i] >> j & 1) != (rows[j] >> i & 1):
                     raise ValueError(f"asymmetric adjacency at ({i},{j})")
+        self.n = n
+        self.rows = rows
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Graph) and self.n == other.n and self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.rows))
 
     # -- constructors --------------------------------------------------------
 
@@ -123,18 +131,51 @@ class Graph:
 def subset_codes(g: Graph, k: int, through: Optional[int] = None) -> Iterator[int]:
     """The ``Graph.subset_code`` of every k-subset of g's vertices, in
     ``itertools.combinations`` order; with ``through``, of those subsets
-    that contain that vertex only. The one subset walk of the package."""
-    if through is None:
-        for verts in itertools.combinations(range(g.n), k):
-            yield g.subset_code(verts)
-        return
-    if not 0 <= through < g.n:
+    that contain that vertex only. The one subset walk of the package.
+
+    A subset is a (k-1)-prefix plus a last vertex. The prefix's code is kept
+    level by level and redone only from the first vertex that changed since
+    the previous prefix; a subset adds the k - 1 bits of its last vertex.
+    """
+    if through is not None and not 0 <= through < g.n:
         raise ValueError("vertex out of range")
-    # `through` goes in before the first member above it, keeping the order
-    others = [u for u in range(g.n) if u != through]
-    for rest in itertools.combinations(others, k - 1):
-        at = bisect.bisect(rest, through)
-        yield g.subset_code(rest[:at] + (through,) + rest[at:])
+    if k == 0:
+        if through is None:
+            yield 0  # the empty subset
+        return
+    n, rows = g.n, g.rows
+    # bits[d][a]: the bit of the pair (a, d) in the row-major code of k vertices
+    bits = [[1 << a * (2 * k - a - 1) // 2 + d - a - 1 for a in range(d)] for d in range(k)]
+    codes = [0] * k  # codes[d]: the code of the first d vertices of prev
+    prev: tuple[int, ...] = ()
+    for prefix in itertools.combinations(range(n - 1), k - 1):
+        last = prefix[-1] if prefix else -1
+        if through is None or through in prefix:
+            ends: Iterable[int] = range(last + 1, n)
+        elif last < through:
+            ends = (through,)
+        elif prefix[0] > through:
+            return  # every later prefix lies above `through` too
+        else:
+            continue
+        same = 0  # prefix[:same] = prev[:same], so codes[:same + 1] still hold
+        while same < len(prev) and prev[same] == prefix[same]:
+            same += 1
+        for d in range(same, k - 1):
+            row = rows[prefix[d]]
+            code = codes[d]
+            for v, bit in zip(prefix, bits[d]):
+                if row >> v & 1:
+                    code |= bit
+            codes[d + 1] = code
+        prev = prefix
+        for w in ends:
+            row = rows[w]
+            code = codes[k - 1]
+            for v, bit in zip(prefix, bits[k - 1]):
+                if row >> v & 1:
+                    code |= bit
+            yield code
 
 
 def extension_codes(g: Graph, k: int) -> Callable[[int], Iterator[int]]:
@@ -486,16 +527,25 @@ def complete_partite_shape_of(g: Graph) -> Optional[CompletePartiteShape]:
     return None if parts is None else CompletePartiteShape(p.bit_count() for p in parts)
 
 
-@dataclass(frozen=True)
 class PartiteStructure:
-    """Vertex sets of a realised complete partite graph.
+    """Vertex sets of a realised complete partite graph, compared by value.
 
     ``parts[i]`` are the independent parts indexed like the defining vector
     (1-based part i is parts[i-1]); v0 lists the universal clique vertices.
     """
 
-    parts: tuple[tuple[int, ...], ...]
-    v0: tuple[int, ...]
+    __slots__ = ("parts", "v0")
+
+    def __init__(self, parts: tuple[tuple[int, ...], ...], v0: tuple[int, ...]):
+        self.parts = parts
+        self.v0 = v0
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, PartiteStructure)
+                and self.parts == other.parts and self.v0 == other.v0)
+
+    def __hash__(self) -> int:
+        return hash((self.parts, self.v0))
 
     @property
     def n(self) -> int:

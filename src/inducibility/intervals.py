@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm, prod
 from typing import Iterator, Mapping, Sequence
@@ -32,7 +31,6 @@ def _fibres(dims: tuple[int, ...], axis: int) -> Iterator[slice]:
             yield slice(r, r + block, stride)
 
 
-@dataclass(slots=True)
 class BernsteinForm:
     """Bernstein coefficients of a polynomial on a box.
 
@@ -41,9 +39,12 @@ class BernsteinForm:
     coefficients are ``coeffs[i] / den``.
     """
 
-    coeffs: list[int]
-    dims: tuple[int, ...]
-    den: int
+    __slots__ = ("coeffs", "dims", "den")
+
+    def __init__(self, coeffs: list[int], dims: tuple[int, ...], den: int):
+        self.coeffs = coeffs
+        self.dims = dims
+        self.den = den
 
     @classmethod
     def expand(cls, poly: MPoly, box: Mapping[str, tuple[Rat, Rat]]) -> "BernsteinForm":
@@ -83,13 +84,16 @@ class BernsteinForm:
         return BernsteinForm(left, self.dims, den), BernsteinForm(right, self.dims, den)
 
 
-@dataclass
 class BBResult:
-    upper: Fraction          # certified upper bound on the max over the region
-    sample_max: Fraction     # best feasible sample value found (lower bound)
-    conclusive: bool         # upper - sample_max <= tol achieved within budget
-    boxes: int
-    empty: bool = False      # every box was discarded: the region is infeasible
+    __slots__ = ("upper", "sample_max", "conclusive", "boxes", "empty")
+
+    def __init__(self, upper: Fraction, sample_max: Fraction, conclusive: bool, boxes: int,
+                 empty: bool = False):
+        self.upper = upper              # certified upper bound on the max over the region
+        self.sample_max = sample_max    # best feasible sample value found (lower bound)
+        self.conclusive = conclusive    # upper - sample_max <= tol achieved within budget
+        self.boxes = boxes
+        self.empty = empty              # every box was discarded: the region is infeasible
 
 
 def bb_max_bound(poly: MPoly, box: Mapping[str, tuple[Rat, Rat]], tol: Rat,

@@ -18,7 +18,6 @@ import math
 import operator
 import random
 import struct
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
@@ -202,26 +201,32 @@ def _project_simplex(v: Sequence[float]) -> list[float]:
 # Multistart continuous search
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Candidate:
-    parts: tuple[float, ...]
-    x0: float
-    lam_float: float
-    residual_float: float
-    vector: Optional[PartiteVector] = None     # set when the snap verifies
-    lam_exact: Optional[Fraction] = None
-    residual_exact: Optional[Fraction] = None
+    __slots__ = ("parts", "x0", "lam_float", "residual_float", "vector", "lam_exact",
+                 "residual_exact")
+
+    def __init__(self, parts: tuple[float, ...], x0: float, lam_float: float,
+                 residual_float: float):
+        self.parts = parts
+        self.x0 = x0
+        self.lam_float = lam_float
+        self.residual_float = residual_float
+        self.vector: Optional[PartiteVector] = None  # set when the snap verifies
+        self.lam_exact: Optional[Fraction] = None
+        self.residual_exact: Optional[Fraction] = None
 
     @property
     def snapped(self) -> bool:
         return self.vector is not None
 
 
-@dataclass
 class CandidateSet:
-    candidates: list[Candidate]
-    lam_best: float
-    provenance: dict = field(default_factory=dict)
+    __slots__ = ("candidates", "lam_best", "provenance")
+
+    def __init__(self, candidates: list[Candidate], lam_best: float, provenance: dict):
+        self.candidates = candidates
+        self.lam_best = lam_best
+        self.provenance = provenance
 
     def best_snapped(self) -> Optional[Candidate]:
         """The first candidate whose snap verified, or None."""
@@ -438,15 +443,19 @@ def _try_snap(spec: ObjectiveSpec, z: list[float],
 # The two-part (bipartite pattern) solver
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class KstResult:
-    s: int
-    t: int
-    alpha: AlgebraicNumber           # the larger ratio, in [1/2, 1)
-    root_poly: UPoly                 # s x^{m+1} - t x^m + t x - s, m = t - s
-    x_interval: tuple[Fraction, Fraction]
-    at_half: bool                    # True when the balanced split is optimal
-    i_value: tuple[Fraction, Fraction]   # enclosure of the inducibility constant
+    __slots__ = ("s", "t", "alpha", "root_poly", "x_interval", "at_half", "i_value")
+
+    def __init__(self, s: int, t: int, alpha: AlgebraicNumber, root_poly: UPoly,
+                 x_interval: tuple[Fraction, Fraction], at_half: bool,
+                 i_value: tuple[Fraction, Fraction]):
+        self.s = s
+        self.t = t
+        self.alpha = alpha            # the larger ratio, in [1/2, 1)
+        self.root_poly = root_poly    # s x^{m+1} - t x^m + t x - s, m = t - s
+        self.x_interval = x_interval
+        self.at_half = at_half        # True when the balanced split is optimal
+        self.i_value = i_value        # enclosure of the inducibility constant
 
 
 def _fst_value(s: int, t: int, a_lo: Fraction, a_hi: Fraction) -> tuple[Fraction, Fraction]:

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import comb, factorial, lcm, perm, prod
 from operator import mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .graphs import CompletePartiteShape, PartiteStructure
 from .objectives import ObjectiveSpec, _norm_partition
@@ -125,14 +124,23 @@ class PartiteVector:
         return v
 
 
-@dataclass(frozen=True)
 class SymmetricIndex:
-    exponents: tuple[int, ...]
-    excluded: frozenset[int] = frozenset()
+    """The exponents d and the excluded part indices I of S^I_d, compared by value."""
 
-    def __post_init__(self):
-        if any(d <= 0 for d in self.exponents):
+    __slots__ = ("exponents", "excluded")
+
+    def __init__(self, exponents: tuple[int, ...], excluded: frozenset[int] = frozenset()):
+        if any(d <= 0 for d in exponents):
             raise ValueError("exponents must be positive")
+        self.exponents = exponents
+        self.excluded = excluded
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SymmetricIndex)
+                and self.exponents == other.exponents and self.excluded == other.excluded)
+
+    def __hash__(self) -> int:
+        return hash((self.exponents, self.excluded))
 
 
 def elementary_symmetric(x: PartiteVector, idx: SymmetricIndex) -> Fraction:
@@ -203,7 +211,8 @@ def _multinomial(k: int, counts: Iterable[int]) -> int:
     return num
 
 
-def draw_sum(k: int, weights: Mapping[int, object], term: Callable[[dict], object]):
+def draw_sum(k: int, weights: Mapping[int, object], term: Callable[[dict], object],
+             group: Optional[Callable[[dict], Hashable]] = None):
     """Expectation of term(counts) over k independent draws from weights.
 
     Enumerates the multisets of k draws over the keys of weights; counts maps
@@ -216,7 +225,8 @@ def draw_sum(k: int, weights: Mapping[int, object], term: Callable[[dict], objec
     (PartiteVector.integer_weights) and an integer term (gamma * scale from
     the code table), so the sum is an int; they divide it by scale and by
     D^k at the end. sampling_density passes the Fraction draw probabilities:
-    it is the Fraction reference route.
+    it is the Fraction reference route. With group, the sum is split by
+    group(counts) into a dict (see _multiset_sum).
     """
     keys = sorted(weights)
     if comb(len(keys) + k - 1, k) > 10**7:
@@ -228,7 +238,7 @@ def draw_sum(k: int, weights: Mapping[int, object], term: Callable[[dict], objec
             w = w * weights[i] ** c
         return w
 
-    return _multiset_sum(keys, k, weight, term)
+    return _multiset_sum(keys, k, weight, term, group)
 
 
 def pick_sum(k: int, sizes: Mapping[int, int], term: Callable[[dict], object]):
@@ -251,11 +261,13 @@ def pick_sum(k: int, sizes: Mapping[int, int], term: Callable[[dict], object]):
 
 
 def _multiset_sum(keys: Sequence, k: int, weight: Callable[[dict], object],
-                  term: Callable[[dict], object]):
+                  term: Callable[[dict], object],
+                  group: Optional[Callable[[dict], Hashable]] = None):
     """Sum of weight(counts) * term(counts) over the multisets of k sorted
     keys, each as the repeat counts of its keys in ascending order; terms
-    that are zero are skipped, and an empty sum is Fraction(0)."""
-    total = None
+    that are zero are skipped, and an empty sum is Fraction(0). With group,
+    the dict of the sums by group(counts) instead, without empty sums."""
+    totals: dict = {}
     for multi in itertools.combinations_with_replacement(keys, k):
         counts: dict = {}
         for i in multi:
@@ -264,8 +276,9 @@ def _multiset_sum(keys: Sequence, k: int, weight: Callable[[dict], object],
         if not value:
             continue
         value = weight(counts) * value
-        total = value if total is None else total + value
-    return Fraction(0) if total is None else total
+        g = group(counts) if group else None
+        totals[g] = totals[g] + value if g in totals else value
+    return totals if group else totals.get(None, Fraction(0))
 
 
 # ---------------------------------------------------------------------------

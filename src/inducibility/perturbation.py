@@ -13,7 +13,9 @@ gamma * scale from the spec's integer code table; at a limit point the draws
 weigh the integer weights D x_i (PartiteVector.integer_weights), so a flip
 gradient or pair density is an integer sum until it is divided by scale and
 by D^(k-2). An attachment value draws the clique as two groups, the vertices
-joined to the attached vertex (_JOINED) and the others (0).
+joined to the attached vertex (_JOINED) and the others (0), and splits its
+draw sum by their counts (j, u); each split sum is an int at a rational
+point, and the polynomial in alpha is formed from them once.
 
 The free form of lambda is the homogeneous degree-k polynomial in
 (x0, x1, ...) given by the sampling formula; partial derivatives are plain
@@ -27,11 +29,10 @@ independent route to the same numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from .graphs import Graph, PartiteStructure
 from .objectives import ObjectiveSpec, lambda_graph
@@ -80,13 +81,16 @@ def pattern_e(i: int, x: PartiteVector) -> AttachmentPattern:
 _JOINED = -1  # clique draws joined to an attached vertex; they sort before key 0
 
 
-def _pattern_code(types: Sequence[int]) -> int:
+@lru_cache(maxsize=1 << 16)
+def _pattern_code(types: tuple[int, ...]) -> int:
     """Adjacency code of the pattern of draws with these types, in order; two
-    draws are joined iff their types differ or both are clique draws (<= 0).
+    draws are joined iff their types differ or both are clique draws (0).
 
     An attached vertex goes first: its row is the low len(types) bits, so a
     pattern plus an attached vertex is joined_bits | code << len(types), and
-    the pair of the first two draws is bit 0.
+    the pair of the first two draws is bit 0. Memoised: every (joined,
+    unjoined) split of a clique count, and every draw sum over the same
+    support, asks for the same codes.
     """
     k = len(types)
     code = 0
@@ -94,8 +98,7 @@ def _pattern_code(types: Sequence[int]) -> int:
     for a in range(k):
         ta = types[a]
         for b in range(a + 1, k):
-            tb = types[b]
-            if ta != tb or ta <= 0:
+            if ta != types[b] or not ta:
                 code |= 1 << bit
             bit += 1
     return code
@@ -105,12 +108,13 @@ def _pattern_code(types: Sequence[int]) -> int:
 # Limit gradients
 # ---------------------------------------------------------------------------
 
-def _draw_types(counts: Mapping[int, int]) -> list[int]:
-    """The draw indices of a multiset in ascending order (clique draws first)."""
+def _draw_types(counts: Mapping[int, int]) -> tuple[int, ...]:
+    """The draw indices of a multiset in ascending order, clique draws first
+    and as 0 in both groups (_JOINED and 0)."""
     types: list[int] = []
     for i, c in counts.items():
-        types += [i] * c
-    return types
+        types += [max(i, 0)] * c
+    return tuple(types)
 
 
 def flip_gradient(spec: ObjectiveSpec, x: PartiteVector, i1: int, i2: int) -> Fraction:
@@ -137,7 +141,7 @@ def _flip_loss(table, i1: int, i2: int):
     """counts -> gamma loss from toggling the pair of two draws of types i1, i2
     in the pattern they form with draws of these counts."""
     def loss(counts):
-        code = _pattern_code([i1, i2] + _draw_types(counts))
+        code = _pattern_code((i1, i2) + _draw_types(counts))
         return table[code] - table[code ^ 1]
 
     return loss
@@ -153,14 +157,20 @@ def pair_density(spec: ObjectiveSpec, x: PartiteVector, i1: int, i2: int) -> Fra
         raise ValueError("indices must lie in supp*")
     table = spec.code_table()
     total = draw_sum(spec.k - 2, weights,
-                     lambda counts: table[_pattern_code([i1, i2] + _draw_types(counts))])
+                     lambda counts: table[_pattern_code((i1, i2) + _draw_types(counts))])
     return Fraction(total, spec.scale * d ** (spec.k - 2))
 
 
-@dataclass(frozen=True)
 class AttachValue:
-    value: Fraction        # at the pattern's alpha
-    poly: UPoly            # the value as a polynomial in alpha
+    __slots__ = ("value", "poly")
+
+    def __init__(self, value: Fraction, poly: UPoly):
+        self.value = value  # at the pattern's alpha
+        self.poly = poly    # the value as a polynomial in alpha
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, AttachValue)
+                and self.value == other.value and self.poly == other.poly)
 
 
 def _attach_term(table, b: Mapping[int, int], counts: Mapping[int, int]):
@@ -178,13 +188,6 @@ def _attach_term(table, b: Mapping[int, int], counts: Mapping[int, int]):
             code |= (1 << c) - 1 << a
         a += c
     return table[code]
-
-
-@lru_cache(maxsize=None)
-def _alpha_split(joined: int, unjoined: int):
-    """alpha^joined (1 - alpha)^unjoined, the chance of joining exactly the
-    _JOINED clique draws; 1 without clique draws."""
-    return UPoly.x() ** joined * UPoly([1, -1]) ** unjoined if joined + unjoined else 1
 
 
 def attach_value(spec: ObjectiveSpec, x: PartiteVector, p: AttachmentPattern) -> AttachValue:
@@ -209,20 +212,24 @@ def attach_value_generic(spec: ObjectiveSpec, entries: Mapping[int, object],
     """Generic-ring attachment value; entries maps supp* indices to weights.
 
     Without a clique weight (key 0) this is the value in the weight ring.
-    With one, it is drawn as two groups, _JOINED and 0, and a term with j
-    joined and u unjoined clique draws weighs alpha^j (1 - alpha)^u (the
-    multinomial carries C(j + u, j)), so over Fraction weights the result is
-    a UPoly in alpha (a scalar when no term has a clique draw). The draw sum
-    runs over gamma * scale and is divided by scale once.
+    With one, the clique is drawn as two groups, _JOINED and 0, and the draw
+    sum is split by the pair (j, u) of joined and unjoined clique draws: a
+    draw with that pair occurs with chance alpha^j (1 - alpha)^u (the
+    multinomial carries C(j + u, j)). At a rational point each split sum
+    S_(j,u) is an int, and the result is the UPoly sum_(j,u) S_(j,u) alpha^j
+    (1 - alpha)^u in alpha, formed once. The draw sum runs over gamma * scale
+    and is divided by scale once.
     """
-    table = spec.code_table()
-    entries = {_JOINED: entries[0], **entries} if 0 in entries else entries
-
-    def term(counts):
-        gamma = _attach_term(table, b, counts)
-        return gamma and gamma * _alpha_split(counts.get(_JOINED, 0), counts.get(0, 0))
-
-    return draw_sum(spec.k - 1, entries, term) * Fraction(1, spec.scale)
+    term = partial(_attach_term, spec.code_table(), b)
+    if 0 not in entries:
+        return draw_sum(spec.k - 1, entries, term) * Fraction(1, spec.scale)
+    sums = draw_sum(spec.k - 1, {_JOINED: entries[0], **entries}, term,
+                    group=lambda counts: (counts.get(_JOINED, 0), counts.get(0, 0)))
+    coeffs = [0] * spec.k
+    for (j, u), total in sums.items():  # (1 - alpha)^u = sum_t C(u, t) (-alpha)^t
+        for t in range(u + 1):
+            coeffs[j + t] += (-1) ** t * comb(u, t) * total
+    return UPoly(coeffs) * Fraction(1, spec.scale)
 
 
 def vertex_gradient(spec: ObjectiveSpec, x: PartiteVector, p: AttachmentPattern) -> AttachValue:
@@ -297,25 +304,33 @@ def finite_attach_lambda_vertex(spec: ObjectiveSpec, structure: PartiteStructure
 # Comparison diagnostics (imperfection accounting)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class DiagnosticBounds:
-    xi0: Fraction
-    xi1: Fraction
-    xi2: Fraction
-    wrong_pairs: int
-    max_degree: int
+    __slots__ = ("xi0", "xi1", "xi2", "wrong_pairs", "max_degree")
+
+    def __init__(self, xi0: Fraction, xi1: Fraction, xi2: Fraction, wrong_pairs: int,
+                 max_degree: int):
+        self.xi0 = xi0
+        self.xi1 = xi1
+        self.xi2 = xi2
+        self.wrong_pairs = wrong_pairs
+        self.max_degree = max_degree
 
 
-@dataclass(frozen=True)
 class CompareReport:
-    bounds: DiagnosticBounds
-    lam_diff: Fraction                 # lambda(H') - lambda(H)
-    is_star: bool
-    hyp_all_ge_c: bool
-    hyp_all_le_c: bool
-    concl_general: Optional[bool]      # diff >= xi0/2 - xi1 - xi2 (when hyp ge)
-    concl_star: Optional[bool]         # diff >= xi0/2 - xi2 (when hyp ge and star)
-    concl_upper: Optional[bool]        # diff <= xi0 + xi1 + xi2 (when hyp le)
+    __slots__ = ("bounds", "lam_diff", "is_star", "hyp_all_ge_c", "hyp_all_le_c",
+                 "concl_general", "concl_star", "concl_upper")
+
+    def __init__(self, bounds: DiagnosticBounds, lam_diff: Fraction, is_star: bool,
+                 hyp_all_ge_c: bool, hyp_all_le_c: bool, concl_general: Optional[bool],
+                 concl_star: Optional[bool], concl_upper: Optional[bool]):
+        self.bounds = bounds
+        self.lam_diff = lam_diff            # lambda(H') - lambda(H)
+        self.is_star = is_star
+        self.hyp_all_ge_c = hyp_all_ge_c
+        self.hyp_all_le_c = hyp_all_le_c
+        self.concl_general = concl_general  # diff >= xi0/2 - xi1 - xi2 (when hyp ge)
+        self.concl_star = concl_star        # diff >= xi0/2 - xi2 (when hyp ge and star)
+        self.concl_upper = concl_upper      # diff <= xi0 + xi1 + xi2 (when hyp le)
 
 
 def compare_bounds(spec: ObjectiveSpec, h: Graph, x: PartiteVector, c: Rat) -> CompareReport:

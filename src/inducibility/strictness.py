@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Callable, Iterator, Mapping, Optional
@@ -79,14 +78,21 @@ def compute_w(x: PartiteVector, p: AttachmentPattern) -> dict[int, Fraction]:
     return _clone_edit_mass(x.draw_weights(), p.b)
 
 
-@dataclass(frozen=True)
 class PatternMargin:
-    b_support: tuple[int, ...]
-    min_w: Fraction
-    gradient_poly: tuple[str, ...]      # nabla as polynomial in alpha, "p/q" coefficients
-    c_bound: Optional[Fraction]         # None encodes unbounded
-    feasible: bool                      # nabla >= 0 requirement where the bound vanishes
-    attach: UPoly                       # lambda(x, (b, alpha)) in alpha; not written to JSON
+    __slots__ = ("b_support", "min_w", "gradient_poly", "c_bound", "feasible", "attach")
+
+    def __init__(self, b_support: tuple[int, ...], min_w: Fraction, gradient_poly: tuple[str, ...],
+                 c_bound: Optional[Fraction], feasible: bool, attach: UPoly):
+        self.b_support = b_support
+        self.min_w = min_w
+        self.gradient_poly = gradient_poly  # nabla as polynomial in alpha, "p/q" coefficients
+        self.c_bound = c_bound              # None encodes unbounded
+        self.feasible = feasible            # nabla >= 0 requirement where the bound vanishes
+        self.attach = attach                # lambda(x, (b, alpha)) in alpha; not written to JSON
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PatternMargin) and all(
+            getattr(self, f) == getattr(other, f) for f in self.__slots__)
 
 
 def _margin_for_pattern(spec: ObjectiveSpec, x: PartiteVector,
@@ -154,22 +160,28 @@ def check_str2(spec: ObjectiveSpec, x: PartiteVector) -> tuple[Optional[Fraction
     return min(finite), margins
 
 
-@dataclass
 class CandidateStrictness:
-    vector: PartiteVector
-    c1: Fraction
-    c2: Optional[Fraction]
-    pairs: dict[tuple[int, int], Fraction]
-    patterns: tuple[PatternMargin, ...] = ()
+    __slots__ = ("vector", "c1", "c2", "pairs", "patterns")
+
+    def __init__(self, vector: PartiteVector, c1: Fraction, c2: Optional[Fraction],
+                 pairs: dict[tuple[int, int], Fraction], patterns: tuple[PatternMargin, ...] = ()):
+        self.vector = vector
+        self.c1 = c1
+        self.c2 = c2
+        self.pairs = pairs
+        self.patterns = patterns
 
 
-@dataclass
 class StrictnessReport:
-    candidates: tuple[CandidateStrictness, ...]
-    c1: Fraction
-    c2: Optional[Fraction]
-    c: Fraction
-    passed: bool
+    __slots__ = ("candidates", "c1", "c2", "c", "passed")
+
+    def __init__(self, candidates: tuple[CandidateStrictness, ...], c1: Fraction,
+                 c2: Optional[Fraction], c: Fraction, passed: bool):
+        self.candidates = candidates
+        self.c1 = c1
+        self.c2 = c2
+        self.c = c
+        self.passed = passed
 
     def to_jsonable(self) -> dict:
         return {
@@ -217,12 +229,15 @@ def strictness_certificate(spec: ObjectiveSpec,
 # Finite-n conditions of the stability theorem
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class FiniteStrictnessReport:
-    n: int
-    c1: Fraction                      # best constant in lam(G)-lam(G+xy) >= c/n^2
-    c2: Optional[Fraction]            # best constant in edits <= n*deficit/c
-    clone_deficits: tuple[Fraction, ...]  # deficits at exact clone attachments
+    __slots__ = ("n", "c1", "c2", "clone_deficits")
+
+    def __init__(self, n: int, c1: Fraction, c2: Optional[Fraction],
+                 clone_deficits: tuple[Fraction, ...]):
+        self.n = n
+        self.c1 = c1                          # best constant in lam(G)-lam(G+xy) >= c/n^2
+        self.c2 = c2                          # best constant in edits <= n*deficit/c
+        self.clone_deficits = clone_deficits  # deficits at exact clone attachments
 
     @property
     def c(self) -> Fraction:

@@ -12,7 +12,6 @@ clone aborts with a diagnostic instead of silently decreasing.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -25,20 +24,26 @@ class SymmetrisationError(Exception):
     pass
 
 
-@dataclass(frozen=True)
 class SymStep:
-    source: int          # cloned-from vertex
-    target: int          # cloned-to vertex
-    lam_before: Fraction
-    lam_after: Fraction
-    pairs_edited: int
+    __slots__ = ("source", "target", "lam_before", "lam_after", "pairs_edited")
+
+    def __init__(self, source: int, target: int, lam_before: Fraction, lam_after: Fraction,
+                 pairs_edited: int):
+        self.source = source  # cloned-from vertex
+        self.target = target  # cloned-to vertex
+        self.lam_before = lam_before
+        self.lam_after = lam_after
+        self.pairs_edited = pairs_edited
 
 
-@dataclass(frozen=True)
 class SymmetrisationTrace:
-    steps: tuple[SymStep, ...]
-    final_graph: Graph
-    final_shape: Optional[CompletePartiteShape]
+    __slots__ = ("steps", "final_graph", "final_shape")
+
+    def __init__(self, steps: tuple[SymStep, ...], final_graph: Graph,
+                 final_shape: Optional[CompletePartiteShape]):
+        self.steps = steps
+        self.final_graph = final_graph
+        self.final_shape = final_shape
 
     @property
     def monotone(self) -> bool:

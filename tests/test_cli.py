@@ -216,6 +216,27 @@ def test_usage_errors(capsys):
         assert capsys.readouterr().err.startswith(f"error: {option} must be")
 
 
+@pytest.mark.parametrize("objective, message", [
+    ("SUM 1*KP 2,1 +", "empty SUM term in 'SUM 1*KP 2,1 +'"),
+    ("SUM + 1*KP 2,1", "empty SUM term"),
+    ("SUM 1*KP 2,1 ++ 1*KP 3", "empty SUM term"),
+    ("SUM ", "empty SUM objective"),
+    ("KP 2,,1", "bad partition ' 2,,1'"),
+    ("KP 2,1,", "bad partition ' 2,1,'"),
+    ("KP ,2,1", "bad partition ' ,2,1'"),
+    ("KP 2 1", "bad partition ' 2 1'"),  # not K_21
+    ("KP 2_1", "bad partition ' 2_1'"),  # not K_21 either
+    ("SUM 1*KP 2,1, + 1*KP 3", "bad partition ' 2,1,'"),
+])
+def test_objective_grammar_refuses_empty_chunks(objective, message, capsys):
+    """An empty SUM term or partition part is a usage error, not skipped."""
+    assert main(["density", "--objective", objective, "--vector", '{"parts":["1"]}',
+                 "--quiet"]) == 3
+    assert message in capsys.readouterr().err
+    assert main(["density", "--objective", "SUM 1*KP 2, 1 + -1*KP 3", "--vector",
+                 '{"parts":["1"]}', "--quiet"]) == 0  # spaces around parts stay fine
+
+
 def test_gamma_table_file(capsys, tmp_path):
     from inducibility.graphs import iso_classes
     table = {"k": 3, "values": []}

@@ -224,7 +224,7 @@ def test_subset_codes_follow_combinations():
     for n in range(10):
         g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
                                  if rng.random() < 0.5])
-        for k in range(1, n + 1):
+        for k in range(n + 2):
             subsets = list(itertools.combinations(range(n), k))
             assert list(graphs.subset_codes(g, k)) == [g.subset_code(s) for s in subsets]
             for v in range(n):
@@ -334,6 +334,24 @@ def test_attach_clique_fraction_floor():
     h = attach(g, structure, {1: 0}, F(1, 2))
     # floor(1/2 * 3) = 1 clique edge, to the lowest-indexed clique vertex
     assert h.rows[5].bit_count() == 1 and h.has_edge(5, 2)
+
+
+def test_graph_and_structure_compare_by_value():
+    """Graphs key gamma tables and structures are compared, so both have
+    value equality and a matching hash, never identity."""
+    g, h = Graph.from_edges(3, [(0, 1), (1, 2)]), Graph(3, (0b010, 0b101, 0b010))
+    assert g is not h and g == h and hash(g) == hash(h)
+    assert {g: 1}[h] == 1 and len({g, h}) == 1
+    assert g != Graph.from_edges(3, [(0, 1)]) and g != Graph.empty(3) and g != g.rows
+    assert Graph.empty(2) != Graph.empty(3)
+    s, t = PartiteStructure(((0, 1), (2,)), (3,)), PartiteStructure(((0, 1), (2,)), (3,))
+    assert s is not t and s == t and hash(s) == hash(t) and len({s, t}) == 1
+    assert s != PartiteStructure(((0, 1),), (2, 3)) and s != PartiteStructure(((0, 1), (2, 3)), ())
+    assert s != s.parts
+    with pytest.raises(ValueError):
+        Graph(2, (0b10, 0b00))  # asymmetric
+    with pytest.raises(ValueError):
+        Graph(2, (0b01, 0b00))  # self-loop
 
 
 def test_text_format_roundtrip():

@@ -221,3 +221,86 @@ def test_fuzzed_cli_strings_end_in_an_exit_code(monkeypatch, capsys, tmp_path):
         capsys.readouterr()
 
     check()
+
+
+def _gamma_table(k: int) -> dict:
+    """A valid gamma table: one entry per class on k vertices, value 1 on the clique."""
+    from inducibility.graphs import iso_classes
+    return {"k": k, "values": [{"n": k, "edges": [list(e) for e in g.edges()],
+                                "value": "1" if len(g.edges()) == k * (k - 1) // 2 else "0"}
+                               for g in iso_classes(k)]}
+
+
+def _damaged(k: int, index: int, **entry) -> dict:
+    """_gamma_table(k) with the fields of its entry at index replaced."""
+    table = _gamma_table(k)
+    table["values"][index] = {**table["values"][index], **entry}
+    return table
+
+
+def test_damaged_gamma_table_is_a_usage_error(capsys, tmp_path):
+    """A gamma-table file with a class missing or repeated, an entry whose n
+    is not the integer k, a self-loop or out-of-range edge, a value that is not an
+    exact rational (a float, a bool, 1/0, an exponent), or JSON that is not
+    an object ends in exit 3 with an error line, never a traceback."""
+    hyp, st = _hypothesis()
+    path = tmp_path / "gamma.json"
+    bad_values = [0.5, 1.0, True, False, "1/0", "1e3", "2E-1", 1e300, None, [], {}]
+
+    @st.composite
+    def damaged(draw):
+        k = draw(st.sampled_from([3, 4]))
+        table = _gamma_table(k)
+        values = table["values"]
+        i = draw(st.integers(0, len(values) - 1))
+        entry = values[i]
+        u = draw(st.integers(0, k - 1))
+        kind = draw(st.sampled_from(["missing", "repeated", "n", "loop", "range", "value",
+                                     "not-object"]))
+        if kind == "missing":
+            del values[i]
+        elif kind == "repeated":  # the same class again, relabelled by a permutation
+            perm = draw(st.permutations(range(k)))
+            values.append({**entry, "edges": [[perm[a], perm[b]] for a, b in entry["edges"]]})
+        elif kind == "n":
+            entry["n"] = draw(st.one_of(st.integers(0, 9).filter(lambda n: n != k),
+                                        st.sampled_from([float(k), str(k), True, None])))
+        elif kind == "loop":
+            entry["edges"] = entry["edges"] + [[u, u]]
+        elif kind == "range":
+            far = draw(st.sampled_from([k, k + 1, 64, -1]))
+            entry["edges"] = entry["edges"] + [draw(st.sampled_from([[u, far], [far, u]]))]
+        elif kind == "value":
+            entry["value"] = draw(st.sampled_from(bad_values))
+        else:
+            return draw(st.one_of(st.lists(st.integers(), max_size=3), st.text(max_size=5),
+                                  st.integers(), st.none(), st.booleans(),
+                                  st.just([table])))
+        return table
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True)
+    @hyp.given(damaged())
+    @hyp.example({**_gamma_table(3), "values": _gamma_table(3)["values"][1:]})  # missing
+    @hyp.example({**_gamma_table(3), "values": _gamma_table(3)["values"]
+                  + [{"n": 3, "edges": [[1, 2]], "value": "7"}]})  # repeated, relabelled
+    @hyp.example(_damaged(4, 2, n=3))
+    @hyp.example(_damaged(3, 0, n=3.0))  # n equal to k, but not an integer
+    @hyp.example(_damaged(3, 0, edges=[[1, 1]]))
+    @hyp.example(_damaged(3, 1, edges=[[0, 3]]))
+    @hyp.example(_damaged(4, 0, edges=[[-1, 2]]))
+    @hyp.example(_damaged(3, 0, value=0.5))
+    @hyp.example(_damaged(3, 0, value=True))
+    @hyp.example(_damaged(3, 0, value="1/0"))
+    @hyp.example(_damaged(3, 0, value="1e-3"))
+    @hyp.example([_gamma_table(3)])
+    @hyp.example("k")
+    @hyp.example(None)
+    def check(table):
+        path.write_text(json.dumps(table))
+        code = main(["density", "--objective", f"@{path}", "--vector", '{"parts":["1/2"]}',
+                     "--quiet"])
+        err = capsys.readouterr().err
+        assert code == EXIT_USAGE and err.startswith("error: ") and "Traceback" not in err, \
+            (table, err)
+
+    check()

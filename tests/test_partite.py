@@ -120,6 +120,15 @@ def test_elementary_symmetric():
             _permutation_sum(allowed, d), (x, d, excluded)
 
 
+def test_symmetric_index_compares_by_value():
+    i, j = SymmetricIndex((2, 1), frozenset({3})), SymmetricIndex((2, 1), frozenset([3]))
+    assert i is not j and i == j and hash(i) == hash(j) and {i: 1}[j] == 1
+    assert i != SymmetricIndex((2, 1)) and i != SymmetricIndex((1, 2), frozenset({3}))
+    assert SymmetricIndex(()) == SymmetricIndex((), frozenset()) and i != i.exponents
+    with pytest.raises(ValueError):
+        SymmetricIndex((1, 0))
+
+
 def test_lambda_of_vector_headline_values(spec_k2111, spec_k311):
     assert lambda_of_vector(spec_k2111, PartiteVector.uniform(8)) == F(525, 1024)
     assert lambda_of_vector(spec_k311, PartiteVector([F(3, 5)])) == F(216, 625)

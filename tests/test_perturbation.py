@@ -240,32 +240,33 @@ def test_compare_bounds_star(spec_c4):
     assert rep.concl_star is True
 
 
+def _ordered_attach(spec, x, b, alpha):
+    """lambda(x, (b, alpha)) by ordered-tuple enumeration over a split-clique
+    alphabet: part indices with weights x_i, and the clique split into a
+    joined share (alpha x0) and an unjoined share ((1 - alpha) x0)."""
+    letters = []
+    for i in x.support:
+        letters.append((i, x.entry(i), bool(b.get(i, 0))))
+    if x.x0 > 0:
+        letters.append((0, alpha * x.x0, True))
+        letters.append((0, (1 - alpha) * x.x0, False))
+    total = F(0)
+    for tup in itertools.product(range(len(letters)), repeat=spec.k - 1):
+        weight = F(1)
+        types = []
+        adj = []
+        for idx in tup:
+            typ, w, joined = letters[idx]
+            weight *= w
+            types.append(typ)
+            adj.append(joined)
+        total += weight * spec.gamma_of(_sample_graph(types, adj))
+    return total
+
+
 def test_attach_alpha_poly_independent_oracle(spec_k311, spec_c4):
     """Ordered-tuple enumeration over a split-clique alphabet reproduces the
     attachment polynomial at rational alpha."""
-
-    def direct(spec, x, b, alpha):
-        # alphabet: part indices with weights x_i, clique split into a
-        # u-joined share (alpha x0) and an unjoined share ((1-alpha) x0)
-        letters = []
-        for i in x.support:
-            letters.append((i, x.entry(i), bool(b.get(i, 0))))
-        if x.x0 > 0:
-            letters.append((0, alpha * x.x0, True))
-            letters.append((0, (1 - alpha) * x.x0, False))
-        total = F(0)
-        for tup in itertools.product(range(len(letters)), repeat=spec.k - 1):
-            weight = F(1)
-            types = []
-            adj = []
-            for idx in tup:
-                typ, w, joined = letters[idx]
-                weight *= w
-                types.append(typ)
-                adj.append(joined)
-            total += weight * spec.gamma_of(_sample_graph(types, adj))
-        return total
-
     for spec, x in ((spec_k311, A311), (spec_c4, HALF)):
         for bits in ((0,), (1,)) if len(x.parts) == 1 else ((0, 0), (1, 0), (1, 1)):
             b = {i + 1: v for i, v in enumerate(bits)}
@@ -273,7 +274,27 @@ def test_attach_alpha_poly_independent_oracle(spec_k311, spec_c4):
                 if x.x0 == 0 and alpha != 1:
                     continue
                 got = attach_value(spec, x, AttachmentPattern(b, alpha))
-                assert got.poly(alpha) == direct(spec, x, b, alpha), (b, alpha)
+                assert got.poly(alpha) == _ordered_attach(spec, x, b, alpha), (b, alpha)
+
+
+def test_split_attach_sums_match_ordered_oracle_with_clique_mass():
+    """The attachment polynomial from the split integer sums equals the
+    ordered-tuple oracle at alpha = 0, 1/4 and 1 on seeded KP, signed SUM
+    and gamma-table specs (k = 3 to 5) at points with clique mass, and its
+    degree is below k."""
+    rng = random.Random(52)
+    specs = [s for s in integer_route_specs() if s.k <= 5]  # 3 KP, the SUM, 3 tables
+    for spec in specs:
+        for _ in range(2):
+            parts = sorted((F(rng.randint(1, 5), 24) for _ in range(rng.randint(1, 3))),
+                           reverse=True)
+            x = PartiteVector(parts)
+            assert x.x0 > 0
+            b = {i: rng.randint(0, 1) for i in x.support}
+            poly = attach_value(spec, x, AttachmentPattern(b, F(1, 2))).poly
+            assert poly.degree < spec.k
+            for alpha in (F(0), F(1, 4), F(1)):
+                assert poly(alpha) == _ordered_attach(spec, x, b, alpha), (spec, x, b, alpha)
 
 
 def _finite_spec(name):
@@ -364,20 +385,29 @@ def test_flip_pair_attach_integer_route_equal_fraction_route():
 
 
 def test_rational_point_kernels_see_only_ints(monkeypatch):
-    """At a rational point every truncated product of the pattern kernel and
-    every draw-sum weight is an int, and on a realisation every pick-sum term
-    of the finite-n flip and attachment values is an int: the values become
-    Fractions only at the end."""
-    seen = {"times": set(), "draw_sum": set(), "pick_sum": set()}
+    """At a rational point every truncated product of the pattern kernel,
+    every draw-sum weight and term, and every split sum of the attachment
+    walk is an int, and on a realisation every pick-sum term of the finite-n
+    flip and attachment values is an int: the values become Fractions only
+    at the end."""
+    seen = {"times": set(), "draw_sum": set(), "draw_term": set(), "split_sum": set(),
+            "pick_sum": set()}
     times, draw, pick = partite.CompiledPattern.times, perturbation.draw_sum, perturbation.pick_sum
 
     def spy_times(self, poly, factor):
         seen["times"].update(map(type, poly + factor))
         return times(self, poly, factor)
 
-    def spy_draw(k, weights, term):
+    def spy_draw(k, weights, term, group=None):
+        def seen_term(counts):
+            value = term(counts)
+            seen["draw_term"].add(type(value))
+            return value
         seen["draw_sum"].update(map(type, weights.values()))
-        return draw(k, weights, term)
+        total = draw(k, weights, seen_term, group)
+        if group is not None:
+            seen["split_sum"].update(map(type, total.values()))
+        return total
 
     def spy_pick(k, sizes, term):
         def seen_term(counts):
@@ -400,4 +430,5 @@ def test_rational_point_kernels_see_only_ints(monkeypatch):
         finite_flip_delta(spec, realised, 0, 2)
         for j in (0, 1, len(realised.v0)):
             finite_attach_lambda_vertex(spec, realised, {1: 1, 3: 1}, j)
-    assert seen == {"times": {int}, "draw_sum": {int}, "pick_sum": {int}}
+    assert seen == {"times": {int}, "draw_sum": {int}, "draw_term": {int}, "split_sum": {int},
+                    "pick_sum": {int}}
