@@ -4,8 +4,8 @@ Provides the one k-subset walk (``subset_codes``), canonical forms for
 n <= 8, one class lookup (``key_of_code``, a code-to-class map filled on
 demand, and ``class_key`` over it; it keys gamma tables by isomorphism
 class), isomorphism-class generation by canonical deletion, induced-subgraph
-counting, exact edit distance by bijection search, complete-partite
-detection, realised partite structures and the plain-text graph format.
+counting, exact edit distance by bijection search, complete-partite detection
+(by code, memoised: ``shape_of_code``), partite structures and a text format.
 """
 
 from __future__ import annotations
@@ -144,8 +144,7 @@ def subset_codes(g: Graph, k: int, through: Optional[int] = None) -> Iterator[in
             yield 0  # the empty subset
         return
     n, rows = g.n, g.rows
-    # bits[d][a]: the bit of the pair (a, d) in the row-major code of k vertices
-    bits = [[1 << a * (2 * k - a - 1) // 2 + d - a - 1 for a in range(d)] for d in range(k)]
+    bits = _pair_bits(k)
     codes = [0] * k  # codes[d]: the code of the first d vertices of prev
     prev: tuple[int, ...] = ()
     for prefix in itertools.combinations(range(n - 1), k - 1):
@@ -176,6 +175,34 @@ def subset_codes(g: Graph, k: int, through: Optional[int] = None) -> Iterator[in
                 if row >> v & 1:
                     code |= bit
             yield code
+
+
+@lru_cache(maxsize=None)
+def _pair_bits(k: int) -> tuple[tuple[int, ...], ...]:
+    """[d][a]: the bit of the pair (a, d) in the row-major code of k vertices."""
+    return tuple(tuple(1 << a * (2 * k - a - 1) // 2 + d - a - 1 for a in range(d))
+                 for d in range(k))
+
+
+def _permuted_codes(g: Graph) -> Iterator[int]:
+    """``g.subset_code(order)`` for every order of g's vertices, the prefix codes
+    redone only from the first position that changed, as in ``subset_codes``."""
+    n, rows, bits = g.n, g.rows, _pair_bits(g.n)
+    codes = [0] * (n + 1)  # codes[d]: the code of the first d vertices of prev
+    prev: tuple[int, ...] = ()
+    for order in itertools.permutations(range(n)):
+        same = 0
+        while same < len(prev) and prev[same] == order[same]:
+            same += 1
+        for d in range(same, n):
+            row = rows[order[d]]
+            code = codes[d]
+            for v, bit in zip(order, bits[d]):
+                if row >> v & 1:
+                    code |= bit
+            codes[d + 1] = code
+        prev = order
+        yield codes[n]
 
 
 def extension_codes(g: Graph, k: int) -> Callable[[int], Iterator[int]]:
@@ -299,6 +326,12 @@ def canonical_key(g: Graph) -> bytes:
     return bytes([n]) + best.to_bytes((total + 7) // 8 or 1, "big")
 
 
+def code_of_key(key: bytes) -> int:
+    """An upper-triangle code of the class ``key`` names: the key's code, column-major
+    with (0, 1) in the top bit, is the code of its form with the vertex order reversed."""
+    return int.from_bytes(key[1:], "big")
+
+
 def _invariant(g: Graph, v: int) -> tuple[int, int]:
     """(degree, sum of neighbour degrees) of v: an isomorphism invariant."""
     row = g.rows[v]
@@ -385,8 +418,8 @@ def key_of_code(k: int, code: int) -> bytes:
     if key is None:
         g = graph_from_code(k, code)
         key = canonical_key(g)
-        for order in itertools.permutations(range(k)) if k <= LOOKUP_MAX else [range(k)]:
-            codes[g.subset_code(order)] = key
+        for other in _permuted_codes(g) if k <= LOOKUP_MAX else [code]:
+            codes[other] = key
     return key
 
 
@@ -525,6 +558,12 @@ def complete_partite_shape_of(g: Graph) -> Optional[CompletePartiteShape]:
     """The shape of g iff g is complete partite."""
     parts = complete_partite_parts(g, (1 << g.n) - 1)
     return None if parts is None else CompletePartiteShape(p.bit_count() for p in parts)
+
+
+@lru_cache(maxsize=None)
+def shape_of_code(m: int, code: int) -> Optional[CompletePartiteShape]:
+    """``complete_partite_shape_of`` the m-vertex graph of ``code``, memoised."""
+    return complete_partite_shape_of(graph_from_code(m, code))
 
 
 class PartiteStructure:

@@ -1,25 +1,24 @@
-"""Objective specifications: a subset size k and an exact rational table
-gamma over isomorphism classes of k-vertex graphs, together with the lambda /
-Lambda averages they induce on finite graphs.
+"""Objective specifications: a subset size k and an exact rational isomorphism
+invariant gamma of k-vertex graphs, with the lambda / Lambda averages it
+induces on finite graphs.
 
-Objectives are built either from a raw table, from a single complete partite
-density p(K_{a_1,...,a_l}, .), or from a linear combination of complete
-partite densities (the symmetrisable family: coefficients of non-clique terms
-must be >= 0 for the monotone-symmetrisation guarantee, tracked as
-``eligible``).
+Objectives are built from a raw table over isomorphism classes, or from a
+linear combination of complete partite densities p(K_{a_1,...,a_l}, .),
+counted by complete partite shape without classes (the symmetrisable family:
+non-clique coefficients must be >= 0 for monotone symmetrisation, ``eligible``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .graphs import (CANON_MAX, CompletePartiteShape, Graph, canonical_key, class_key,
-                     class_keys, complete_partite_shape_of, extension_candidates,
-                     extension_codes, graph_from_code, iso_classes, key_of_code,
-                     subset_codes)
+                     class_keys, code_of_key, extension_candidates, extension_codes,
+                     graph_from_code, key_of_code, shape_of_code, subset_codes)
 from .polynomials import Rat, _frac
 
 
@@ -36,25 +35,24 @@ def partition_is_clique(a: Sequence[int]) -> bool:
 
 
 class ObjectiveSpec:
-    """gamma: canonical key of a k-vertex graph -> exact rational; scale:
-    the lcm of gamma's denominators, so gamma * scale is integral."""
+    """gamma: an exact rational isomorphism invariant of k-vertex graphs, by upper-triangle
+    code (the code table) or canonical key (``gamma``, which a combination fills key by key
+    on reads); scale: a common denominator of its values. Only a table spec keeps classes."""
 
     __slots__ = ("k", "gamma", "scale", "provenance", "eligible", "label", "_code_table",
                  "_partition_values")
 
-    def __init__(self, k: int, gamma: Mapping[bytes, Fraction],
-                 provenance: tuple, eligible: bool, label: str):
+    def __init__(self, k: int, gamma: Mapping[bytes, Fraction] | None, scale: int,
+                 scaled: Callable[[int], int], provenance: tuple, eligible: bool, label: str):
         if k < 3:
             raise ValueError("objective arity k must be >= 3")
         self.k = k
-        self.gamma = dict(gamma)
-        if set(self.gamma) != set(class_keys(k)):
-            raise ValueError("gamma must cover every isomorphism class on k vertices")
+        self.scale = scale
         self.provenance = provenance
         self.eligible = eligible
         self.label = label
-        self.scale = lcm(*(v.denominator for v in self.gamma.values()))
-        self._code_table = _CodeTable(k, self.gamma, self.scale)
+        self._code_table = _Filled(scaled)
+        self.gamma = _Filled(self._decoded_gamma) if gamma is None else gamma
         self._partition_values: dict[tuple[int, ...], Fraction] | None = None
 
     def __repr__(self) -> str:
@@ -69,12 +67,18 @@ class ObjectiveSpec:
         gamma = {class_key(g): _frac(v) for g, v in table.items()}
         if len(gamma) != len(table):
             raise ValueError("gamma table lists an isomorphism class twice")
-        return cls(k, gamma, ("table",), eligible=False, label=label)
+        if set(gamma) != set(class_keys(k)):
+            raise ValueError("gamma must cover every isomorphism class on k vertices")
+        scale = lcm(*(v.denominator for v in gamma.values()))
+        return cls(k, gamma, scale, lambda code: int(gamma[key_of_code(k, code)] * scale),
+                   ("table",), eligible=False, label=label)
 
     @classmethod
     def combination(cls, terms: Iterable[tuple[Rat, Sequence[int]]],
                     k: int | None = None, label: str | None = None) -> "ObjectiveSpec":
-        """Sum_F c_F * p(K_F, .) over complete partite F given as partitions."""
+        """Sum_F c_F * p(K_F, .) over complete partite F given as partitions:
+        gamma(G) is Sum_F c_F #(|F|-subsets of G inducing K_F) / C(k, |F|),
+        counted by complete partite shape, with scale lcm_F(den(c_F) C(k, |F|))."""
         tl = [(_frac(c), _norm_partition(a)) for c, a in terms]
         if not tl:
             raise ValueError("empty combination")
@@ -84,18 +88,17 @@ class ObjectiveSpec:
         if kk > CANON_MAX:
             raise ValueError(f"objective arity k = {kk} exceeds the {CANON_MAX}-vertex limit "
                              "of the isomorphism-class tables")
-        shapes = [(c, CompletePartiteShape(a)) for c, a in tl]
-        gamma = {}
-        for key, f in zip(class_keys(kk), iso_classes(kk)):
-            found: Counter = Counter()
-            for m in {s.n for _, s in shapes}:
-                for code, count in Counter(subset_codes(f, m)).items():
-                    found[complete_partite_shape_of(graph_from_code(m, code))] += count
-            gamma[key] = sum(c * Fraction(found[s], comb(kk, s.n)) for c, s in shapes)
+        scale = lcm(*(c.denominator * comb(kk, sum(a)) for c, a in tl))
+        weights: Counter = Counter()  # gamma * scale per copy of K_F, an int
+        for c, a in tl:
+            weights[CompletePartiteShape(a)] += int(c * scale / comb(kk, sum(a)))
+        sizes = tuple(sorted({sum(a) for _, a in tl}))
+        value_of = lru_cache(maxsize=None)(lambda sig: sum(weights[s] * n for s, n in sig))
         eligible = all(c >= 0 or partition_is_clique(a) for c, a in tl)
         if label is None:
             label = " + ".join(f"{c}*KP {','.join(map(str, a))}" for c, a in tl)
-        return cls(kk, gamma, ("combination", tuple(tl)), eligible, label)
+        return cls(kk, None, scale, lambda code: value_of(_shape_signature(kk, sizes, code)),
+                   ("combination", tuple(tl)), eligible, label)
 
     @classmethod
     def partite_density(cls, a: Sequence[int]) -> "ObjectiveSpec":
@@ -108,15 +111,22 @@ class ObjectiveSpec:
     def gamma_of(self, g: Graph) -> Fraction:
         if g.n != self.k:
             raise ValueError("gamma defined on k-vertex graphs only")
-        return self.gamma[class_key(g)]
+        return Fraction(self._code_table[g.subset_code(range(self.k))], self.scale)
+
+    def _decoded_gamma(self, key: bytes) -> Fraction:
+        """gamma at a canonical key, decoded to a code (``code_of_key``), not labelled."""
+        k, code = self.k, code_of_key(key)
+        if key[:1] != bytes([k]) or len(key) != 1 + (comb(k, 2) + 7) // 8 or code >> comb(k, 2):
+            raise KeyError(key)
+        return Fraction(self._code_table[code], self.scale)
 
     def code_table(self) -> dict[int, int]:
         """gamma * scale by raw upper-triangle code of a k-vertex graph, as ints,
         filled on first read.
 
-        scale is the lcm of gamma's denominators, so every sum of gamma over
-        subsets or draws is an integer sum over this table; its reader makes
-        the one Fraction of its result by dividing by scale once.
+        gamma * scale is integral, so every sum of gamma over subsets or draws
+        is an integer sum over this table; its reader makes the one Fraction
+        of its result by dividing by scale once.
         """
         return self._code_table
 
@@ -146,16 +156,26 @@ class ObjectiveSpec:
                 for a, v in self.partition_values().items() if v}
 
 
-class _CodeTable(dict):
-    """gamma * scale by upper-triangle code, each code filled on its first read."""
+class _Filled(dict):
+    """A dict that fills each key from a function of it on the key's first read."""
 
-    def __init__(self, k: int, gamma: Mapping[bytes, Fraction], scale: int):
-        self.k, self.gamma, self.scale = k, gamma, scale
+    def __init__(self, fill: Callable):
+        self.fill = fill
 
-    def __missing__(self, code: int) -> int:
-        v = self.gamma[key_of_code(self.k, code)]
-        value = self[code] = v.numerator * (self.scale // v.denominator)
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
         return value
+
+
+@lru_cache(maxsize=None)
+def _shape_signature(k: int, sizes: tuple[int, ...], code: int) -> tuple:
+    """(shape, count) of each complete partite shape among the subsets, of a
+    size in ``sizes``, of the k-vertex graph with upper-triangle code ``code``."""
+    g = graph_from_code(k, code) if sizes[0] < k else None
+    found = Counter(shape_of_code(m, c) for m in sizes
+                    for c in (subset_codes(g, m) if m < k else (code,)))
+    found.pop(None, None)
+    return tuple(found.items())
 
 
 def partitions_of(n: int, max_parts: int | None = None) -> list[tuple[int, ...]]:
@@ -227,8 +247,8 @@ def brute_lambda_max(spec: ObjectiveSpec, n: int) -> tuple[Fraction, list[Graph]
     scanned ``iso_classes(7)``, whose labelling of all 2,106 candidates took
     most of that (fresh processes, 2-vCPU VM). The worst case is a constant
     gamma: every candidate is a maximiser and is labelled, as many graphs as
-    building ``iso_classes(7)`` labels. From k = 6 the first read of each
-    distinct k-vertex code also costs a label (``key_of_code``).
+    building ``iso_classes(7)`` labels. A table spec with k >= 6 also labels
+    each distinct k-vertex code on its first read (``key_of_code``).
     """
     if n > 7:
         raise ValueError("brute force limited to n <= 7")

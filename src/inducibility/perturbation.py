@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional
 
-from .graphs import Graph, PartiteStructure
+from .graphs import Graph, PartiteStructure, class_keys
 from .objectives import ObjectiveSpec, lambda_graph
 from .partite import PartiteVector, draw_sum, lambda_gradient, pick_sum, realise
 from .polynomials import Rat, UPoly, _frac
@@ -338,8 +338,8 @@ def compare_bounds(spec: ObjectiveSpec, h: Graph, x: PartiteVector, c: Rat) -> C
 
     H' is the complete partite realisation of x on h.n vertices, and T the
     edge symmetric difference between H and H'; the xi quantities are the
-    stated functions of |T|, its max degree, c and gamma_max = max |gamma|,
-    and the report records which hypotheses and conclusions hold.
+    stated functions of |T|, its max degree, c and gamma_max = max |gamma|
+    over all classes, and the report records which hypotheses and conclusions hold.
     Diagnostic only; never feeds certification.
     """
     c = _frac(c)
@@ -356,7 +356,7 @@ def compare_bounds(spec: ObjectiveSpec, h: Graph, x: PartiteVector, c: Rat) -> C
         deg[u] = deg.get(u, 0) + 1
         deg[v] = deg.get(v, 0) + 1
     max_deg = max(deg.values(), default=0)
-    gm = max(abs(v) for v in spec.gamma.values())
+    gm = max(abs(spec.gamma[key]) for key in class_keys(k))
     bounds = DiagnosticBounds(
         xi0=Fraction(k**2 * t) * c / n**2,
         xi1=2 * gm * Fraction(k**4 * t**2) / n**4,

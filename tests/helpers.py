@@ -4,10 +4,14 @@ the program itself does not need, and the negative strictness fixture."""
 import operator
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
+from math import comb
 
-from inducibility.graphs import Graph, PartiteStructure, iso_classes
+from inducibility.graphs import (CompletePartiteShape, Graph, PartiteStructure, class_keys,
+                                 complete_partite_shape_of, graph_from_code, iso_classes,
+                                 subset_codes)
 from inducibility.objectives import ObjectiveSpec, partitions_of
 from inducibility.optsearch import _FloatPlan
 from inducibility.partite import PartiteVector, lambda_free
@@ -66,6 +70,24 @@ def count_calls(monkeypatch, name: str) -> list:
                 and getattr(module, name, None) is original):
             monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def reference_gamma(terms, f: Graph) -> Fraction:
+    """gamma(f) of Sum_F c_F p(K_F, .), as the class-walk builder of
+    ``ObjectiveSpec.combination`` counted it per class representative: the
+    shapes of f's |F|-subsets tallied, then a Fraction sum over the terms."""
+    shapes = [(Fraction(c), CompletePartiteShape(a)) for c, a in terms]
+    found: Counter = Counter()
+    for m in {s.n for _, s in shapes}:
+        for code, count in Counter(subset_codes(f, m)).items():
+            found[complete_partite_shape_of(graph_from_code(m, code))] += count
+    return sum((c * Fraction(found[s], comb(f.n, s.n)) for c, s in shapes), Fraction(0))
+
+
+def reference_combination(terms, k: int) -> dict[bytes, Fraction]:
+    """The class-walk builder: ``reference_gamma`` on every class of k vertices,
+    by canonical key."""
+    return {key: reference_gamma(terms, f) for key, f in zip(class_keys(k), iso_classes(k))}
 
 
 def partial_derivative_fd(spec: ObjectiveSpec, x: PartiteVector, i: int,

@@ -7,7 +7,7 @@ import pytest
 
 from inducibility import graphs
 from inducibility.graphs import (CompletePartiteShape, Graph, PartiteStructure,
-                                 canonical_key, class_key, class_keys,
+                                 canonical_key, class_key, class_keys, code_of_key,
                                  complete_partite_shape_of, edit_distance_exact,
                                  graph_from_code, induced_count, iso_classes, key_of_code,
                                  parse_graph_text, write_graph_text)
@@ -199,6 +199,31 @@ def test_class_key_matches_canonical_key(k):
         g = graph_from_code(k, code)
         assert class_key(g) == key_of_code(k, code) == canonical_key(g)
     assert class_keys(k) == tuple(canonical_key(g) for g in iso_classes(k))
+
+
+@pytest.mark.parametrize("k", [3, 4, 5])
+def test_key_of_code_files_every_permutation(k, monkeypatch):
+    """One read per class files it under the codes of all k! vertex orders,
+    built with shared prefixes; the filled map equals the map of one
+    subset_code per order, and covers every code."""
+    monkeypatch.setattr(graphs, "_KEY_OF_CODE", {})
+    want = {}
+    for key, f in zip(class_keys(k), iso_classes(k)):
+        assert key_of_code(k, f.subset_code(range(k))) == key
+        want.update((f.subset_code(order), key) for order in itertools.permutations(range(k)))
+    assert graphs._KEY_OF_CODE[k] == want
+    assert len(want) == 1 << k * (k - 1) // 2
+
+
+def test_code_of_key_decodes_the_class():
+    """The code decoded from a canonical key is one of its class: every class
+    for k <= 7, a seeded sample of codes for k = 8."""
+    for k in range(1, 8):
+        for key in class_keys(k):
+            assert canonical_key(graph_from_code(k, code_of_key(key))) == key
+    for code in random.Random(8).sample(range(1 << 28), 100):
+        key = canonical_key(graph_from_code(8, code))
+        assert canonical_key(graph_from_code(8, code_of_key(key))) == key
 
 
 @pytest.mark.parametrize("k", [-1, 9])

@@ -2,18 +2,21 @@ import functools
 import itertools
 import random
 from fractions import Fraction as F
-from math import comb
+from math import comb, lcm
 
 import pytest
 
 from inducibility import graphs, objectives
-from inducibility.graphs import (Graph, canonical_key, complete_partite_shape_of, graph_from_code,
-                                 iso_classes)
+from inducibility.graphs import (Graph, canonical_key, class_keys, complete_partite_shape_of,
+                                 graph_from_code, iso_classes)
 from inducibility.objectives import (ObjectiveSpec, big_lambda, big_lambda_vertex,
                                      brute_lambda_max, lambda_graph, lambda_vertex,
                                      partitions_of)
+from inducibility.partite import PartiteVector, lambda_of_vector
+from inducibility.perturbation import AttachmentPattern, attach_value, flip_gradient
+from inducibility.strictness import strictness_certificate
 
-from helpers import flip, integer_route_specs
+from helpers import flip, integer_route_specs, reference_combination, reference_gamma
 
 
 def test_partitions_of():
@@ -23,8 +26,11 @@ def test_partitions_of():
 
 
 def test_gamma_table_covers_all_classes(spec_c4):
-    assert len(spec_c4.gamma) == len(iso_classes(4))
-    assert max(abs(v) for v in spec_c4.gamma.values()) == 1
+    """gamma answers at every class key (a combination spec fills its gamma
+    key by key, so it is read at each one)."""
+    values = [spec_c4.gamma[key] for key in class_keys(4)]
+    assert len(values) == 11  # the classes on 4 vertices
+    assert max(abs(v) for v in values) == 1
     assert spec_c4.eligible
 
 
@@ -42,8 +48,8 @@ def test_gamma_expansion_matches_definition():
 @pytest.mark.parametrize("name", ["spec_k12", "spec_c4", "spec_k2111", "spec_k33", "spec_k43",
                                   "signed SUM"])
 def test_code_table_matches_gamma(name, request):
-    """The code table holds gamma * scale as ints, scale the lcm of gamma's
-    denominators."""
+    """The code table holds gamma * scale as ints; a combination's scale is
+    lcm_F(den(c_F) * C(k, |F|)), 12 for the signed SUM."""
     if name == "signed SUM":
         spec = ObjectiveSpec.combination([(F(3, 4), [2, 1, 1]), (F(-5, 6), [1, 1, 1, 1])])
         assert spec.scale == 12
@@ -71,6 +77,90 @@ def test_structural_gamma_matches_induced_count(a):
     for spec in specs:
         for f in iso_classes(spec.k):
             assert spec.gamma_of(f) == F(induced_count(pattern, f), comb(spec.k, sum(a)))
+
+
+COMBINATION_CASES = [([(1, a)], max(3, sum(a))) for m in range(1, 8) for a in partitions_of(m)] + [
+    ([(F(3, 4), [2, 1, 1]), (F(-5, 6), [1, 1, 1, 1]), (F(1, 3), [2, 2])], 4),
+    ([(F(2), [2, 1]), (F(-1, 3), [1, 1, 1])], 4),
+    ([(F(-2, 5), [3, 2]), (F(1, 7), [1, 1]), (F(3), [2, 1, 1])], 5),
+    ([(F(1), [3, 3]), (F(-1, 2), [2, 2]), (F(5, 3), [1, 1, 1])], 6),
+    ([(F(1), [4, 3]), (F(-3, 4), [2, 2, 1]), (F(2, 9), [1, 1, 1, 1])], 7),
+    ([(F(1), [4, 4]), (F(-2, 3), [3, 3]), (F(1, 5), [2, 1]), (F(-1), [1] * 8)], 8),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _key_by_code(k):
+    """The canonical key of every code on k vertices, filed per class under
+    the subset_code of each vertex order."""
+    return {f.subset_code(order): key for key, f in zip(class_keys(k), iso_classes(k))
+            for order in itertools.permutations(range(k))}
+
+
+@pytest.mark.parametrize("terms, k", COMBINATION_CASES,
+                         ids=lambda c: str(c) if isinstance(c, int) else " + ".join(
+                             f"{t[0]}*KP {','.join(map(str, t[1]))}" for t in c))
+def test_combination_equals_class_walk_reference(terms, k):
+    """Every partition of at most 7 vertices and signed SUMs with terms
+    smaller than k: gamma on every class (k <= 7), the code table (every code
+    for k <= 6, a seeded sample for k = 7 and 8) and partition_values equal
+    the class-walk reference, and gamma * scale is integral."""
+    spec = ObjectiveSpec.combination(terms, k=k)
+    assert spec.scale == lcm(*(F(c).denominator * comb(k, sum(a)) for c, a in terms))
+    table = spec.code_table()
+    if k <= 7:
+        want = reference_combination(terms, k)
+        assert {key: spec.gamma[key] for key in class_keys(k)} == want
+        assert all((v * spec.scale).denominator == 1 for v in want.values())
+    if k <= 6:
+        codes = _key_by_code(k)
+        assert len(codes) == 1 << comb(k, 2)
+        assert all(table[code] == want[key] * spec.scale for code, key in codes.items())
+    else:
+        for code in random.Random(k).sample(range(1 << comb(k, 2)), 100):
+            assert table[code] == reference_gamma(terms, graph_from_code(k, code)) * spec.scale
+    assert all(type(v) is int for v in table.values())
+    assert spec.partition_values() == {a: reference_gamma(terms, Graph.complete_partite(a))
+                                       for a in partitions_of(k)}
+
+
+def test_combination_labels_nothing(monkeypatch):
+    """Building a combination spec and reading it in the limit (lambda, a
+    flip gradient, an attachment value, strictness) and on a finite graph
+    runs no canonical search. The class tables and the code-to-class map
+    start empty, so no memo filled earlier in the process hides a label."""
+    monkeypatch.setattr(graphs, "_classes",
+                        functools.lru_cache(maxsize=None)(graphs._classes.__wrapped__))
+    monkeypatch.setattr(graphs, "_KEY_OF_CODE", {})
+    calls = []
+    label = graphs.canonical_key
+
+    def counting(g):
+        calls.append(g)
+        return label(g)
+
+    monkeypatch.setattr(graphs, "canonical_key", counting)
+    monkeypatch.setattr(objectives, "canonical_key", counting)
+    x = PartiteVector([F(2, 5), F(1, 3)])  # with clique mass 4/15
+    g = graph_from_code(9, random.Random(6).randrange(1 << 36))
+    for spec in (ObjectiveSpec.partite_density([3, 1, 1]),
+                 ObjectiveSpec.combination([(1, [2, 2, 1]), (F(-1, 2), [2, 1]), (3, [1] * 5)]),
+                 ObjectiveSpec.partite_density([3, 3])):
+        lambda_of_vector(spec, x)
+        flip_gradient(spec, x, 1, 2)
+        attach_value(spec, x, AttachmentPattern({1: 1}, F(1, 3)))
+        strictness_certificate(spec, [x, PartiteVector([F(1, 2), F(1, 2)])])
+        lambda_graph(spec, g)
+    assert calls == []
+
+
+def test_decoded_gamma_rejects_other_keys(spec_c4):
+    """gamma of a combination takes only keys of k-vertex graphs."""
+    key = canonical_key(Graph.complete_partite([2, 2]))
+    assert spec_c4.gamma[key] == 1
+    for bad in (canonical_key(Graph.complete_partite([3, 2])), key + b"\0", bytes([4, 0x40])):
+        with pytest.raises(KeyError):
+            spec_c4.gamma[bad]
 
 
 def test_eligibility_flag():
@@ -151,7 +241,7 @@ def test_lambda_flip_lipschitz(spec_c4):
     """|lambda(G) - lambda(G+xy)| <= 2 C(k,2) gamma_max / C(n,2)."""
     rng = random.Random(12)
     k = spec_c4.k
-    bound = F(2 * comb(k, 2), comb(7, 2)) * max(abs(v) for v in spec_c4.gamma.values())
+    bound = F(2 * comb(k, 2), comb(7, 2)) * max(abs(spec_c4.gamma[key]) for key in class_keys(k))
     for _ in range(15):
         g = graph_from_code(7, rng.randrange(1 << 21))
         x, y = rng.sample(range(7), 2)
@@ -250,7 +340,7 @@ def test_brute_lambda_max_labels_only_maximisers(monkeypatch):
 def test_from_table_round_trip(spec_c4):
     table = {g: spec_c4.gamma_of(g) for g in iso_classes(4)}
     spec2 = ObjectiveSpec.from_table(4, table, label="copy")
-    assert spec2.gamma == spec_c4.gamma
+    assert spec2.gamma == {key: spec_c4.gamma[key] for key in class_keys(4)}
     with pytest.raises(ValueError):
         ObjectiveSpec.from_table(4, {Graph.empty(4): F(1)})
     relabelled = Graph.from_edges(4, [(2, 3)])  # the one-edge class again

@@ -240,6 +240,20 @@ def test_compare_bounds_star(spec_c4):
     assert rep.concl_star is True
 
 
+def test_compare_bounds_gamma_max_on_a_fresh_spec():
+    """gamma_max is max |gamma| over every class of k vertices, whatever keys
+    of gamma were read before: here on a spec built in the test, whose gamma
+    nothing has read. |gamma| peaks at 3 on K_4, which no 8-vertex graph of
+    the instance contains."""
+    spec = ObjectiveSpec.combination([(F(1), [2, 2]), (F(-3), [1, 1, 1, 1])])
+    assert not spec.gamma  # a combination's gamma is filled key by key
+    h = flip(realise(8, HALF).graph(), 0, 4)
+    rep = compare_bounds(spec, h, HALF, F(1, 10))
+    assert rep.bounds.wrong_pairs == 1
+    assert rep.bounds.xi1 == 2 * 3 * F(4**4, 8**4)
+    assert rep.bounds.xi2 == 2 * 3 * F(4**3, 8**3)
+
+
 def _ordered_attach(spec, x, b, alpha):
     """lambda(x, (b, alpha)) by ordered-tuple enumeration over a split-clique
     alphabet: part indices with weights x_i, and the clique split into a
