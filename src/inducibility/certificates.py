@@ -18,10 +18,8 @@ from importlib import resources
 from math import comb, factorial, gcd
 from typing import Optional
 
-from .intervals import bb_max_bound
-from .matrices import psd_check
-from .objectives import ObjectiveSpec
-from .optsearch import kst_maximiser
+from . import intervals, matrices, optsearch
+from .objectives import ObjectiveSpec, partitions_of
 from .partite import (PartiteVector, density_formula, density_polynomial,
                       elementary_symmetric, lambda_of_vector, sampling_density,
                       SymmetricIndex, _multinomial)
@@ -239,7 +237,7 @@ def certify_kst(s: int, t: int) -> CertificateReport:
     rep = CertificateReport(f"kst({s},{t})")
     k = s + t
     m = t - s
-    res = kst_maximiser(s, t)
+    res = optsearch.kst_maximiser(s, t)
     h = res.root_poly
     rep.add("profile_poly_root_at_1", h(Fraction(1)) == 0, "h(1) = 0")
 
@@ -422,7 +420,6 @@ def certify_krt(r: int, t: int) -> CertificateReport:
 
     # uniqueness on the denominator-3r grid
     D = 3 * r
-    from .objectives import partitions_of
     ok_grid = True
     worst = None
     for used in range(k, D + 1):
@@ -563,7 +560,7 @@ def certify_k2111() -> CertificateReport:
         rep.add(f"endpoints_below_l{ell}",
                 k_ell < lam0 and h_ell.evaluate({"y": Fraction(1)}) == 0,
                 f"h_{ell}(0) = {k_ell}, h_{ell}(1) = 0")
-        bb = bb_max_bound(h_ell, {"y": (Fraction(0), Fraction(1))}, Fraction(1, 10**6))
+        bb = intervals.bb_max_bound(h_ell, {"y": (Fraction(0), Fraction(1))}, Fraction(1, 10**6))
         rep.inconclusive |= not bb.conclusive
         rep.add(f"interval_bound_l{ell}", bb.conclusive and bb.upper < lam0,
                 f"certified max < {lam0}")
@@ -644,8 +641,9 @@ def certify_k311() -> CertificateReport:
     rep.add("tail_term_value", g(Fraction(1, 5)) == Fraction(151, 375000))
     psi = (s_var**5 * Fraction(1, 120) + s_var**4 * (1 - s_var) * Fraction(1, 24)
            + s_var**3 * y * (1 - s_var - y) * Fraction(1, 6))
-    bb1 = bb_max_bound(psi, {"s": (Fraction(0), Fraction(1, 5)), "y": (Fraction(0), Fraction(1))},
-                       tol, constraints=[y - (1 - s_var)])
+    bb1 = intervals.bb_max_bound(
+        psi, {"s": (Fraction(0), Fraction(1, 5)), "y": (Fraction(0), Fraction(1))},
+        tol, constraints=[y - (1 - s_var)])
     rep.inconclusive |= not bb1.conclusive
     rep.add("tail_term_interval_bound", bb1.conclusive and bb1.upper <= Fraction(151, 375000) + tol,
             f"certified max <= 151/375000 + {tol}")
@@ -664,7 +662,7 @@ def certify_k311() -> CertificateReport:
             min(Fraction(3, 5), Fraction(9, 25)) > Fraction(1, 5)
             and t_poly(Fraction(9, 25)) >= 0)
     rep.add("pair_term_value", r_poly.evaluate({"s": Fraction(1, 5)}) == Fraction(160, 375000))
-    bb2 = bb_max_bound(r_poly, {"s": (Fraction(0), Fraction(1, 5))}, tol)
+    bb2 = intervals.bb_max_bound(r_poly, {"s": (Fraction(0), Fraction(1, 5))}, tol)
     rep.inconclusive |= not bb2.conclusive
     rep.add("pair_term_interval_bound", bb2.conclusive and bb2.upper <= Fraction(160, 375000) + tol)
 
@@ -679,7 +677,8 @@ def certify_k311() -> CertificateReport:
     phi = srise * balanced * Fraction(1, 6)
     rep.add("split_term_value",
             phi.evaluate({"s": Fraction(1, 5), "u": Fraction(1, 2)}) == Fraction(640, 375000))
-    bb3 = bb_max_bound(phi, {"s": (Fraction(0), Fraction(1, 5)), "u": (Fraction(0), Fraction(1))}, tol)
+    bb3 = intervals.bb_max_bound(
+        phi, {"s": (Fraction(0), Fraction(1, 5)), "u": (Fraction(0), Fraction(1))}, tol)
     rep.inconclusive |= not bb3.conclusive
     rep.add("split_term_interval_bound", bb3.conclusive and bb3.upper <= Fraction(640, 375000) + tol)
     total = Fraction(120) * Fraction(151 + 160 + 640, 375000)
@@ -688,7 +687,7 @@ def certify_k311() -> CertificateReport:
     # (2a) sum-of-squares route
     grams = data["gram_matrices"]
     for name in _K311_GRAMS:
-        rep.add(f"psd_{name}", psd_check(grams[name]))
+        rep.add(f"psd_{name}", matrices.psd_check(grams[name]))
     basis = [MPoly.const(1), y, z, y**2, y * z, z**2]
     sos = {}
     for name, mat in grams.items():
@@ -729,8 +728,8 @@ def certify_k311() -> CertificateReport:
     rep.add("boundary_diag_negative",
             hyy.count_roots(0, 1) == 0 and hyy(Fraction(0)) < 0)
     cap = Fraction(3, 5) - Fraction(1, 1000)
-    bb4 = bb_max_bound(h, {"y": (Fraction(0), cap), "z": (Fraction(0), cap)},
-                       tol, constraints=[z - y, y + z - 1])
+    bb4 = intervals.bb_max_bound(h, {"y": (Fraction(0), cap), "z": (Fraction(0), cap)},
+                                 tol, constraints=[z - y, y + z - 1])
     rep.inconclusive |= not bb4.conclusive
     rep.add("h_negative_interval_bound", bb4.conclusive and bb4.upper < 0,
             "certified max < 0 on the y <= 3/5 - 1e-3 region")

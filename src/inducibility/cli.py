@@ -20,16 +20,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .graphs import (CANON_MAX, Graph, complete_partite_shape_of, edit_distance_exact,
-                     parse_graph_text, write_graph_text)
-from .objectives import ObjectiveSpec, lambda_graph, brute_lambda_max
-from .partite import PartiteVector, edit_distance_vectors, lambda_of_vector
-from .polynomials import parse_rational
-from .perturbation import AttachmentPattern, clone_residual, clone_values, vertex_gradient
-from .symmetrise import SymmetrisationError, symmetrise_full, symmetrise_vertex
-from .strictness import check_str1, strictness_certificate
-from .optsearch import continuous_opt, finite_opt
-from .certificates import certify_k2111, certify_k311, certify_krt, certify_kst
+from . import (certificates, graphs, objectives, optsearch, partite, perturbation,
+               polynomials, strictness, symmetrise)
 
 SCHEMA_ID = "inducibility.report/1"
 
@@ -37,6 +29,8 @@ EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_USAGE = 3
+
+MAX_STARTS = 10_000  # opt --starts: 50 times the default 200, so a run stays bounded
 
 
 class UsageError(Exception):
@@ -47,13 +41,13 @@ class UsageError(Exception):
 # Input parsing
 # ---------------------------------------------------------------------------
 
-def parse_objective(text: str) -> ObjectiveSpec:
+def parse_objective(text: str) -> objectives.ObjectiveSpec:
     """Mini-language: "KP a1,a2,..." | "SUM c1*KP ... + c2*KP ..." | @table.json"""
     text = text.strip()
     if text.startswith("@"):
         return _objective_from_table_file(Path(text[1:]))
     if text.upper().startswith("KP"):
-        return ObjectiveSpec.partite_density(_parse_partition(text[2:]))
+        return objectives.ObjectiveSpec.partite_density(_parse_partition(text[2:]))
     if text.upper().startswith("SUM"):
         if not text[3:].strip():
             raise UsageError("empty SUM objective")
@@ -69,11 +63,11 @@ def parse_objective(text: str) -> ObjectiveSpec:
             if not kp.upper().startswith("KP"):
                 raise UsageError(f"bad SUM term {chunk!r}: expected c*KP a,b,...")
             try:
-                coeff = parse_rational(coeff_txt.strip())
+                coeff = polynomials.parse_rational(coeff_txt.strip())
             except ValueError as e:
                 raise UsageError(f"bad SUM coefficient: {e}") from e
             terms.append((coeff, _parse_partition(kp[2:])))
-        return ObjectiveSpec.combination(terms)
+        return objectives.ObjectiveSpec.combination(terms)
     raise UsageError(f"cannot parse objective {text!r}")
 
 
@@ -88,14 +82,14 @@ def _parse_partition(text: str) -> list[int]:
     return parts
 
 
-def _objective_from_table_file(path: Path) -> ObjectiveSpec:
+def _objective_from_table_file(path: Path) -> objectives.ObjectiveSpec:
     """{"k": int, "values": [{"n": int (default k), "edges": [[u, v], ...],
     "value": rational string or integer}, ...]}, one entry per class."""
     obj = json.loads(path.read_text())
-    if not (isinstance(obj, dict) and _is_int(obj.get("k")) and 3 <= obj["k"] <= CANON_MAX
+    if not (isinstance(obj, dict) and _is_int(obj.get("k")) and 3 <= obj["k"] <= graphs.CANON_MAX
             and isinstance(obj.get("values"), list)):
         raise UsageError(f"gamma table {path.name}: expected an object with an integer 'k' "
-                         f"from 3 to {CANON_MAX} and a 'values' list")
+                         f"from 3 to {graphs.CANON_MAX} and a 'values' list")
     k = obj["k"]
     table = {}
     for i, entry in enumerate(obj["values"]):
@@ -106,28 +100,28 @@ def _objective_from_table_file(path: Path) -> ObjectiveSpec:
                         for e in entry["edges"])):
             raise UsageError(f"{where}: expected 'n' = k = {k} and 'edges' as [u, v] pairs")
         try:
-            value = parse_rational(entry.get("value"))
+            value = polynomials.parse_rational(entry.get("value"))
         except ValueError as e:
             raise UsageError(f"{where}: 'value' {e}") from e
-        g = Graph.from_edges(k, [tuple(e) for e in entry["edges"]])
+        g = graphs.Graph.from_edges(k, [tuple(e) for e in entry["edges"]])
         if g in table:
             raise UsageError(f"{where}: repeats the graph of an earlier entry")
         table[g] = value
-    return ObjectiveSpec.from_table(k, table, label=f"@{path.name}")
+    return objectives.ObjectiveSpec.from_table(k, table, label=f"@{path.name}")
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
-def parse_vector(text: str) -> PartiteVector:
+def parse_vector(text: str) -> partite.PartiteVector:
     text = text.strip()
     if text.startswith("@"):
         text = Path(text[1:]).read_text()
-    return PartiteVector.from_json(text)
+    return partite.PartiteVector.from_json(text)
 
 
-def _parse_pattern(text: str) -> AttachmentPattern:
+def _parse_pattern(text: str) -> perturbation.AttachmentPattern:
     """{"b": {"<part index>": 0 or 1, ...}, "alpha": rational string (default "1")}."""
     obj = json.loads(text)
     b = obj.get("b") if isinstance(obj, dict) else None
@@ -136,16 +130,16 @@ def _parse_pattern(text: str) -> AttachmentPattern:
         raise UsageError('pattern JSON: expected an object whose "b" maps integer '
                          'strings to 0 or 1')
     try:
-        alpha = parse_rational(obj.get("alpha", "1"))
+        alpha = polynomials.parse_rational(obj.get("alpha", "1"))
     except ValueError as e:
         raise UsageError(f"pattern JSON: 'alpha' {e}") from e
-    return AttachmentPattern({int(k): v for k, v in b.items()}, alpha)
+    return perturbation.AttachmentPattern({int(k): v for k, v in b.items()}, alpha)
 
 
-def read_graph(path: str) -> Graph:
+def read_graph(path: str) -> graphs.Graph:
     if path == "-":
-        return parse_graph_text(sys.stdin.read())
-    return parse_graph_text(Path(path).read_text())
+        return graphs.parse_graph_text(sys.stdin.read())
+    return graphs.parse_graph_text(Path(path).read_text())
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +205,11 @@ def cmd_density(args) -> int:
     spec = parse_objective(args.objective)
     if args.vector:
         x = parse_vector(args.vector)
-        lam = lambda_of_vector(spec, x)
+        lam = partite.lambda_of_vector(spec, x)
         result = {"lambda": str(lam), "vector": x.to_jsonable()}
     elif args.graph:
         g = read_graph(args.graph)
-        lam = lambda_graph(spec, g)
+        lam = objectives.lambda_graph(spec, g)
         result = {"lambda": str(lam), "n": g.n}
     else:
         raise UsageError("density needs --vector or --graph")
@@ -228,10 +222,10 @@ def cmd_symmetrise(args) -> int:
     g = read_graph(args.graph)
     try:
         if args.vertex is not None:
-            trace = symmetrise_vertex(spec, g, args.vertex)
+            trace = symmetrise.symmetrise_vertex(spec, g, args.vertex)
         else:
-            trace = symmetrise_full(spec, g)
-    except SymmetrisationError as e:
+            trace = symmetrise.symmetrise_full(spec, g)
+    except symmetrise.SymmetrisationError as e:
         emit(make_report("symmetrise", "fail", {"error": str(e)}, spec.label),
              args, f"fail: {e}")
         return EXIT_FAIL
@@ -240,14 +234,14 @@ def cmd_symmetrise(args) -> int:
     if trace.steps:
         lam_initial, lam_final = trace.steps[0].lam_before, trace.steps[-1].lam_after
     else:
-        lam_initial = lam_final = lambda_graph(spec, g)
+        lam_initial = lam_final = objectives.lambda_graph(spec, g)
     result = {
         "steps": len(trace.steps),
         "monotone": trace.monotone,
         "final_part_sizes": trace.final_shape.part_sizes if trace.final_shape else None,
         "lambda_initial": str(lam_initial),
         "lambda_final": str(lam_final),
-        "final_graph": write_graph_text(trace.final_graph),
+        "final_graph": graphs.write_graph_text(trace.final_graph),
     }
     emit(make_report("symmetrise", "pass", result, spec.label), args,
          f"pass: {len(trace.steps)} steps, final parts {result['final_part_sizes']}")
@@ -257,13 +251,13 @@ def cmd_symmetrise(args) -> int:
 def cmd_gradients(args) -> int:
     spec = parse_objective(args.objective)
     x = parse_vector(args.vector)
-    flips = {f"{i1},{i2}": str(v) for (i1, i2), v in check_str1(spec, x)[1].items()}
-    clone = clone_values(spec, x)
-    res = clone_residual(x, clone)
+    flips = {f"{i1},{i2}": str(v) for (i1, i2), v in strictness.check_str1(spec, x)[1].items()}
+    clone = perturbation.clone_values(spec, x)
+    res = perturbation.clone_residual(x, clone)
     clones = {str(i): str(v) for i, v in clone.items()}
     extras = {}
     for pat in args.pattern or []:
-        vg = vertex_gradient(spec, x, _parse_pattern(pat))
+        vg = perturbation.vertex_gradient(spec, x, _parse_pattern(pat))
         extras[pat] = {"value": str(vg.value),
                        "alpha_poly": [str(c) for c in vg.poly.coeffs]}
     result = {"flip_gradients": flips, "clone_values": clones,
@@ -277,7 +271,7 @@ def cmd_gradients(args) -> int:
 def cmd_strictness(args) -> int:
     spec = parse_objective(args.objective)
     candidates = [parse_vector(v) for v in args.vector]
-    report = strictness_certificate(spec, candidates)
+    report = strictness.strictness_certificate(spec, candidates)
     verdict = "pass" if report.passed else "fail"
     emit(make_report("strictness", verdict, report.to_jsonable(), spec.label), args,
          f"{verdict}: c = {report.c}")
@@ -289,7 +283,7 @@ def cmd_opt(args) -> int:
     if args.mode == "finite":
         if args.n is None:
             raise UsageError("finite mode needs --n")
-        val, shapes = finite_opt(spec, args.n)
+        val, shapes = optsearch.finite_opt(spec, args.n)
         result = {"n": args.n, "lambda_n": str(val),
                   "shapes": [s.part_sizes for s in shapes]}
         emit(make_report("opt", "value", result, spec.label), args,
@@ -297,11 +291,11 @@ def cmd_opt(args) -> int:
         return EXIT_PASS
     if not 1 <= args.max_support <= 10:
         raise UsageError("--max-support must be from 1 to 10")
-    if args.starts < 0:
-        raise UsageError("--starts must be non-negative")
+    if not 0 <= args.starts <= MAX_STARTS:
+        raise UsageError(f"--starts must be from 0 to {MAX_STARTS}")
     extra = [parse_vector(v) for v in (args.seeds or [])]
-    cs = continuous_opt(spec, args.max_support, starts=args.starts, seed=args.seed,
-                        extra_seeds=extra)
+    cs = optsearch.continuous_opt(spec, args.max_support, starts=args.starts, seed=args.seed,
+                                  extra_seeds=extra)
     result = cs.to_jsonable()
     if args.seeds:
         result["provenance"]["extra_seeds"] = args.seeds
@@ -316,15 +310,15 @@ def cmd_certify(args) -> int:
     if args.kind == "kst":
         if args.s is None or args.t is None:
             raise UsageError("certify kst needs --s and --t")
-        rep = certify_kst(args.s, args.t)
+        rep = certificates.certify_kst(args.s, args.t)
     elif args.kind == "krt":
         if args.r is None or args.t is None:
             raise UsageError("certify krt needs --r and --t")
-        rep = certify_krt(args.r, args.t)
+        rep = certificates.certify_krt(args.r, args.t)
     elif args.kind == "k2111":
-        rep = certify_k2111()
+        rep = certificates.certify_k2111()
     elif args.kind == "k311":
-        rep = certify_k311()
+        rep = certificates.certify_k311()
     else:
         raise UsageError(f"unknown certificate {args.kind!r}")
     result = rep.to_jsonable()
@@ -341,9 +335,9 @@ def cmd_certify(args) -> int:
 
 def cmd_oracle(args) -> int:
     spec = parse_objective(args.objective)
-    val_all, witnesses = brute_lambda_max(spec, args.n)
-    val_partite, shapes = finite_opt(spec, args.n)
-    partite_witness = any(complete_partite_shape_of(g) is not None for g in witnesses)
+    val_all, witnesses = objectives.brute_lambda_max(spec, args.n)
+    val_partite, shapes = optsearch.finite_opt(spec, args.n)
+    partite_witness = any(graphs.complete_partite_shape_of(g) is not None for g in witnesses)
     agree = val_all == val_partite
     ok = agree and (partite_witness or not spec.eligible)
     result = {
@@ -363,11 +357,11 @@ def cmd_oracle(args) -> int:
 def cmd_edit_distance(args) -> int:
     if args.vector and len(args.vector) == 2:
         x, y_ = parse_vector(args.vector[0]), parse_vector(args.vector[1])
-        d = edit_distance_vectors(x, y_)
+        d = partite.edit_distance_vectors(x, y_)
         result = {"distance": str(d), "x": x.to_jsonable(), "y": y_.to_jsonable()}
     elif args.graph and len(args.graph) == 2:
         g, h = read_graph(args.graph[0]), read_graph(args.graph[1])
-        d = edit_distance_exact(g, h)
+        d = graphs.edit_distance_exact(g, h)
         result = {"distance": str(d), "n": g.n}
     else:
         raise UsageError("edit-distance needs two --vector or two --graph")
@@ -425,9 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["finite", "continuous"], default="continuous")
     p.add_argument("--n", type=int)
     p.add_argument("--starts", type=int, default=200,
-                   help="least number of ascent starts (default 200): the fixed starts "
-                        "(uniform splits, the clique grid, finite-n shapes and --seeds) "
-                        "always run, and random starts fill up to this number; "
+                   help=f"least number of ascent starts, 0 to {MAX_STARTS} (default 200): "
+                        "the fixed starts (uniform splits, the clique grid, finite-n shapes "
+                        "and --seeds) always run, and random starts fill up to this number; "
                         "provenance.starts gives the count run")
     p.add_argument("--max-support", type=int, default=8,
                    help="most parts a candidate may have, 1 to 10 (default 8)")

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 MAX_VERTICES = 64
 CANON_MAX = 8
+CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)  # classes on n <= 8 vertices, A000088
 LOOKUP_MAX = 5  # key_of_code files a class under all k! codes up to this k
 
 

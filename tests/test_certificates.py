@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from inducibility import certificates, perturbation, strictness
+from inducibility import certificates, intervals, perturbation, strictness
 from inducibility.certificates import (certify_k2111, certify_k311, certify_krt, certify_kst,
                                        krt_value, positive_multiplier_lp)
 from inducibility.intervals import bb_max_bound
@@ -160,15 +160,15 @@ def test_certify_k311(report_k311):
 
 def test_k311_bounds_stay_cheap(monkeypatch):
     """The four k311 branch-and-bound calls stay conclusive within 300 boxes
-    together (they need 204)."""
-    from inducibility import certificates
+    together (they need 204). certificates reads the bound as
+    ``intervals.bb_max_bound`` at each call."""
     results = []
 
     def counted(*args, **kwargs):
         results.append(bb_max_bound(*args, **kwargs))
         return results[-1]
 
-    monkeypatch.setattr(certificates, "bb_max_bound", counted)
+    monkeypatch.setattr(intervals, "bb_max_bound", counted)
     assert certificates.certify_k311().passed
     assert len(results) == 4 and all(r.conclusive for r in results)
     assert sum(r.boxes for r in results) <= 300

@@ -62,6 +62,15 @@ def test_exponent_vector_is_refused_quickly(capsys):
     assert "'1e-1000000' is not a rational" in capsys.readouterr().err
 
 
+def test_opt_starts_above_the_limit_is_refused_quickly(capsys):
+    """--starts 10**9 would run for days (and fill memory with start points):
+    above 10,000 it is refused before any search."""
+    start = time.perf_counter()
+    code = main(["opt", "--objective", "KP 2,1,1,1", "--starts", "10001"])
+    assert code == EXIT_USAGE and time.perf_counter() - start < 1
+    assert "--starts must be from 0 to 10000" in capsys.readouterr().err
+
+
 def _hypothesis():
     hyp = pytest.importorskip("hypothesis")
     return hyp, pytest.importorskip("hypothesis.strategies")

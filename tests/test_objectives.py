@@ -154,6 +154,21 @@ def test_combination_labels_nothing(monkeypatch):
     assert calls == []
 
 
+def test_from_table_builds_no_class_table(monkeypatch):
+    """A table spec checks its coverage by counting its distinct classes
+    against graphs.CLASS_COUNTS, so at k = 5 it builds no class table; a
+    table that misses a class is still refused."""
+    table = {g: F(i, 7) for i, g in enumerate(iso_classes(5))}
+    calls = []
+    classes = graphs._classes
+    monkeypatch.setattr(graphs, "_classes", lambda n: calls.append(n) or classes(n))
+    spec = ObjectiveSpec.from_table(5, table)
+    assert all(spec.gamma_of(g) == v for g, v in table.items())
+    with pytest.raises(ValueError, match="cover every isomorphism class"):
+        ObjectiveSpec.from_table(5, dict(list(table.items())[1:]))
+    assert calls == []
+
+
 def test_decoded_gamma_rejects_other_keys(spec_c4):
     """gamma of a combination takes only keys of k-vertex graphs."""
     key = canonical_key(Graph.complete_partite([2, 2]))
