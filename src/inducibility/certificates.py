@@ -14,15 +14,15 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from importlib import resources
 from math import comb, factorial, gcd
+from pathlib import Path
 from typing import Optional
 
 from . import intervals, matrices, optsearch
 from .objectives import ObjectiveSpec, partitions_of
 from .partite import (PartiteVector, density_formula, density_polynomial,
                       elementary_symmetric, lambda_of_vector, sampling_density,
-                      SymmetricIndex, _multinomial)
+                      _multinomial)
 from .perturbation import attach_value_generic, flip_gradient_generic, pair_density
 from .polynomials import MPoly, UPoly, parse_rational, resultant
 from .strictness import strictness_certificate
@@ -79,8 +79,7 @@ class CertificateReport:
 
 
 def _load_k311_data() -> dict:
-    raw = resources.files("inducibility.data").joinpath("k311_certificate.json").read_text()
-    return json.loads(raw)
+    return json.loads((Path(__file__).parent / "data" / "k311_certificate.json").read_text())
 
 
 def _read_k311_data(data) -> dict:
@@ -407,7 +406,7 @@ def certify_krt(r: int, t: int) -> CertificateReport:
     dens = density_formula(a, x)
     samp = sampling_density(a, x)
     s_form = Fraction(factorial(k), factorial(r) * factorial(t) ** r) * \
-        elementary_symmetric(x, SymmetricIndex((t,) * r))
+        elementary_symmetric(x, (t,) * r)
     rep.add("value_identity", val == dens == samp == s_form,
             f"lambda(uniform split) = {val}")
     rep.notes.append(f"the closed form carrying an extra r! in its denominator equals "

@@ -16,7 +16,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from importlib import resources
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -154,8 +153,7 @@ def make_report(command: str, verdict: str, result: dict,
 
 def validate_report(report: dict) -> None:
     """Validate a report against the shipped schema (envelope subset)."""
-    schema = json.loads(resources.files("inducibility.data")
-                        .joinpath("report.schema.json").read_text())
+    schema = json.loads((Path(__file__).parent / "data" / "report.schema.json").read_text())
     for key in schema["required"]:
         if key not in report:
             raise ValueError(f"report missing key {key!r}")

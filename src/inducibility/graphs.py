@@ -5,7 +5,7 @@ n <= 8, one class lookup (``key_of_code``, a code-to-class map filled on
 demand, and ``class_key`` over it; it keys gamma tables by isomorphism
 class), isomorphism-class generation by canonical deletion, induced-subgraph
 counting, exact edit distance by bijection search, complete-partite detection
-(by code, memoised: ``shape_of_code``), partite structures and a text format.
+(by code, memoised: ``shape_of_code``), and a text format.
 """
 
 from __future__ import annotations
@@ -486,7 +486,7 @@ def edit_distance_exact(g: Graph, h: Graph) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Complete partite shapes and structures
+# Complete partite shapes
 # ---------------------------------------------------------------------------
 
 class CompletePartiteShape:
@@ -565,65 +565,6 @@ def complete_partite_shape_of(g: Graph) -> Optional[CompletePartiteShape]:
 def shape_of_code(m: int, code: int) -> Optional[CompletePartiteShape]:
     """``complete_partite_shape_of`` the m-vertex graph of ``code``, memoised."""
     return complete_partite_shape_of(graph_from_code(m, code))
-
-
-class PartiteStructure:
-    """Vertex sets of a realised complete partite graph, compared by value.
-
-    ``parts[i]`` are the independent parts indexed like the defining vector
-    (1-based part i is parts[i-1]); v0 lists the universal clique vertices.
-    """
-
-    __slots__ = ("parts", "v0")
-
-    def __init__(self, parts: tuple[tuple[int, ...], ...], v0: tuple[int, ...]):
-        self.parts = parts
-        self.v0 = v0
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PartiteStructure)
-                and self.parts == other.parts and self.v0 == other.v0)
-
-    def __hash__(self) -> int:
-        return hash((self.parts, self.v0))
-
-    @property
-    def n(self) -> int:
-        return sum(len(p) for p in self.parts) + len(self.v0)
-
-    def group_sizes(self) -> dict[int, int]:
-        """Vertex count of each nonempty group: i >= 1 for part i, 0 for the clique."""
-        sizes = {i: len(p) for i, p in enumerate(self.parts, start=1) if p}
-        if self.v0:
-            sizes[0] = len(self.v0)
-        return sizes
-
-    def part_of(self, v: int) -> int:
-        """0 for clique vertices, i >= 1 for part i."""
-        for i, p in enumerate(self.parts):
-            if v in p:
-                return i + 1
-        if v in self.v0:
-            return 0
-        raise ValueError(f"vertex {v} not in structure")
-
-    def shape(self) -> CompletePartiteShape:
-        return CompletePartiteShape(sizes=[len(p) for p in self.parts if p],
-                                    counts=[(1, len(self.v0))])
-
-    def graph(self) -> Graph:
-        n = self.n
-        full = (1 << n) - 1
-        rows = [0] * n
-        for p in self.parts:
-            mask = 0
-            for v in p:
-                mask |= 1 << v
-            for v in p:
-                rows[v] = full & ~mask
-        for v in self.v0:
-            rows[v] = full & ~(1 << v)
-        return Graph(n, tuple(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from math import comb, factorial, lcm, perm, prod
 from operator import mul
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
-from .graphs import CompletePartiteShape, PartiteStructure
+from .graphs import CompletePartiteShape
 from .objectives import ObjectiveSpec, _norm_partition
 from .polynomials import MPoly, Rat, _frac, parse_rational
 
@@ -124,37 +124,19 @@ class PartiteVector:
         return v
 
 
-class SymmetricIndex:
-    """The exponents d and the excluded part indices I of S^I_d, compared by value."""
-
-    __slots__ = ("exponents", "excluded")
-
-    def __init__(self, exponents: tuple[int, ...], excluded: frozenset[int] = frozenset()):
-        if any(d <= 0 for d in exponents):
-            raise ValueError("exponents must be positive")
-        self.exponents = exponents
-        self.excluded = excluded
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, SymmetricIndex)
-                and self.exponents == other.exponents and self.excluded == other.excluded)
-
-    def __hash__(self) -> int:
-        return hash((self.exponents, self.excluded))
-
-
-def elementary_symmetric(x: PartiteVector, idx: SymmetricIndex) -> Fraction:
-    """S^I_d(x): sum over distinct part indices outside I of prod x_{i_j}^{d_j}.
+def elementary_symmetric(x: PartiteVector, exponents: tuple[int, ...]) -> Fraction:
+    """S_d(x): sum over distinct part indices of prod x_{i_j}^{d_j}, d = exponents.
 
     With d_j the distinct exponents and c_j their counts, this is prod_j c_j!
-    times the coefficient of prod_j z_j^{c_j} in prod_{i not in I} (1 + sum_j
-    x_i^{d_j} z_j) (see CompiledPattern). The empty index gives 1, and fewer
-    allowed parts than exponents give 0.
+    times the coefficient of prod_j z_j^{c_j} in prod_i (1 + sum_j x_i^{d_j}
+    z_j) (see CompiledPattern). The empty tuple gives 1, and fewer parts than
+    exponents give 0.
     """
-    d = tuple(sorted(idx.exponents, reverse=True))
+    if any(e <= 0 for e in exponents):
+        raise ValueError("exponents must be positive")
+    d = tuple(sorted(exponents, reverse=True))
     pattern = _compiled(d)
-    allowed = [p for i, p in enumerate(x.parts, start=1) if i not in idx.excluded]
-    return pattern.coefficient(_part_factors(pattern, allowed)) / sym_coefficient(d)
+    return pattern.coefficient(_part_factors(pattern, x.parts)) / sym_coefficient(d)
 
 
 def sym_coefficient(a: Sequence[int]) -> Fraction:
@@ -169,35 +151,43 @@ def sym_coefficient(a: Sequence[int]) -> Fraction:
 # Realisations
 # ---------------------------------------------------------------------------
 
-def _part_sizes(n: int, x: PartiteVector) -> list[int]:
-    if x.x0 == 0:
-        base = [int(p * n) for p in x.parts]
-        rem = n - sum(base)
-        fracs = sorted(range(len(x.parts)),
-                       key=lambda i: (-(x.parts[i] * n - base[i]), i))
-        for i in fracs[:rem]:
-            base[i] += 1
-        return base
-    return [int(p * n) if p * n >= 2 else 0 for p in x.parts]
-
-
-def realise(n: int, x: PartiteVector) -> PartiteStructure:
-    """The n-vertex realisation of x, parts laid out in index order, clique last.
+def realise(n: int, x: PartiteVector) -> dict[int, int]:
+    """The group sizes {i: size} of the n-vertex realisation of x: part i
+    keeps its index, the clique is group 0, and groups with no vertices are
+    left out. vertex_groups lays the vertices out.
 
     With no clique mass, largest-remainder rounding keeps every size within 1
     of x_i*n; with clique mass, parts with x_i*n >= 2 get floor(x_i*n) and all
-    remaining vertices become universal singletons. Part i keeps index i when
-    it rounds to no vertices. No graph is built (structure.graph() does that).
+    remaining vertices become universal singletons. No graph is built, so any
+    n works.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    sizes = _part_sizes(n, x)
-    parts = []
-    pos = 0
-    for s in sizes:
-        parts.append(tuple(range(pos, pos + s)))
-        pos += s
-    return PartiteStructure(tuple(parts), tuple(range(pos, n)))
+    if x.x0 == 0:
+        sizes = [int(p * n) for p in x.parts]
+        fracs = sorted(range(len(sizes)), key=lambda i: (-(x.parts[i] * n - sizes[i]), i))
+        for i in fracs[:n - sum(sizes)]:
+            sizes[i] += 1
+    else:
+        sizes = [int(p * n) if p * n >= 2 else 0 for p in x.parts]
+    groups = {i: s for i, s in enumerate(sizes, start=1) if s}
+    if sum(sizes) < n:
+        groups[0] = n - sum(sizes)
+    return groups
+
+
+def vertex_groups(sizes: Mapping[int, int]) -> list[int]:
+    """The group of each vertex of a realisation with these group sizes: the
+    parts in index order, then the clique (group 0). Two vertices are
+    adjacent iff their groups differ or both are clique vertices."""
+    return [i for i in sorted(sizes, key=lambda i: (i == 0, i)) for _ in range(sizes[i])]
+
+
+def realised_shape(sizes: Mapping[int, int]) -> CompletePartiteShape:
+    """The complete partite shape of a realisation with these group sizes:
+    its parts, and each clique vertex as a part of size 1."""
+    return CompletePartiteShape(sizes=[s for i, s in sizes.items() if i],
+                                counts=[(1, sizes.get(0, 0))])
 
 
 # ---------------------------------------------------------------------------

@@ -34,9 +34,10 @@ from fractions import Fraction
 from math import comb
 from typing import Mapping, Optional
 
-from .graphs import Graph, PartiteStructure, class_keys
+from .graphs import Graph, class_keys
 from .objectives import ObjectiveSpec, lambda_graph
-from .partite import PartiteVector, draw_sum, lambda_gradient, pick_sum, realise
+from .partite import (PartiteVector, draw_sum, lambda_gradient, lambda_of_shape, pick_sum,
+                      realise, realised_shape, vertex_groups)
 from .polynomials import Rat, UPoly, _frac
 
 
@@ -262,42 +263,43 @@ def clone_residual(x: PartiteVector, clones: Mapping[int, Fraction]) -> Fraction
 # Exact finite-n counterparts on complete partite realisations
 # ---------------------------------------------------------------------------
 
-def finite_flip_delta(spec: ObjectiveSpec, structure: PartiteStructure,
+def finite_flip_delta(spec: ObjectiveSpec, sizes: Mapping[int, int],
                       i1: int, i2: int) -> Fraction:
-    """(Lambda(G) - Lambda(G + xy)) / C(n-2, k-2) for a pair in parts i1, i2.
+    """(Lambda(G) - Lambda(G + xy)) / C(n-2, k-2) for a pair in parts i1, i2
+    of the realisation G with these group sizes (partite.realise).
 
     Exact for any n: the flip loss of flip_gradient summed over the ways to
     pick the other k-2 vertices from the groups of the realisation.
     """
-    sizes = structure.group_sizes()
     if i1 not in sizes or i2 not in sizes:
         raise ValueError("no such part in the realisation")
-    sizes[i1] -= 1
-    sizes[i2] -= 1
-    if sizes[i1] < 0:
+    rest = dict(sizes)
+    rest[i1] -= 1
+    rest[i2] -= 1
+    if rest[i1] < 0:
         raise ValueError("part too small to host the pair")
     loss = _flip_loss(spec.code_table(), i1, i2)
-    total = pick_sum(spec.k - 2, sizes, loss)
-    return Fraction(total, spec.scale * comb(structure.n - 2, spec.k - 2))
+    total = pick_sum(spec.k - 2, rest, loss)
+    return Fraction(total, spec.scale * comb(sum(sizes.values()) - 2, spec.k - 2))
 
 
-def finite_attach_lambda_vertex(spec: ObjectiveSpec, structure: PartiteStructure,
+def finite_attach_lambda_vertex(spec: ObjectiveSpec, sizes: Mapping[int, int],
                                 b: Mapping[int, int], v0_neighbours: int) -> Fraction:
-    """lambda(G +_{b,alpha} u, u) with floor(alpha|V0|) = v0_neighbours, exact.
+    """lambda(G +_{b,alpha} u, u) with floor(alpha|V0|) = v0_neighbours, exact,
+    for the realisation G with these group sizes (partite.realise).
 
     The attachment integrand of attach_value summed over the ways to pick
     k-1 vertices from the groups of the realisation, where the clique is two
     groups: the nb = v0_neighbours vertices joined to u (_JOINED) and the
     v0 - nb others (0). The sum is an int. Works for any n.
     """
-    sizes = structure.group_sizes()
     v0 = sizes.get(0, 0)
     if not 0 <= v0_neighbours <= v0:
         raise ValueError("clique neighbour count out of range")
-    sizes[_JOINED], sizes[0] = v0_neighbours, v0 - v0_neighbours
+    groups = {**sizes, _JOINED: v0_neighbours, 0: v0 - v0_neighbours}
     table = spec.code_table()
-    total = pick_sum(spec.k - 1, sizes, lambda counts: _attach_term(table, b, counts))
-    return Fraction(total, spec.scale * comb(structure.n, spec.k - 1))
+    total = pick_sum(spec.k - 1, groups, lambda counts: _attach_term(table, b, counts))
+    return Fraction(total, spec.scale * comb(sum(sizes.values()), spec.k - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -336,20 +338,21 @@ class CompareReport:
 def compare_bounds(spec: ObjectiveSpec, h: Graph, x: PartiteVector, c: Rat) -> CompareReport:
     """Evaluate the imperfection-comparison bounds on a concrete instance.
 
-    H' is the complete partite realisation of x on h.n vertices, and T the
-    edge symmetric difference between H and H'; the xi quantities are the
-    stated functions of |T|, its max degree, c and gamma_max = max |gamma|
-    over all classes, and the report records which hypotheses and conclusions hold.
+    H' is the complete partite realisation of x on h.n vertices, laid out by
+    partite.vertex_groups (no graph is built: adjacency in H' is read from
+    the groups, and lambda(H') comes from lambda_of_shape), and T the edge
+    symmetric difference between H and H'; the xi quantities are the stated
+    functions of |T|, its max degree, c and gamma_max = max |gamma| over all
+    classes, and the report records which hypotheses and conclusions hold.
     Diagnostic only; never feeds certification.
     """
     c = _frac(c)
     n = h.n
-    structure = realise(n, x)
-    hp = structure.graph()
+    sizes = realise(n, x)
+    groups = vertex_groups(sizes)
     k = spec.k
-    wrong = [(u, v) for u, v in
-             ((u, v) for u in range(n) for v in range(u + 1, n))
-             if h.has_edge(u, v) != hp.has_edge(u, v)]
+    wrong = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if h.has_edge(u, v) != (groups[u] != groups[v] or not groups[u])]
     t = len(wrong)
     deg: dict[int, int] = {}
     for u, v in wrong:
@@ -364,13 +367,12 @@ def compare_bounds(spec: ObjectiveSpec, h: Graph, x: PartiteVector, c: Rat) -> C
         wrong_pairs=t,
         max_degree=max_deg,
     )
-    lam_diff = lambda_graph(spec, hp) - lambda_graph(spec, h)
+    lam_diff = lambda_of_shape(spec, realised_shape(sizes)) - lambda_graph(spec, h)
     grads = {}
     hyp_ge = True
     hyp_le = True
     for u, v in wrong:
-        pu, pv = structure.part_of(u), structure.part_of(v)
-        key = (min(pu, pv), max(pu, pv))
+        key = (min(groups[u], groups[v]), max(groups[u], groups[v]))
         if key not in grads:
             grads[key] = flip_gradient(spec, x, *key)
         if grads[key] < c:

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from typing import Callable, Iterator, Mapping, Optional
 
 from .objectives import ObjectiveSpec
-from .partite import PartiteVector, lambda_of_shape, realise
+from .partite import PartiteVector, lambda_of_shape, realise, realised_shape
 from .perturbation import (AttachmentPattern, attach_value, clone_values,
                            finite_attach_lambda_vertex, finite_flip_delta, flip_gradient)
 from .polynomials import UPoly, simplest_fraction_between
@@ -73,11 +74,6 @@ def _clone_edit_mass(masses: Mapping[int, object], b: Mapping[int, int]) -> dict
             for i, m in masses.items()}
 
 
-def compute_w(x: PartiteVector, p: AttachmentPattern) -> dict[int, Fraction]:
-    """w_i = [i>0] b_i x_i + sum_{j in supp* minus {0,i}} (1-b_j) x_j."""
-    return _clone_edit_mass(x.draw_weights(), p.b)
-
-
 class PatternMargin:
     __slots__ = ("b_support", "min_w", "gradient_poly", "c_bound", "feasible", "attach")
 
@@ -100,7 +96,7 @@ def _margin_for_pattern(spec: ObjectiveSpec, x: PartiteVector,
     p = AttachmentPattern(b, Fraction(1))
     att = attach_value(spec, x, p)
     grad = UPoly([ref_value]) - att.poly
-    minw = min(compute_w(x, p).values())
+    minw = min(_clone_edit_mass(x.draw_weights(), p.b).values())
     coeffs = tuple(str(c) for c in grad.coeffs)
 
     def margin(c_bound: Optional[Fraction], feasible: bool) -> PatternMargin:
@@ -140,6 +136,21 @@ def _margin_for_pattern(spec: ObjectiveSpec, x: PartiteVector,
     if snap > lo and ok(snap):
         lo = snap
     return margin(lo, True)
+
+
+# Most attachment draw terms check_str2 may walk per candidate. KP 2,1,1,1 with
+# clique mass walks 183,040 on 8 distinct parts (about 1 s on a 2-vCPU VM)
+# and 1,397,760 on 10 (about 7 s).
+ATTACH_TERM_BUDGET = 1_000_000
+
+
+def attach_terms(spec: ObjectiveSpec, x: PartiteVector) -> int:
+    """The draw terms of check_str2: one attachment draw sum per pattern
+    orbit, prod over distinct part masses of (multiplicity + 1), each over
+    the multisets of k-1 draw keys (the parts, and the clique as two groups)."""
+    keys = len(x.parts) + (2 if x.x0 else 0)
+    orbits = prod(m + 1 for m in Counter(x.parts).values())
+    return orbits * comb(keys + spec.k - 2, spec.k - 1)
 
 
 def check_str2(spec: ObjectiveSpec, x: PartiteVector) -> tuple[Optional[Fraction], list[PatternMargin]]:
@@ -210,9 +221,18 @@ class StrictnessReport:
 
 def strictness_certificate(spec: ObjectiveSpec,
                            candidates: list[PartiteVector]) -> StrictnessReport:
-    """c = min over candidates of min(check_str1, check_str2); pass iff c > 0."""
+    """c = min over candidates of min(check_str1, check_str2); pass iff c > 0.
+
+    ValueError, before any check runs, when a candidate's check_str2 would
+    walk more than ATTACH_TERM_BUDGET draw terms (attach_terms).
+    """
     if not candidates:
         raise ValueError("no candidates supplied")
+    for x in candidates:
+        terms = attach_terms(spec, x)
+        if terms > ATTACH_TERM_BUDGET:
+            raise ValueError(f"strictness: {len(x.parts)} parts need {terms} attachment "
+                             f"terms, above the limit of {ATTACH_TERM_BUDGET}")
     out = []
     for x in candidates:
         c1, pairs = check_str1(spec, x)
@@ -248,18 +268,17 @@ class FiniteStrictnessReport:
 
 def finite_strictness_check(spec: ObjectiveSpec, x: PartiteVector, n: int) -> FiniteStrictnessReport:
     """Evaluate both finite-n strictness conditions on the realisation of x."""
-    structure = realise(n, x)
-    lam = lambda_of_shape(spec, structure.shape())
+    sizes = realise(n, x)
+    lam = lambda_of_shape(spec, realised_shape(sizes))
     k = spec.k
 
     # pair condition over part-index orbits
-    sizes = structure.group_sizes()
     scale = Fraction(n * n * comb(n - 2, k - 2), comb(n, k))
 
     def flip(i1: int, i2: int) -> Optional[Fraction]:
         if i1 == i2 and sizes[i1] < 2:
             return None
-        return finite_flip_delta(spec, structure, i1, i2) * scale
+        return finite_flip_delta(spec, sizes, i1, i2) * scale
 
     c1 = min(v for v in _pair_orbits(sizes, flip).values() if v is not None)
 
@@ -270,7 +289,7 @@ def finite_strictness_check(spec: ObjectiveSpec, x: PartiteVector, n: int) -> Fi
     for b in _pattern_orbits({i: s for i, s in sizes.items() if i}):
         min_w = min(_clone_edit_mass(sizes, b).values())
         for j in range(v0_size + 1):
-            deficit = lam - finite_attach_lambda_vertex(spec, structure, b, j)
+            deficit = lam - finite_attach_lambda_vertex(spec, sizes, b, j)
             edits = v0_size - j + min_w
             if edits == 0:
                 clone_deficits.append(deficit)

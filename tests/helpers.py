@@ -9,12 +9,12 @@ from fractions import Fraction
 from functools import reduce
 from math import comb
 
-from inducibility.graphs import (CompletePartiteShape, Graph, PartiteStructure, class_keys,
+from inducibility.graphs import (CompletePartiteShape, Graph, class_keys,
                                  complete_partite_shape_of, graph_from_code, iso_classes,
                                  subset_codes)
 from inducibility.objectives import ObjectiveSpec, partitions_of
 from inducibility.optsearch import _FloatPlan
-from inducibility.partite import PartiteVector, lambda_free
+from inducibility.partite import PartiteVector, lambda_free, vertex_groups
 
 
 def complement(g: Graph) -> Graph:
@@ -32,26 +32,29 @@ def flip(g: Graph, x: int, y: int) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
-def attach(g: Graph, structure: PartiteStructure, b: dict[int, int],
-           alpha: Fraction) -> Graph:
-    """G +_{b,alpha} u: a new last vertex joined to part i when b(i)=1 and to
-    the floor(alpha*|V0|) lowest-indexed clique vertices."""
-    if g != structure.graph():
-        raise ValueError("partition inconsistent with graph")
+def realised_graph(sizes: dict[int, int]) -> Graph:
+    """The realisation with these group sizes (partite.realise) as a graph,
+    its vertices laid out by partite.vertex_groups: two vertices are joined
+    iff their groups differ or both are clique vertices (group 0)."""
+    groups = vertex_groups(sizes)
+    n = len(groups)
+    return Graph(n, tuple(sum(1 << w for w, h in enumerate(groups) if w != v and (h != g or not g))
+                          for v, g in enumerate(groups)))
+
+
+def attach(g: Graph, sizes: dict[int, int], b: dict[int, int], alpha: Fraction) -> Graph:
+    """G +_{b,alpha} u on the realisation G with these group sizes: a new last
+    vertex joined to part i when b(i)=1 and to the floor(alpha*|V0|)
+    lowest-indexed clique vertices."""
+    if g != realised_graph(sizes):
+        raise ValueError("group sizes inconsistent with graph")
     if not 0 <= alpha <= 1:
         raise ValueError("alpha outside [0,1]")
-    mask = 0
-    for i, bit in b.items():
-        if not 1 <= i <= len(structure.parts):
-            raise ValueError(f"pattern index {i} outside structure")
-        if bit:
-            for v in structure.parts[i - 1]:
-                mask |= 1 << v
-    v0_sorted = sorted(structure.v0)
-    take = int(alpha * len(v0_sorted))  # floor
-    for v in v0_sorted[:take]:
-        mask |= 1 << v
-    return g.add_vertex(mask)
+    groups = vertex_groups(sizes)
+    clique = [v for v, i in enumerate(groups) if i == 0]
+    joined = [v for v, i in enumerate(groups) if i and b.get(i, 0)]
+    joined += clique[:int(alpha * len(clique))]  # floor
+    return g.add_vertex(sum(1 << v for v in joined))
 
 
 def count_calls(monkeypatch, name: str) -> list:

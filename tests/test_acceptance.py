@@ -13,7 +13,7 @@ from inducibility.objectives import ObjectiveSpec, brute_lambda_max, partitions_
 from inducibility.optsearch import continuous_opt, finite_opt, kst_maximiser
 from inducibility.partite import (PartiteVector, count_partite, density_formula,
                                   density_polynomial, edit_distance_vectors,
-                                  lambda_of_vector, realise)
+                                  lambda_of_vector, realise, realised_shape)
 from inducibility.perturbation import (AttachmentPattern, attach_value, flip_gradient,
                                        lagrange_residual, pattern_e)
 from inducibility.polynomials import UPoly
@@ -21,7 +21,7 @@ from inducibility.strictness import strictness_certificate
 from inducibility.symmetrise import symmetrise_full, symmetrise_vertex
 from inducibility.graphs import edit_distance_exact
 
-from helpers import counterexample_candidates, counterexample_spec
+from helpers import counterexample_candidates, counterexample_spec, realised_graph
 
 A8 = PartiteVector.uniform(8)
 A311 = PartiteVector([F(3, 5)])
@@ -64,7 +64,7 @@ def test_criterion_2_closed_form_triple_agreement():
     for _ in range(200):
         x, d = random_vector(rng)
         n = 240 * d
-        shape = realise(n, x).shape()
+        shape = realised_shape(realise(n, x))
         for a in patterns:
             k = sum(a)
             enum = lambda_of_vector(specs[a], x)
@@ -217,7 +217,7 @@ def test_criterion_10_edit_metric():
     for _ in range(15):
         x, _ = random_vector(rng, max_support=3)
         y, _ = random_vector(rng, max_support=3)
-        d_fin = edit_distance_exact(realise(8, x).graph(), realise(8, y).graph())
+        d_fin = edit_distance_exact(realised_graph(realise(8, x)), realised_graph(realise(8, y)))
         ok = ok and abs(d_fin - edit_distance_vectors(x, y)) <= slack
     verdict(10, "edit metric", ok)
 

@@ -6,11 +6,10 @@ from fractions import Fraction as F
 import pytest
 
 from inducibility import graphs
-from inducibility.graphs import (CompletePartiteShape, Graph, PartiteStructure,
-                                 canonical_key, class_key, class_keys, code_of_key,
-                                 complete_partite_shape_of, edit_distance_exact,
-                                 graph_from_code, induced_count, iso_classes, key_of_code,
-                                 parse_graph_text, write_graph_text)
+from inducibility.graphs import (CompletePartiteShape, Graph, canonical_key, class_key,
+                                 class_keys, code_of_key, complete_partite_shape_of,
+                                 edit_distance_exact, graph_from_code, induced_count,
+                                 iso_classes, key_of_code, parse_graph_text, write_graph_text)
 
 from helpers import attach, complement, flip
 
@@ -342,40 +341,33 @@ def test_edit_distance_triangle_random():
 def test_attach():
     shape = [2, 2]
     g = Graph.complete_partite(shape)
-    structure = PartiteStructure(((0, 1), (2, 3)), ())
-    clone = attach(g, structure, {1: 0, 2: 1}, F(1))
+    sizes = {1: 2, 2: 2}
+    clone = attach(g, sizes, {1: 0, 2: 1}, F(1))
     assert complete_partite_shape_of(clone).part_sizes == [3, 2]
-    isolated = attach(g, structure, {1: 0, 2: 0}, F(0))
+    isolated = attach(g, sizes, {1: 0, 2: 0}, F(0))
     assert isolated.rows[4].bit_count() == 0
     g8 = Graph.complete_partite([2] * 8)
-    parts8 = tuple(tuple(range(2 * i, 2 * i + 2)) for i in range(8))
-    s8 = PartiteStructure(parts8, ())
-    u = attach(g8, s8, {i: 1 if i <= 7 else 0 for i in range(1, 9)}, F(1))
+    u = attach(g8, {i: 2 for i in range(1, 9)}, {i: 1 if i <= 7 else 0 for i in range(1, 9)}, F(1))
     assert u.rows[16].bit_count() == 14
     with pytest.raises(ValueError):
-        attach(g, PartiteStructure(((0, 1), (2,)), (3,)), {1: 1}, F(1))
+        attach(g, {1: 2, 2: 1, 0: 1}, {1: 1}, F(1))
 
 
 def test_attach_clique_fraction_floor():
     g = Graph.complete_partite([2, 1, 1, 1])
-    structure = PartiteStructure(((0, 1),), (2, 3, 4))
-    h = attach(g, structure, {1: 0}, F(1, 2))
+    h = attach(g, {1: 2, 0: 3}, {1: 0}, F(1, 2))
     # floor(1/2 * 3) = 1 clique edge, to the lowest-indexed clique vertex
     assert h.rows[5].bit_count() == 1 and h.has_edge(5, 2)
 
 
-def test_graph_and_structure_compare_by_value():
-    """Graphs key gamma tables and structures are compared, so both have
-    value equality and a matching hash, never identity."""
+def test_graph_compares_by_value():
+    """Graphs key gamma tables, so they have value equality and a matching
+    hash, never identity."""
     g, h = Graph.from_edges(3, [(0, 1), (1, 2)]), Graph(3, (0b010, 0b101, 0b010))
     assert g is not h and g == h and hash(g) == hash(h)
     assert {g: 1}[h] == 1 and len({g, h}) == 1
     assert g != Graph.from_edges(3, [(0, 1)]) and g != Graph.empty(3) and g != g.rows
     assert Graph.empty(2) != Graph.empty(3)
-    s, t = PartiteStructure(((0, 1), (2,)), (3,)), PartiteStructure(((0, 1), (2,)), (3,))
-    assert s is not t and s == t and hash(s) == hash(t) and len({s, t}) == 1
-    assert s != PartiteStructure(((0, 1),), (2, 3)) and s != PartiteStructure(((0, 1), (2, 3)), ())
-    assert s != s.parts
     with pytest.raises(ValueError):
         Graph(2, (0b10, 0b00))  # asymmetric
     with pytest.raises(ValueError):

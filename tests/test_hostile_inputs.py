@@ -71,6 +71,18 @@ def test_opt_starts_above_the_limit_is_refused_quickly(capsys):
     assert "--starts must be from 0 to 10000" in capsys.readouterr().err
 
 
+def test_strictness_over_the_attachment_budget_is_refused_quickly(capsys):
+    """14 distinct parts with clique mass would walk 2^14 * C(19, 4) =
+    63,504,384 attachment terms (8 parts took about 1 s for 183,040): the
+    candidate is refused before any check runs."""
+    parts = [f"{i}/784" for i in range(14, 0, -1)]
+    start = time.perf_counter()
+    code = main(["strictness", "--objective", "KP 2,1,1,1",
+                 "--vector", json.dumps({"parts": parts})])
+    assert code == EXIT_USAGE and time.perf_counter() - start < 1
+    assert "63504384 attachment terms, above the limit of 1000000" in capsys.readouterr().err
+
+
 def _hypothesis():
     hyp = pytest.importorskip("hypothesis")
     return hyp, pytest.importorskip("hypothesis.strategies")

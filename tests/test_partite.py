@@ -8,16 +8,17 @@ import pytest
 from inducibility.graphs import CompletePartiteShape, Graph, complete_partite_shape_of
 from inducibility.objectives import ObjectiveSpec, partitions_of
 from inducibility.graphs import edit_distance_exact
-from inducibility.partite import (PartiteVector, SymmetricIndex, count_partite,
+from inducibility.partite import (PartiteVector, count_partite,
                                   density_formula, density_polynomial, draw_sum,
                                   edit_distance_vectors,
                                   elementary_symmetric, lambda_free, lambda_gradient,
                                   lambda_of_shape, lambda_of_vector, partition_counts,
-                                  pick_sum, realise, sampling_density)
+                                  pick_sum, realise, realised_shape, sampling_density,
+                                  vertex_groups)
 from inducibility.perturbation import attach_value, clone_values, lagrange_residual, pattern_e
 from inducibility.polynomials import MPoly
 
-from helpers import integer_route_specs, integer_route_vectors
+from helpers import integer_route_specs, integer_route_vectors, realised_graph
 
 
 def rand_vector(rng, max_support=4, max_denom=12, allow_clique=True):
@@ -57,23 +58,28 @@ def test_vector_json():
 
 
 def test_realisation_examples():
-    assert realise(5, PartiteVector()).shape().part_sizes == [1] * 5
-    assert realise(7, PartiteVector([F(1, 2), F(1, 2)])).shape().part_sizes == [4, 3]
-    assert realise(10, PartiteVector([F(3, 5)])).shape().part_sizes == [6, 1, 1, 1, 1]
+    assert realise(5, PartiteVector()) == {0: 5}
+    assert realise(7, PartiteVector([F(1, 2), F(1, 2)])) == {1: 4, 2: 3}
+    assert realise(10, PartiteVector([F(3, 5)])) == {1: 6, 0: 4}
+    assert realised_shape(realise(5, PartiteVector())).part_sizes == [1] * 5
+    assert realised_shape(realise(7, PartiteVector([F(1, 2), F(1, 2)]))).part_sizes == [4, 3]
+    assert realised_shape(realise(10, PartiteVector([F(3, 5)]))).part_sizes == [6, 1, 1, 1, 1]
+    assert vertex_groups({1: 2, 3: 1, 0: 2}) == [1, 1, 3, 0, 0]
 
 
 def test_realised_shape_skips_empty_parts():
-    """With clique mass a part with x_i n < 2 is realised empty; shape() skips
-    it and agrees with the realised graph."""
+    """With clique mass a part with x_i n < 2 is realised empty and left out
+    of the group sizes; the shape agrees with the graph the layout builds."""
     x = PartiteVector([F(3, 5), F(1, 20)])
-    assert realise(10, x).parts[1] == ()
-    assert realise(10, x).shape().part_sizes == [6, 1, 1, 1, 1]
+    assert realise(10, x) == {1: 6, 0: 4}
+    assert realised_shape(realise(10, x)).part_sizes == [6, 1, 1, 1, 1]
     rng = random.Random(22)
     vectors = [x] + [rand_vector(rng, max_support=5, max_denom=40) for _ in range(40)]
     for v in vectors:
         for n in (3, 10, 20, 40):
-            r = realise(n, v)
-            assert r.shape() == complete_partite_shape_of(r.graph())
+            sizes = realise(n, v)
+            assert sum(sizes.values()) == n and all(sizes.values())
+            assert realised_shape(sizes) == complete_partite_shape_of(realised_graph(sizes))
 
 
 def test_realisation_error_bound():
@@ -83,9 +89,9 @@ def test_realisation_error_bound():
         if x.x0 != 0:
             continue
         n = rng.randint(5, 40)
-        sizes = realise(n, x).parts
-        for i, part in enumerate(sizes):
-            assert abs(len(part) - x.parts[i] * n) < 1
+        sizes = realise(n, x)
+        for i, p in enumerate(x.parts, start=1):
+            assert abs(sizes.get(i, 0) - p * n) < 1
 
 
 def _permutation_sum(values, exponents):
@@ -96,18 +102,20 @@ def _permutation_sum(values, exponents):
 
 def test_elementary_symmetric():
     half = PartiteVector([F(1, 2), F(1, 2)])
-    assert elementary_symmetric(half, SymmetricIndex((2,))) == F(1, 2)
-    assert elementary_symmetric(half, SymmetricIndex((2, 1))) == F(1, 4)
-    assert elementary_symmetric(half, SymmetricIndex((2,), frozenset({1}))) == F(1, 4)
-    assert elementary_symmetric(PartiteVector(), SymmetricIndex(())) == 1
-    assert elementary_symmetric(PartiteVector.uniform(2), SymmetricIndex((1, 1, 1))) == 0
+    assert elementary_symmetric(half, (2,)) == F(1, 2)
+    assert elementary_symmetric(half, (2, 1)) == F(1, 4)
+    assert elementary_symmetric(PartiteVector([F(1, 2)]), (2,)) == F(1, 4)
+    assert elementary_symmetric(PartiteVector(), ()) == 1
+    assert elementary_symmetric(PartiteVector.uniform(2), (1, 1, 1)) == 0
+    with pytest.raises(ValueError):
+        elementary_symmetric(half, (1, 0))
     rng = random.Random(13)
     for _ in range(30):
         x = rand_vector(rng)
         d = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
-        assert elementary_symmetric(x, SymmetricIndex(d)) <= 1
-    # against the definition: exponents with repeats, exclusions (some outside
-    # the support), the empty index, equal parts and supports shorter than d
+        assert elementary_symmetric(x, d) <= 1
+    # against the definition: exponents with repeats, vectors without some of
+    # their parts, the empty index, equal parts and supports shorter than d
     rng = random.Random(47)
     for _ in range(150):
         m = rng.randint(0, 7)
@@ -116,17 +124,8 @@ def test_elementary_symmetric():
         d = tuple(rng.choice((1, 1, 2, 3)) for _ in range(rng.randint(0, 5)))
         excluded = frozenset(rng.sample(range(1, 10), rng.randint(0, 3)))
         allowed = [p for i, p in enumerate(x.parts, start=1) if i not in excluded]
-        assert elementary_symmetric(x, SymmetricIndex(d, excluded)) == \
+        assert elementary_symmetric(PartiteVector(allowed), d) == \
             _permutation_sum(allowed, d), (x, d, excluded)
-
-
-def test_symmetric_index_compares_by_value():
-    i, j = SymmetricIndex((2, 1), frozenset({3})), SymmetricIndex((2, 1), frozenset([3]))
-    assert i is not j and i == j and hash(i) == hash(j) and {i: 1}[j] == 1
-    assert i != SymmetricIndex((2, 1)) and i != SymmetricIndex((1, 2), frozenset({3}))
-    assert SymmetricIndex(()) == SymmetricIndex((), frozenset()) and i != i.exponents
-    with pytest.raises(ValueError):
-        SymmetricIndex((1, 0))
 
 
 def test_lambda_of_vector_headline_values(spec_k2111, spec_k311):
@@ -340,8 +339,8 @@ def test_lambda_and_gradient_hypothesis():
 
 
 def test_count_partite_examples():
-    assert count_partite([2, 1, 1, 1], realise(16, PartiteVector.uniform(8)).shape()) == 2240
-    assert count_partite([4], realise(9, PartiteVector([F(1)])).shape()) == comb(9, 4)
+    assert count_partite([2, 1, 1, 1], realised_shape(realise(16, PartiteVector.uniform(8)))) == 2240
+    assert count_partite([4], realised_shape(realise(9, PartiteVector([F(1)])))) == comb(9, 4)
     assert count_partite([1, 1, 1], complete_partite_shape_of(Graph.complete_partite([2, 2, 2]))) == 8
 
 
@@ -384,7 +383,7 @@ def test_finite_density_converges():
         dv = density_formula(a, x)
         errs = []
         for n in (60, 120, 240):
-            fin = F(count_partite(a, realise(n, x).shape()), comb(n, sum(a)))
+            fin = F(count_partite(a, realised_shape(realise(n, x))), comb(n, sum(a)))
             errs.append(abs(fin - dv))
         c_fit = 60 * errs[0]
         assert errs[1] <= 2 * c_fit / 120 + F(1, 10**9)
@@ -548,8 +547,8 @@ def test_edit_vectors_vs_finite_realisations():
     for _ in range(10):
         x = rand_vector(rng, max_support=3)
         y = rand_vector(rng, max_support=3)
-        gx = realise(8, x).graph()
-        gy = realise(8, y).graph()
+        gx = realised_graph(realise(8, x))
+        gy = realised_graph(realise(8, y))
         d_exact = edit_distance_exact(gx, gy)
         d_lim = edit_distance_vectors(x, y)
         assert abs(d_exact - d_lim) <= slack, (x, y, d_exact, d_lim)

@@ -6,10 +6,11 @@ from math import comb
 import pytest
 
 from inducibility import partite, perturbation
-from inducibility.graphs import Graph, iso_classes
-from inducibility.objectives import ObjectiveSpec, big_lambda, big_lambda_vertex, partitions_of
+from inducibility.graphs import Graph, complete_partite_shape_of, iso_classes
+from inducibility.objectives import (ObjectiveSpec, big_lambda, big_lambda_vertex, lambda_graph,
+                                     partitions_of)
 from inducibility.partite import (PartiteVector, density_polynomial, draw_sum, lambda_gradient,
-                                  lambda_of_vector, realise)
+                                  lambda_of_vector, realise, realised_shape, vertex_groups)
 from inducibility.polynomials import MPoly, UPoly
 from inducibility.perturbation import (AttachmentPattern, attach_value,
                                        attach_value_generic, compare_bounds,
@@ -19,7 +20,7 @@ from inducibility.perturbation import (AttachmentPattern, attach_value,
                                        pattern_e, vertex_gradient)
 
 from helpers import (attach, count_calls, flip, integer_route_specs, integer_route_vectors,
-                     partial_derivative_fd)
+                     partial_derivative_fd, realised_graph)
 
 A8 = PartiteVector.uniform(8)
 A311 = PartiteVector([F(3, 5)])
@@ -206,14 +207,13 @@ def test_finite_limit_consistency_flip(spec_k2111, spec_c4):
 
 def test_finite_limit_consistency_attach(spec_k311):
     lim = attach_value(spec_k311, A311, AttachmentPattern({1: 1}, F(1, 2))).value
-    realised = realise(160, A311)
-    v0 = len(realised.v0)
-    fin = finite_attach_lambda_vertex(spec_k311, realised, {1: 1}, int(F(1, 2) * v0))
+    sizes = realise(160, A311)
+    fin = finite_attach_lambda_vertex(spec_k311, sizes, {1: 1}, int(F(1, 2) * sizes[0]))
     assert abs(fin - lim) <= F(4, 160)
 
 
 def test_compare_bounds_identity(spec_c4):
-    rep = compare_bounds(spec_c4, realise(12, HALF).graph(), HALF, F(1, 10))
+    rep = compare_bounds(spec_c4, realised_graph(realise(12, HALF)), HALF, F(1, 10))
     assert rep.bounds.wrong_pairs == 0
     assert rep.lam_diff == 0
     assert all(v for v in (rep.concl_general, rep.concl_star, rep.concl_upper)
@@ -221,7 +221,7 @@ def test_compare_bounds_identity(spec_c4):
 
 
 def test_compare_bounds_single_edge(spec_c4):
-    h = flip(realise(12, HALF).graph(), 0, 6)     # delete one cross edge
+    h = flip(realised_graph(realise(12, HALF)), 0, 6)     # delete one cross edge
     c = flip_gradient(spec_c4, HALF, 1, 2)
     rep = compare_bounds(spec_c4, h, HALF, c)
     assert rep.bounds.wrong_pairs == 1 and rep.is_star
@@ -230,7 +230,7 @@ def test_compare_bounds_single_edge(spec_c4):
 
 
 def test_compare_bounds_star(spec_c4):
-    h = realise(12, HALF).graph()
+    h = realised_graph(realise(12, HALF))
     for v in (6, 7, 8):               # 3-edge star of wrong pairs at vertex 0
         h = flip(h, 0, v)
     cmin = min(flip_gradient(spec_c4, HALF, 1, 2), flip_gradient(spec_c4, HALF, 1, 1))
@@ -247,11 +247,40 @@ def test_compare_bounds_gamma_max_on_a_fresh_spec():
     the instance contains."""
     spec = ObjectiveSpec.combination([(F(1), [2, 2]), (F(-3), [1, 1, 1, 1])])
     assert not spec.gamma  # a combination's gamma is filled key by key
-    h = flip(realise(8, HALF).graph(), 0, 4)
+    h = flip(realised_graph(realise(8, HALF)), 0, 4)
     rep = compare_bounds(spec, h, HALF, F(1, 10))
     assert rep.bounds.wrong_pairs == 1
     assert rep.bounds.xi1 == 2 * 3 * F(4**4, 8**4)
     assert rep.bounds.xi2 == 2 * 3 * F(4**3, 8**3)
+
+
+@pytest.mark.parametrize("spec", [ObjectiveSpec.partite_density([2, 1, 1]),
+                                  ObjectiveSpec.combination([(1, (2, 2)), (-1, (1, 1, 1, 1))])],
+                         ids=["KP 2,1,1", "signed SUM"])
+def test_realised_layout_and_compare_bounds(spec):
+    """The graph laid out by vertex_groups is complete partite with the shape
+    of realise's sizes, parts in index order and the clique last, and
+    compare_bounds reads lambda(H') - lambda(H) and the wrong pairs off that
+    layout. Vectors with clique mass, parts that round to no vertices, and
+    H' with 0 to 3 random flips, n from k to 14."""
+    rng = random.Random(31)
+    vectors = [PartiteVector([F(3, 5), F(1, 20)]), PartiteVector([F(1, 2), F(1, 3), F(1, 6)]),
+               PartiteVector([F(1, 3), F(1, 4), F(1, 30)]), PartiteVector()]
+    for n in range(spec.k, 15):
+        for x in vectors:
+            sizes = realise(n, x)
+            layout = vertex_groups(sizes)
+            assert layout == sorted(layout, key=lambda i: (i == 0, i))
+            hp = realised_graph(sizes)
+            assert complete_partite_shape_of(hp) == realised_shape(sizes)
+            h = hp
+            for _ in range(rng.randint(0, 3)):
+                h = flip(h, *rng.sample(range(n), 2))
+            rep = compare_bounds(spec, h, x, F(1, 10))
+            assert rep.lam_diff == lambda_graph(spec, hp) - lambda_graph(spec, h), (n, x)
+            assert rep.bounds.wrong_pairs == sum(h.has_edge(u, v) != hp.has_edge(u, v)
+                                                 for u in range(n) for v in range(u + 1, n))
+    assert realise(10, vectors[0]) == {1: 6, 0: 4}  # part 2 has no vertices
 
 
 def _ordered_attach(spec, x, b, alpha):
@@ -333,17 +362,17 @@ def test_finite_flip_delta_exact(name, n):
     i1, v in part i2 of the realisation, over C(n-2, k-2)."""
     spec = _finite_spec(name)
     for x in FINITE_VECTORS:
-        realised = realise(n, x)
-        g = realised.graph()
-        groups = [(i + 1, p) for i, p in enumerate(realised.parts) if p]
-        groups += [(0, realised.v0)] if realised.v0 else []
+        sizes = realise(n, x)
+        g = realised_graph(sizes)
+        layout = vertex_groups(sizes)
+        groups = [(i, [v for v, j in enumerate(layout) if j == i]) for i in sizes]
         base = big_lambda(spec, g)
         for (i1, p1), (i2, p2) in itertools.combinations_with_replacement(groups, 2):
             if p1 == p2 and len(p1) < 2:
                 continue
             u, v = p1[0], p2[1] if p1 == p2 else p2[0]
             want = (base - big_lambda(spec, flip(g, u, v))) / comb(n - 2, spec.k - 2)
-            assert finite_flip_delta(spec, realised, i1, i2) == want, (x, i1, i2)
+            assert finite_flip_delta(spec, sizes, i1, i2) == want, (x, i1, i2)
 
 
 @pytest.mark.parametrize("n", [9, 11])
@@ -353,14 +382,15 @@ def test_finite_attach_lambda_vertex_exact(name, n):
     vertex u attached by b and j clique neighbours."""
     spec = _finite_spec(name)
     for x in FINITE_VECTORS:
-        s = realise(n, x)
-        v0 = len(s.v0)
-        for bits in itertools.product((0, 1), repeat=len(s.parts)):
-            b = dict(enumerate(bits, start=1))
+        sizes = realise(n, x)
+        v0 = sizes.get(0, 0)
+        parts = [i for i in sizes if i]
+        for bits in itertools.product((0, 1), repeat=len(parts)):
+            b = dict(zip(parts, bits))
             for j in range(v0 + 1):
-                h = attach(s.graph(), s, b, F(j, v0) if v0 else F(0))
+                h = attach(realised_graph(sizes), sizes, b, F(j, v0) if v0 else F(0))
                 want = big_lambda_vertex(spec, h, n) / comb(n, spec.k - 1)
-                assert finite_attach_lambda_vertex(spec, s, b, j) == want, (x, b, j)
+                assert finite_attach_lambda_vertex(spec, sizes, b, j) == want, (x, b, j)
 
 
 def _pattern_graph(types):
@@ -442,7 +472,7 @@ def test_rational_point_kernels_see_only_ints(monkeypatch):
         pair_density(spec, x, 1, 2)
         attach_value(spec, x, AttachmentPattern({1: 1, 3: 1}, F(1, 2)))
         finite_flip_delta(spec, realised, 0, 2)
-        for j in (0, 1, len(realised.v0)):
+        for j in (0, 1, realised[0]):
             finite_attach_lambda_vertex(spec, realised, {1: 1, 3: 1}, j)
     assert seen == {"times": {int}, "draw_sum": {int}, "draw_term": {int}, "split_sum": {int},
                     "pick_sum": {int}}

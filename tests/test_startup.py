@@ -101,3 +101,16 @@ def test_package_never_imports_dataclasses():
             found += [f"{path.name}:{node.lineno}" for n in names
                       if n.split(".")[0] == "dataclasses"]
     assert not found, found
+
+
+def test_package_data_is_read_without_importlib_resources():
+    """The report schema and the k311 data are read from the package
+    directory, so no command imports ``importlib.resources`` (and with it
+    ``tempfile``, ``shutil`` and the compression modules)."""
+    for argv in (["--help"], ["certify", "krt", "--r", "2", "--t", "3", "--quiet"],
+                 ["certify", "k311", "--quiet"]):
+        out = _fresh("-c", "import sys\n"
+                           "from inducibility import cli\n"
+                           "code = cli.main(sys.argv[1:])\n"
+                           "print(code, 'importlib.resources' in sys.modules)", *argv)
+        assert out.split()[-2:] == ["0", "False"], argv

@@ -10,10 +10,12 @@ from inducibility.perturbation import (AttachmentPattern, clone_values,
                                        finite_attach_lambda_vertex, finite_flip_delta,
                                        flip_gradient, pattern_e)
 from inducibility.polynomials import UPoly
-from inducibility.strictness import (_margin_for_pattern, check_str1, check_str2, compute_w,
+from inducibility import perturbation
+from inducibility.strictness import (ATTACH_TERM_BUDGET, _clone_edit_mass, _margin_for_pattern,
+                                     attach_terms, check_str1, check_str2,
                                      finite_strictness_check, strictness_certificate)
 
-from helpers import counterexample_candidates, counterexample_spec, flip
+from helpers import counterexample_candidates, counterexample_spec, flip, realised_graph
 
 A8 = PartiteVector.uniform(8)
 A311 = PartiteVector([F(3, 5)])
@@ -34,12 +36,11 @@ def test_check_str1_c4(spec_c4):
 
 def test_compute_w_examples():
     x = HALF
-    assert compute_w(x, pattern_e(1, x))[1] == 0
-    w = compute_w(x, AttachmentPattern({1: 1, 2: 1}, F(1)))
+    assert _clone_edit_mass(x.draw_weights(), pattern_e(1, x).b)[1] == 0
+    w = _clone_edit_mass(x.draw_weights(), {1: 1, 2: 1})
     assert w[1] == F(1, 2) and w[2] == F(1, 2)
     # clique-mass case: w_0 collects the unjoined parts
-    a = A311
-    w = compute_w(a, AttachmentPattern({1: 0}, F(1, 2)))
+    w = _clone_edit_mass(A311.draw_weights(), {1: 0})
     assert w[0] == F(3, 5) and w[1] == 0
 
 
@@ -47,11 +48,10 @@ def test_w_limit_consistency(spec_k311):
     """W_i / n approaches w_i + (1-alpha) x0 on realisations."""
     a = A311
     p = AttachmentPattern({1: 1}, F(1, 2))
-    w = compute_w(a, p)
+    w = _clone_edit_mass(a.draw_weights(), p.b)
     for n in (40, 80):
-        realised = realise(n, a)
-        sizes = {i + 1: len(q) for i, q in enumerate(realised.parts)}
-        v0 = len(realised.v0)
+        sizes = realise(n, a)
+        v0 = sizes[0]
         joined = int(F(1, 2) * v0)
         for i in (0, 1):
             if i == 0:
@@ -176,11 +176,43 @@ def test_finite_strictness_with_empty_realised_part():
         rep = finite_strictness_check(spec, x, n)
         assert rep.n == n and rep.c2 is not None
     # c1 is the least n^2 (lambda(G) - lambda(G + uv)) over all pairs uv
-    g = realise(10, x).graph()
+    g = realised_graph(realise(10, x))
     lam = lambda_graph(spec, g)
     want = min(100 * (lam - lambda_graph(spec, flip(g, u, v)))
                for u in range(10) for v in range(u + 1, 10))
     assert finite_strictness_check(spec, x, 10).c1 == want
+
+
+@pytest.mark.parametrize("spec", [ObjectiveSpec.partite_density([2, 1, 1]),
+                                  ObjectiveSpec.combination([(1, (2, 2)), (-1, (1, 1, 1, 1))])],
+                         ids=["KP 2,1,1", "signed SUM"])
+def test_attach_terms_counts_the_attachment_walk(monkeypatch, spec):
+    """attach_terms is the number of attachment integrand calls of check_str2,
+    with and without clique mass and with tied parts."""
+    calls = []
+    term = perturbation._attach_term
+
+    def counted(*args):
+        calls.append(args)
+        return term(*args)
+
+    monkeypatch.setattr(perturbation, "_attach_term", counted)
+    for x in (PartiteVector([F(1, 4)] * 4), PartiteVector([F(1, 5), F(1, 5), F(1, 10)]),
+              PartiteVector([F(1, 2), F(1, 3)]), PartiteVector()):
+        calls.clear()
+        check_str2(spec, x)
+        assert len(calls) == attach_terms(spec, x), x
+
+
+def test_attach_budget_admits_the_certificates_and_eight_parts():
+    """The budget refuses 10 distinct parts of KP 2,1,1,1 with clique mass,
+    and admits 8 (1/40 ... 8/40) and the certificates' candidates."""
+    kp2111 = ObjectiveSpec.partite_density([2, 1, 1, 1])
+    assert attach_terms(kp2111, PartiteVector([F(i, 40) for i in range(8, 0, -1)])) == 183_040
+    assert attach_terms(kp2111, PartiteVector([F(i, 60) for i in range(10, 0, -1)])) > \
+        ATTACH_TERM_BUDGET
+    # the k2111 certificate's candidate, the most parts of any certificate
+    assert attach_terms(kp2111, A8) == 9 * comb(8 + 3, 4) < ATTACH_TERM_BUDGET // 300
 
 
 # -- orbit walks against a reference that evaluates every pair and pattern ---
@@ -215,12 +247,11 @@ def _every_pattern(spec, x):
 def _every_finite_pattern(spec, x, n):
     """c1, c2 and the clone deficits of the finite check with every pair,
     every pattern b and every clique cut j."""
-    realised = realise(n, x)
-    sizes = realised.group_sizes()
+    sizes = realise(n, x)
     k = spec.k
-    lam = lambda_graph(spec, realised.graph())
+    lam = lambda_graph(spec, realised_graph(sizes))
     scale = F(n * n * comb(n - 2, k - 2), comb(n, k))
-    c1 = min(finite_flip_delta(spec, realised, i1, i2) * scale
+    c1 = min(finite_flip_delta(spec, sizes, i1, i2) * scale
              for i1 in sizes for i2 in sizes if i1 < i2 or (i1 == i2 and sizes[i1] > 1))
     parts = sorted(i for i in sizes if i)
     v0 = sizes.get(0, 0)
@@ -231,7 +262,7 @@ def _every_finite_pattern(spec, x, n):
             # edits to make the attached vertex a clone of part t, or of the clique
             edits = min(v0 - j + sum(sizes[i] * (b[i] if i == t else 1 - b[i]) for i in parts)
                         for t in parts + ([0] if v0 else []))
-            deficit = lam - finite_attach_lambda_vertex(spec, realised, b, j)
+            deficit = lam - finite_attach_lambda_vertex(spec, sizes, b, j)
             if edits == 0:
                 deficits.add(deficit)
             else:
