@@ -249,6 +249,7 @@ def cmd_symmetrise(args) -> int:
 def cmd_gradients(args) -> int:
     spec = parse_objective(args.objective)
     x = parse_vector(args.vector)
+    strictness.check_budget("gradients", x, "flip", strictness.flip_terms(spec, x))
     flips = {f"{i1},{i2}": str(v) for (i1, i2), v in strictness.check_str1(spec, x)[1].items()}
     clone = perturbation.clone_values(spec, x)
     res = perturbation.clone_residual(x, clone)

@@ -395,14 +395,8 @@ def iso_classes(n: int) -> tuple[Graph, ...]:
     None is missed: every class extends a class on n - 1 vertices by a vertex
     of maximum (degree, sum of neighbour degrees), the only extensions
     ``extension_candidates`` yields. Each graph is any one member of its
-    class, not a canonical form; its key is ``class_keys(n)`` at the same
-    index."""
+    class, not a canonical form."""
     return _classes(n)[1]
-
-
-def class_keys(n: int) -> tuple[bytes, ...]:
-    """The canonical key of each graph in iso_classes(n), in the same order."""
-    return _classes(n)[0]
 
 
 _KEY_OF_CODE: dict[int, dict[int, bytes]] = {}

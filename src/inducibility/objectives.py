@@ -39,16 +39,14 @@ class ObjectiveSpec:
     code (the code table) or canonical key (``gamma``, which a combination fills key by key
     on reads); scale: a common denominator of its values. Only a table spec keeps classes."""
 
-    __slots__ = ("k", "gamma", "scale", "provenance", "eligible", "label", "_code_table",
-                 "_partition_values")
+    __slots__ = ("k", "gamma", "scale", "eligible", "label", "_code_table", "_partition_values")
 
     def __init__(self, k: int, gamma: Mapping[bytes, Fraction] | None, scale: int,
-                 scaled: Callable[[int], int], provenance: tuple, eligible: bool, label: str):
+                 scaled: Callable[[int], int], eligible: bool, label: str):
         if k < 3:
             raise ValueError("objective arity k must be >= 3")
         self.k = k
         self.scale = scale
-        self.provenance = provenance
         self.eligible = eligible
         self.label = label
         self._code_table = _Filled(scaled)
@@ -72,7 +70,7 @@ class ObjectiveSpec:
             raise ValueError("gamma must cover every isomorphism class on k vertices")
         scale = lcm(*(v.denominator for v in gamma.values()))
         return cls(k, gamma, scale, lambda code: int(gamma[key_of_code(k, code)] * scale),
-                   ("table",), eligible=False, label=label)
+                   eligible=False, label=label)
 
     @classmethod
     def combination(cls, terms: Iterable[tuple[Rat, Sequence[int]]],
@@ -99,7 +97,7 @@ class ObjectiveSpec:
         if label is None:
             label = " + ".join(f"{c}*KP {','.join(map(str, a))}" for c, a in tl)
         return cls(kk, None, scale, lambda code: value_of(_shape_signature(kk, sizes, code)),
-                   ("combination", tuple(tl)), eligible, label)
+                   eligible, label)
 
     @classmethod
     def partite_density(cls, a: Sequence[int]) -> "ObjectiveSpec":
@@ -213,19 +211,6 @@ def big_lambda(spec: ObjectiveSpec, g: Graph) -> Fraction:
 def lambda_graph(spec: ObjectiveSpec, g: Graph) -> Fraction:
     """lambda(G) = C(n,k)^{-1} Lambda(G): the mean of gamma over k-subsets."""
     return big_lambda(spec, g) / comb(g.n, spec.k)
-
-
-def big_lambda_vertex(spec: ObjectiveSpec, g: Graph, v: int) -> Fraction:
-    """Lambda(G, v) = sum over k-subsets containing v (= Lambda(G) - Lambda(G-v))."""
-    if g.n < spec.k:
-        raise ValueError("graph smaller than objective arity")
-    table = spec.code_table()
-    return Fraction(sum(table[code] for code in subset_codes(g, spec.k, through=v)), spec.scale)
-
-
-def lambda_vertex(spec: ObjectiveSpec, g: Graph, v: int) -> Fraction:
-    """lambda(G, v): mean of gamma over k-subsets conditioned on containing v."""
-    return big_lambda_vertex(spec, g, v) / comb(g.n - 1, spec.k - 1)
 
 
 def brute_lambda_max(spec: ObjectiveSpec, n: int) -> tuple[Fraction, list[Graph]]:

@@ -1,8 +1,7 @@
 """The partite limit space: finite-support vectors x_1 >= x_2 >= ... > 0 with
-sum <= 1 and clique mass x_0 = 1 - sum, their n-vertex realisations, the
-draw-multiset sampling kernel (draw_sum) and its counting twin over
-realisations (pick_sum), one generating-function kernel (CompiledPattern)
-for complete partite counts, densities and elementary symmetric sums, the
+sum <= 1 and clique mass x_0 = 1 - sum, the draw-multiset sampling kernel
+(draw_sum), one generating-function kernel (CompiledPattern) for complete
+partite counts, densities and elementary symmetric sums, the
 exact sampling value lambda(x) and its gradient (lambda_gradient) from that
 kernel, and the limit edit distance.
 
@@ -148,50 +147,7 @@ def sym_coefficient(a: Sequence[int]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Realisations
-# ---------------------------------------------------------------------------
-
-def realise(n: int, x: PartiteVector) -> dict[int, int]:
-    """The group sizes {i: size} of the n-vertex realisation of x: part i
-    keeps its index, the clique is group 0, and groups with no vertices are
-    left out. vertex_groups lays the vertices out.
-
-    With no clique mass, largest-remainder rounding keeps every size within 1
-    of x_i*n; with clique mass, parts with x_i*n >= 2 get floor(x_i*n) and all
-    remaining vertices become universal singletons. No graph is built, so any
-    n works.
-    """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if x.x0 == 0:
-        sizes = [int(p * n) for p in x.parts]
-        fracs = sorted(range(len(sizes)), key=lambda i: (-(x.parts[i] * n - sizes[i]), i))
-        for i in fracs[:n - sum(sizes)]:
-            sizes[i] += 1
-    else:
-        sizes = [int(p * n) if p * n >= 2 else 0 for p in x.parts]
-    groups = {i: s for i, s in enumerate(sizes, start=1) if s}
-    if sum(sizes) < n:
-        groups[0] = n - sum(sizes)
-    return groups
-
-
-def vertex_groups(sizes: Mapping[int, int]) -> list[int]:
-    """The group of each vertex of a realisation with these group sizes: the
-    parts in index order, then the clique (group 0). Two vertices are
-    adjacent iff their groups differ or both are clique vertices."""
-    return [i for i in sorted(sizes, key=lambda i: (i == 0, i)) for _ in range(sizes[i])]
-
-
-def realised_shape(sizes: Mapping[int, int]) -> CompletePartiteShape:
-    """The complete partite shape of a realisation with these group sizes:
-    its parts, and each clique vertex as a part of size 1."""
-    return CompletePartiteShape(sizes=[s for i, s in sizes.items() if i],
-                                counts=[(1, sizes.get(0, 0))])
-
-
-# ---------------------------------------------------------------------------
-# The sampling kernel and its counting twin
+# The sampling kernel
 # ---------------------------------------------------------------------------
 
 def _multinomial(k: int, counts: Iterable[int]) -> int:
@@ -215,48 +171,13 @@ def draw_sum(k: int, weights: Mapping[int, object], term: Callable[[dict], objec
     (PartiteVector.integer_weights) and an integer term (gamma * scale from
     the code table), so the sum is an int; they divide it by scale and by
     D^k at the end. sampling_density passes the Fraction draw probabilities:
-    it is the Fraction reference route. With group, the sum is split by
-    group(counts) into a dict (see _multiset_sum).
+    it is the Fraction reference route. Terms that are zero are skipped.
+    With group, the dict of the sums by group(counts) instead, without
+    empty sums.
     """
     keys = sorted(weights)
     if comb(len(keys) + k - 1, k) > 10**7:
         raise ValueError("support too large for exact enumeration")
-
-    def weight(counts):
-        w = _multinomial(k, counts.values())
-        for i, c in counts.items():
-            w = w * weights[i] ** c
-        return w
-
-    return _multiset_sum(keys, k, weight, term, group)
-
-
-def pick_sum(k: int, sizes: Mapping[int, int], term: Callable[[dict], object]):
-    """Sum of term(counts) over the k-subsets of items sorted into groups.
-
-    sizes maps each group to its number of items; counts maps each group the
-    subset meets, in ascending order, to the number of its items picked. A
-    nonzero term contributes prod C(sizes[g], c) * term, the number of
-    subsets with these counts, so the sum is exact in the term ring; an
-    empty sum is Fraction(0). term is called only for counts that can be
-    picked (none above its group's size). The counting twin of draw_sum.
-    """
-    def ways(counts):
-        return prod(comb(sizes[g], c) for g, c in counts.items())
-
-    def possible_term(counts):
-        return term(counts) if all(c <= sizes[g] for g, c in counts.items()) else 0
-
-    return _multiset_sum(sorted(g for g, s in sizes.items() if s > 0), k, ways, possible_term)
-
-
-def _multiset_sum(keys: Sequence, k: int, weight: Callable[[dict], object],
-                  term: Callable[[dict], object],
-                  group: Optional[Callable[[dict], Hashable]] = None):
-    """Sum of weight(counts) * term(counts) over the multisets of k sorted
-    keys, each as the repeat counts of its keys in ascending order; terms
-    that are zero are skipped, and an empty sum is Fraction(0). With group,
-    the dict of the sums by group(counts) instead, without empty sums."""
     totals: dict = {}
     for multi in itertools.combinations_with_replacement(keys, k):
         counts: dict = {}
@@ -265,7 +186,10 @@ def _multiset_sum(keys: Sequence, k: int, weight: Callable[[dict], object],
         value = term(counts)
         if not value:
             continue
-        value = weight(counts) * value
+        w = _multinomial(k, counts.values())
+        for i, c in counts.items():
+            w = w * weights[i] ** c
+        value = w * value
         g = group(counts) if group else None
         totals[g] = totals[g] + value if g in totals else value
     return totals if group else totals.get(None, Fraction(0))

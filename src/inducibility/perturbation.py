@@ -2,12 +2,9 @@
 
 Flip gradients (expected loss of gamma from toggling one pair of a sample),
 attachment values (expected gamma seen by a new vertex joined by a 0/1 part
-pattern b and a clique fraction alpha), vertex gradients, clone values,
-Lagrange residuals, and exact finite-n counterparts on realisations (no
-subset enumeration, so they stay cheap at n in the hundreds). The limit
-flip gradients, through-pair densities and attachment values are integrands
-over the draw kernel partite.draw_sum; the finite-n flip deltas and
-attachment values are integrands over its counting twin partite.pick_sum.
+pattern b and a clique fraction alpha), vertex gradients, clone values and
+Lagrange residuals. The flip gradients, through-pair densities and
+attachment values are integrands over the draw kernel partite.draw_sum.
 One encoder, _pattern_code, gives every pattern code. Every integrand reads
 gamma * scale from the spec's integer code table; at a limit point the draws
 weigh the integer weights D x_i (PartiteVector.integer_weights), so a flip
@@ -23,8 +20,7 @@ partials of that form, under which (1/k) d(lambda)/dx_i = lambda(x, (e_i, 1))
 holds exactly for every i in supp* (clique index included). Every clone
 value comes from one call of partite.lambda_gradient, which differentiates
 the closed form, and the Lagrange residual reads lambda from the clone values
-(clone_residual); attach_value at the clone pattern pattern_e is the
-independent route to the same numbers.
+(clone_residual).
 """
 
 from __future__ import annotations
@@ -32,12 +28,10 @@ from __future__ import annotations
 from functools import lru_cache, partial
 from fractions import Fraction
 from math import comb
-from typing import Mapping, Optional
+from typing import Mapping
 
-from .graphs import Graph, class_keys
-from .objectives import ObjectiveSpec, lambda_graph
-from .partite import (PartiteVector, draw_sum, lambda_gradient, lambda_of_shape, pick_sum,
-                      realise, realised_shape, vertex_groups)
+from .objectives import ObjectiveSpec
+from .partite import PartiteVector, draw_sum, lambda_gradient
 from .polynomials import Rat, UPoly, _frac
 
 
@@ -68,11 +62,6 @@ class AttachmentPattern:
 
     def __repr__(self) -> str:
         return f"AttachmentPattern(b={self.b}, alpha={self.alpha})"
-
-
-def pattern_e(i: int, x: PartiteVector) -> AttachmentPattern:
-    """The clone pattern e_i: b(j) = 0 iff j = i (e_0 is all ones), alpha = 1."""
-    return AttachmentPattern({j: 0 if j == i else 1 for j in x.support}, Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -257,131 +246,3 @@ def clone_residual(x: PartiteVector, clones: Mapping[int, Fraction]) -> Fraction
     sum_i x_i lambda(x, (e_i, 1)) over supp*, exactly."""
     lam = sum((x.entry(i) * v for i, v in clones.items()), Fraction(0))
     return max(abs(v - lam) for v in clones.values())
-
-
-# ---------------------------------------------------------------------------
-# Exact finite-n counterparts on complete partite realisations
-# ---------------------------------------------------------------------------
-
-def finite_flip_delta(spec: ObjectiveSpec, sizes: Mapping[int, int],
-                      i1: int, i2: int) -> Fraction:
-    """(Lambda(G) - Lambda(G + xy)) / C(n-2, k-2) for a pair in parts i1, i2
-    of the realisation G with these group sizes (partite.realise).
-
-    Exact for any n: the flip loss of flip_gradient summed over the ways to
-    pick the other k-2 vertices from the groups of the realisation.
-    """
-    if i1 not in sizes or i2 not in sizes:
-        raise ValueError("no such part in the realisation")
-    rest = dict(sizes)
-    rest[i1] -= 1
-    rest[i2] -= 1
-    if rest[i1] < 0:
-        raise ValueError("part too small to host the pair")
-    loss = _flip_loss(spec.code_table(), i1, i2)
-    total = pick_sum(spec.k - 2, rest, loss)
-    return Fraction(total, spec.scale * comb(sum(sizes.values()) - 2, spec.k - 2))
-
-
-def finite_attach_lambda_vertex(spec: ObjectiveSpec, sizes: Mapping[int, int],
-                                b: Mapping[int, int], v0_neighbours: int) -> Fraction:
-    """lambda(G +_{b,alpha} u, u) with floor(alpha|V0|) = v0_neighbours, exact,
-    for the realisation G with these group sizes (partite.realise).
-
-    The attachment integrand of attach_value summed over the ways to pick
-    k-1 vertices from the groups of the realisation, where the clique is two
-    groups: the nb = v0_neighbours vertices joined to u (_JOINED) and the
-    v0 - nb others (0). The sum is an int. Works for any n.
-    """
-    v0 = sizes.get(0, 0)
-    if not 0 <= v0_neighbours <= v0:
-        raise ValueError("clique neighbour count out of range")
-    groups = {**sizes, _JOINED: v0_neighbours, 0: v0 - v0_neighbours}
-    table = spec.code_table()
-    total = pick_sum(spec.k - 1, groups, lambda counts: _attach_term(table, b, counts))
-    return Fraction(total, spec.scale * comb(sum(sizes.values()), spec.k - 1))
-
-
-# ---------------------------------------------------------------------------
-# Comparison diagnostics (imperfection accounting)
-# ---------------------------------------------------------------------------
-
-class DiagnosticBounds:
-    __slots__ = ("xi0", "xi1", "xi2", "wrong_pairs", "max_degree")
-
-    def __init__(self, xi0: Fraction, xi1: Fraction, xi2: Fraction, wrong_pairs: int,
-                 max_degree: int):
-        self.xi0 = xi0
-        self.xi1 = xi1
-        self.xi2 = xi2
-        self.wrong_pairs = wrong_pairs
-        self.max_degree = max_degree
-
-
-class CompareReport:
-    __slots__ = ("bounds", "lam_diff", "is_star", "hyp_all_ge_c", "hyp_all_le_c",
-                 "concl_general", "concl_star", "concl_upper")
-
-    def __init__(self, bounds: DiagnosticBounds, lam_diff: Fraction, is_star: bool,
-                 hyp_all_ge_c: bool, hyp_all_le_c: bool, concl_general: Optional[bool],
-                 concl_star: Optional[bool], concl_upper: Optional[bool]):
-        self.bounds = bounds
-        self.lam_diff = lam_diff            # lambda(H') - lambda(H)
-        self.is_star = is_star
-        self.hyp_all_ge_c = hyp_all_ge_c
-        self.hyp_all_le_c = hyp_all_le_c
-        self.concl_general = concl_general  # diff >= xi0/2 - xi1 - xi2 (when hyp ge)
-        self.concl_star = concl_star        # diff >= xi0/2 - xi2 (when hyp ge and star)
-        self.concl_upper = concl_upper      # diff <= xi0 + xi1 + xi2 (when hyp le)
-
-
-def compare_bounds(spec: ObjectiveSpec, h: Graph, x: PartiteVector, c: Rat) -> CompareReport:
-    """Evaluate the imperfection-comparison bounds on a concrete instance.
-
-    H' is the complete partite realisation of x on h.n vertices, laid out by
-    partite.vertex_groups (no graph is built: adjacency in H' is read from
-    the groups, and lambda(H') comes from lambda_of_shape), and T the edge
-    symmetric difference between H and H'; the xi quantities are the stated
-    functions of |T|, its max degree, c and gamma_max = max |gamma| over all
-    classes, and the report records which hypotheses and conclusions hold.
-    Diagnostic only; never feeds certification.
-    """
-    c = _frac(c)
-    n = h.n
-    sizes = realise(n, x)
-    groups = vertex_groups(sizes)
-    k = spec.k
-    wrong = [(u, v) for u in range(n) for v in range(u + 1, n)
-             if h.has_edge(u, v) != (groups[u] != groups[v] or not groups[u])]
-    t = len(wrong)
-    deg: dict[int, int] = {}
-    for u, v in wrong:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    max_deg = max(deg.values(), default=0)
-    gm = max(abs(spec.gamma[key]) for key in class_keys(k))
-    bounds = DiagnosticBounds(
-        xi0=Fraction(k**2 * t) * c / n**2,
-        xi1=2 * gm * Fraction(k**4 * t**2) / n**4,
-        xi2=2 * gm * Fraction(k**3 * t * max_deg) / n**3,
-        wrong_pairs=t,
-        max_degree=max_deg,
-    )
-    lam_diff = lambda_of_shape(spec, realised_shape(sizes)) - lambda_graph(spec, h)
-    grads = {}
-    hyp_ge = True
-    hyp_le = True
-    for u, v in wrong:
-        key = (min(groups[u], groups[v]), max(groups[u], groups[v]))
-        if key not in grads:
-            grads[key] = flip_gradient(spec, x, *key)
-        if grads[key] < c:
-            hyp_ge = False
-        if grads[key] > c:
-            hyp_le = False
-    is_star = t <= 1 or max_deg == t
-    concl_general = (lam_diff >= bounds.xi0 / 2 - bounds.xi1 - bounds.xi2) if hyp_ge else None
-    concl_star = (lam_diff >= bounds.xi0 / 2 - bounds.xi2) if (hyp_ge and is_star) else None
-    concl_upper = (lam_diff <= bounds.xi0 + bounds.xi1 + bounds.xi2) if hyp_le else None
-    return CompareReport(bounds, lam_diff, is_star, hyp_ge, hyp_le,
-                         concl_general, concl_star, concl_upper)

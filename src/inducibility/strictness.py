@@ -23,9 +23,8 @@ from math import comb, prod
 from typing import Callable, Iterator, Mapping, Optional
 
 from .objectives import ObjectiveSpec
-from .partite import PartiteVector, lambda_of_shape, realise, realised_shape
-from .perturbation import (AttachmentPattern, attach_value, clone_values,
-                           finite_attach_lambda_vertex, finite_flip_delta, flip_gradient)
+from .partite import PartiteVector
+from .perturbation import AttachmentPattern, attach_value, clone_values, flip_gradient
 from .polynomials import UPoly, simplest_fraction_between
 
 
@@ -67,8 +66,7 @@ def _clone_edit_mass(masses: Mapping[int, object], b: Mapping[int, int]) -> dict
     """w_i = [i>0] b_i m_i + sum_{j >= 1, j != i} (1 - b_j) m_j for each key i
     of masses: the part mass to edit so that a vertex joined to the parts in
     b and to the whole clique becomes a clone of group i. masses holds the
-    limit masses over supp*, or the realised group sizes (clique key 0
-    present iff it is nonempty)."""
+    limit masses over supp* (clique key 0 present iff it is positive)."""
     unjoined = sum((m for j, m in masses.items() if j and not b.get(j, 0)), Fraction(0))
     return {i: (unjoined + (m if b.get(i, 0) else -m)) if i else unjoined
             for i, m in masses.items()}
@@ -138,10 +136,32 @@ def _margin_for_pattern(spec: ObjectiveSpec, x: PartiteVector,
     return margin(lo, True)
 
 
-# Most attachment draw terms check_str2 may walk per candidate. KP 2,1,1,1 with
-# clique mass walks 183,040 on 8 distinct parts (about 1 s on a 2-vCPU VM)
-# and 1,397,760 on 10 (about 7 s).
-ATTACH_TERM_BUDGET = 1_000_000
+# Most draw terms one walk of a candidate may take: the attachment walk of
+# check_str2 (attach_terms) or the flip walk of check_str1 (flip_terms).
+# KP 2,1,1,1 with clique mass walks 183,040 attachment terms on 8 distinct
+# parts (about 1 s on a 2-vCPU VM) and 1,397,760 on 10 (about 7 s); KP 3,3
+# walks 39,325 flip terms on 10 distinct parts (about 0.7 s) and 2,454,606 on
+# 20 with clique mass (about 21 s).
+TERM_BUDGET = 1_000_000
+
+
+def check_budget(command: str, x: PartiteVector, walk: str, terms: int) -> None:
+    """ValueError when a walk at x takes more than TERM_BUDGET draw terms."""
+    if terms > TERM_BUDGET:
+        raise ValueError(f"{command}: {len(x.parts)} parts need {terms} {walk} terms, "
+                         f"above the limit of {TERM_BUDGET}")
+
+
+def flip_terms(spec: ObjectiveSpec, x: PartiteVector) -> int:
+    """The draw terms of check_str1: one flip draw sum per pair orbit, each
+    over the multisets of k-2 keys of supp*. With D distinct part masses
+    the orbits are D pairs inside a part, C(D, 2) pairs of two masses, one
+    pair of tied parts per repeated mass and, with clique mass, 1 + D pairs
+    with a clique draw."""
+    tally = Counter(x.parts)
+    d = len(tally)
+    orbits = d + comb(d, 2) + sum(m > 1 for m in tally.values()) + (1 + d if x.x0 else 0)
+    return orbits * comb(len(x.supp_star) + spec.k - 3, spec.k - 2)
 
 
 def attach_terms(spec: ObjectiveSpec, x: PartiteVector) -> int:
@@ -223,16 +243,15 @@ def strictness_certificate(spec: ObjectiveSpec,
                            candidates: list[PartiteVector]) -> StrictnessReport:
     """c = min over candidates of min(check_str1, check_str2); pass iff c > 0.
 
-    ValueError, before any check runs, when a candidate's check_str2 would
-    walk more than ATTACH_TERM_BUDGET draw terms (attach_terms).
+    ValueError, before any check runs, when a candidate's check_str2 or
+    check_str1 would walk more than TERM_BUDGET draw terms (attach_terms,
+    flip_terms).
     """
     if not candidates:
         raise ValueError("no candidates supplied")
     for x in candidates:
-        terms = attach_terms(spec, x)
-        if terms > ATTACH_TERM_BUDGET:
-            raise ValueError(f"strictness: {len(x.parts)} parts need {terms} attachment "
-                             f"terms, above the limit of {ATTACH_TERM_BUDGET}")
+        check_budget("strictness", x, "attachment", attach_terms(spec, x))
+        check_budget("strictness", x, "flip", flip_terms(spec, x))
     out = []
     for x in candidates:
         c1, pairs = check_str1(spec, x)
@@ -243,58 +262,3 @@ def strictness_certificate(spec: ObjectiveSpec,
     c2 = min(finite) if finite else None
     c = c1 if c2 is None else min(c1, c2)
     return StrictnessReport(tuple(out), c1, c2, c, c > 0)
-
-
-# ---------------------------------------------------------------------------
-# Finite-n conditions of the stability theorem
-# ---------------------------------------------------------------------------
-
-class FiniteStrictnessReport:
-    __slots__ = ("n", "c1", "c2", "clone_deficits")
-
-    def __init__(self, n: int, c1: Fraction, c2: Optional[Fraction],
-                 clone_deficits: tuple[Fraction, ...]):
-        self.n = n
-        self.c1 = c1                          # best constant in lam(G)-lam(G+xy) >= c/n^2
-        self.c2 = c2                          # best constant in edits <= n*deficit/c
-        self.clone_deficits = clone_deficits  # deficits at exact clone attachments
-
-    @property
-    def c(self) -> Fraction:
-        if self.c2 is None:
-            return self.c1
-        return min(self.c1, self.c2)
-
-
-def finite_strictness_check(spec: ObjectiveSpec, x: PartiteVector, n: int) -> FiniteStrictnessReport:
-    """Evaluate both finite-n strictness conditions on the realisation of x."""
-    sizes = realise(n, x)
-    lam = lambda_of_shape(spec, realised_shape(sizes))
-    k = spec.k
-
-    # pair condition over part-index orbits
-    scale = Fraction(n * n * comb(n - 2, k - 2), comb(n, k))
-
-    def flip(i1: int, i2: int) -> Optional[Fraction]:
-        if i1 == i2 and sizes[i1] < 2:
-            return None
-        return finite_flip_delta(spec, sizes, i1, i2) * scale
-
-    c1 = min(v for v in _pair_orbits(sizes, flip).values() if v is not None)
-
-    # attachment condition over all complete-or-empty patterns and clique cuts
-    v0_size = sizes.get(0, 0)
-    c2: Optional[Fraction] = None
-    clone_deficits: list[Fraction] = []
-    for b in _pattern_orbits({i: s for i, s in sizes.items() if i}):
-        min_w = min(_clone_edit_mass(sizes, b).values())
-        for j in range(v0_size + 1):
-            deficit = lam - finite_attach_lambda_vertex(spec, sizes, b, j)
-            edits = v0_size - j + min_w
-            if edits == 0:
-                clone_deficits.append(deficit)
-                continue
-            val = Fraction(n) * deficit / edits
-            if c2 is None or val < c2:
-                c2 = val
-    return FiniteStrictnessReport(n, c1, c2, tuple(clone_deficits))

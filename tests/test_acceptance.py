@@ -12,16 +12,16 @@ from inducibility.graphs import Graph, complete_partite_shape_of, graph_from_cod
 from inducibility.objectives import ObjectiveSpec, brute_lambda_max, partitions_of
 from inducibility.optsearch import continuous_opt, finite_opt, kst_maximiser
 from inducibility.partite import (PartiteVector, count_partite, density_formula,
-                                  density_polynomial, edit_distance_vectors,
-                                  lambda_of_vector, realise, realised_shape)
+                                  density_polynomial, edit_distance_vectors, lambda_of_vector)
 from inducibility.perturbation import (AttachmentPattern, attach_value, flip_gradient,
-                                       lagrange_residual, pattern_e)
+                                       lagrange_residual)
 from inducibility.polynomials import UPoly
 from inducibility.strictness import strictness_certificate
 from inducibility.symmetrise import symmetrise_full, symmetrise_vertex
 from inducibility.graphs import edit_distance_exact
 
-from helpers import counterexample_candidates, counterexample_spec, realised_graph
+from helpers import (counterexample_candidates, counterexample_spec, pattern_e, realise,
+                     realised_graph, realised_shape)
 
 A8 = PartiteVector.uniform(8)
 A311 = PartiteVector([F(3, 5)])

@@ -10,7 +10,7 @@ import pytest
 from inducibility.cli import main, parse_objective, validate_report
 from inducibility.graphs import Graph, write_graph_text
 
-from helpers import count_calls
+from helpers import count_calls, pattern_e
 
 
 def run_cli(args, capsys):
@@ -399,7 +399,7 @@ def test_gradients_kp221_clone_values_match_attach(capsys, tmp_path, monkeypatch
     from its clone values, with no lambda_of_vector call."""
     from fractions import Fraction as F
     from inducibility.partite import PartiteVector, lambda_of_vector
-    from inducibility.perturbation import attach_value, pattern_e
+    from inducibility.perturbation import attach_value
     x = PartiteVector([F(1, 8), F(1, 8), F(1, 10), F(1, 10), F(1, 10), F(1, 12), F(1, 12),
                        F(1, 20)])
     assert x.x0 > 0

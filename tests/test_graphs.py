@@ -7,11 +7,11 @@ import pytest
 
 from inducibility import graphs
 from inducibility.graphs import (CompletePartiteShape, Graph, canonical_key, class_key,
-                                 class_keys, code_of_key, complete_partite_shape_of,
+                                 code_of_key, complete_partite_shape_of,
                                  edit_distance_exact, graph_from_code, induced_count,
                                  iso_classes, key_of_code, parse_graph_text, write_graph_text)
 
-from helpers import attach, complement, flip
+from helpers import attach, class_keys, complement, flip
 
 
 def naive_isomorphic(g: Graph, h: Graph) -> bool:

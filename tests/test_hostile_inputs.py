@@ -83,6 +83,21 @@ def test_strictness_over_the_attachment_budget_is_refused_quickly(capsys):
     assert "63504384 attachment terms, above the limit of 1000000" in capsys.readouterr().err
 
 
+def test_gradients_over_the_flip_budget_is_refused_quickly(capsys, tmp_path):
+    """KP 3,3 on 20 distinct parts would walk 1,859,550 flip terms (10 parts
+    took about 0.7 s for 39,325): refused before any walk. 10 distinct parts
+    still give their flip table."""
+    def run(m, *extra):  # parts m, m - 1, ..., 1 over their sum
+        vector = json.dumps({"parts": [f"{i}/{m * (m + 1) // 2}" for i in range(m, 0, -1)]})
+        return main(["gradients", "--objective", "KP 3,3", "--vector", vector, *extra])
+
+    start = time.perf_counter()
+    assert run(20) == EXIT_USAGE and time.perf_counter() - start < 1
+    assert "20 parts need 1859550 flip terms, above the limit of 1000000" in capsys.readouterr().err
+    assert run(10, "--out", str(tmp_path / "r.json"), "--quiet") == 0
+    assert len(json.loads((tmp_path / "r.json").read_text())["result"]["flip_gradients"]) == 55
+
+
 def _hypothesis():
     hyp = pytest.importorskip("hypothesis")
     return hyp, pytest.importorskip("hypothesis.strategies")

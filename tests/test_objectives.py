@@ -7,16 +7,16 @@ from math import comb, lcm
 import pytest
 
 from inducibility import graphs, objectives
-from inducibility.graphs import (Graph, canonical_key, class_keys, complete_partite_shape_of,
-                                 graph_from_code, iso_classes)
-from inducibility.objectives import (ObjectiveSpec, big_lambda, big_lambda_vertex,
-                                     brute_lambda_max, lambda_graph, lambda_vertex,
+from inducibility.graphs import (Graph, canonical_key, complete_partite_shape_of,
+                                 graph_from_code, iso_classes, subset_codes)
+from inducibility.objectives import (ObjectiveSpec, big_lambda, brute_lambda_max, lambda_graph,
                                      partitions_of)
 from inducibility.partite import PartiteVector, lambda_of_vector
 from inducibility.perturbation import AttachmentPattern, attach_value, flip_gradient
 from inducibility.strictness import strictness_certificate
 
-from helpers import flip, integer_route_specs, reference_combination, reference_gamma
+from helpers import (big_lambda_vertex, class_keys, flip, integer_route_specs, lambda_vertex,
+                     reference_combination, reference_gamma)
 
 
 def test_partitions_of():
@@ -237,12 +237,15 @@ def test_big_lambda_integer_sums_equal_fraction_sums():
 
 
 def test_lambda_vertex_identity(spec_c4):
+    """Lambda(G) - Lambda(G - v) is the sum over the k-subsets through v,
+    the walk subset_codes(g, k, through=v)."""
     rng = random.Random(4)
+    table = spec_c4.code_table()
     for _ in range(10):
         g = graph_from_code(6, rng.randrange(1 << 15))
         for v in range(g.n):
-            assert big_lambda(spec_c4, g) - big_lambda(spec_c4, g.induced([u for u in range(g.n) if u != v])) \
-                == big_lambda_vertex(spec_c4, g, v)
+            assert big_lambda_vertex(spec_c4, g, v) == F(
+                sum(table[code] for code in subset_codes(g, spec_c4.k, through=v)), spec_c4.scale)
 
 
 def test_lambda_vertex_transitive(spec_k2111):

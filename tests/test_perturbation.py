@@ -7,20 +7,19 @@ import pytest
 
 from inducibility import partite, perturbation
 from inducibility.graphs import Graph, complete_partite_shape_of, iso_classes
-from inducibility.objectives import (ObjectiveSpec, big_lambda, big_lambda_vertex, lambda_graph,
-                                     partitions_of)
+from inducibility.objectives import ObjectiveSpec, big_lambda, lambda_graph, partitions_of
 from inducibility.partite import (PartiteVector, density_polynomial, draw_sum, lambda_gradient,
-                                  lambda_of_vector, realise, realised_shape, vertex_groups)
+                                  lambda_of_vector)
 from inducibility.polynomials import MPoly, UPoly
 from inducibility.perturbation import (AttachmentPattern, attach_value,
-                                       attach_value_generic, compare_bounds,
-                                       finite_attach_lambda_vertex, finite_flip_delta,
-                                       flip_gradient, flip_gradient_generic,
-                                       lagrange_residual, pair_density,
-                                       pattern_e, vertex_gradient)
+                                       attach_value_generic, flip_gradient, flip_gradient_generic,
+                                       lagrange_residual, pair_density, vertex_gradient)
 
-from helpers import (attach, count_calls, flip, integer_route_specs, integer_route_vectors,
-                     partial_derivative_fd, realised_graph)
+import helpers
+from helpers import (attach, big_lambda_vertex, compare_bounds, count_calls,
+                     finite_attach_lambda_vertex, finite_flip_delta, flip, integer_route_specs,
+                     integer_route_vectors, partial_derivative_fd, pattern_e, realise,
+                     realised_graph, realised_shape, vertex_groups)
 
 A8 = PartiteVector.uniform(8)
 A311 = PartiteVector([F(3, 5)])
@@ -436,7 +435,7 @@ def test_rational_point_kernels_see_only_ints(monkeypatch):
     at the end."""
     seen = {"times": set(), "draw_sum": set(), "draw_term": set(), "split_sum": set(),
             "pick_sum": set()}
-    times, draw, pick = partite.CompiledPattern.times, perturbation.draw_sum, perturbation.pick_sum
+    times, draw, pick = partite.CompiledPattern.times, perturbation.draw_sum, helpers.pick_sum
 
     def spy_times(self, poly, factor):
         seen["times"].update(map(type, poly + factor))
@@ -462,7 +461,7 @@ def test_rational_point_kernels_see_only_ints(monkeypatch):
 
     monkeypatch.setattr(partite.CompiledPattern, "times", spy_times)
     monkeypatch.setattr(perturbation, "draw_sum", spy_draw)
-    monkeypatch.setattr(perturbation, "pick_sum", spy_pick)
+    monkeypatch.setattr(helpers, "pick_sum", spy_pick)
     x = PartiteVector([F(1, 3), F(1, 5), F(1, 5), F(1, 7)])
     realised = realise(20, x)
     for spec in integer_route_specs()[3:6]:  # KP 2,2,1,1, the signed SUM, the k = 3 table

@@ -4,8 +4,7 @@ A public (non-underscore, non-dunder) module-level function or class, or a
 public method of a module-level class, must be read somewhere in src/
 outside its own body, or in the benchmark scripts (perfbench/*.py).
 Re-exports in __init__.py and uses in tests/ do not count: a name only tests
-call is test code and belongs in tests/. The only exceptions are the
-paper-facing functions in API, each kept for the paper notion it computes.
+call is test code and belongs in tests/.
 
 What counts as a read:
 - only a load: a field declaration such as ``attach: UPoly`` or an
@@ -30,16 +29,6 @@ PERFBENCH = ROOT / "perfbench"
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 MODULES = {path.stem for path in SRC.glob("*.py")}
-
-# name -> the paper notion it computes
-API = {
-    "lambda_vertex": "lambda(G, v), the mean of gamma over the k-subsets through v",
-    "pattern_e": "the clone attachment pattern e_i, joined to every part but part i",
-    "compare_bounds": "the comparison bounds of the stability theorem between a graph "
-                      "and a complete partite realisation",
-    "finite_strictness_check": "the strictness conditions at a finite n",
-}
-
 
 def _is_public(name: str) -> bool:
     return not name.startswith("_")
@@ -112,8 +101,6 @@ def test_no_public_definitions_reached_only_from_tests():
     unused = []
     for file, tree in trees.items():
         for node, is_method in _public_definitions(tree):
-            if node.name in API:
-                continue
             kinds = {"attr", "string"} if is_method else {"name", "module", "string"}
             used = any(kind in kinds and name == node.name
                        and not (other == file and node.lineno <= line <= node.end_lineno)
@@ -122,8 +109,3 @@ def test_no_public_definitions_reached_only_from_tests():
                 unused.append(f"{file}:{node.lineno} {node.name}")
     assert not unused, "public definitions reached only from tests: " + ", ".join(unused)
 
-
-def test_api_names_exist():
-    defined = {node.name for path in SRC.glob("*.py")
-               for node, _ in _public_definitions(ast.parse(path.read_text()))}
-    assert set(API) <= defined

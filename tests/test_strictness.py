@@ -5,17 +5,17 @@ from math import comb
 import pytest
 
 from inducibility.objectives import ObjectiveSpec, lambda_graph
-from inducibility.partite import PartiteVector, lambda_of_vector, realise
-from inducibility.perturbation import (AttachmentPattern, clone_values,
-                                       finite_attach_lambda_vertex, finite_flip_delta,
-                                       flip_gradient, pattern_e)
+from inducibility.partite import PartiteVector, lambda_of_vector
+from inducibility.perturbation import AttachmentPattern, clone_values, flip_gradient
 from inducibility.polynomials import UPoly
 from inducibility import perturbation
-from inducibility.strictness import (ATTACH_TERM_BUDGET, _clone_edit_mass, _margin_for_pattern,
-                                     attach_terms, check_str1, check_str2,
-                                     finite_strictness_check, strictness_certificate)
+from inducibility.strictness import (TERM_BUDGET, _clone_edit_mass, _margin_for_pattern,
+                                     attach_terms, check_str1, check_str2, flip_terms,
+                                     strictness_certificate)
 
-from helpers import counterexample_candidates, counterexample_spec, flip, realised_graph
+from helpers import (counterexample_candidates, counterexample_spec, finite_attach_lambda_vertex,
+                     finite_flip_delta, finite_strictness_check, flip, pattern_e, realise,
+                     realised_graph)
 
 A8 = PartiteVector.uniform(8)
 A311 = PartiteVector([F(3, 5)])
@@ -152,6 +152,16 @@ def test_finite_strictness_k22(spec_c4):
     assert all(d <= F(1, 8) for d in small.clone_deficits)
 
 
+@pytest.mark.parametrize("a, parts, n, want", [
+    ([2, 2], [F(1, 2)] * 2, 16, (F(256, 65), F(56, 65), [F(2, 65)])),
+    ([3, 1, 1], [F(3, 5), F(1, 20)], 10, (F(500, 63), F(25, 21), [F(1, 21), F(2, 21)]))])
+def test_finite_strictness_pinned(a, parts, n, want):
+    """c1, c2 and the sorted clone deficits, pinned; part 2 of (3/5, 1/20) is
+    realised empty at n = 10."""
+    rep = finite_strictness_check(ObjectiveSpec.partite_density(a), PartiteVector(parts), n)
+    assert (rep.c1, rep.c2, sorted(rep.clone_deficits)) == want
+
+
 def test_finite_strictness_converges(spec_c4):
     """c(n) approaches its limit within a fitted C/n over n = 16, ..., 256."""
     k = spec_c4.k
@@ -187,21 +197,25 @@ def test_finite_strictness_with_empty_realised_part():
                                   ObjectiveSpec.combination([(1, (2, 2)), (-1, (1, 1, 1, 1))])],
                          ids=["KP 2,1,1", "signed SUM"])
 def test_attach_terms_counts_the_attachment_walk(monkeypatch, spec):
-    """attach_terms is the number of attachment integrand calls of check_str2,
-    with and without clique mass and with tied parts."""
+    """attach_terms and flip_terms are the numbers of draw-sum integrand calls
+    of check_str2 and check_str1, with and without clique mass, with tied
+    parts, parts equal to the clique mass and the clique alone."""
     calls = []
-    term = perturbation._attach_term
+    draw = perturbation.draw_sum
 
-    def counted(*args):
-        calls.append(args)
-        return term(*args)
+    def counted(k, weights, term, group=None):
+        return draw(k, weights, lambda counts: calls.append(counts) or term(counts), group)
 
-    monkeypatch.setattr(perturbation, "_attach_term", counted)
+    monkeypatch.setattr(perturbation, "draw_sum", counted)
     for x in (PartiteVector([F(1, 4)] * 4), PartiteVector([F(1, 5), F(1, 5), F(1, 10)]),
+              PartiteVector([F(1, 3), F(1, 3), F(1, 6), F(1, 6)]), PartiteVector([F(1, 4)] * 3),
               PartiteVector([F(1, 2), F(1, 3)]), PartiteVector()):
         calls.clear()
         check_str2(spec, x)
         assert len(calls) == attach_terms(spec, x), x
+        calls.clear()
+        check_str1(spec, x)
+        assert len(calls) == flip_terms(spec, x), x
 
 
 def test_attach_budget_admits_the_certificates_and_eight_parts():
@@ -210,9 +224,19 @@ def test_attach_budget_admits_the_certificates_and_eight_parts():
     kp2111 = ObjectiveSpec.partite_density([2, 1, 1, 1])
     assert attach_terms(kp2111, PartiteVector([F(i, 40) for i in range(8, 0, -1)])) == 183_040
     assert attach_terms(kp2111, PartiteVector([F(i, 60) for i in range(10, 0, -1)])) > \
-        ATTACH_TERM_BUDGET
+        TERM_BUDGET
     # the k2111 certificate's candidate, the most parts of any certificate
-    assert attach_terms(kp2111, A8) == 9 * comb(8 + 3, 4) < ATTACH_TERM_BUDGET // 300
+    assert attach_terms(kp2111, A8) == 9 * comb(8 + 3, 4) < TERM_BUDGET // 300
+
+
+def test_flip_budget_admits_ten_parts_of_kp33():
+    """KP 3,3 on m distinct parts m, ..., 1 over their sum walks 39,325 flip
+    terms at m = 10, 249,900 at 14 and 1,859,550, over the budget, at 20."""
+    kp33 = ObjectiveSpec.partite_density([3, 3])
+    for m, terms in ((10, 39_325), (14, 249_900), (20, 1_859_550)):
+        x = PartiteVector([F(i, m * (m + 1) // 2) for i in range(m, 0, -1)])
+        assert flip_terms(kp33, x) == terms and (terms > TERM_BUDGET) == (m == 20)
+    assert flip_terms(ObjectiveSpec.partite_density([2, 1, 1, 1]), A8) < TERM_BUDGET // 300
 
 
 # -- orbit walks against a reference that evaluates every pair and pattern ---
