@@ -8,7 +8,8 @@ box's corners are its values there. The root box is expanded once; a child box
 gets its coefficients from its parent's by de Casteljau subdivision at the
 midpoint of the split variable. Coefficients are integers over one common
 power-of-two multiple of the root denominator, so every bound is an exact
-rational and a certified upper bound.
+rational and a certified upper bound. Sample values come from the same forms
+(a midpoint weighs coefficient i by C(d, i) / 2^d along each variable).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from fractions import Fraction
+from functools import cache
 from math import comb, lcm, prod
 from typing import Iterator, Mapping, Sequence
 
@@ -29,6 +31,18 @@ def _fibres(dims: tuple[int, ...], axis: int) -> Iterator[slice]:
     for outer in range(0, prod(dims), block):
         for r in range(outer, outer + stride):
             yield slice(r, r + block, stride)
+
+
+@cache
+def _sample_points(dims: tuple[int, ...]) -> list[tuple[list[tuple[int, int]], int]]:
+    """(index, weight) pairs and a shift per sample point of a box, the midpoint
+    and then the corners in itertools.product order: the value at a point is
+    sum(weight * coeffs[index]) / (den << shift)."""
+    grid = list(itertools.product(*map(range, dims)))  # row-major: position = flat index
+    mid = [(f, prod(comb(n - 1, i) for n, i in zip(dims, idx))) for f, idx in enumerate(grid)]
+    return [(mid, sum(dims) - len(dims))] + [
+        ([(grid.index(tuple(c * (n - 1) for c, n in zip(corner, dims))), 1)], 0)
+        for corner in itertools.product((0, 1), repeat=len(dims))]
 
 
 class BernsteinForm:
@@ -64,6 +78,12 @@ class BernsteinForm:
                          for k in range(n)]
         den = lcm(*(c.denominator for c in a))
         return cls([c.numerator * (den // c.denominator) for c in a], dims, den)
+
+    def sample(self, k: int) -> Fraction:
+        """The polynomial's value at sample point k of the box: 0 is the
+        midpoint, and k >= 1 the corners in ``itertools.product`` order."""
+        terms, shift = _sample_points(self.dims)[k]
+        return Fraction(sum(w * self.coeffs[i] for i, w in terms), self.den << shift)
 
     def halves(self, axis: int) -> tuple["BernsteinForm", "BernsteinForm"]:
         """Coefficients on the two halves of the box split at the midpoint of
@@ -114,36 +134,33 @@ def bb_max_bound(poly: MPoly, box: Mapping[str, tuple[Rat, Rat]], tol: Rat,
     whole extent (sound). The box with the largest bound is split at the
     midpoint of its widest variable, and the children's coefficients come
     from de Casteljau subdivision of the parent's. The midpoint and corners of
-    each box are sampled for the lower bound ``sample_max``.
+    each box are sampled for the lower bound ``sample_max``, in the forms.
     """
     tol = _frac(tol)
-    vars_ = list(box)
     sample_max: Fraction | None = None
     heap: list[tuple[float, int, Fraction, tuple]] = []
     counter = itertools.count()
 
     def push(b: list[tuple[Fraction, Fraction]], form: BernsteinForm, active) -> None:
-        # active: (constraint, its form) for the constraints not known to hold on b
+        # active: the forms of the constraints not known to hold on b
         nonlocal sample_max
         straddling = []
-        for g, g_form in active:
+        for g_form in active:
             if min(g_form.coeffs) > 0:
                 return
             if max(g_form.coeffs) > 0:
-                straddling.append((g, g_form))
+                straddling.append(g_form)
         ub = Fraction(max(form.coeffs), form.den)
-        mid = tuple((lo + hi) / 2 for lo, hi in b)
-        for pt in itertools.chain([mid], itertools.product(*b)):
-            pt = dict(zip(vars_, pt))
-            if all(g.evaluate(pt) <= 0 for g, _ in straddling):
-                val = poly.evaluate(pt)
+        for k in range(1 + 2 ** len(b)):  # the midpoint, then the corners
+            if all(g_form.sample(k) <= 0 for g_form in straddling):
+                val = form.sample(k)
                 if sample_max is None or val > sample_max:
                     sample_max = val
                 break
         heapq.heappush(heap, (-float(ub), next(counter), ub, (b, form, straddling)))
 
     push([(_frac(lo), _frac(hi)) for lo, hi in box.values()], BernsteinForm.expand(poly, box),
-         [(g, BernsteinForm.expand(g, box)) for g in constraints])
+         [BernsteinForm.expand(g, box) for g in constraints])
     boxes = 1
     while heap:
         _, _, ub, (b, form, active) = heap[0]
@@ -155,11 +172,11 @@ def bb_max_bound(poly: MPoly, box: Mapping[str, tuple[Rat, Rat]], tol: Rat,
         axis = max(range(len(b)), key=lambda i: b[i][1] - b[i][0])
         lo, hi = b[axis]
         mid = (lo + hi) / 2
-        halves = [f.halves(axis) for f in (form, *(g_form for _, g_form in active))]
+        halves = [f.halves(axis) for f in (form, *active)]
         for side, part in enumerate(((lo, mid), (mid, hi))):
             child = list(b)
             child[axis] = part
-            push(child, halves[0][side], [(g, h[side]) for (g, _), h in zip(active, halves[1:])])
+            push(child, halves[0][side], [h[side] for h in halves[1:]])
             boxes += 1
     # heap empty: the whole region was infeasible
     return BBResult(Fraction(0), Fraction(0), False, boxes, empty=True)

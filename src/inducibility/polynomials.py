@@ -1,7 +1,8 @@
 """Exact rational polynomial arithmetic: univariate kernels (Sturm sequences,
 root counting and isolation, sign certification on intervals), sparse
-multivariate polynomials, Sylvester resultants, and algebraic numbers given by
-a defining polynomial plus an isolating interval.
+multivariate polynomials, bivariate resultants interpolated from Sylvester
+determinants at integer points (``matrices.det``, on Python ints), and
+algebraic numbers given by a defining polynomial plus an isolating interval.
 
 All coefficients are ``fractions.Fraction``; nothing here touches floating
 point, so every count, sign and bound is exact.
@@ -10,7 +11,10 @@ point, so every count, sign and bound is exact.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from math import gcd, lcm
+from typing import Iterable, Mapping, Sequence, Union
+
+from . import matrices
 
 Rat = Union[int, Fraction]
 
@@ -149,12 +153,6 @@ class UPoly:
                 rem[i - d + j] -= f * c
         return UPoly(q), UPoly(rem)
 
-    def exact_div(self, other: "UPoly") -> "UPoly":
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("inexact polynomial division")
-        return q
-
     def monic(self) -> "UPoly":
         if self.is_zero():
             return self
@@ -173,7 +171,7 @@ class UPoly:
         g = self.gcd(self.derivative())
         if g.degree == 0:
             return self.monic()
-        return self.exact_div(g).monic()
+        return self.divmod(g)[0].monic()  # g divides p
 
     def shift(self, c: Rat) -> "UPoly":
         """p(x + c), by repeated synthetic division."""
@@ -515,39 +513,9 @@ class MPoly:
     def from_upoly(cls, p: UPoly, var: str) -> "MPoly":
         return cls((var,), {(i,): c for i, c in enumerate(p.coeffs) if c != 0})
 
-    def exact_div(self, other: "MPoly") -> "MPoly":
-        """Exact division; raises if ``other`` does not divide ``self``."""
-        if other.is_zero():
-            raise ZeroDivisionError
-        a, b, vs = self._aligned(other)
-        lead_e = max(b.terms)  # lex order on exponent tuples
-        lead_c = b.terms[lead_e]
-        q: dict[tuple[int, ...], Fraction] = {}
-        rem = dict(a.terms)
-        while rem:
-            e = max(rem)
-            c = rem[e]
-            qe = tuple(x - y for x, y in zip(e, lead_e))
-            if any(x < 0 for x in qe):
-                raise ValueError("inexact multivariate division")
-            qc = c / lead_c
-            q[qe] = q.get(qe, Fraction(0)) + qc
-            for be, bc in b.terms.items():
-                ee = tuple(x + y for x, y in zip(qe, be))
-                nv = rem.get(ee, Fraction(0)) - qc * bc
-                if nv == 0:
-                    rem.pop(ee, None)
-                else:
-                    rem[ee] = nv
-        return MPoly(vs, q)
-
     def content(self) -> Fraction:
-        from math import gcd
-        num = 0
-        den = 1
-        for c in self.terms.values():
-            num = gcd(num, c.numerator)
-            den = den * c.denominator // gcd(den, c.denominator)
+        num = gcd(*(c.numerator for c in self.terms.values()))
+        den = lcm(*(c.denominator for c in self.terms.values()))
         return Fraction(num, den) if num else Fraction(1)
 
     def normalized(self) -> "MPoly":
@@ -562,67 +530,39 @@ class MPoly:
 
 
 # ---------------------------------------------------------------------------
-# Resultants (Sylvester matrix + fraction-free Bareiss elimination)
+# Resultants by evaluation and interpolation
 # ---------------------------------------------------------------------------
 
-def sylvester_matrix(p_coeffs: Sequence, q_coeffs: Sequence) -> list[list]:
-    """Sylvester matrix rows from coefficient lists (ascending powers)."""
-    m = len(p_coeffs) - 1
-    n = len(q_coeffs) - 1
-    if m < 0 or n < 0:
-        raise ValueError("zero polynomial in resultant")
-    size = m + n
-    rows = []
-    pc = list(reversed(p_coeffs))
-    qc = list(reversed(q_coeffs))
-    for i in range(n):
-        rows.append([MPoly.const(0)] * i + list(pc) + [MPoly.const(0)] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([MPoly.const(0)] * i + list(qc) + [MPoly.const(0)] * (size - n - 1 - i))
-    return rows
-
-
-def bareiss_det(rows: Sequence[Sequence], div: Callable):
-    """Determinant of a nonempty square matrix by Bareiss fraction-free
-    elimination, generic in the entry ring (Fraction, MPoly); div(a, b) is
-    the ring's exact division, and every division made here is exact."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = None  # the first step divides by 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return a[k][k]  # the ring's zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[k][k] * a[i][j] - a[i][k] * a[k][j]
-                a[i][j] = num if prev is None else div(num, prev)
-        prev = a[k][k]
-    det = a[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
 def resultant(p: MPoly, q: MPoly, var: str) -> MPoly:
-    """Sylvester resultant of p and q with respect to ``var``.
-
-    The output is content-normalised with positive lex-leading coefficient.
-    Both inputs must actually involve ``var``.
-    """
+    """Sylvester resultant of p and q in ``var``, for p and q in ``var`` and
+    at most one other variable w (Collins, J. ACM 1971): Res is a polynomial
+    of degree at most D = deg_var(p) deg_w(q) + deg_var(q) deg_w(p) in w,
+    Newton-interpolated from its values at w = 0..D, each the determinant of
+    the formal-degree Sylvester matrix there (exact where a leading
+    coefficient vanishes too). The output is content-normalised with positive
+    lex-leading coefficient. Both inputs must actually involve ``var``."""
     dp, dq = p.degree_in(var), q.degree_in(var)
     if dp == 0 or dq == 0:
         raise ValueError("resultant: an input does not involve the variable")
-    pc = p.coeffs_in(var)
-    qc = q.coeffs_in(var)
-    p_list = [pc.get(i, MPoly.const(0)) for i in range(dp + 1)]
-    q_list = [qc.get(i, MPoly.const(0)) for i in range(dq + 1)]
-    det = bareiss_det(sylvester_matrix(p_list, q_list), MPoly.exact_div)
-    return det.normalized()
+    others = set(p._pruned().vars + q._pruned().vars) - {var}
+    if len(others) > 1:
+        raise ValueError(f"resultant: more than one variable besides {var}: {sorted(others)}")
+    w = others.pop() if others else None
+    pc, qc = p.coeffs_in(var), q.coeffs_in(var)
+    top = dp * q.degree_in(w) + dq * p.degree_in(w)
+    values = []
+    for node in range(top + 1):  # coefficients in var at w = node, descending
+        pv = [pc[i].evaluate({w: node}) if i in pc else 0 for i in range(dp, -1, -1)]
+        qv = [qc[i].evaluate({w: node}) if i in qc else 0 for i in range(dq, -1, -1)]
+        values.append(matrices.det([[0] * i + pv + [0] * (dq - 1 - i) for i in range(dq)]
+                                   + [[0] * i + qv + [0] * (dp - 1 - i) for i in range(dp)]))
+    for k in range(1, top + 1):  # divided differences at the nodes 0..top
+        for i in range(top, k - 1, -1):
+            values[i] = (values[i] - values[i - 1]) / k
+    res = UPoly([values[top]])
+    for k in range(top - 1, -1, -1):  # from the Newton form
+        res = res * UPoly([-k, 1]) + values[k]
+    return (MPoly.from_upoly(res, w) if w else MPoly.const(res(0))).normalized()
 
 
 # ---------------------------------------------------------------------------

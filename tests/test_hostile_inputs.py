@@ -10,6 +10,7 @@ import pytest
 
 from inducibility import certificates
 from inducibility.cli import main
+from inducibility.graphs import Graph, write_graph_text
 from inducibility.polynomials import parse_rational
 
 K311 = certificates._load_k311_data()
@@ -69,6 +70,33 @@ def test_opt_starts_above_the_limit_is_refused_quickly(capsys):
     code = main(["opt", "--objective", "KP 2,1,1,1", "--starts", "10001"])
     assert code == EXIT_USAGE and time.perf_counter() - start < 1
     assert "--starts must be from 0 to 10000" in capsys.readouterr().err
+
+
+_NINE_PARTS = json.dumps({"parts": [f"{i}/45" for i in range(9, 0, -1)]})
+
+
+@pytest.mark.parametrize("args, message", [
+    (["oracle", "--objective", "KP 2,1", "--n", "8"], "brute force limited to n <= 7"),
+    (["opt", "--mode", "finite", "--objective", "KP 2,1", "--n", "41"],
+     "partition scan limited to n <= 40"),
+    (["symmetrise", "--objective", "KP 2,1", "--graph", "{tmp}/25.txt"],
+     "symmetrisation limited to n <= 24"),
+    (["edit-distance", "--vector", _NINE_PARTS, "--vector", '{"parts":["1"]}'],
+     "support too large for overlay enumeration"),
+    (["edit-distance", "--graph", "{tmp}/10.txt", "--graph", "{tmp}/10.txt"],
+     "bijection enumeration limited to n <= 9"),
+])
+def test_size_limits_are_refused_quickly(args, message, capsys, tmp_path):
+    """Each command whose cost grows with its input refuses a size above its
+    limit with exit 3 and a message, before any work; "{tmp}/n.txt" is an
+    edgeless n-vertex graph file."""
+    for n in (10, 25):
+        (tmp_path / f"{n}.txt").write_text(write_graph_text(Graph(n, (0,) * n)))
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    start = time.perf_counter()
+    code = main(args)
+    assert code == EXIT_USAGE and time.perf_counter() - start < 1
+    assert message in capsys.readouterr().err
 
 
 def test_strictness_over_the_attachment_budget_is_refused_quickly(capsys):

@@ -20,6 +20,32 @@ def test_bernstein_enclosure_contains_samples():
         assert lo <= v <= hi
 
 
+def test_bernstein_samples_are_the_values_at_midpoint_and_corners():
+    """BernsteinForm.sample reads a box's midpoint (k = 0) and its corners
+    (k >= 1, in itertools.product order) from the coefficients alone; each
+    equals MPoly.evaluate there, on seeded boxes, after subdivision too."""
+    rng = random.Random(7)
+    y, z, u = MPoly.var("y"), MPoly.var("z"), MPoly.var("u")
+    polys = [3 * y**3 * z - 2 * y * z**2 + z - F(1, 3),
+             y**2 * u - F(5, 7) * z * u**3 + y * z * u + 2,
+             F(2, 9) * z**4 - y]                          # degree 0 in u
+    for _ in range(30):
+        box = {}
+        for v in ("y", "z", "u"):
+            lo = F(rng.randint(-20, 20), rng.randint(1, 9))
+            box[v] = (lo, lo + F(rng.randint(1, 30), rng.randint(1, 9)))
+        p = rng.choice(polys)
+        form = BernsteinForm.expand(p, box)
+        axis = rng.randrange(3)
+        lo, hi = box["yzu"[axis]]
+        half = rng.randrange(2)
+        form = form.halves(axis)[half]
+        box["yzu"[axis]] = (lo, (lo + hi) / 2) if half == 0 else ((lo + hi) / 2, hi)
+        points = [tuple((a + b) / 2 for a, b in box.values()), *itertools.product(*box.values())]
+        for k, point in enumerate(points):
+            assert form.sample(k) == p.evaluate(dict(zip(box, point))), (p, box, k)
+
+
 def test_bernstein_subdivision_matches_expansion():
     """De Casteljau halves equal the re-expansion on each half, and the
     corner coefficients are the polynomial's corner values."""

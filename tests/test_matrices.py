@@ -53,3 +53,25 @@ def test_psd_against_cholesky():
         assert ours == theirs, (m, eig)
         agree += 1
     assert agree >= 150
+
+
+def test_psd_check_is_every_leading_minor_positive():
+    """psd_check reads the Bareiss pivots; the reference takes each leading
+    block's determinant on its own. Seeded symmetric matrices with small
+    entries, zeros often, so zero and negative minors (and the row swaps
+    that follow a zero pivot) both occur."""
+    rng = random.Random(30)
+    seen = {"zero": 0, "negative": 0, "pass": 0}
+    for _ in range(400):
+        n = rng.randint(1, 5)
+        m = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                x = F(0) if rng.random() < 0.3 else F(rng.randint(-2, 3), rng.randint(1, 2))
+                m[i][j] = m[j][i] = x + (2 if i == j else 0)
+        minors = [det([r[:k] for r in m[:k]]) for k in range(1, n + 1)]
+        assert psd_check(m) == all(d > 0 for d in minors), m
+        seen["zero"] += 0 in minors
+        seen["negative"] += any(d < 0 for d in minors)
+        seen["pass"] += all(d > 0 for d in minors)
+    assert min(seen.values()) >= 20, seen

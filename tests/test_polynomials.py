@@ -91,15 +91,6 @@ def test_mpoly_algebra():
     assert q.substitute("z", F(0)) == 3 * y - F(1, 2)
 
 
-def test_mpoly_exact_div():
-    y, z = MPoly.var("y"), MPoly.var("z")
-    a = (y + z) * (y - z) * (y + 1)
-    b = y + z
-    assert b * a.exact_div(b) == a
-    with pytest.raises(ValueError):
-        (a + 1).exact_div(b)
-
-
 def test_resultant_simple():
     y, z = MPoly.var("y"), MPoly.var("z")
     r = resultant(y - z, y**2 - 2, "y")
@@ -170,8 +161,9 @@ def _sympy_poly(sympy, p: MPoly, gens):
 
 
 def test_determinants_and_resultants_match_sympy():
-    """Both Bareiss uses, matrices.det over Fractions and the Sylvester
-    resultant over MPoly, agree with sympy on seeded random inputs."""
+    """Both uses of the integer Bareiss elimination, matrices.det over
+    Fractions and the resultant interpolated from Sylvester determinants at
+    integer points, agree with sympy on seeded random inputs."""
     sympy = pytest.importorskip("sympy")
     from inducibility.matrices import det
     rng = random.Random(36)
@@ -202,6 +194,31 @@ def test_determinants_and_resultants_match_sympy():
                                             _sympy_poly(sympy, q, gens), gens[0]), *gens)
         want = MPoly(("y", "z"), {e: F(int(c.p), int(c.q)) for e, c in theirs.terms() if c})
         assert ours == want.normalized(), (p, q)
+
+
+def test_resultant_through_a_vanishing_leading_coefficient_matches_sympy():
+    """p = (z - 2) y^2 + y + z and q = y^2 - z: D = 2 + 2 = 4, so the nodes
+    are z = 0..4, and at the node 2 p drops to degree 1 in y. The formal-degree
+    Sylvester determinant there is still Res(2), so the interpolant is sympy's
+    resultant."""
+    sympy = pytest.importorskip("sympy")
+    y, z = MPoly.var("y"), MPoly.var("z")
+    p, q = (z - 2) * y**2 + y + z, y**2 - z
+    assert p.substitute("z", F(2)).degree_in("y") == 1
+    gens = sympy.symbols("y z")
+    theirs = sympy.Poly(sympy.resultant(_sympy_poly(sympy, p, gens),
+                                        _sympy_poly(sympy, q, gens), gens[0]), gens[1])
+    want = MPoly(("z",), {e: F(int(c.p), int(c.q)) for e, c in theirs.terms()})
+    assert resultant(p, q, "y") == want.normalized() != 0
+    assert resultant(q, p, "y") == want.normalized()
+
+
+def test_resultant_refuses_a_third_variable():
+    x, y, z = MPoly.var("x"), MPoly.var("y"), MPoly.var("z")
+    with pytest.raises(ValueError, match="more than one variable besides y"):
+        resultant(y - x, y**2 - z, "y")
+    assert resultant(y - 3, y**2 - 2, "y") == 1  # no other variable: 7, normalised
+    assert resultant(y - 1, y**2 - 1, "y") == 0  # a common root
 
 
 def test_isolate_roots_builds_one_sturm_chain(monkeypatch):
