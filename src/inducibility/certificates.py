@@ -229,8 +229,8 @@ def certify_kst(s: int, t: int) -> CertificateReport:
     """Certify the two-part maximiser, value and strictness of p(K_{s,t}, .)."""
     if s > t:
         s, t = t, s
-    if s * t < 2 or s + t > 12:
-        raise ValueError("need s*t >= 2 and s+t <= 12")
+    if s * t < 2 or s + t > 40:
+        raise ValueError("need s*t >= 2 and s+t <= 40")
     if s < 1:  # two negative sizes have a positive product
         raise ValueError("need s, t >= 1")
     rep = CertificateReport(f"kst({s},{t})")
@@ -251,14 +251,15 @@ def certify_kst(s: int, t: int) -> CertificateReport:
         rep.add("single_root_in_unit_interval", h.count_roots_open(0, 1) == 1)
         rep.add("profile_poly_negative_at_0", h(Fraction(0)) < 0)
         rep.add("concavity_condition", s + t < m * m, "s+t < (t-s)^2")
-        lo, hi = res.alpha.interval()
-        rep.add("alpha_in_open_half_one", Fraction(1, 2) < lo and hi < 1,
-                f"alpha in [{lo}, {hi}]")
+        inside = res.alpha.sign_of(UPoly([Fraction(-1, 2), 1])) > 0 \
+            and res.alpha.sign_of(UPoly([1, -1])) > 0
+        rep.add("alpha_in_open_half_one", inside,
+                f"alpha in [{res.alpha.lo}, {res.alpha.hi}]")
         if s == 1:
             rep.add("one_sided_value_at_t", h(Fraction(t)) == t * t - 1 and t * t - 1 > 0,
                     "h(t) = t^2 - 1 > 0")
-            a2 = res.alpha.refine(Fraction(1, 2**48))
-            rep.add("beta_above_one_over_t_plus_1", a2.hi < Fraction(t, t + 1),
+            rep.add("beta_above_one_over_t_plus_1",
+                    res.alpha.sign_of(UPoly([Fraction(t, t + 1), -1])) > 0,
                     "1 - alpha > 1/(t+1)")
         if (s, t) == (1, 4):
             rep.add("four_fifths_not_stationary", h(Fraction(1, 4)) != 0,
@@ -421,7 +422,7 @@ def certify_krt(r: int, t: int) -> CertificateReport:
     D = 3 * r
     ok_grid = True
     worst = None
-    for used in range(k, D + 1):
+    for used in range(1, D + 1):
         for part in partitions_of(used, max_parts=r + 1):
             vec = PartiteVector([Fraction(p, D) for p in part])
             if vec == x:
@@ -545,8 +546,9 @@ def certify_k2111() -> CertificateReport:
     for ell in range(1, 8):
         qs = q.substitute("l", Fraction(ell))
         p1 = (y - 1) * qs
-        h_ell = H.substitute("l", Fraction(ell)) * Fraction(1, ell**4)
-        p2 = Fraction(ell**4) * z - H.substitute("l", Fraction(ell))
+        H_ell = H.substitute("l", Fraction(ell))
+        h_ell = H_ell * Fraction(1, ell**4)
+        p2 = Fraction(ell**4) * z - H_ell
         elim = resultant(p1, p2, "y").to_upoly("z")
         if ell == 1:
             target = UPoly([0, -216, 625]) * UPoly([0, 1])   # z (625 z - 216)

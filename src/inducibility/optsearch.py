@@ -444,16 +444,12 @@ def _try_snap(spec: ObjectiveSpec, z: list[float],
 # ---------------------------------------------------------------------------
 
 class KstResult:
-    __slots__ = ("s", "t", "alpha", "root_poly", "x_interval", "at_half", "i_value")
+    __slots__ = ("alpha", "root_poly", "at_half", "i_value")
 
-    def __init__(self, s: int, t: int, alpha: AlgebraicNumber, root_poly: UPoly,
-                 x_interval: tuple[Fraction, Fraction], at_half: bool,
+    def __init__(self, alpha: AlgebraicNumber, root_poly: UPoly, at_half: bool,
                  i_value: tuple[Fraction, Fraction]):
-        self.s = s
-        self.t = t
         self.alpha = alpha            # the larger ratio, in [1/2, 1)
         self.root_poly = root_poly    # s x^{m+1} - t x^m + t x - s, m = t - s
-        self.x_interval = x_interval
         self.at_half = at_half        # True when the balanced split is optimal
         self.i_value = i_value        # enclosure of the inducibility constant
 
@@ -488,27 +484,22 @@ def kst_maximiser(s: int, t: int) -> KstResult:
     coeffs[m + 1] += Fraction(s)
     h = UPoly(coeffs)
 
-    if s >= comb(m, 2):
+    at_half = s >= comb(m, 2)
+    if at_half:
         alpha = AlgebraicNumber.from_rational(Fraction(1, 2))
-        mlo = mhi = Fraction(1, 2) ** s * Fraction(1, 2) ** t * 2
-        if s == t:
-            mlo = mhi = mlo / 2
-        factor = comb(s + t, s)
-        return KstResult(s, t, alpha, h, (Fraction(1, 2), Fraction(1, 2)), True,
-                         (factor * mlo, factor * mhi))
-
-    boxes = h.isolate_roots(Fraction(0), Fraction(1))
-    if len(boxes) != 1:
-        raise RuntimeError("expected a unique root in (0, 1)")
-    lo, hi = h.refine_root(*boxes[0], Fraction(1, 2**40))
-    # alpha = 1/(1+x) is decreasing and 1-Lipschitz on x >= 0
-    a_lo, a_hi = 1 / (1 + hi), 1 / (1 + lo)
-    # defining polynomial for alpha: alpha^{m+1} h((1-alpha)/alpha)
-    one_minus = UPoly([1, -1])
-    al = UPoly.x()
-    p_alpha = (s * one_minus ** (m + 1) - t * al * one_minus**m
-               + t * one_minus * al**m - s * al ** (m + 1))
-    alpha = AlgebraicNumber(p_alpha, a_lo, a_hi)
+    else:
+        boxes = h.isolate_roots(Fraction(0), Fraction(1))
+        if len(boxes) != 1:
+            raise RuntimeError("expected a unique root in (0, 1)")
+        lo, hi = h.refine_root(*boxes[0], Fraction(1, 2**40))
+        # alpha = 1/(1+x) is decreasing and 1-Lipschitz on x >= 0
+        a_lo, a_hi = 1 / (1 + hi), 1 / (1 + lo)
+        # defining polynomial for alpha: alpha^{m+1} h((1-alpha)/alpha)
+        one_minus = UPoly([1, -1])
+        al = UPoly.x()
+        p_alpha = (s * one_minus ** (m + 1) - t * al * one_minus**m
+                   + t * one_minus * al**m - s * al ** (m + 1))
+        alpha = AlgebraicNumber(p_alpha, a_lo, a_hi)
     if alpha.is_rational:
         a = alpha.as_fraction()
         mlo = mhi = a**s * (1 - a) ** t + a**t * (1 - a) ** s
@@ -517,4 +508,4 @@ def kst_maximiser(s: int, t: int) -> KstResult:
     if s == t:
         mlo, mhi = mlo / 2, mhi / 2
     factor = comb(s + t, s)
-    return KstResult(s, t, alpha, h, (lo, hi), False, (factor * mlo, factor * mhi))
+    return KstResult(alpha, h, at_half, (factor * mlo, factor * mhi))

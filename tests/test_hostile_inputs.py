@@ -4,7 +4,12 @@ pattern and graph strings sent through the CLI."""
 
 import copy
 import json
+import os
+import subprocess
+import sys
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +90,7 @@ _NINE_PARTS = json.dumps({"parts": [f"{i}/45" for i in range(9, 0, -1)]})
      "support too large for overlay enumeration"),
     (["edit-distance", "--graph", "{tmp}/10.txt", "--graph", "{tmp}/10.txt"],
      "bijection enumeration limited to n <= 9"),
+    (["certify", "kst", "--s", "1", "--t", "40"], "need s*t >= 2 and s+t <= 40"),
 ])
 def test_size_limits_are_refused_quickly(args, message, capsys, tmp_path):
     """Each command whose cost grows with its input refuses a size above its
@@ -124,6 +130,20 @@ def test_gradients_over_the_flip_budget_is_refused_quickly(capsys, tmp_path):
     assert "20 parts need 1859550 flip terms, above the limit of 1000000" in capsys.readouterr().err
     assert run(10, "--out", str(tmp_path / "r.json"), "--quiet") == 0
     assert len(json.loads((tmp_path / "r.json").read_text())["result"]["flip_gradients"]) == 55
+
+
+def test_strictness_on_twenty_equal_parts_finishes():
+    """KP 2,1 on 20 parts of mass 1/20 is within the attachment budget
+    (21 pattern orbits, 4,410 terms); the orbits come from the count of ones
+    per distinct mass, not from a walk over all 2^20 patterns (about 70 s)."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "inducibility", "strictness", "--objective",
+                           "KP 2,1", "--vector", json.dumps({"parts": ["1/20"] * 20})],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == EXIT_FAIL, proc.stderr
+    assert proc.stdout.startswith("fail: c = -4/5\n")
 
 
 def _hypothesis():
@@ -283,6 +303,45 @@ def test_fuzzed_cli_strings_end_in_an_exit_code(monkeypatch, capsys, tmp_path):
                       "--pattern", pattern]):
             assert main(args + ["--quiet"]) in (0, 1, 3), args
         capsys.readouterr()
+
+    check()
+
+
+STRICTNESS_OBJECTIVES = ["KP 2,1", "KP 2,2", "KP 3,1", "KP 2,1,1", "KP 3,3", "KP 2,1,1,1"]
+
+
+def _tied_vectors(st):
+    """Vectors of 1 to 24 parts over at most 4 distinct masses (integer
+    weights over their sum, in decreasing order), with or without clique mass."""
+    @st.composite
+    def vector(draw):
+        n = draw(st.integers(1, 24))
+        masses = draw(st.lists(st.integers(1, 8), min_size=1, max_size=4, unique=True))
+        weights = sorted(draw(st.lists(st.sampled_from(masses), min_size=n, max_size=n)),
+                         reverse=True)
+        x0 = draw(st.sampled_from([0, 1, 4]))
+        total = sum(weights) + x0
+        vec = {"x0": str(Fraction(x0, total)),
+               "parts": [str(Fraction(w, total)) for w in weights]}
+        return json.dumps(vec)
+
+    return vector()
+
+
+@pytest.mark.parametrize("command", ["strictness", "gradients"])
+def test_fuzzed_tied_vectors_end_quickly(command, capsys):
+    """strictness and gradients on many tied parts, with and without clique
+    mass, end in exit 0, 1 or 3 within 5 s: within the term budget the pattern
+    and pair orbits are few, and over it the input is refused."""
+    hyp, st = _hypothesis()
+
+    @hyp.settings(max_examples=25, deadline=None, derandomize=True)
+    @hyp.given(objective=st.sampled_from(STRICTNESS_OBJECTIVES), vector=_tied_vectors(st))
+    def check(objective, vector):
+        start = time.perf_counter()
+        code = main([command, "--objective", objective, "--vector", vector, "--quiet"])
+        assert code in (0, 1, 3) and time.perf_counter() - start < 5, (objective, vector)
+        assert "Traceback" not in capsys.readouterr().err
 
     check()
 

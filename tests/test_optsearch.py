@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction as F
-from math import comb, sqrt
+from math import comb
 
 import pytest
 
@@ -148,9 +148,6 @@ def test_kst_14_algebraic():
     quotient, rem = res.root_poly.divmod(UPoly([1, -4, 1]))
     assert rem.is_zero()
     assert quotient == UPoly([-1, 0, 1])
-    xlo, xhi = res.x_interval
-    target = 2 - sqrt(3)
-    assert float(xlo) <= target <= float(xhi)
     # alpha = (3 + sqrt 3)/6 satisfies 6a^2 - 6a + 1 = 0
     assert UPoly([1, -6, 6]).count_roots(lo, hi) == 1
     # strict bound 1 - alpha > 1/(t+1)

@@ -123,8 +123,6 @@ def test_algebraic_number_sign():
     assert sqrt2.sign_of(UPoly([-1, 1])) == 1        # sqrt2 - 1 > 0... x - 1 at sqrt2
     assert sqrt2.sign_of(UPoly([-3, 1])) == -1
     assert sqrt2.sign_of(UPoly([0, -6, 3])) < 0      # 3x(2 - 2x)... sign at sqrt2
-    a = sqrt2.refine(F(1, 2**40))
-    assert a.hi - a.lo <= F(1, 2**40)
     r = AlgebraicNumber.from_rational(F(3, 7))
     assert r.is_rational and r.as_fraction() == F(3, 7)
 
