@@ -350,25 +350,47 @@ def extension_candidates(n: int) -> Iterator[tuple[Graph, int, Graph]]:
     maximum invariant, H - u is isomorphic to some g, and the isomorphism
     carries H onto an extension of g whose new vertex has u's (maximum)
     value. A class may appear more than once.
+
+    The rule has two parts: the degree prefilter ``extension_masks``, which
+    needs no h, and the predicate ``new_vertex_maximal``. A scan that can
+    reject a mask on other grounds may apply the predicate only to the masks
+    it keeps. ``objectives.brute_lambda_max`` does so with a branch and
+    bound: every extension is some graph on n vertices, so a mask whose
+    value is below the best candidate's so far cannot be a maximiser, and
+    since that cut is strict, every candidate that ties the maximum is still
+    tested.
     """
     if not 1 <= n <= CANON_MAX:
         raise ValueError("extension candidates limited to 1 <= n <= 8")
     for g in iso_classes(n - 1):
-        deg = [r.bit_count() for r in g.rows]
-        top = max(deg, default=0)
-        # v's degree is at least every other degree in h iff
-        # popcount(mask) >= deg[u] + bit u of mask for every u, that is iff
-        # popcount(mask) >= top and mask avoids every u with deg[u] = popcount
-        at_degree = [sum(1 << u for u in range(n - 1) if deg[u] == d) for d in range(n)]
-        for mask in range(1 << (n - 1)):
-            d = mask.bit_count()
-            if d < top or mask & at_degree[d]:
-                continue
+        for mask in extension_masks(g):
             h = g.add_vertex(mask)
-            mine = _invariant(h, n - 1)
-            if any(_invariant(h, u) > mine for u in range(n - 1)):
-                continue
-            yield g, mask, h
+            if new_vertex_maximal(h):
+                yield g, mask, h
+
+
+def extension_masks(g: Graph) -> Iterator[int]:
+    """The masks, in increasing order, whose extension g.add_vertex(mask)
+    gives the new vertex a degree at least every other degree: the degree
+    part of the ``extension_candidates`` rule, read from g alone."""
+    deg = [r.bit_count() for r in g.rows]
+    top = max(deg, default=0)
+    # v's degree is at least every other degree in h iff
+    # popcount(mask) >= deg[u] + bit u of mask for every u, that is iff
+    # popcount(mask) >= top and mask avoids every u with deg[u] = popcount
+    at_degree = [sum(1 << u for u in range(g.n) if deg[u] == d) for d in range(g.n + 1)]
+    for mask in range(1 << g.n):
+        d = mask.bit_count()
+        if d >= top and not mask & at_degree[d]:
+            yield mask
+
+
+def new_vertex_maximal(h: Graph) -> bool:
+    """Whether h's last vertex maximises ``_invariant`` among h's vertices:
+    the ``extension_candidates`` rule on a mask of ``extension_masks``."""
+    v = h.n - 1
+    mine = _invariant(h, v)
+    return not any(_invariant(h, u) > mine for u in range(v))
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Candidate maximiser search.
 
-finite_opt scans every integer partition of n exactly; continuous_opt is a
+finite_opt maximises over the integer partitions of n exactly (a branch and
+bound whose cuts keep every tie); continuous_opt is a
 seeded multistart projected-gradient ascent over the simplex (clique mass as
 an explicit coordinate) with merge/split moves, followed by clustering and
 snapping to small-denominator rationals whose exact value confirms the float;
@@ -26,7 +27,7 @@ from typing import Callable, Optional, Sequence
 
 from .graphs import CompletePartiteShape
 from .objectives import ObjectiveSpec
-from .partite import (PartiteVector, lambda_of_vector, partition_counts,
+from .partite import (PartiteVector, lambda_of_vector, partition_totals,
                       sym_coefficient, _multinomial)
 from .perturbation import lagrange_residual
 from .polynomials import AlgebraicNumber, UPoly
@@ -39,22 +40,27 @@ from .polynomials import AlgebraicNumber, UPoly
 def finite_opt(spec: ObjectiveSpec, n: int) -> tuple[Fraction, list[CompletePartiteShape]]:
     """Max of lambda over all n-vertex complete partite graphs, with argmax set.
 
-    Scans every partition of n with partite.partition_counts, which carries
+    Scans the partitions of n with partite.partition_totals, which carries
     the generating-function product of each pattern with nonzero gamma along
     a depth-first walk. Partitions are compared by the integer
     sum of (gamma * scale) * count (spec.partition_weights()); only the
     maximum becomes a Fraction. The argmax shapes are listed in
     partitions_of order.
+
+    The walk is a branch and bound: every factor of the product is a
+    non-negative int, so a subtree's weighted counts have an integer upper
+    bound, and a subtree is cut only when that bound is below the best total
+    so far. The cut is strict, so ties are kept and the value and the full
+    argmax list are those of the exhaustive scan. The worst case is a
+    constant gamma, where every partition ties and none is cut.
     """
     if n > 40:
         raise ValueError("partition scan limited to n <= 40")
     if n < spec.k:
         raise ValueError("need n >= k")
-    weights = spec.partition_weights()
     best: Optional[int] = None
     arg: list[tuple[tuple[int, int], ...]] = []
-    for groups, counts in partition_counts(list(weights), n):
-        total = sum(map(operator.mul, weights.values(), counts))
+    for groups, total in partition_totals(spec.partition_weights(), n):
         if best is None or total > best:
             best, arg = total, [groups]
         elif total == best:

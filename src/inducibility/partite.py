@@ -482,34 +482,89 @@ def count_partite(a: Sequence[int], shape: CompletePartiteShape) -> int:
     return pattern.coefficient([_host_factor(pattern, s, m) for s, m in shape.counts])
 
 
-def partition_counts(patterns: Sequence[Sequence[int]], n: int):
-    """Yield (groups, counts) for every partition of n, in partitions_of order.
+def partition_totals(weights: Mapping[tuple[int, ...], int], n: int):
+    """Yield (groups, total) for the partitions of n, in partitions_of order,
+    except those of subtrees that cannot reach the largest total yielded so
+    far.
 
     groups is the run-length form ((size, mult), ..., (1, singletons)) with
     sizes >= 2 descending and a (1, 0) group when there are no singletons;
-    counts[i] is count_partite(patterns[i], CompletePartiteShape(counts=groups)).
-    The walk is depth first, sizes and then multiplicities descending, with
-    the singletons last, and it carries each pattern's truncated product of
-    the groups placed so far: a partition costs one product for its last
-    group of size >= 2 and one top coefficient for its singletons.
+    total is the sum over the patterns a of weights[a] *
+    count_partite(a, CompletePartiteShape(counts=groups)). The walk is depth
+    first, sizes and then multiplicities descending, with the singletons
+    last, and it carries each pattern's truncated product of the groups
+    placed so far: a partition costs one product for its last group of size
+    >= 2, one top coefficient for its singletons and one for its bound.
+
+    Branch and bound: a child of the walk with r vertices left, in parts of
+    size at most cap, completes its product poly with the product T of a
+    partition of r into parts <= cap, and its count is top(poly, T). Every
+    factor entry is a non-negative int, so top(poly, .) is monotone and each
+    weighted count is at most top(poly, B[r][cap]), B from _tail_bounds. A
+    child whose bound is below the running best total is skipped. The cut is
+    strict, so every partition that ties the final maximum is still yielded,
+    in order.
     """
-    compiled = [_compiled(_norm_partition(a)) for a in patterns]
-    tables = [{(s, m): _host_factor(p, s, m) for s in range(1, n + 1) for m in range(n // s + 1)}
+    compiled = [_compiled(_norm_partition(a)) for a in weights]
+    tables = [{(s, m): _host_factor(p, s, m) for s in range(1, n + 1) for m in range(1, n // s + 1)}
               for p in compiled]
+    bounds = [_tail_bounds(p, f, w, n) for p, f, w in zip(compiled, tables, weights.values())]
     groups: list[tuple[int, int]] = []
+    best: Optional[int] = None
+
+    def bound(polys: list[list[int]], r: int, cap: int) -> int:
+        # top(poly, B[r][cap]) summed over the patterns, B stored reversed
+        cap = min(cap, r)
+        total = 0
+        for poly, b in zip(polys, bounds):
+            total += sum(map(mul, poly, b[r][cap]))
+        return total
 
     def walk(rest: int, cap: int, polys: list[list[int]]):
+        nonlocal best
         for s in range(min(cap, rest), 1, -1):
             for m in range(rest // s, 0, -1):
+                r = rest - s * m
+                child = [p.times(poly, f[s, m]) for p, f, poly in zip(compiled, tables, polys)]
+                if best is not None and bound(child, r, s - 1) < best:
+                    continue
                 groups.append((s, m))
-                yield from walk(rest - s * m, s - 1,
-                                [p.times(poly, f[s, m])
-                                 for p, f, poly in zip(compiled, tables, polys)])
+                yield from walk(r, s - 1, child)
                 groups.pop()
-        yield (*groups, (1, rest)), [p.top(poly, f[1, rest])
-                                     for p, f, poly in zip(compiled, tables, polys)]
+        # the singletons are the one partition left, so the bound at cap 1 is exact
+        total = bound(polys, rest, 1)
+        if best is None or total > best:
+            best = total
+        yield (*groups, (1, rest)), total
 
     yield from walk(n, n, [p.one() for p in compiled])
+
+
+def _tail_bounds(pattern: CompiledPattern, table: Mapping[tuple[int, int], list[int]],
+                 weight: int, n: int) -> list[list[list[int]]]:
+    """[r][cap] for 0 <= cap <= r <= n (cap >= 1 when r >= 1), reversed: an
+    elementwise upper bound B[r][cap] on weight * T over the products T of
+    the host factors of the partitions of r into parts <= cap, that is weight
+    times their elementwise max when weight > 0 and their min when weight < 0.
+    Reversed, so that top(poly, B) is the dot product of poly with it.
+
+    A partition of r into parts <= cap has parts <= cap - 1, or is one part
+    of size cap and a partition of r - cap into parts <= cap, so
+    B[r][cap] = max(B[r][cap - 1], B[r - cap][cap] * F_cap) elementwise, F_cap
+    the factor of one part of size cap. The product is monotone because F_cap
+    is non-negative, and the max of weighted vectors is weight times the min
+    of the unweighted ones when weight < 0. No part exceeds r, so B[r][cap]
+    for cap > r is kept as B[r][r]. The singletons alone give
+    B[r][1] = weight * F_1^r exactly, and the empty partition B[0][0].
+    """
+    out = [[[weight * v for v in pattern.one()]]]
+    for r in range(1, n + 1):
+        row = [[], [weight * v for v in table[1, r]]]
+        for cap in range(2, r + 1):
+            more = pattern.times(out[r - cap][min(cap, r - cap)], table[cap, 1])
+            row.append(list(map(max, row[cap - 1], more)))
+        out.append(row)
+    return [[b[::-1] for b in row] for row in out]
 
 
 def lambda_of_shape(spec: ObjectiveSpec, shape: CompletePartiteShape) -> Fraction:

@@ -174,6 +174,13 @@ def counterexample_candidates() -> list[PartiteVector]:
             PartiteVector([Fraction(1, 2), Fraction(1, 2)])]
 
 
+def seeded_table(k: int) -> ObjectiveSpec:
+    """A from_table spec on k vertices with seeded signed values on every class."""
+    rng = random.Random(k)
+    return ObjectiveSpec.from_table(k, {g: Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                                        for g in iso_classes(k)})
+
+
 def integer_route_specs():
     """KP densities, a SUM with a negative coefficient, and seeded
     from_table specs at k = 3..6 (gamma with denominators up to 12)."""

@@ -14,8 +14,10 @@ from pathlib import Path
 import pytest
 
 from inducibility import certificates
-from inducibility.cli import main
-from inducibility.graphs import Graph, write_graph_text
+from inducibility.cli import main, parse_objective
+from inducibility.graphs import CompletePartiteShape, Graph, write_graph_text
+from inducibility.objectives import partitions_of
+from inducibility.partite import lambda_of_shape
 from inducibility.polynomials import parse_rational
 
 K311 = certificates._load_k311_data()
@@ -342,6 +344,53 @@ def test_fuzzed_tied_vectors_end_quickly(command, capsys):
         code = main([command, "--objective", objective, "--vector", vector, "--quiet"])
         assert code in (0, 1, 3) and time.perf_counter() - start < 5, (objective, vector)
         assert "Traceback" not in capsys.readouterr().err
+
+    check()
+
+
+def _signed_objectives(st):
+    """KP strings of arity 3 to 5, and SUMs of up to three KP terms with
+    signed rational coefficients whose largest term has arity 3 to 5."""
+    def kp(m):
+        return st.sampled_from(partitions_of(m)).map(lambda a: "KP " + ",".join(map(str, a)))
+
+    @st.composite
+    def objective(draw):
+        k = draw(st.integers(3, 5))
+        if draw(st.booleans()):
+            return draw(kp(k))
+        terms = [draw(kp(k))] + draw(st.lists(st.integers(1, k).flatmap(kp), max_size=2))
+        coeffs = st.fractions(-3, 3, max_denominator=4).map(str)
+        return "SUM " + " + ".join(f"{draw(coeffs)}*{term}" for term in terms)
+
+    return objective()
+
+
+@pytest.mark.parametrize("command, n_max, shapes", [("opt", 40, "shapes"),
+                                                    ("oracle", 7, "extremal_shapes")])
+def test_fuzzed_scans_end_quickly_with_exact_shapes(command, n_max, shapes, capsys, tmp_path):
+    """opt --mode finite (n <= 40) and oracle (n <= 7) on signed KP and SUM
+    objectives end in exit 0, 1 or 3 within 5 s, never a traceback, and
+    every complete partite shape they report has the value they report."""
+    hyp, st = _hypothesis()
+    out = tmp_path / "report.json"
+    mode = ["--mode", "finite"] if command == "opt" else []
+
+    @hyp.settings(max_examples=25, deadline=None, derandomize=True)
+    @hyp.given(objective=_signed_objectives(st), n=st.integers(3, n_max))
+    def check(objective, n):
+        out.unlink(missing_ok=True)
+        start = time.perf_counter()
+        code = main([command, "--objective", objective, *mode, "--n", str(n),
+                     "--out", str(out)])
+        assert code in (0, 1, 3) and time.perf_counter() - start < 5, (objective, n)
+        assert "Traceback" not in capsys.readouterr().err
+        if code != 3:
+            result = json.loads(out.read_text())["result"]
+            value = Fraction(result.get("lambda_n") or result["lambda_complete_partite"])
+            spec = parse_objective(objective)
+            for sizes in result[shapes]:
+                assert lambda_of_shape(spec, CompletePartiteShape(sizes=sizes)) == value
 
     check()
 

@@ -16,7 +16,7 @@ from inducibility.perturbation import AttachmentPattern, attach_value, flip_grad
 from inducibility.strictness import strictness_certificate
 
 from helpers import (big_lambda_vertex, class_keys, flip, integer_route_specs, lambda_vertex,
-                     reference_combination, reference_gamma)
+                     reference_combination, reference_gamma, seeded_table)
 
 
 def test_partitions_of():
@@ -298,20 +298,14 @@ def _class_scan(spec, n):
     return best, [g for g, v in zip(iso_classes(n), values) if v == best]
 
 
-def _seeded_table(k):
-    rng = random.Random(k)
-    return ObjectiveSpec.from_table(k, {g: F(rng.randint(-6, 6), rng.randint(1, 5))
-                                        for g in iso_classes(k)})
-
-
 BRUTE_SPECS = {
     "KP 2,1,1": lambda: ObjectiveSpec.partite_density([2, 1, 1]),
     "KP 3,2": lambda: ObjectiveSpec.partite_density([3, 2]),
     "SUM 1*KP 2,2 + -1/2*KP 3,1": lambda: ObjectiveSpec.combination([(1, [2, 2]),
                                                                      (F(-1, 2), [3, 1])]),
-    "table k=3": lambda: _seeded_table(3),
-    "table k=4": lambda: _seeded_table(4),
-    "table k=5": lambda: _seeded_table(5),
+    "table k=3": lambda: seeded_table(3),
+    "table k=4": lambda: seeded_table(4),
+    "table k=5": lambda: seeded_table(5),
     "constant": lambda: ObjectiveSpec.from_table(4, {g: F(1, 2) for g in iso_classes(4)}),
 }
 
@@ -353,6 +347,43 @@ def test_brute_lambda_max_labels_only_maximisers(monkeypatch):
     assert graphs._classes.cache_info().currsize == tables
     maximisers = sum(lambda_graph(spec, h) == val for _, _, h in graphs.extension_candidates(7))
     assert len(wit) <= calls <= maximisers
+
+
+def test_brute_lambda_max_tests_candidacy_only_at_the_running_best(monkeypatch):
+    """With iso_classes(6) warm, the brute force at n = 7 scores every mask
+    of the degree prefilter and tests candidacy only where the score reaches
+    the best candidate so far: 174 of the 2,690 masks for KP 2,1,1, 1,191
+    _invariant calls where listing extension_candidates(7) makes 17,330."""
+    iso_classes(6)
+    spec = ObjectiveSpec.partite_density([2, 1, 1])
+    calls = 0
+    invariant = graphs._invariant
+
+    def counting(h, v):
+        nonlocal calls
+        calls += 1
+        return invariant(h, v)
+
+    tested = []
+    maximal = graphs.new_vertex_maximal
+
+    def recording(h):
+        passed = maximal(h)
+        tested.append((lambda_graph(spec, h), passed))
+        return passed
+
+    monkeypatch.setattr(graphs, "_invariant", counting)
+    monkeypatch.setattr(objectives, "new_vertex_maximal", recording)
+    val, _ = brute_lambda_max(spec, 7)
+    assert (calls, len(tested)) == (1191, 174)
+    best = None
+    for value, passed in tested:
+        assert best is None or value >= best
+        if passed:
+            best = value if best is None else max(best, value)
+    assert best == val
+    calls = 0
+    assert sum(1 for _ in graphs.extension_candidates(7)) == 2106 and calls == 17330
 
 
 def test_from_table_round_trip(spec_c4):

@@ -6,13 +6,14 @@ from math import comb
 
 import pytest
 
-from helpers import ReferenceFloatPlan, count_calls, reference_project_simplex
+from helpers import ReferenceFloatPlan, count_calls, reference_project_simplex, seeded_table
 from inducibility import optsearch
 from inducibility.cli import parse_objective
 from inducibility.graphs import CompletePartiteShape, Graph, iso_classes
 from inducibility.objectives import ObjectiveSpec, big_lambda, partitions_of
 from inducibility.optsearch import continuous_opt, finite_opt, kst_maximiser
-from inducibility.partite import PartiteVector, count_partite, lambda_of_vector
+from inducibility.partite import (PartiteVector, count_partite, lambda_of_shape,
+                                  lambda_of_vector, partition_totals)
 from inducibility.polynomials import UPoly
 
 
@@ -30,11 +31,15 @@ def test_finite_opt_matches_brute(spec_k12):
         assert finite_opt(spec_k12, n)[0] == brute_lambda_max(spec_k12, n)[0]
 
 
-def _finite_reference(spec, n):
-    """finite_opt by brute force: Lambda of every complete partite graph."""
+def _finite_reference(spec, n, value=None):
+    """finite_opt by brute force: lambda of every complete partite graph, by
+    default from Lambda over all its k-subsets, else value(spec, sizes)."""
+    if value is None:
+        def value(spec, sizes):
+            return big_lambda(spec, Graph.complete_partite(sizes)) / comb(n, spec.k)
     best, arg = None, []
     for sizes in partitions_of(n):
-        val = big_lambda(spec, Graph.complete_partite(sizes)) / comb(n, spec.k)
+        val = value(spec, sizes)
         if best is None or val > best:
             best, arg = val, [list(sizes)]
         elif val == best:
@@ -68,6 +73,51 @@ def test_finite_opt_n40_pinned(objective, value, sizes):
     val, shapes = finite_opt(parse_objective(objective), 40)
     assert val == value
     assert [s.part_sizes for s in shapes] == sizes
+
+
+SCAN_SPECS = {
+    "signed mixed sizes": lambda: parse_objective("SUM 1*KP 2,1 + -3/2*KP 2,2 + 1/2*KP 3,1,1"),
+    "signed mixed sizes 2": lambda: parse_objective(
+        "SUM -1*KP 3 + 2*KP 2,1,1 + -1/3*KP 1,1,1,1 + 1/5*KP 4,1"),
+    "table k=3": lambda: seeded_table(3),
+    "table k=4": lambda: seeded_table(4),
+    "table k=5": lambda: seeded_table(5),
+    "negative only": lambda: parse_objective("SUM -1*KP 3 + -1*KP 1,1,1"),
+    "negative only 2": lambda: parse_objective("SUM -2*KP 2,1,1 + -1*KP 4 + -1*KP 1,1,1,1"),
+    "all tie": lambda: ObjectiveSpec.from_table(4, {g: F(1, 2) for g in iso_classes(4)}),
+    "KP 1,1,1,1,1": lambda: parse_objective("KP 1,1,1,1,1"),
+    "KP 2,1,1,1": lambda: parse_objective("KP 2,1,1,1"),
+}
+
+
+@pytest.mark.parametrize("name", SCAN_SPECS)
+def test_finite_opt_equals_exhaustive_scan(name):
+    """The pruned scan gives the exhaustive scan's value and its full argmax
+    list in order, for every n up to 15 and three seeded n up to 30; the
+    reference counts each partition on its own (lambda_of_shape)."""
+    spec = SCAN_SPECS[name]()
+    rng = random.Random(name)
+    for n in [*range(spec.k, 16), *rng.sample(range(16, 31), 3)]:
+        val, shapes = finite_opt(spec, n)
+        want = _finite_reference(spec, n, lambda spec, sizes: lambda_of_shape(
+            spec, CompletePartiteShape(sizes=sizes)))
+        assert (val, [s.part_sizes for s in shapes]) == want, n
+
+
+@pytest.mark.parametrize("objective, visited", [
+    ("KP 3,1", 35), ("KP 3,2", 40), ("KP 4,1", 18), ("SUM 1*KP 2,2 + 1*KP 4", 2)])
+def test_finite_scan_prunes_at_n40(objective, visited):
+    """At n = 40 the benchmark's finite objectives visit a few dozen of the
+    37,338 partitions."""
+    weights = parse_objective(objective).partition_weights()
+    assert sum(1 for _ in partition_totals(weights, 40)) == visited
+
+
+def test_finite_scan_keeps_every_tie():
+    """A constant gamma ties every partition, and none is cut."""
+    spec = SCAN_SPECS["all tie"]()
+    val, shapes = finite_opt(spec, 40)
+    assert val == F(1, 2) and len(shapes) == len(partitions_of(40)) == 37338
 
 
 def test_merge_move_never_decreases_kst(spec_c4, spec_k33):

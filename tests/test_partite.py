@@ -12,7 +12,7 @@ from inducibility.partite import (PartiteVector, count_partite,
                                   density_formula, density_polynomial, draw_sum,
                                   edit_distance_vectors,
                                   elementary_symmetric, lambda_free, lambda_gradient,
-                                  lambda_of_shape, lambda_of_vector, partition_counts,
+                                  lambda_of_shape, lambda_of_vector, partition_totals,
                                   sampling_density)
 from inducibility.perturbation import attach_value, clone_values, lagrange_residual
 from inducibility.polynomials import MPoly
@@ -366,15 +366,31 @@ def test_count_partite_many_singletons():
     assert count_partite([2, 1, 1], shape) == closed
 
 
-def test_partition_counts_order_and_counts():
-    """The scan lists partitions_of(n) in order, with count_partite's counts."""
+def test_partition_totals_order_and_totals():
+    """The scan yields partitions of n in partitions_of order, each with the
+    weighted sum of count_partite's counts; every partition it skips is
+    below the largest total, and when every partition ties it skips none."""
     patterns = [(2, 1), (3,), (2, 2, 1), (1, 1, 1)]
-    seen = []
-    for groups, counts in partition_counts(patterns, 11):
-        shape = CompletePartiteShape(counts=groups)
-        seen.append(tuple(shape.part_sizes))
-        assert counts == [count_partite(a, shape) for a in patterns]
-    assert seen == partitions_of(11)
+    rng = random.Random(11)
+    for weights in ([1, -2, 3, -1], [-1, -1, -2, -3], [rng.randint(-9, 9) for _ in patterns]):
+        totals = {sizes: sum(w * count_partite(a, CompletePartiteShape(sizes=sizes))
+                             for w, a in zip(weights, patterns))
+                  for sizes in partitions_of(11)}
+        seen = []
+        for groups, total in partition_totals(dict(zip(patterns, weights)), 11):
+            sizes = tuple(CompletePartiteShape(counts=groups).part_sizes)
+            assert total == totals[sizes]
+            seen.append(sizes)
+        assert seen == [s for s in partitions_of(11) if s in seen]
+        best = max(totals.values())
+        assert all(totals[s] < best for s in partitions_of(11) if s not in seen)
+        assert [s for s in seen if totals[s] == best] == [s for s in partitions_of(11)
+                                                         if totals[s] == best]
+    # every 3-subset of a complete partite host induces one of these three
+    # patterns, so every total is 2 C(11, 3)
+    tie = {a: 2 for a in partitions_of(3)}
+    assert [tuple(CompletePartiteShape(counts=g).part_sizes)
+            for g, _ in partition_totals(tie, 11)] == partitions_of(11)
 
 
 def test_finite_density_converges():
