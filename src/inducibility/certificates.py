@@ -21,8 +21,7 @@ from typing import Optional
 from . import intervals, matrices, optsearch
 from .objectives import ObjectiveSpec, partitions_of
 from .partite import (PartiteVector, density_formula, density_polynomial,
-                      elementary_symmetric, lambda_of_vector, sampling_density,
-                      _multinomial)
+                      lambda_of_vector, sampling_density, _multinomial)
 from .perturbation import attach_value_generic, flip_gradient_generic, pair_density
 from .polynomials import MPoly, UPoly, parse_rational, resultant
 from .strictness import strictness_certificate
@@ -406,9 +405,7 @@ def certify_krt(r: int, t: int) -> CertificateReport:
     val = krt_value(r, t)
     dens = density_formula(a, x)
     samp = sampling_density(a, x)
-    s_form = Fraction(factorial(k), factorial(r) * factorial(t) ** r) * \
-        elementary_symmetric(x, (t,) * r)
-    rep.add("value_identity", val == dens == samp == s_form,
+    rep.add("value_identity", val == dens == samp,
             f"lambda(uniform split) = {val}")
     rep.notes.append(f"the closed form carrying an extra r! in its denominator equals "
                      f"this value after multiplying by r! = {factorial(r)}")

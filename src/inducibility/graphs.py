@@ -21,6 +21,7 @@ MAX_VERTICES = 64
 CANON_MAX = 8
 CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346)  # classes on n <= 8 vertices, A000088
 LOOKUP_MAX = 5  # key_of_code files a class under all k! codes up to this k
+WALK_MAX = 100_000  # most subsets one subset_codes walk takes
 
 
 class Graph:
@@ -134,9 +135,7 @@ def subset_codes(g: Graph, k: int, through: Optional[int] = None) -> Iterator[in
     ``itertools.combinations`` order; with ``through``, of those subsets
     that contain that vertex only. The one subset walk of the package.
 
-    A subset is a (k-1)-prefix plus a last vertex. The prefix's code is kept
-    level by level and redone only from the first vertex that changed since
-    the previous prefix; a subset adds the k - 1 bits of its last vertex.
+    ValueError when the walk would take more than WALK_MAX subsets.
     """
     if through is not None and not 0 <= through < g.n:
         raise ValueError("vertex out of range")
@@ -144,20 +143,38 @@ def subset_codes(g: Graph, k: int, through: Optional[int] = None) -> Iterator[in
         if through is None:
             yield 0  # the empty subset
         return
-    n, rows = g.n, g.rows
+    n = g.n
+    count = comb(n, k) if through is None else comb(n - 1, k - 1)
+    if count > WALK_MAX:
+        raise ValueError(f"{count} {k}-vertex subsets of a {n}-vertex graph, "
+                         f"above the walk limit of {WALK_MAX}")
+
+    def pairs() -> Iterator[tuple[tuple[int, ...], Iterable[int]]]:
+        for prefix in itertools.combinations(range(n - 1), k - 1):
+            last = prefix[-1] if prefix else -1
+            if through is None or through in prefix:
+                yield prefix, range(last + 1, n)
+            elif last < through:
+                yield prefix, (through,)
+            elif prefix[0] > through:
+                return  # every later prefix lies above `through` too
+
+    yield from _prefix_codes(g.rows, k, pairs())
+
+
+def _prefix_codes(rows: Sequence[int], k: int,
+                  pairs: Iterable[tuple[tuple[int, ...], Iterable[int]]]) -> Iterator[int]:
+    """The code of prefix + (w,) for each (prefix, ends) pair, k - 1 vertices
+    in each prefix, and each w in ends, in that order.
+
+    The prefix's code is kept level by level and redone only from the first
+    vertex that changed since the previous prefix; each w adds the k - 1
+    bits of its row.
+    """
     bits = _pair_bits(k)
     codes = [0] * k  # codes[d]: the code of the first d vertices of prev
     prev: tuple[int, ...] = ()
-    for prefix in itertools.combinations(range(n - 1), k - 1):
-        last = prefix[-1] if prefix else -1
-        if through is None or through in prefix:
-            ends: Iterable[int] = range(last + 1, n)
-        elif last < through:
-            ends = (through,)
-        elif prefix[0] > through:
-            return  # every later prefix lies above `through` too
-        else:
-            continue
+    for prefix, ends in pairs:
         same = 0  # prefix[:same] = prev[:same], so codes[:same + 1] still hold
         while same < len(prev) and prev[same] == prefix[same]:
             same += 1
@@ -186,24 +203,15 @@ def _pair_bits(k: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _permuted_codes(g: Graph) -> Iterator[int]:
-    """``g.subset_code(order)`` for every order of g's vertices, the prefix codes
-    redone only from the first position that changed, as in ``subset_codes``."""
-    n, rows, bits = g.n, g.rows, _pair_bits(g.n)
-    codes = [0] * (n + 1)  # codes[d]: the code of the first d vertices of prev
-    prev: tuple[int, ...] = ()
-    for order in itertools.permutations(range(n)):
-        same = 0
-        while same < len(prev) and prev[same] == order[same]:
-            same += 1
-        for d in range(same, n):
-            row = rows[order[d]]
-            code = codes[d]
-            for v, bit in zip(order, bits[d]):
-                if row >> v & 1:
-                    code |= bit
-            codes[d + 1] = code
-        prev = order
-        yield codes[n]
+    """``g.subset_code(order)`` for every order of g's vertices, in
+    ``itertools.permutations`` order: the first n - 1 vertices of an order
+    are a prefix, and they fix the last."""
+    n = g.n
+    if n == 0:
+        return iter((0,))  # the empty order
+    total = n * (n - 1) // 2
+    return _prefix_codes(g.rows, n, ((p, (total - sum(p),))
+                                     for p in itertools.permutations(range(n), n - 1)))
 
 
 def extension_codes(g: Graph, k: int) -> Callable[[int], Iterator[int]]:
@@ -454,8 +462,6 @@ def induced_count(f: Graph, g: Graph) -> int:
     k, n = f.n, g.n
     if k > n:
         raise ValueError("pattern larger than host")
-    if comb(n, k) > 10**8:
-        raise ValueError("subset enumeration bound exceeded")
     target = class_key(f)
     return sum(key_of_code(k, code) == target for code in subset_codes(g, k))
 

@@ -105,13 +105,11 @@ class BernsteinForm:
 
 
 class BBResult:
-    __slots__ = ("upper", "sample_max", "conclusive", "boxes", "empty")
+    __slots__ = ("upper", "conclusive", "boxes", "empty")
 
-    def __init__(self, upper: Fraction, sample_max: Fraction, conclusive: bool, boxes: int,
-                 empty: bool = False):
+    def __init__(self, upper: Fraction, conclusive: bool, boxes: int, empty: bool = False):
         self.upper = upper              # certified upper bound on the max over the region
-        self.sample_max = sample_max    # best feasible sample value found (lower bound)
-        self.conclusive = conclusive    # upper - sample_max <= tol achieved within budget
+        self.conclusive = conclusive    # upper - best sample value <= tol within budget
         self.boxes = boxes
         self.empty = empty              # every box was discarded: the region is infeasible
 
@@ -124,8 +122,7 @@ def bb_max_bound(poly: MPoly, box: Mapping[str, tuple[Rat, Rat]], tol: Rat,
     Returns U with U >= true max always; when ``conclusive`` also
     U - true max <= tol. Constraints are polynomials required to be <= 0.
     When some constraint is > 0 on every box, the region is empty: the
-    result has ``empty`` set, with upper = sample_max = 0 and ``conclusive``
-    false.
+    result has ``empty`` set, with upper = 0 and ``conclusive`` false.
 
     Each box is bounded by the largest Bernstein coefficient of ``poly`` on
     it. A constraint whose smallest coefficient is > 0 discards the box; one
@@ -165,9 +162,9 @@ def bb_max_bound(poly: MPoly, box: Mapping[str, tuple[Rat, Rat]], tol: Rat,
     while heap:
         _, _, ub, (b, form, active) = heap[0]
         if sample_max is not None and ub - sample_max <= tol:
-            return BBResult(ub, sample_max, True, boxes)
+            return BBResult(ub, True, boxes)
         if boxes >= max_boxes:
-            return BBResult(ub, sample_max if sample_max is not None else ub, False, boxes)
+            return BBResult(ub, False, boxes)
         heapq.heappop(heap)
         axis = max(range(len(b)), key=lambda i: b[i][1] - b[i][0])
         lo, hi = b[axis]
@@ -179,4 +176,4 @@ def bb_max_bound(poly: MPoly, box: Mapping[str, tuple[Rat, Rat]], tol: Rat,
             push(child, halves[0][side], [h[side] for h in halves[1:]])
             boxes += 1
     # heap empty: the whole region was infeasible
-    return BBResult(Fraction(0), Fraction(0), False, boxes, empty=True)
+    return BBResult(Fraction(0), False, boxes, empty=True)

@@ -74,16 +74,16 @@ class ObjectiveSpec:
 
     @classmethod
     def combination(cls, terms: Iterable[tuple[Rat, Sequence[int]]],
-                    k: int | None = None, label: str | None = None) -> "ObjectiveSpec":
+                    label: str | None = None) -> "ObjectiveSpec":
         """Sum_F c_F * p(K_F, .) over complete partite F given as partitions:
         gamma(G) is Sum_F c_F #(|F|-subsets of G inducing K_F) / C(k, |F|),
-        counted by complete partite shape, with scale lcm_F(den(c_F) C(k, |F|))."""
+        counted by complete partite shape, with scale lcm_F(den(c_F) C(k, |F|)).
+        The arity k is the largest |F|; a term 0 * KP 1,...,1 on k vertices
+        raises it to k and changes neither gamma nor scale."""
         tl = [(_frac(c), _norm_partition(a)) for c, a in terms]
         if not tl:
             raise ValueError("empty combination")
-        kk = k if k is not None else max(sum(a) for _, a in tl)
-        if any(sum(a) > kk for _, a in tl):
-            raise ValueError("combination term larger than k")
+        kk = max(sum(a) for _, a in tl)
         if kk > CANON_MAX:
             raise ValueError(f"objective arity k = {kk} exceeds the {CANON_MAX}-vertex limit "
                              "of the isomorphism-class tables")

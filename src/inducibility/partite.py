@@ -1,9 +1,8 @@
 """The partite limit space: finite-support vectors x_1 >= x_2 >= ... > 0 with
 sum <= 1 and clique mass x_0 = 1 - sum, the draw-multiset sampling kernel
 (draw_sum), one generating-function kernel (CompiledPattern) for complete
-partite counts, densities and elementary symmetric sums, the
-exact sampling value lambda(x) and its gradient (lambda_gradient) from that
-kernel, and the limit edit distance.
+partite counts and densities, the exact sampling value lambda(x) and its
+gradient (lambda_gradient) from that kernel, and the limit edit distance.
 
 The sampling model: draw k independent indices with P(i) = x_i (0 for the
 clique), and join two draws iff their indices differ or both are 0. Every
@@ -121,21 +120,6 @@ class PartiteVector:
         if x0 is not None and x0 != v.x0:
             raise ValueError("vector JSON: x0 inconsistent with parts")
         return v
-
-
-def elementary_symmetric(x: PartiteVector, exponents: tuple[int, ...]) -> Fraction:
-    """S_d(x): sum over distinct part indices of prod x_{i_j}^{d_j}, d = exponents.
-
-    With d_j the distinct exponents and c_j their counts, this is prod_j c_j!
-    times the coefficient of prod_j z_j^{c_j} in prod_i (1 + sum_j x_i^{d_j}
-    z_j) (see CompiledPattern). The empty tuple gives 1, and fewer parts than
-    exponents give 0.
-    """
-    if any(e <= 0 for e in exponents):
-        raise ValueError("exponents must be positive")
-    d = tuple(sorted(exponents, reverse=True))
-    pattern = _compiled(d)
-    return pattern.coefficient(_part_factors(pattern, x.parts)) / sym_coefficient(d)
 
 
 def sym_coefficient(a: Sequence[int]) -> Fraction:
@@ -361,13 +345,13 @@ class CompiledPattern:
     the coefficient of prod_j z_j^{c_j} in the product of the factors of all
     groups. With w_j = C(s, d_j) for host parts of size s this counts induced
     copies (count_partite); with w_j = p^{d_j} for limit parts it gives the
-    limit densities (_closed_form, times the integer lead) and elementary
-    symmetric sums (elementary_symmetric). The kernel never divides: integer
-    weights (host sizes, or the integer weights D x_i of a rational point)
-    keep every product an int, and the caller divides its result at the end
-    (lambda_free by scale, lambda_of_vector then by D^k, lambda_gradient by
-    scale * D^(k-1) * m p at once). density_formula and sampling_density
-    stay on the Fraction entries of x, as the reference routes.
+    limit densities (_closed_form, times the integer lead). The kernel never
+    divides: integer weights (host sizes, or the integer weights D x_i of a
+    rational point) keep every product an int, and the caller divides its
+    result at the end (lambda_free by scale, lambda_of_vector then by D^k,
+    lambda_gradient by scale * D^(k-1) * m p at once). density_formula and
+    sampling_density stay on the Fraction entries of x, as the reference
+    routes.
 
     Polynomials are kept truncated to the exponent vectors e <= c, stored as
     lists indexed by the mixed-radix rank of e (e = 0 first, e = c last, the
@@ -494,7 +478,8 @@ def partition_totals(weights: Mapping[tuple[int, ...], int], n: int):
     first, sizes and then multiplicities descending, with the singletons
     last, and it carries each pattern's truncated product of the groups
     placed so far: a partition costs one product for its last group of size
-    >= 2, one top coefficient for its singletons and one for its bound.
+    >= 2, one top coefficient for its bound and, when singletons are left,
+    one for them (with none left the bound is the total).
 
     Branch and bound: a child of the walk with r vertices left, in parts of
     size at most cap, completes its product poly with the product T of a
@@ -520,24 +505,27 @@ def partition_totals(weights: Mapping[tuple[int, ...], int], n: int):
             total += sum(map(mul, poly, b[r][cap]))
         return total
 
-    def walk(rest: int, cap: int, polys: list[list[int]]):
+    def walk(rest: int, cap: int, polys: list[list[int]], top: int):
+        # top: the bound of this subtree, already its total when rest is 0
         nonlocal best
         for s in range(min(cap, rest), 1, -1):
             for m in range(rest // s, 0, -1):
                 r = rest - s * m
                 child = [p.times(poly, f[s, m]) for p, f, poly in zip(compiled, tables, polys)]
-                if best is not None and bound(child, r, s - 1) < best:
+                child_top = bound(child, r, s - 1)
+                if best is not None and child_top < best:
                     continue
                 groups.append((s, m))
-                yield from walk(r, s - 1, child)
+                yield from walk(r, s - 1, child, child_top)
                 groups.pop()
         # the singletons are the one partition left, so the bound at cap 1 is exact
-        total = bound(polys, rest, 1)
+        total = bound(polys, rest, 1) if rest else top
         if best is None or total > best:
             best = total
         yield (*groups, (1, rest)), total
 
-    yield from walk(n, n, [p.one() for p in compiled])
+    ones = [p.one() for p in compiled]
+    yield from walk(n, n, ones, bound(ones, n, n))
 
 
 def _tail_bounds(pattern: CompiledPattern, table: Mapping[tuple[int, int], list[int]],

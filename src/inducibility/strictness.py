@@ -105,22 +105,14 @@ def _margin_for_pattern(spec: ObjectiveSpec, x: PartiteVector,
     def margin(c_bound: Optional[Fraction], feasible: bool) -> PatternMargin:
         return PatternMargin(p.support(), minw, coeffs, c_bound, feasible, att.poly)
 
-    if x.x0 == 0:
-        val = grad(Fraction(1))
-        if minw == 0:
-            return margin(None, val >= 0)
-        if val < 0:
-            return margin(Fraction(0), False)
-        return margin(val / minw, True)
-
-    # B(alpha) = (1 - alpha) x0 + min_w
+    # B(alpha) = (1 - alpha) x0 + min_w; B = 0 (x0 = min_w = 0) bounds nothing
     bpoly = UPoly([x.x0 + minw, -x.x0])
-    if not grad.nonneg_on(0, 1):
-        return margin(Fraction(0), False)
     samples = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
     ratios = [grad(a) / bpoly(a) for a in samples if bpoly(a) > 0]
     if not ratios:
-        return margin(None, True)
+        return margin(None, grad.nonneg_on(0, 1))
+    if not grad.nonneg_on(0, 1):
+        return margin(Fraction(0), False)
     hi = min(ratios)
 
     def ok(c: Fraction) -> bool:

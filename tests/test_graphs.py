@@ -261,6 +261,30 @@ def test_subset_codes_follow_combinations():
             list(graphs.subset_codes(g, 1, through=n))
 
 
+def test_permuted_codes_follow_permutations():
+    """The codes of every vertex order, in permutations order, for n = 0..5;
+    n = 0 gives the single empty code."""
+    rng = random.Random(21)
+    for n in range(6):
+        for _ in range(5):
+            g = Graph.from_edges(n, [e for e in itertools.combinations(range(n), 2)
+                                     if rng.random() < 0.5])
+            assert list(graphs._permuted_codes(g)) == \
+                [g.subset_code(p) for p in itertools.permutations(range(n))]
+
+
+def test_subset_walk_bound():
+    """A walk of more than WALK_MAX subsets is refused on its first read: the
+    C(24, 5) = 42,504 subsets of a 24-vertex symmetrisation at k = 5 are
+    admitted, C(21, 8) = 203,490 are not, and a walk through one vertex is
+    counted by its own C(20, 7) = 77,520 subsets."""
+    assert graphs.WALK_MAX == 100_000
+    next(graphs.subset_codes(Graph.empty(24), 5))
+    next(graphs.subset_codes(Graph.empty(21), 8, through=0))
+    with pytest.raises(ValueError, match="203490 8-vertex subsets of a 21-vertex graph"):
+        next(graphs.subset_codes(Graph.empty(21), 8))
+
+
 def test_extension_codes_follow_subset_codes():
     """For every mask, the codes through the new vertex equal the walk over
     the extended graph, in the same order."""

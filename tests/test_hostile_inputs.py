@@ -93,12 +93,16 @@ _NINE_PARTS = json.dumps({"parts": [f"{i}/45" for i in range(9, 0, -1)]})
     (["edit-distance", "--graph", "{tmp}/10.txt", "--graph", "{tmp}/10.txt"],
      "bijection enumeration limited to n <= 9"),
     (["certify", "kst", "--s", "1", "--t", "40"], "need s*t >= 2 and s+t <= 40"),
+    (["density", "--objective", "KP 4,4", "--graph", "{tmp}/30.txt"],
+     "5852925 8-vertex subsets of a 30-vertex graph, above the walk limit of 100000"),
+    (["symmetrise", "--objective", "KP 4,4", "--graph", "{tmp}/24.txt"],
+     "735471 8-vertex subsets of a 24-vertex graph, above the walk limit of 100000"),
 ])
 def test_size_limits_are_refused_quickly(args, message, capsys, tmp_path):
     """Each command whose cost grows with its input refuses a size above its
     limit with exit 3 and a message, before any work; "{tmp}/n.txt" is an
     edgeless n-vertex graph file."""
-    for n in (10, 25):
+    for n in (10, 24, 25, 30):
         (tmp_path / f"{n}.txt").write_text(write_graph_text(Graph(n, (0,) * n)))
     args = [a.replace("{tmp}", str(tmp_path)) for a in args]
     start = time.perf_counter()

@@ -37,7 +37,7 @@ def test_gamma_table_covers_all_classes(spec_c4):
 def test_gamma_expansion_matches_definition():
     """gamma(F) = sum c_F' p(F', F) for the combination provenance."""
     from inducibility.graphs import induced_count
-    spec = ObjectiveSpec.combination([(F(2), [2, 1]), (F(-1, 3), [1, 1, 1])], k=4)
+    spec = ObjectiveSpec.combination([(F(2), [2, 1]), (F(-1, 3), [1, 1, 1]), (0, [1] * 4)])
     for f in iso_classes(4):
         want = (F(2) * F(induced_count(Graph.complete_partite([2, 1]), f), comb(4, 3))
                 - F(1, 3) * F(induced_count(Graph.complete_partite([1, 1, 1]), f), comb(4, 3)))
@@ -71,7 +71,7 @@ def test_structural_gamma_matches_induced_count(a):
     as p(K_a, .) itself and inside a 6-vertex objective."""
     from inducibility.graphs import induced_count
     pattern = Graph.complete_partite(a)
-    specs = [ObjectiveSpec.combination([(1, a)], k=6)]
+    specs = [ObjectiveSpec.combination([(1, a), (0, [1] * 6)])]
     if sum(a) >= 3:
         specs.append(ObjectiveSpec.partite_density(a))
     for spec in specs:
@@ -102,10 +102,11 @@ def _key_by_code(k):
                              f"{t[0]}*KP {','.join(map(str, t[1]))}" for t in c))
 def test_combination_equals_class_walk_reference(terms, k):
     """Every partition of at most 7 vertices and signed SUMs with terms
-    smaller than k: gamma on every class (k <= 7), the code table (every code
-    for k <= 6, a seeded sample for k = 7 and 8) and partition_values equal
-    the class-walk reference, and gamma * scale is integral."""
-    spec = ObjectiveSpec.combination(terms, k=k)
+    smaller than k (the arity raised to k by a zero KP 1,...,1 term): gamma
+    on every class (k <= 7), the code table (every code for k <= 6, a seeded
+    sample for k = 7 and 8) and partition_values equal the class-walk
+    reference, and gamma * scale is integral."""
+    spec = ObjectiveSpec.combination(terms + [(0, [1] * k)])
     assert spec.scale == lcm(*(F(c).denominator * comb(k, sum(a)) for c, a in terms))
     table = spec.code_table()
     if k <= 7:

@@ -8,12 +8,11 @@ import pytest
 from inducibility.graphs import CompletePartiteShape, Graph, complete_partite_shape_of
 from inducibility.objectives import ObjectiveSpec, partitions_of
 from inducibility.graphs import edit_distance_exact
-from inducibility.partite import (PartiteVector, count_partite,
+from inducibility.partite import (CompiledPattern, PartiteVector, count_partite,
                                   density_formula, density_polynomial, draw_sum,
-                                  edit_distance_vectors,
-                                  elementary_symmetric, lambda_free, lambda_gradient,
+                                  edit_distance_vectors, lambda_free, lambda_gradient,
                                   lambda_of_shape, lambda_of_vector, partition_totals,
-                                  sampling_density)
+                                  sampling_density, sym_coefficient)
 from inducibility.perturbation import attach_value, clone_values, lagrange_residual
 from inducibility.polynomials import MPoly
 
@@ -100,20 +99,30 @@ def _permutation_sum(values, exponents):
                 for tup in itertools.permutations(range(len(values)), len(exponents))), F(0))
 
 
+def _kernel_symmetric_sum(parts, exponents):
+    """S_d from the CompiledPattern kernel: prod_j c_j! times the coefficient
+    of prod_j z_j^{c_j} in the product over runs of m equal parts p of the
+    factor (1 + sum_j p^{d_j} z_j)^m, with no clique factor and no lead."""
+    pattern = CompiledPattern(tuple(sorted(exponents, reverse=True)))
+    factors = [pattern.factor([p ** d for d in pattern.sizes], len(list(run)))
+               for p, run in itertools.groupby(parts)]
+    return pattern.coefficient(factors) / sym_coefficient(exponents)
+
+
 def test_elementary_symmetric():
-    half = PartiteVector([F(1, 2), F(1, 2)])
-    assert elementary_symmetric(half, (2,)) == F(1, 2)
-    assert elementary_symmetric(half, (2, 1)) == F(1, 4)
-    assert elementary_symmetric(PartiteVector([F(1, 2)]), (2,)) == F(1, 4)
-    assert elementary_symmetric(PartiteVector(), ()) == 1
-    assert elementary_symmetric(PartiteVector.uniform(2), (1, 1, 1)) == 0
-    with pytest.raises(ValueError):
-        elementary_symmetric(half, (1, 0))
+    """The kernel's coefficient, divided by sym_coefficient, is the
+    elementary symmetric sum."""
+    half = [F(1, 2), F(1, 2)]
+    assert _kernel_symmetric_sum(half, (2,)) == F(1, 2)
+    assert _kernel_symmetric_sum(half, (2, 1)) == F(1, 4)
+    assert _kernel_symmetric_sum([F(1, 2)], (2,)) == F(1, 4)
+    assert _kernel_symmetric_sum([], ()) == 1
+    assert _kernel_symmetric_sum(PartiteVector.uniform(2).parts, (1, 1, 1)) == 0
     rng = random.Random(13)
     for _ in range(30):
         x = rand_vector(rng)
         d = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 3)))
-        assert elementary_symmetric(x, d) <= 1
+        assert _kernel_symmetric_sum(x.parts, d) <= 1
     # against the definition: exponents with repeats, vectors without some of
     # their parts, the empty index, equal parts and supports shorter than d
     rng = random.Random(47)
@@ -124,7 +133,7 @@ def test_elementary_symmetric():
         d = tuple(rng.choice((1, 1, 2, 3)) for _ in range(rng.randint(0, 5)))
         excluded = frozenset(rng.sample(range(1, 10), rng.randint(0, 3)))
         allowed = [p for i, p in enumerate(x.parts, start=1) if i not in excluded]
-        assert elementary_symmetric(PartiteVector(allowed), d) == \
+        assert _kernel_symmetric_sum(allowed, d) == \
             _permutation_sum(allowed, d), (x, d, excluded)
 
 

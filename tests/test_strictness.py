@@ -239,6 +239,21 @@ def test_flip_budget_admits_ten_parts_of_kp33():
     assert flip_terms(ObjectiveSpec.partite_density([2, 1, 1, 1]), A8) < TERM_BUDGET // 300
 
 
+@pytest.mark.parametrize("a, b, min_w, gradient, c_bound, feasible", [
+    ((2, 1), {1: 1, 2: 0}, F(0), ("-1/3",), None, False),
+    ((2, 1), {1: 0, 2: 1}, F(0), (), None, True),
+    ((2, 1), {1: 0, 2: 0}, F(1, 3), ("5/9",), F(5, 3), True),
+    ((2, 1, 1), {1: 1, 2: 1}, F(1, 3), ("-2/3",), F(0), False),
+], ids=["min_w 0, gradient < 0", "min_w 0, gradient 0", "min_w > 0", "min_w > 0, gradient < 0"])
+def test_pattern_margin_without_clique_mass(a, b, min_w, gradient, c_bound, feasible):
+    """At x0 = 0 the bound B = min_w is constant: with min_w = 0 it bounds
+    nothing (c_bound None, feasible iff the gradient is >= 0), and otherwise
+    c_bound is gradient / min_w, or 0 and infeasible for a negative gradient."""
+    spec, x = ObjectiveSpec.partite_density(a), PartiteVector([F(2, 3), F(1, 3)])
+    m = _margin_for_pattern(spec, x, b, clone_values(spec, x)[1])
+    assert (m.min_w, m.gradient_poly, m.c_bound, m.feasible) == (min_w, gradient, c_bound, feasible)
+
+
 # -- orbit walks against a reference that evaluates every pair and pattern ---
 
 ORBIT_SPECS = [ObjectiveSpec.partite_density([2, 1, 1]),

@@ -122,7 +122,7 @@ def test_four_kind_decomposition_k3():
     y not x, type-3 both, type-4 neither; cloning y from x replaces the
     type-2 and type-3 counts by mirrored type-1 and widened type-3 counts.
     """
-    spec = ObjectiveSpec.combination([(1, [2, 1])], k=3)
+    spec = ObjectiveSpec.combination([(1, [2, 1])])
     rng = random.Random(45)
     for _ in range(20):
         g = graph_from_code(6, rng.randrange(1 << 15))
