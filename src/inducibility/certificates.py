@@ -263,12 +263,10 @@ def certify_kst(s: int, t: int) -> CertificateReport:
         if (s, t) == (1, 4):
             rep.add("four_fifths_not_stationary", h(Fraction(1, 4)) != 0,
                     "x = 1/4 (the split (4/5,1/5)) is not a root of h")
-            # (3 + sqrt3)/6 is the root in (1/2, 1) of the irreducible 6a^2 - 6a + 1, so a
-            # common factor with the defining poly and a root in alpha's interval pin alpha
-            target = UPoly([1, -6, 6])
-            quot_ok = target.gcd(res.alpha.poly).degree >= 1
+            # (3 + sqrt3)/6 is the root in (1/2, 1) of 6a^2 - 6a + 1, and alpha is in
+            # (1/2, 1), so 6a^2 - 6a + 1 vanishing at alpha pins alpha
             rep.add("alpha_is_three_plus_sqrt3_over_6",
-                    quot_ok and target.count_roots(res.alpha.lo, res.alpha.hi) == 1,
+                    res.alpha.sign_of(UPoly([1, -6, 6])) == 0,
                     "isolating interval contains the root of 6a^2-6a+1")
             rep.notes.append("the split (4/5, 1/5) fails the stationarity condition; "
                              "the emitted maximiser is the algebraic root value")

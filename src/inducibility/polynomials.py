@@ -1,8 +1,9 @@
-"""Exact rational polynomial arithmetic: univariate kernels (Sturm sequences,
-root counting and isolation, sign certification on intervals), sparse
+"""Exact rational polynomial arithmetic: univariate kernels, sparse
 multivariate polynomials, bivariate resultants interpolated from Sylvester
 determinants at integer points (``matrices.det``, on Python ints), and
 algebraic numbers given by a defining polynomial plus an isolating interval.
+One remainder sequence (``_remainders``, primitive integer terms) gives every
+gcd, Sturm chain and sign at an algebraic number, the last a Tarski query.
 
 All coefficients are ``fractions.Fraction``; nothing here touches floating
 point, so every count, sign and bound is exact.
@@ -154,24 +155,15 @@ class UPoly:
         return UPoly(q), UPoly(rem)
 
     def monic(self) -> "UPoly":
-        if self.is_zero():
-            return self
-        return self * (1 / self.leading)
+        return self * (1 / self.leading) if self.coeffs else self
 
     def gcd(self, other: "UPoly") -> "UPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        return a.monic()
+        return _remainders(self, other)[-1].monic()
 
     def squarefree_part(self) -> "UPoly":
         """p / gcd(p, p'): same real roots, all simple."""
-        if self.degree <= 0:
-            return self.monic()
         g = self.gcd(self.derivative())
-        if g.degree == 0:
-            return self.monic()
-        return self.divmod(g)[0].monic()  # g divides p
+        return self.divmod(g)[0].monic() if g.degree > 0 else self.monic()  # g divides p
 
     def shift(self, c: Rat) -> "UPoly":
         """p(x + c), by repeated synthetic division."""
@@ -193,11 +185,7 @@ class UPoly:
     def sturm_chain(self) -> list["UPoly"]:
         """Sturm sequence of the squarefree part: p, p', then negated remainders."""
         f = self.squarefree_part()
-        chain = [f, f.derivative()]
-        while not chain[-1].is_zero():
-            chain.append(-(chain[-2].divmod(chain[-1])[1]))
-        chain.pop()
-        return chain
+        return _remainders(f, f.derivative())
 
     def count_roots(self, lo: Rat, hi: Rat) -> int:
         """Number of distinct real roots in the half-open interval (lo, hi].
@@ -285,23 +273,47 @@ class UPoly:
             return True
         if self(lo) < 0 or self(hi) < 0:
             return False
-        boxes = self.isolate_roots(lo, hi)
-        cuts = [lo]
-        for a, b in boxes:
-            cuts.extend([a, b])
-        cuts.append(hi)
-        for left, right in zip(cuts, cuts[1:]):
-            if right > left:
-                if self((left + right) / 2) < 0:
-                    return False
-        return True
+        cuts = [lo, *(end for box in self.isolate_roots(lo, hi) for end in box), hi]
+        return all(self((left + right) / 2) >= 0
+                   for left, right in zip(cuts, cuts[1:]) if right > left)
+
+
+def _remainders(f: UPoly, g: UPoly) -> list[UPoly]:
+    """The signed remainder sequence f, g, -rem(f, g), ... up to its last
+    nonzero term, each term times the positive rational that makes its
+    coefficients coprime ints: every sign is kept and the ints stay small.
+    On int lists, rem(a, b) is taken times |lc b|^e: a pseudo-remainder."""
+    seq = []
+    for p in (f, g):
+        den = lcm(*(c.denominator for c in p.coeffs))
+        num = gcd(*(c.numerator for c in p.coeffs)) or 1
+        seq.append([c.numerator * (den // c.denominator) // num for c in p.coeffs])
+    while seq[-1]:
+        r, b = seq[-2], seq[-1]
+        while len(r) >= len(b):  # |lc b| r less the multiple of b that cancels r's lead
+            q, k = (r[-1] if b[-1] > 0 else -r[-1]), len(r) - len(b)
+            r = [c * abs(b[-1]) - (q * b[i - k] if i >= k else 0) for i, c in enumerate(r)]
+            while r and not r[-1]:
+                r.pop()
+        num = gcd(*r) or 1
+        seq.append([-c // num for c in r])
+    return [UPoly(cs) for cs in seq[:-1]]
 
 
 def _chain_count(chain: Sequence[UPoly], lo: Fraction, hi: Fraction) -> int:
-    """UPoly.count_roots of chain[0] on (lo, hi], lo < hi, from its Sturm chain."""
+    """Sign variations at lo less those at hi (lo < hi) of a ``_remainders``
+    chain, each term read at x = n/d as the int sum of c_i n^i d^(deg - i),
+    which has its sign at x: count_roots of chain[0] on (lo, hi] for a Sturm
+    chain."""
     def variations(x: Fraction) -> int:
-        signs = [s for s in (p(x) for p in chain) if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+        signs = []
+        for p in chain:
+            acc, dk = 0, 1
+            for c in reversed(p.coeffs):
+                acc, dk = acc * x.numerator + c.numerator * dk, dk * x.denominator
+            if acc:
+                signs.append(acc > 0)
+        return sum(a != b for a, b in zip(signs, signs[1:]))
 
     return variations(lo) - variations(hi)
 
@@ -614,25 +626,14 @@ class AlgebraicNumber:
         return self.lo, self.hi
 
     def sign_of(self, g: UPoly) -> int:
-        """Exact sign of g evaluated at this number."""
+        """Exact sign of g evaluated at this number; at an irrational one a
+        Tarski query: the chain of p = self.poly and p'g counts sum sign g over
+        the roots of p in (lo, hi), where p has one and neither end is one."""
         if self.is_rational:
             v = g(self.lo)
             return (v > 0) - (v < 0)
-        d = g.gcd(self.poly)
-        if d.degree >= 1 and d.count_roots(self.lo, self.hi) == 1:
-            return 0
-        lo, hi = self.lo, self.hi
-        chain = g.sturm_chain()
-        while True:
-            vlo, vhi = g(lo), g(hi)
-            # g has no root at alpha; shrink until g is sign-constant on [lo, hi]
-            if (vlo != 0 and vhi != 0 and (vlo > 0) == (vhi > 0)
-                    and _chain_count(chain, lo, hi) == 0):
-                return 1 if vlo > 0 else -1
-            lo, hi = self.poly.refine_root(lo, hi, (hi - lo) / 4)
-            if lo == hi:
-                v = g(lo)
-                return (v > 0) - (v < 0)
+        p = self.poly
+        return _chain_count(_remainders(p, p.derivative() * g), self.lo, self.hi)
 
     def __repr__(self) -> str:
         if self.is_rational:

@@ -1,6 +1,7 @@
 """Test-only references and fixtures: independent float and graph routes that
-the program itself does not need, the finite-n layer of the stability
-argument, and the negative strictness fixture."""
+the program itself does not need, the plain Fraction remainder routes, the
+finite-n layer of the stability argument, and the negative strictness
+fixture."""
 
 import itertools
 import operator
@@ -20,7 +21,7 @@ from inducibility.optsearch import _FloatPlan
 from inducibility.partite import PartiteVector, lambda_free, lambda_of_shape
 from inducibility.perturbation import (_JOINED, AttachmentPattern, _attach_term, _flip_loss,
                                        flip_gradient)
-from inducibility.polynomials import Rat, _frac
+from inducibility.polynomials import AlgebraicNumber, Rat, UPoly, _frac
 from inducibility.strictness import _clone_edit_mass, _pair_orbits, _pattern_orbits
 
 
@@ -461,3 +462,64 @@ def compare_bounds(spec: ObjectiveSpec, h: Graph, x: PartiteVector, c: Rat) -> C
     concl_upper = (lam_diff <= bounds.xi0 + bounds.xi1 + bounds.xi2) if hyp_le else None
     return CompareReport(bounds, lam_diff, is_star, hyp_ge, hyp_le,
                          concl_general, concl_star, concl_upper)
+
+
+# Fraction references for the one integer remainder sequence that serves
+# UPoly.gcd, UPoly.sturm_chain and AlgebraicNumber.sign_of: plain Euclid, the
+# unscaled Sturm chain, and the sign by refining alpha until g has one sign.
+
+def reference_gcd(a: UPoly, b: UPoly) -> UPoly:
+    """Monic gcd by the Fraction Euclid loop."""
+    while not b.is_zero():
+        a, b = b, a.divmod(b)[1]
+    return a.monic()
+
+
+def reference_sturm_chain(p: UPoly) -> list[UPoly]:
+    """The Fraction Sturm chain of p's squarefree part: f, f', then negated
+    remainders, none of them rescaled."""
+    g = reference_gcd(p, p.derivative())
+    f = p.divmod(g)[0].monic() if g.degree > 0 else p.monic()
+    chain = [f, f.derivative()]
+    while not chain[-1].is_zero():
+        chain.append(-(chain[-2].divmod(chain[-1])[1]))
+    chain.pop()
+    return chain
+
+
+def reference_chain_count(chain: list[UPoly], lo: Fraction, hi: Fraction) -> int:
+    """Sign variations of the chain at lo less those at hi, by Fraction Horner."""
+    def variations(x: Fraction) -> int:
+        signs = [s for s in (p(x) for p in chain) if s != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if (a > 0) != (b > 0))
+
+    return variations(lo) - variations(hi)
+
+
+def reference_count_roots(p: UPoly, lo: Rat, hi: Rat) -> int:
+    """Distinct real roots of p in (lo, hi] from the Fraction Sturm chain."""
+    lo, hi = _frac(lo), _frac(hi)
+    return reference_chain_count(reference_sturm_chain(p), lo, hi) if lo < hi else 0
+
+
+def reference_sign_of(alpha: AlgebraicNumber, g: UPoly) -> int:
+    """The sign of g at alpha: 0 if g and alpha's polynomial have a common
+    root in alpha's interval, else alpha is refined until g has no root on
+    its interval and one sign at both ends."""
+    if alpha.is_rational:
+        v = g(alpha.lo)
+        return (v > 0) - (v < 0)
+    d = reference_gcd(g, alpha.poly)
+    if d.degree >= 1 and reference_count_roots(d, alpha.lo, alpha.hi) == 1:
+        return 0
+    lo, hi = alpha.lo, alpha.hi
+    chain = reference_sturm_chain(g)
+    while True:
+        vlo, vhi = g(lo), g(hi)
+        if (vlo != 0 and vhi != 0 and (vlo > 0) == (vhi > 0)
+                and reference_chain_count(chain, lo, hi) == 0):
+            return 1 if vlo > 0 else -1
+        lo, hi = alpha.poly.refine_root(lo, hi, (hi - lo) / 4)
+        if lo == hi:
+            v = g(lo)
+            return (v > 0) - (v < 0)

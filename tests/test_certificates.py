@@ -253,7 +253,8 @@ def test_kst_one_sided_interval_bounds():
 # sha256 of to_json() for each certificate report; pinned when the pipelines
 # started reading flips, attachment values and margins from their one
 # strictness pass, so any change to a report's bytes shows here; every
-# kst pair with s <= t, s*t >= 2 and s + t <= 12 is pinned
+# kst pair with s <= t, s*t >= 2 and s + t <= 12 is pinned, and four pairs
+# at the cap s + t = 40, each a few sign_of queries on alpha of degree up to 40
 REPORT_SHA256 = [
     ("k311", "2e446f3baf5a3574c267c81f4cae3349d615f9a0f438c4f9c4dfd1474ecab8c4"),
     ("k2111", "c845c3d9db694d687b7c3dab4669bfb9186adad179c2344d707e0f29f28100e9"),
@@ -295,6 +296,10 @@ REPORT_SHA256 = [
     ("kst(4,8)", "d0cf2f4aa8fd79875617d160becae96c693c073a59253835502d8fcf85dfdb68"),
     ("kst(5,7)", "8cc89f75abbb2a0c367ce3452eea02cb9ef6f79b0d328bb737dd0af182da7dec"),
     ("kst(6,6)", "459cae0be916835b94c88c338bbe53aa3406fb440ad4ce0b0f678d08c8a2a389"),
+    ("kst(1,39)", "1031e64e8cfd69662b139236615e940294e88cdcfc26c7c851d4c088c5c68339"),
+    ("kst(7,33)", "56d177c90d485203881c78ee4550291f13a77180c3117a31640728b2cb271a6c"),
+    ("kst(13,27)", "6fc904e020160d27246dc2cc8fb6a2fab6775835ff8103a1476f887b7a55e450"),
+    ("kst(20,20)", "cb450f4439c485eb11630af0a9a6e450c93c25e4b49f98cf856f5ffcc5f95c87"),
 ]
 
 

@@ -1,8 +1,12 @@
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from helpers import (reference_count_roots, reference_gcd, reference_sign_of,
+                     reference_sturm_chain)
+from inducibility import polynomials
 from inducibility.polynomials import (AlgebraicNumber, MPoly, UPoly, resultant,
                                       simplest_fraction_between)
 
@@ -236,16 +240,57 @@ def test_isolate_roots_builds_one_sturm_chain(monkeypatch):
 
 
 def test_algebraic_sign_builds_one_sturm_chain(monkeypatch):
-    """sign_of builds g's chain once however often it refines alpha."""
+    """sign_of at an irrational number is one Tarski query: one remainder
+    sequence, no gcd and no refinement of alpha, even where g has roots on
+    both sides of alpha, close to it."""
     sqrt2 = AlgebraicNumber(UPoly([-2, 0, 1]), F(1), F(2))
-    calls = []
-    chain = UPoly.sturm_chain
-    monkeypatch.setattr(UPoly, "sturm_chain", lambda self: calls.append(1) or chain(self))
-    # g has roots 1.414213 and 1.414214 on both sides of sqrt2: g > 0 at the ends
-    # of every interval around both, so each refinement asks for a root count
+    calls = Counter()
+    for owner, name in ((polynomials, "_remainders"), (UPoly, "gcd"), (UPoly, "refine_root")):
+        fn = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *a, _fn=fn, _name=name: calls.update([_name]) or _fn(*a))
+    # g has roots 1.414213 and 1.414214 on both sides of sqrt2, so g > 0 at
+    # the ends of every interval around both
     g = UPoly([-F(1414213, 10**6), 1]) * UPoly([-F(1414214, 10**6), 1])
     assert sqrt2.sign_of(g) == -1
-    assert len(calls) == 1
+    assert calls == {"_remainders": 1}
+
+
+def _positive_multiple(a: UPoly, b: UPoly) -> bool:
+    return a.degree == b.degree and a * b.leading == b * a.leading \
+        and a.leading * b.leading > 0
+
+
+def test_remainder_routes_equal_the_fraction_references():
+    """gcd, sturm_chain (up to a positive factor per term), count_roots and
+    sign_of equal the Fraction Euclid, Sturm chain and refinement routes of
+    tests/helpers.py on seeded p with repeated factors, at every isolated root
+    alpha of p, for g sharing a factor with p, vanishing at alpha, with roots
+    at alpha's interval ends, and g = 0."""
+    rng = random.Random(36)
+    irrational = 0
+    for _ in range(80):
+        roots = [F(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(rng.randint(0, 3))]
+        quad = UPoly([rng.randint(-9, 9), rng.randint(-4, 4), 1])  # often irrational roots
+        p = quad ** rng.choice([1, 1, 2]) * rng.choice([-3, -1, 2, 5])
+        for r in roots:
+            p = p * UPoly([-r, 1]) ** rng.choice([1, 1, 2])
+        q = UPoly([F(rng.randint(-9, 9), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))])
+        for a, b in ((p, q), (q, p), (p, p.derivative()), (p, q * quad), (UPoly(), q)):
+            assert a.gcd(b) == reference_gcd(a, b), (a, b)
+        chain, ref = p.sturm_chain(), reference_sturm_chain(p)
+        assert len(chain) == len(ref) and all(map(_positive_multiple, chain, ref)), p
+        ends = roots + [F(rng.randint(-40, 40), rng.randint(1, 4)) for _ in range(3)]
+        for lo in ends:
+            for hi in ends:
+                assert p.count_roots(lo, hi) == reference_count_roots(p, lo, hi), (p, lo, hi)
+        for a, b in p.isolate_roots(-20, 20):
+            alpha = AlgebraicNumber(p, a, b)
+            irrational += not alpha.is_rational
+            at_ends = UPoly([-alpha.lo, 1]) * UPoly([-alpha.hi, 1])
+            for g in (q, q * quad, q * p, p.derivative(), at_ends, at_ends * q, UPoly()):
+                assert alpha.sign_of(g) == reference_sign_of(alpha, g), (alpha, g)
+    assert irrational >= 150
 
 
 def test_sturm_counts_match_sympy():
