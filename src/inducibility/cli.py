@@ -187,7 +187,7 @@ def _looks_rational(s: str) -> bool:
 
 def emit(report: dict, args, verdict_line: str) -> None:
     validate_report(report)
-    text = json.dumps(report, indent=1, sort_keys=True)
+    text = json.dumps(report, indent=1, sort_keys=True, allow_nan=False)
     if args.out:
         Path(args.out).write_text(text + "\n")
     print(verdict_line)
@@ -299,8 +299,12 @@ def cmd_opt(args) -> int:
     if args.seeds:
         result["provenance"]["extra_seeds"] = args.seeds
     best = cs.best_snapped()
-    line = (f"best {best.vector.to_json()} lambda = {best.lam_exact}"
-            if best is not None else f"best (unsnapped) lambda ~ {cs.lam_best:.9f}")
+    if best is not None:
+        line = f"best {best.vector.to_json()} lambda = {best.lam_exact}"
+    elif cs.candidates:
+        line = f"best (unsnapped) lambda ~ {cs.lam_best:.9f}"
+    else:
+        line = "no candidate passed the stationarity filter"
     emit(make_report("opt", "value", result, spec.label), args, line)
     return EXIT_PASS
 

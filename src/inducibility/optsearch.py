@@ -8,6 +8,12 @@ snapping to small-denominator rationals whose exact value confirms the float;
 kst_maximiser solves the one-dimensional two-part problem exactly, returning
 either 1/2 or the algebraic root of the associated quartic-family polynomial.
 
+Each ascent tries, once it gains little, the rational point it would snap
+to, and ends there when that point passes the float KKT test. The starts are
+split by stride over forked worker processes, one per usable CPU up to 8,
+which send back their end points as exact packed doubles; every ascent is a
+pure function of its start, so a report is the same for any worker count.
+
 continuous_opt is a heuristic: it never claims completeness, only that every
 reported candidate passes the stationarity filter. Certification of global
 optimality lives in the certificate pipelines.
@@ -17,13 +23,15 @@ from __future__ import annotations
 
 import math
 import operator
+import os
 import random
 import struct
+import threading
 from fractions import Fraction
 from functools import reduce
 from itertools import compress
 from math import comb
-from typing import Callable, Optional, Sequence
+from typing import BinaryIO, Callable, Optional, Sequence
 
 from .graphs import CompletePartiteShape
 from .objectives import ObjectiveSpec
@@ -229,9 +237,10 @@ class Candidate:
 class CandidateSet:
     __slots__ = ("candidates", "lam_best", "provenance")
 
-    def __init__(self, candidates: list[Candidate], lam_best: float, provenance: dict):
+    def __init__(self, candidates: list[Candidate], lam_best: Optional[float],
+                 provenance: dict):
         self.candidates = candidates
-        self.lam_best = lam_best
+        self.lam_best = lam_best   # None when no candidate passed the filter
         self.provenance = provenance
 
     def best_snapped(self) -> Optional[Candidate]:
@@ -257,26 +266,44 @@ class CandidateSet:
 
 def _ascend(plan: _FloatPlan, z: list[float]) -> tuple[list[float], float]:
     """Projected gradient ascent on [x0, x1..xM] over the simplex (at most
-    400 gradient steps)."""
+    400 gradient steps).
+
+    After an accepted step that gains less than 1e-9, at most once in 8
+    steps, the ascent tries the rational point the report would snap to:
+    every coordinate rounded by _round64 within 1e-5. It moves there when
+    the float value there is no lower, and ends there when the point passes
+    the float KKT test (_stationary_float); so starts in one basin end on
+    the same floats, and an ascent towards a degenerate maximum stops
+    creeping mass between near-empty parts."""
     val = plan.value(z[0], z[1:])
     step = 0.1
-    for _ in range(400):
+    tried = -8
+    for i in range(400):
         g0, gi = plan.gradient(z[0], z[1:])
         grad = [g0] + gi
-        improved = False
+        gain = 0.0
         for _ in range(25):
             cand = _project_simplex([zi + step * g for zi, g in zip(z, grad)])
             cv = plan.value(cand[0], cand[1:])
             if cv > val + 1e-15:
-                z, val = cand, cv
+                z, val, gain = cand, cv, cv - val
                 step *= 1.25
-                improved = True
                 break
             step *= 0.5
             if step < 1e-14:
                 break
-        if not improved:
+        if not gain:
             break
+        if gain < 1e-9 and i - tried >= 8:
+            tried = i
+            q = _round64(z, 1e-5)
+            if q is not None:
+                zq = [float(f) for f in q]
+                vq = plan.value(zq[0], zq[1:])
+                if vq >= val:
+                    z, val = zq, vq
+                    if _stationary_float(plan, z):
+                        break
     return z, val
 
 
@@ -312,6 +339,95 @@ def _residual_float(plan: _FloatPlan, z: list[float]) -> float:
         if zi > 1e-9:
             worst = max(worst, abs(g / k - lam))
     return worst
+
+
+def _stationary_float(plan: _FloatPlan, z: list[float]) -> bool:
+    """The float KKT test: support residual at most 1e-8, and no zero
+    coordinate whose partial exceeds k lambda by more than 1e-8."""
+    if _residual_float(plan, z) > 1e-8:
+        return False
+    g0, gi = plan.gradient(z[0], z[1:])
+    bound = plan.k * plan.value(z[0], z[1:]) + 1e-8
+    return all(g <= bound for zi, g in zip(z, [g0] + gi) if not zi)
+
+
+def _cpu_count() -> int:
+    """Processes to split the starts over: the CPUs this process may use, at
+    most 8; 1 (in process) without os.fork, or while other threads run, as a
+    fork copies only the calling thread."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, 8)
+
+
+def _ascend_starts(plan: _FloatPlan,
+                   seeds: Sequence[list[float]]) -> list[tuple[float, list[float]]]:
+    """(val, z) of each start's ascent and local moves, in seeds order."""
+    ascend = _memoised_ascent(plan)
+    found = []
+    for z in seeds:
+        z, val = ascend(_project_simplex(z))
+        z, val = _local_moves(ascend, z, val)
+        found.append((val, z))
+    return found
+
+
+def _ascend_split(plan: _FloatPlan,
+                  seeds: list[list[float]]) -> list[tuple[float, list[float]]]:
+    """_ascend_starts, the seeds split by stride over _cpu_count() processes.
+
+    Worker w forks from this process, ascends seeds[w::workers] and writes
+    each (val, z) to a pipe as packed doubles, which is exact; this process
+    ascends slice 0, reads the others and interleaves them again. _ascend is
+    a pure function of its point, so the result does not depend on the
+    number of workers. A slice whose worker could not start or ended
+    without its full output is ascended here. Every worker is reaped before
+    this returns or raises."""
+    workers = min(_cpu_count(), len(seeds))
+    record = struct.Struct(f"{len(seeds[0]) + 1}d")
+    pipes: dict[int, tuple[int, BinaryIO]] = {}
+    try:
+        for w in range(1, workers):
+            r, wr = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(wr)
+                break
+            if pid == 0:   # the worker: never returns into the caller
+                try:
+                    os.close(r)
+                    with open(wr, "wb") as out:
+                        for val, z in _ascend_starts(plan, seeds[w::workers]):
+                            out.write(record.pack(val, *z))
+                finally:
+                    os._exit(0)
+            os.close(wr)
+            pipes[w] = (pid, open(r, "rb"))
+        slices = [_ascend_starts(plan, seeds[0::workers])]
+        for w in range(1, workers):
+            part = seeds[w::workers]
+            data = pipes[w][1].read() if w in pipes else b""
+            if len(data) == record.size * len(part):
+                slices.append([(val, list(z)) for val, *z in record.iter_unpack(data)])
+            else:
+                slices.append(_ascend_starts(plan, part))
+    finally:
+        # imported here, as it costs every command that loads this module 1 ms
+        import signal
+        for pid, pipe in pipes.values():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)   # done, or not needed after an error
+            os.waitpid(pid, 0)
+    found: list = [None] * len(seeds)
+    for w, part in enumerate(slices):
+        found[w::workers] = part
+    return found
 
 
 def continuous_opt(spec: ObjectiveSpec, max_support: int, starts: int = 200,
@@ -353,12 +469,7 @@ def continuous_opt(spec: ObjectiveSpec, max_support: int, starts: int = 200,
         tot = _fold(raw)
         seeds.append([x0] + [(1 - x0) * w / tot for w in raw] + [0.0] * (M - r))
 
-    ascend = _memoised_ascent(plan)
-    found: list[tuple[float, list[float]]] = []
-    for z in seeds:
-        z, val = ascend(_project_simplex(z))
-        z, val = _local_moves(ascend, z, val)
-        found.append((val, z))
+    found = _ascend_split(plan, seeds)
 
     # cluster by rounded coordinates, keep the best representative
     clusters: dict[tuple, tuple[float, list[float]]] = {}
@@ -382,12 +493,8 @@ def continuous_opt(spec: ObjectiveSpec, max_support: int, starts: int = 200,
             cand.residual_exact = lagrange_residual(spec, cand.vector)
         candidates.append(cand)
 
-    if candidates:
-        best = candidates[0].lam_float
-        top = [c for c in candidates if c.lam_float >= best - 1e-9]
-    else:
-        best = float("-inf")
-        top = []
+    best = candidates[0].lam_float if candidates else None
+    top = [c for c in candidates if c.lam_float >= best - 1e-9]
     return CandidateSet(top, best, provenance={
         "starts": len(seeds), "seed": seed, "max_support": M,
         "clusters": len(ranked), "objective": spec.label,
@@ -420,23 +527,45 @@ def _local_moves(ascend: Callable[[list[float]], tuple[list[float], float]],
     return z, val
 
 
+def _near64(c: float, tol: float) -> Optional[Fraction]:
+    """Fraction(c).limit_denominator(64) when it lies within tol of c, else
+    None, on ints. The continued fraction of c gives the two fractions that
+    limit_denominator compares; fractions with denominators up to 64 are at
+    least 1/4032 apart, more than 2 tol for tol < 1.2e-4, so the one within
+    tol, if any, is the nearer one."""
+    n, d = c.as_integer_ratio()
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    while d and q0 + n // d * q1 <= 64:
+        a = n // d
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q0 + a * q1
+        n, d = d, n - a * d
+    k = (64 - q0) // q1
+    for p, q in ((p1, q1), (p0 + k * p1, q0 + k * q1)):
+        if abs(p / q - c) <= tol:
+            return Fraction(p, q)
+    return None
+
+
+def _round64(z: Sequence[float], tol: float) -> Optional[list[Fraction]]:
+    """Each coordinate of z as its nearest fraction with denominator at most
+    64, when every one lies within tol of it and they sum to exactly 1."""
+    q = []
+    for c in z:
+        f = _near64(c, tol)
+        if f is None:
+            return None
+        q.append(f)
+    return q if sum(q) == 1 else None
+
+
 def _try_snap(spec: ObjectiveSpec, z: list[float],
               val: float) -> Optional[tuple[PartiteVector, Fraction]]:
     """The rational vector near z and its exact lambda, when they confirm val."""
-    parts = []
-    for p in z[1:]:
-        f = Fraction(p).limit_denominator(64)
-        if abs(float(f) - p) > 1e-7:
-            return None
-        if f > 0:
-            parts.append(f)
-    x0 = Fraction(z[0]).limit_denominator(64)
-    if abs(float(x0) - z[0]) > 1e-7:
-        return None
-    if sum(parts, Fraction(0)) + x0 != 1:
+    q = _round64(z, 1e-7)
+    if q is None:
         return None
     try:
-        vec = PartiteVector(sorted(parts, reverse=True))
+        vec = PartiteVector(sorted((f for f in q[1:] if f > 0), reverse=True))
     except ValueError:
         return None
     lam = lambda_of_vector(spec, vec)

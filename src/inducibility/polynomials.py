@@ -243,17 +243,19 @@ class UPoly:
         return out
 
     def refine_root(self, a: Rat, b: Rat, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Bisect an isolating interval (one sign change) down to the given width."""
+        """Bisect an isolating interval (one sign change) down to the given
+        width. The squarefree part is taken once, as primitive ints, and the
+        sign at each midpoint is read from them by _scaled_value."""
         a, b = _frac(a), _frac(b)
         if a == b:
             return a, b
-        f = self.squarefree_part()
-        fa = f(a)
-        if fa == 0 or f(b) == 0:
+        f = _primitive(self.squarefree_part())
+        fa = _scaled_value(f, a)
+        if fa == 0 or _scaled_value(f, b) == 0:
             raise ValueError("refine_root needs non-root endpoints")
         while b - a > width:
             m = (a + b) / 2
-            fm = f(m)
+            fm = _scaled_value(f, m)
             if fm == 0:
                 return m, m
             if (fa > 0) != (fm > 0):
@@ -283,11 +285,7 @@ def _remainders(f: UPoly, g: UPoly) -> list[UPoly]:
     nonzero term, each term times the positive rational that makes its
     coefficients coprime ints: every sign is kept and the ints stay small.
     On int lists, rem(a, b) is taken times |lc b|^e: a pseudo-remainder."""
-    seq = []
-    for p in (f, g):
-        den = lcm(*(c.denominator for c in p.coeffs))
-        num = gcd(*(c.numerator for c in p.coeffs)) or 1
-        seq.append([c.numerator * (den // c.denominator) // num for c in p.coeffs])
+    seq = [_primitive(f), _primitive(g)]
     while seq[-1]:
         r, b = seq[-2], seq[-1]
         while len(r) >= len(b):  # |lc b| r less the multiple of b that cancels r's lead
@@ -300,19 +298,29 @@ def _remainders(f: UPoly, g: UPoly) -> list[UPoly]:
     return [UPoly(cs) for cs in seq[:-1]]
 
 
+def _primitive(p: UPoly) -> list[int]:
+    """The coefficients of p times the positive rational that makes them
+    coprime ints, so every sign of p is kept."""
+    den = lcm(*(c.denominator for c in p.coeffs))
+    num = gcd(*(c.numerator for c in p.coeffs)) or 1
+    return [c.numerator * (den // c.denominator) // num for c in p.coeffs]
+
+
+def _scaled_value(coeffs: Sequence[Rat], x: Fraction) -> int:
+    """The int sum of c_i n^i d^(deg - i) at x = n/d, for integral
+    coefficients c_i: d^deg p(x), which has the sign of p(x)."""
+    acc, dk = 0, 1
+    for c in reversed(coeffs):
+        acc, dk = acc * x.numerator + c.numerator * dk, dk * x.denominator
+    return acc
+
+
 def _chain_count(chain: Sequence[UPoly], lo: Fraction, hi: Fraction) -> int:
     """Sign variations at lo less those at hi (lo < hi) of a ``_remainders``
-    chain, each term read at x = n/d as the int sum of c_i n^i d^(deg - i),
-    which has its sign at x: count_roots of chain[0] on (lo, hi] for a Sturm
-    chain."""
+    chain, each term read by _scaled_value: count_roots of chain[0] on
+    (lo, hi] for a Sturm chain."""
     def variations(x: Fraction) -> int:
-        signs = []
-        for p in chain:
-            acc, dk = 0, 1
-            for c in reversed(p.coeffs):
-                acc, dk = acc * x.numerator + c.numerator * dk, dk * x.denominator
-            if acc:
-                signs.append(acc > 0)
+        signs = [v > 0 for v in (_scaled_value(p.coeffs, x) for p in chain) if v]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     return variations(lo) - variations(hi)

@@ -502,6 +502,24 @@ def reference_count_roots(p: UPoly, lo: Rat, hi: Rat) -> int:
     return reference_chain_count(reference_sturm_chain(p), lo, hi) if lo < hi else 0
 
 
+def reference_refine_root(p: UPoly, a: Fraction, b: Fraction,
+                          width: Fraction) -> tuple[Fraction, Fraction]:
+    """Bisection of an isolating interval by Fraction Horner on p's
+    squarefree part, as UPoly.refine_root first ran."""
+    f = p.squarefree_part()
+    fa = f(a)
+    while b - a > width:
+        m = (a + b) / 2
+        fm = f(m)
+        if fm == 0:
+            return m, m
+        if (fa > 0) != (fm > 0):
+            b = m
+        else:
+            a, fa = m, fm
+    return a, b
+
+
 def reference_sign_of(alpha: AlgebraicNumber, g: UPoly) -> int:
     """The sign of g at alpha: 0 if g and alpha's polynomial have a common
     root in alpha's interval, else alpha is refined until g has no root on

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from inducibility import optsearch
 from inducibility.cli import main, parse_objective, validate_report
 from inducibility.graphs import Graph, write_graph_text
 
@@ -123,6 +124,22 @@ def test_opt_verdict_line_takes_lambda_of_the_printed_vector(capsys, tmp_path):
     best = next(c for c in candidates if c["snapped"])
     assert (best["vector"], best["lambda_exact"]) == ({"x0": "1/10", "parts": ["9/10"]}, "0")
     assert out.strip() == 'best {"x0": "1/10", "parts": ["9/10"]} lambda = 0'
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_opt_without_candidates_is_strict_json(monkeypatch, capsys):
+    """When no start passes the stationarity filter the report says so with
+    a null best value, not -Infinity."""
+    monkeypatch.setattr(optsearch, "_residual_float", lambda plan, z: 1.0)
+    code, out = run_cli(["opt", "--objective", "KP 2,1", "--max-support", "3",
+                         "--starts", "10"], capsys)
+    verdict, text = out.split("\n", 1)
+    assert code == 0 and verdict == "no candidate passed the stationarity filter"
+    result = json.loads(text, parse_constant=_refuse_constant)["result"]
+    assert result["candidates"] == [] and result["lambda_best_float"] is None
 
 
 def test_oracle(capsys):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import random
 from fractions import Fraction as F
 from math import comb
@@ -309,13 +310,132 @@ def test_project_simplex_bitwise_equal_to_reference():
 def test_continuous_opt_report_pinned_across_interpreters():
     """Every float sum of the search is a left fold from 0.0, so the report
     does not depend on sum()'s compensated rounding from Python 3.12 on.
-    With sum() this case gave 22 clusters under 3.11 and 23 under 3.12."""
+    With sum(), the ascent without its rational finish gave 22 clusters here
+    under 3.11 and 23 under 3.12; the finish collapses them to 8."""
     cs = continuous_opt(parse_objective("SUM 1*KP 2,2 + 1/2*KP 1,1,1,1"), 10,
                         starts=200, seed=3)
     dump = json.dumps(cs.to_jsonable(), sort_keys=True).encode()
-    assert cs.provenance["clusters"] == 22
+    assert cs.provenance["clusters"] == 8
     assert hashlib.sha256(dump).hexdigest() == \
-        "62152b82075e43d9c78d352a6dbec803eb2fe34fcd4191585b6dd260cc0a8aed"
+        "2de8e0fce2b6f20207d096fa4c9c1385d8d682df3d8234c59fdeda23f8db9aaf"
+
+
+def test_near64_is_limit_denominator_within_tolerance():
+    """The int continued fraction gives Fraction.limit_denominator(64)'s
+    answer whenever that lies within tol, and None otherwise, on uniform
+    floats, floats near fractions with denominators up to 64 (and beyond)
+    and both ends of [0, 1]."""
+    rng = random.Random(37)
+    points = [0.0, 1.0, 0.5, 1 / 3, 5e-324] + [rng.random() for _ in range(3000)]
+    for _ in range(6000):
+        q = rng.randint(1, 90)
+        noise = rng.choice([0.0, 1e-12, 1e-9, 1e-7, 9.9e-6, 1e-5, 1.01e-5, 1e-4])
+        points.append(min(1.0, max(0.0, rng.randint(0, q) / q + rng.choice([-1, 1]) * noise)))
+    for c in points:
+        for tol in (1e-7, 1e-5):
+            f = F(c).limit_denominator(64)
+            want = f if abs(float(f) - c) <= tol else None
+            assert optsearch._near64(c, tol) == want, (c, tol)
+
+
+def test_round64_needs_every_coordinate_near_and_an_exact_sum():
+    assert optsearch._round64([0.0, 0.5, 0.25 + 1e-6, 0.25], 1e-5) == [0, F(1, 2), F(1, 4), F(1, 4)]
+    assert optsearch._round64([0.0, 0.5, 0.25 + 1e-6, 0.25], 1e-7) is None
+    assert optsearch._round64([0.5, 0.5, 0.5], 1e-5) is None
+
+
+def test_stationary_float_reads_support_and_zero_coordinates():
+    """KP 2,1 on one part has no support residual, but an empty part's
+    partial (3) exceeds k lambda (0); two equal parts pass."""
+    plan = optsearch._FloatPlan(parse_objective("KP 2,1"))
+    assert optsearch._residual_float(plan, [0.0, 1.0, 0.0]) == 0
+    assert not optsearch._stationary_float(plan, [0.0, 1.0, 0.0])
+    assert not optsearch._stationary_float(plan, [0.0, 0.7, 0.3])
+    assert optsearch._stationary_float(plan, [0.0, 0.5, 0.5])
+
+
+def test_ascent_ends_on_its_rational_point(spec_c4):
+    """An ascent whose point nears a small-denominator rational point that
+    passes the float KKT test ends exactly on it."""
+    z, val = optsearch._ascend(optsearch._FloatPlan(spec_c4), [0.0, 0.7, 0.3, 0.0, 0.0])
+    assert z == [0.0, 0.5, 0.5, 0.0, 0.0] and val == 3 / 8
+
+
+def test_continuous_opt_kp211_snaps_five_equal_parts():
+    """Without the rational finish these starts crept between near-empty
+    parts and no candidate passed the stationarity filter."""
+    spec = parse_objective("KP 2,1,1")
+    cs = continuous_opt(spec, 10, 200, seed=1)
+    best = cs.best_snapped()
+    assert best.vector == PartiteVector([F(1, 5)] * 5)
+    assert best.lam_exact == F(72, 125) == lambda_of_vector(spec, best.vector)
+
+
+def test_continuous_opt_kp311_has_no_unsnapped_duplicate():
+    cs = continuous_opt(parse_objective("KP 3,1,1"), 10, 200, seed=1)
+    assert [(c.vector, c.lam_exact) for c in cs.candidates] == \
+        [(PartiteVector([F(3, 5)]), F(216, 625))]
+
+
+def _forced_workers(monkeypatch, n):
+    monkeypatch.setattr(optsearch, "_cpu_count", lambda: n)
+
+
+def test_continuous_opt_report_does_not_depend_on_worker_count(monkeypatch):
+    """The (val, z) of every start, in start order, and so the report."""
+    spec = parse_objective("SUM 1*KP 3,1 + -1/2*KP 4")
+    split, ends, reports = optsearch._ascend_split, [], []
+
+    def recorded(plan, seeds):
+        ends.append(split(plan, seeds))
+        return ends[-1]
+
+    monkeypatch.setattr(optsearch, "_ascend_split", recorded)
+    for n in (1, 2, 3):
+        _forced_workers(monkeypatch, n)
+        reports.append(continuous_opt(spec, 6, starts=70, seed=2).to_jsonable())
+    assert len(ends[0]) == 70
+    assert ends[0] == ends[1] == ends[2] and reports[0] == reports[1] == reports[2]
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_continuous_opt_reaps_its_workers(monkeypatch, spec_c4):
+    _forced_workers(monkeypatch, 3)
+    continuous_opt(spec_c4, 5, starts=30, seed=7)
+    _no_children_left()
+
+    def broken(*args):
+        raise RuntimeError("broken ascent")
+
+    monkeypatch.setattr(optsearch, "_local_moves", broken)
+    with pytest.raises(RuntimeError, match="broken ascent"):
+        continuous_opt(spec_c4, 5, starts=30, seed=7)
+    _no_children_left()
+
+
+def test_worker_without_output_leaves_its_slice_to_the_parent(monkeypatch, spec_c4):
+    """Workers that exit at once, before any output: the parent ascends all
+    three slices itself and reports what one process reports."""
+    _forced_workers(monkeypatch, 1)
+    want = continuous_opt(spec_c4, 5, starts=30, seed=7).to_jsonable()
+    parent, slices = os.getpid(), []
+    ascend_starts = optsearch._ascend_starts
+
+    def silent_workers(plan, seeds):
+        if os.getpid() != parent:
+            os._exit(0)
+        slices.append(len(seeds))
+        return ascend_starts(plan, seeds)
+
+    monkeypatch.setattr(optsearch, "_ascend_starts", silent_workers)
+    _forced_workers(monkeypatch, 3)
+    assert continuous_opt(spec_c4, 5, starts=30, seed=7).to_jsonable() == want
+    assert len(slices) == 3
+    _no_children_left()
 
 
 def test_continuous_opt_computes_lambda_once_per_snap(monkeypatch):

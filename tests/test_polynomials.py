@@ -4,8 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from helpers import (reference_count_roots, reference_gcd, reference_sign_of,
-                     reference_sturm_chain)
+from helpers import (reference_count_roots, reference_gcd, reference_refine_root,
+                     reference_sign_of, reference_sturm_chain)
 from inducibility import polynomials
 from inducibility.polynomials import (AlgebraicNumber, MPoly, UPoly, resultant,
                                       simplest_fraction_between)
@@ -291,6 +291,25 @@ def test_remainder_routes_equal_the_fraction_references():
             for g in (q, q * quad, q * p, p.derivative(), at_ends, at_ends * q, UPoly()):
                 assert alpha.sign_of(g) == reference_sign_of(alpha, g), (alpha, g)
     assert irrational >= 150
+
+
+def test_refine_root_equals_the_fraction_bisection():
+    """The int signs of refine_root give the Fraction bisection's interval
+    at every width, on seeded p with Fraction coefficients, repeated factors,
+    irrational roots and rational roots that a midpoint hits."""
+    rng = random.Random(37)
+    hits = 0
+    for _ in range(60):
+        quad = UPoly([rng.randint(-9, 9), rng.randint(-4, 4), 1])
+        p = quad ** rng.choice([1, 2]) * F(rng.choice([-3, -1, 2, 5]), rng.randint(1, 7))
+        for _ in range(rng.randint(0, 3)):
+            p = p * UPoly([F(-rng.randint(-12, 12), 2 ** rng.randint(0, 3)), 1]) ** rng.choice([1, 2])
+        for a, b in p.isolate_roots(-20, 20):
+            for width in (F(1, 2**40), F(1, 10**6), (b - a) / 3):
+                got = p.refine_root(a, b, width)
+                assert got == reference_refine_root(p, a, b, width), (p, a, b, width)
+                hits += got[0] == got[1]
+    assert hits >= 10
 
 
 def test_sturm_counts_match_sympy():
