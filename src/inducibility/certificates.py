@@ -292,12 +292,18 @@ def certify_kst(s: int, t: int) -> CertificateReport:
     # dF/dx0 / k (0 unless s = 1), and one joined to neither counts nothing.
     free = density_polynomial([s, t], 2)
 
+    # a^i and (1 - a)^j for i, j < k, the degree of free's partials, built once
+    a_pows, b_pows = [UPoly([1])], [UPoly([1])]
+    for _ in range(k - 1):
+        a_pows.append(a_pows[-1] * av)
+        b_pows.append(b_pows[-1] * one_minus)
+
     def on_split(p: MPoly) -> UPoly:
         out = UPoly()
         for e, c in p.terms.items():
             powers = dict(zip(p.vars, e))
             if not powers.get("x0"):
-                out = out + c * av ** powers.get("x1", 0) * one_minus ** powers.get("x2", 0)
+                out = out + a_pows[powers.get("x1", 0)] * (c * b_pows[powers.get("x2", 0)])
         return out
 
     first = {i: free.partial(f"x{i}") for i in range(3)}

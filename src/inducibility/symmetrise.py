@@ -7,16 +7,21 @@ resolves one vertex's attachment part by part, editing exactly one pair per
 step. For eligible objectives (non-negative coefficients off cliques) the
 objective never decreases; for general objectives a step with no monotone
 clone aborts with a diagnostic instead of silently decreasing.
+
+A clone replaces one vertex, so each candidate clone's objective is read
+from the k-subsets through the vertex it replaces; only the entry objective
+walks the whole graph.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import comb
 from typing import Optional
 
 from .graphs import (CompletePartiteShape, Graph, complete_partite_parts,
-                     complete_partite_shape_of)
+                     complete_partite_shape_of, subset_codes)
 from .objectives import ObjectiveSpec, lambda_graph
 
 
@@ -77,20 +82,32 @@ def _clone(g: Graph, src: int, dst: int) -> Graph:
     return Graph(g.n, tuple(rows))
 
 
+def _vertex_total(spec: ObjectiveSpec, g: Graph, v: int) -> int:
+    """Lambda(g, v) * scale: gamma * scale summed over the k-subsets through v."""
+    table = spec.code_table()
+    return sum(table[code] for code in subset_codes(g, spec.k, through=v))
+
+
 def _clone_step(spec: ObjectiveSpec, g: Graph, lam: Fraction, x: int, y: int,
                 prefer_xy: bool) -> tuple[SymStep, Graph]:
     """Clone x over y or y over x, whichever gives the larger lambda
-    (prefer_xy breaks a tie); a decrease from lam is refused."""
+    (prefer_xy breaks a tie); a decrease from lam is refused.
+
+    G_xy - y = G - y, so Lambda(G_xy) - Lambda(G) = Lambda(G_xy, y) - Lambda(G, y):
+    each candidate's change is read from two vertex walks, not a whole-graph walk.
+    """
     g_xy, g_yx = _clone(g, x, y), _clone(g, y, x)
-    lam_xy, lam_yx = lambda_graph(spec, g_xy), lambda_graph(spec, g_yx)
-    if lam_xy > lam_yx or (lam_xy == lam_yx and prefer_xy):
-        new_g, new_lam, src, dst = g_xy, lam_xy, x, y
+    d_xy = _vertex_total(spec, g_xy, y) - _vertex_total(spec, g, y)
+    d_yx = _vertex_total(spec, g_yx, x) - _vertex_total(spec, g, x)
+    if d_xy > d_yx or (d_xy == d_yx and prefer_xy):
+        new_g, delta, src, dst = g_xy, d_xy, x, y
     else:
-        new_g, new_lam, src, dst = g_yx, lam_yx, y, x
-    if new_lam < lam:
+        new_g, delta, src, dst = g_yx, d_yx, y, x
+    if delta < 0:
         if spec.eligible:
             raise AssertionError("monotone clone missing for an eligible objective")
         raise SymmetrisationError("no monotone clone available")
+    new_lam = lam + Fraction(delta, spec.scale * comb(g.n, spec.k))
     edited = (g.rows[dst] ^ new_g.rows[dst]).bit_count()
     return SymStep(src, dst, lam, new_lam, edited), new_g
 
@@ -105,11 +122,14 @@ def _check_step_bound(spec: ObjectiveSpec, g: Graph, steps: list[SymStep]) -> No
 
 
 def symmetrise_full(spec: ObjectiveSpec, g: Graph) -> SymmetrisationTrace:
-    """Drive g to a complete partite graph by repeated cloning."""
+    """Drive g to a complete partite graph by repeated cloning.
+
+    Only the entry lambda walks the whole graph, so the subset-walk limit
+    (``graphs.WALK_MAX``) refuses a graph before any step; at most C(n, 2)
+    steps are taken.
+    """
     if g.n < spec.k:
         raise ValueError("graph smaller than objective arity")
-    if g.n > 24:
-        raise ValueError("symmetrisation limited to n <= 24")
     classes: list[list[int]] = [[v] for v in range(g.n)]
     lam = lambda_graph(spec, g)
     steps: list[SymStep] = []

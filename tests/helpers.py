@@ -1,7 +1,7 @@
 """Test-only references and fixtures: independent float and graph routes that
 the program itself does not need, the plain Fraction remainder routes, the
-finite-n layer of the stability argument, and the negative strictness
-fixture."""
+finite-n layer of the stability argument, the two-walk symmetrisation step,
+and the negative strictness fixture."""
 
 import itertools
 import operator
@@ -23,6 +23,7 @@ from inducibility.perturbation import (_JOINED, AttachmentPattern, _attach_term,
                                        flip_gradient)
 from inducibility.polynomials import AlgebraicNumber, Rat, UPoly, _frac
 from inducibility.strictness import _clone_edit_mass, _pair_orbits, _pattern_orbits
+from inducibility.symmetrise import SymmetrisationError, SymStep, _clone
 
 
 def class_keys(n: int) -> tuple[bytes, ...]:
@@ -541,3 +542,21 @@ def reference_sign_of(alpha: AlgebraicNumber, g: UPoly) -> int:
         if lo == hi:
             v = g(lo)
             return (v > 0) - (v < 0)
+
+
+def reference_clone_step(spec: ObjectiveSpec, g: Graph, lam: Fraction, x: int, y: int,
+                         prefer_xy: bool) -> tuple[SymStep, Graph]:
+    """The symmetrisation step with each candidate clone's lambda from a
+    whole-graph walk, as ``symmetrise._clone_step`` first ran."""
+    g_xy, g_yx = _clone(g, x, y), _clone(g, y, x)
+    lam_xy, lam_yx = lambda_graph(spec, g_xy), lambda_graph(spec, g_yx)
+    if lam_xy > lam_yx or (lam_xy == lam_yx and prefer_xy):
+        new_g, new_lam, src, dst = g_xy, lam_xy, x, y
+    else:
+        new_g, new_lam, src, dst = g_yx, lam_yx, y, x
+    if new_lam < lam:
+        if spec.eligible:
+            raise AssertionError("monotone clone missing for an eligible objective")
+        raise SymmetrisationError("no monotone clone available")
+    edited = (g.rows[dst] ^ new_g.rows[dst]).bit_count()
+    return SymStep(src, dst, lam, new_lam, edited), new_g

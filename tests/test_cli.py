@@ -183,6 +183,22 @@ def test_oracle_report_bytes_are_pinned(objective, n, digest, capsys, tmp_path):
     assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
 
 
+def test_oracle_at_eight_vertices_equals_the_partition_scan(capsys, tmp_path):
+    """oracle --n 8 passes on each objective of the benchmark's oracle pool,
+    and its maximum over all 8-vertex graphs is opt --mode finite --n 8."""
+    oracle_file, finite_file = tmp_path / "oracle.json", tmp_path / "finite.json"
+    for objective in ("KP 2,1,1", "KP 3,1", "KP 2,2,1", "KP 3,1,1", "KP 3,2",
+                      "SUM 1*KP 2,2 + 1*KP 4", "SUM 1*KP 2,1,1 + -1/2*KP 1,1,1,1"):
+        assert run_cli(["oracle", "--objective", objective, "--n", "8",
+                        "--out", str(oracle_file), "--quiet"], capsys)[0] == 0
+        assert run_cli(["opt", "--mode", "finite", "--objective", objective, "--n", "8",
+                        "--out", str(finite_file), "--quiet"], capsys)[0] == 0
+        oracle = json.loads(oracle_file.read_text())
+        assert oracle["verdict"] == "pass", objective
+        assert (oracle["result"]["lambda_all_graphs"]
+                == json.loads(finite_file.read_text())["result"]["lambda_n"]), objective
+
+
 def test_edit_distance_vectors(capsys):
     code, out = run_cli(["edit-distance",
                          "--vector", '{"x0":"0","parts":["1/2","1/2"]}',

@@ -5,11 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
+from helpers import reference_clone_step, seeded_table
+from inducibility import symmetrise
 from inducibility.graphs import Graph, complete_partite_shape_of, graph_from_code
 from inducibility.objectives import ObjectiveSpec, big_lambda, lambda_graph
 from inducibility.optsearch import finite_opt
-from inducibility.symmetrise import (SymmetrisationError, symmetrise_full,
-                                     symmetrise_vertex)
+from inducibility.partite import lambda_of_shape
+from inducibility.symmetrise import (SymmetrisationError, SymStep, _clone_step,
+                                     symmetrise_full, symmetrise_vertex)
 
 
 def test_complete_partite_input_is_fixed(spec_c4):
@@ -189,3 +192,62 @@ def test_vertex_mode_final_shape_is_the_final_graph(spec_c4):
             assert shape.n == n + 1
             assert lambda_of_shape(spec, shape) == lambda_graph(spec, trace.final_graph)
     assert 0 < nones < 40
+
+
+def test_clone_steps_equal_the_two_walk_reference(monkeypatch):
+    """Every step of symmetrise_full and symmetrise_vertex, each candidate
+    read from the exchange identity, equals the step that walks both whole
+    candidate graphs: the same clone, lambdas and graph, or the same
+    refusal. KP, signed SUM and table objectives, on seeded graphs of 8 to
+    24 vertices (full) and on complete partite graphs of 3 to 20 vertices
+    plus one vertex (vertex)."""
+    compared = refused = 0
+
+    def checked(spec, g, lam, x, y, prefer_xy):
+        nonlocal compared, refused
+        try:
+            want_step, want_g = reference_clone_step(spec, g, lam, x, y, prefer_xy)
+        except SymmetrisationError:
+            refused += 1
+            with pytest.raises(SymmetrisationError):
+                _clone_step(spec, g, lam, x, y, prefer_xy)
+            raise
+        step, new_g = _clone_step(spec, g, lam, x, y, prefer_xy)
+        assert new_g == want_g
+        assert ([getattr(step, f) for f in SymStep.__slots__]
+                == [getattr(want_step, f) for f in SymStep.__slots__])
+        compared += 1
+        return step, new_g
+
+    monkeypatch.setattr(symmetrise, "_clone_step", checked)
+    specs = [ObjectiveSpec.partite_density([2, 1, 1]),
+             ObjectiveSpec.combination([(1, [2, 1]), (F(-2, 3), [1, 1, 1])]),
+             ObjectiveSpec.combination([(F(1, 2), [2, 2]), (F(-1, 4), [3, 1]), (1, [2, 1])]),
+             seeded_table(3), seeded_table(4)]
+    rng = random.Random(46)
+    for spec in specs:
+        for n in (8, 12, 16) if spec.k == 4 else (8, 16, 24):
+            g = graph_from_code(n, rng.randrange(1 << n * (n - 1) // 2))
+            try:
+                symmetrise_full(spec, g)
+            except SymmetrisationError:
+                pass
+            base = Graph.complete_partite([rng.randint(1, 4) for _ in range(rng.randint(3, 5))])
+            try:
+                symmetrise_vertex(spec, base.add_vertex(rng.randrange(1 << base.n)), base.n)
+            except SymmetrisationError:
+                pass
+    assert compared > 100 and refused > 0
+
+
+def test_forty_vertex_symmetrisation_ends_on_its_shape():
+    """Past the old 24-vertex cap: KP 2,1 on a seeded G(40, 1/2) rises at
+    every step to a complete partite graph whose lambda is that of its shape."""
+    spec = ObjectiveSpec.partite_density([2, 1])
+    rng = random.Random(47)
+    g = graph_from_code(40, rng.randrange(1 << 780))
+    trace = symmetrise_full(spec, g)
+    assert trace.steps and trace.monotone
+    assert complete_partite_shape_of(trace.final_graph) == trace.final_shape
+    assert trace.steps[0].lam_before == lambda_graph(spec, g)
+    assert trace.steps[-1].lam_after == lambda_of_shape(spec, trace.final_shape)
